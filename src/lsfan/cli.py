@@ -2,7 +2,8 @@
 
 One binary with subcommands; jobs come from flags or a JSON job file, results
 go to --out (or stdout) as JSON, or as DOT for the poset commands.  Exit
-codes: 0 success, 1 verification failure, 2 invalid input.
+codes: 0 success, 1 verification failure or failed internal invariant,
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import Counter
 from . import io as lsio
 from .dcp import (
     DCP,
+    InvariantError,
     Setup,
     build_dcp_direct_w0,
     build_dcp_inductive,
@@ -86,20 +88,20 @@ def _setup_from_job(job: dict) -> Setup:
         iposet = chain_iposet(m)
     elif iposet == "powerset":
         iposet = powerset_iposet(m)
+    elif isinstance(iposet, str):
+        iposet = build_index_poset(_parse_sets(iposet), m)
+    elif isinstance(iposet, list) and all(isinstance(s, list) for s in iposet):
+        iposet = build_index_poset([frozenset(s) for s in iposet], m)
     else:
-        sets = _parse_sets(iposet) if isinstance(iposet, str) else [
-            frozenset(s) for s in iposet
-        ]
-        iposet = build_index_poset(sets, m)
+        raise ValueError(f"iposet {iposet!r} is neither a string nor a list of lists")
     tau = job["tau"]
-    total = tuple(sum(l[j] for l in lambdas) for j in range(group.rank))
-    q = group.stabilizer_parabolic(total)
     if tau == "w0":
-        tau_coset = group.coset(group.longest, q)
+        tau_elt = group.longest
     else:
-        word = _parse_vector(tau) if isinstance(tau, str) else tuple(tau)
-        tau_coset = group.coset(group.from_word(word), q)
-    return Setup(group, lambdas, tau_coset, iposet)
+        tau_elt = group.from_word(
+            _parse_vector(tau) if isinstance(tau, str) else tuple(tau)
+        )
+    return Setup(group, lambdas, tau_elt, iposet)
 
 
 def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
@@ -139,8 +141,8 @@ def cmd_dcp(args) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
         direct = build_dcp_direct_w0(setup)
-        assert direct.node_set() == dcp.node_set()
-        assert direct.edge_set() == dcp.edge_set()
+        if (direct.node_set(), direct.edge_set()) != (dcp.node_set(), dcp.edge_set()):
+            raise InvariantError("the inductive and the direct constructions differ")
     data = lsio.dcp_to_json(dcp)
     if args.format == "dot":
         _emit(args, lsio.dcp_to_dot(dcp))
@@ -345,7 +347,7 @@ def _add_common(sub):
         dest="lambdas",
         help="weights in omega-coordinates, e.g. '1,0,0;0,0,1;0,1,0'",
     )
-    sub.add_argument("--tau", help="reduced word '2,1' or 'w0'")
+    sub.add_argument("--tau", help="word '2,1' with letters in 1..rank, or 'w0'")
     sub.add_argument("--iposet", help="'chain', 'powerset', or sets '1;1,2;1,2,3'")
     sub.add_argument("--size-guard", dest="size_guard", type=int)
     sub.add_argument("--out", help="output path (default: stdout)")
@@ -407,6 +409,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .lspath import maximal_bonded_chains
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup
 
 __all__ = [
     "IndexPoset",
     "IndexPosetError",
+    "NotStandardError",
+    "InvariantError",
     "build_index_poset",
     "powerset_iposet",
     "chain_iposet",
@@ -35,6 +38,7 @@ __all__ = [
     "is_tau_standard",
     "tau_standardness_report",
     "totally_ordered_exists",
+    "greedy_max_lifts",
     "max_defining_chain",
     "min_defining_chain",
     "defining_chain_extremes",
@@ -45,6 +49,14 @@ __all__ = [
 
 class IndexPosetError(ValueError):
     """Raised when a collection of subsets is not a valid index poset."""
+
+
+class NotStandardError(ValueError):
+    """Raised when rho is not injective: the index poset is not standard for tau."""
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed; a defect, never bad input."""
 
 
 class IndexPoset:
@@ -181,6 +193,8 @@ class Setup:
         if len(self.lambdas) != iposet.m:
             raise ValueError("index poset ground size must match the weight count")
         for lam in self.lambdas:
+            if len(lam) != group.rank:
+                raise ValueError(f"weight {lam} needs {group.rank} coordinates")
             if any(x < 0 for x in lam):
                 raise ValueError(f"weight {lam} is not dominant")
         self.iposet = iposet
@@ -226,14 +240,6 @@ class Setup:
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
-
-    def q_upper(self, s: frozenset) -> Parabolic:
-        """Q^I: intersection of Q_tau with all P_J for J >= I in the poset."""
-        result = set(self.q_tau)
-        for j in self.iposet.sets:
-            if s <= j:
-                result &= self.p_of[j]
-        return frozenset(result)
 
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
@@ -343,6 +349,8 @@ class DCP:
             self.covers_up[lower].append(upper)
         self.top = DCPNode(setup.tau, setup.iposet.full)
         assert self.top in self.covers_down
+        self._rho_table = None
+        self._rho_lookup = None
 
     def rank(self, node: DCPNode) -> int:
         return node.theta.rank + len(node.iset) - 1
@@ -355,18 +363,33 @@ class DCP:
 
     def maximal_chains(self):
         """All maximal chains from the top, as (nodes, edge bonds) pairs."""
-        chains = []
+        return maximal_bonded_chains(self.covers_down, self.top)
 
-        def descend(node, acc_nodes, acc_bonds):
-            downs = self.covers_down[node]
-            if not downs:
-                chains.append((tuple(acc_nodes), tuple(acc_bonds)))
-                return
-            for lower, _, bond in downs:
-                descend(lower, acc_nodes + [lower], acc_bonds + [bond])
+    def rho_table(self) -> dict:
+        """rho_map of this poset, computed on first use."""
+        if self._rho_table is None:
+            self._rho_table = rho_map(self)
+        return self._rho_table
 
-        descend(self.top, [self.top], [])
-        return chains
+    def rho_collisions(self) -> list:
+        """Groups of nodes sharing one rho image, ordered by their first node;
+        empty iff the index poset is standard for tau."""
+        groups = (v for v in self.rho_table().values() if len(v) > 1)
+        return sorted(groups, key=lambda group: _node_key(group[0]))
+
+    def rho_lookup(self) -> dict:
+        """rho inverted: (coset in W/W_{P_I}, I) -> node.  Raises
+        NotStandardError when rho is not injective."""
+        if self._rho_lookup is None:
+            collisions = self.rho_collisions()
+            if collisions:
+                pair = collisions[0]
+                raise NotStandardError(
+                    f"rho is not injective; the index poset is not standard for "
+                    f"tau (collision at {pair[0]} / {pair[1]})"
+                )
+            self._rho_lookup = {k: v[0] for k, v in self.rho_table().items()}
+        return self._rho_lookup
 
     def node_set(self):
         return set(self.nodes)
@@ -503,15 +526,7 @@ def rho_map(dcp: DCP):
 
 def rho_inverse(dcp: DCP, theta, iset):
     """Preimage of (theta, I) under rho; requires rho to be injective."""
-    images = rho_map(dcp)
-    collisions = {k: v for k, v in images.items() if len(v) > 1}
-    if collisions:
-        pair = next(iter(collisions.values()))
-        raise ValueError(
-            f"rho is not injective; the index poset is not standard for tau "
-            f"(collision at {pair[0]} / {pair[1]})"
-        )
-    return images[(theta, frozenset(iset))][0]
+    return dcp.rho_lookup()[(theta, frozenset(iset))]
 
 
 def rho_inverse_w0(setup: Setup, theta: Coset, iset):
@@ -540,27 +555,19 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
     group = setup.group
     if dcp is None:
         dcp = build_dcp_inductive(setup)
-    images = rho_map(dcp)
-    collisions = sorted(
-        (v for v in images.values() if len(v) > 1),
-        key=lambda pair: _node_key(pair[0]),
-    )
+    images = dcp.rho_table()
+    collisions = dcp.rho_collisions()
     standard = not collisions
 
     criteria = None
     agree = None
     if setup.is_w0_instance():
         criteria = {}
-        preimage_count: dict = {}
-        for node in dcp.nodes:
-            preimage_count[rho(setup, node)] = (
-                preimage_count.get(rho(setup, node), 0) + 1
-            )
         for s in setup.iposet.sets:
             p_i = setup.p_of[s]
             q_i = setup.q_of[s]
             id_coset = group.coset(group.identity, p_i)
-            crit_i = preimage_count.get((id_coset, s), 0) == 1
+            crit_i = len(images.get((id_coset, s), ())) == 1
             for chain in setup.iposet.covering_chains_to_top(s):
                 q_r = setup.q_upper_chain(chain)
                 crit_ii = _criterion_min_max(group, setup, p_i, q_i, q_r)
@@ -573,8 +580,10 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
                     "iv": crit_iv,
                 }
         agree = all(len(set(v.values())) == 1 for v in criteria.values())
-        assert agree, f"criteria disagree: {criteria}"
-        assert standard == all(v["i"] for v in criteria.values())
+        if not agree:
+            raise InvariantError(f"standardness criteria disagree: {criteria}")
+        if standard != all(v["i"] for v in criteria.values()):
+            raise InvariantError("criterion (i) disagrees with injectivity of rho")
     return StandardnessReport(standard, collisions, criteria, agree)
 
 
@@ -647,37 +656,40 @@ def totally_ordered_exists(datum, lambdas):
 # -- defining chains ------------------------------------------------------------
 
 
+def greedy_max_lifts(group: WeylGroup, start: Coset, cosets):
+    """Lift each coset in turn to the unique maximal Deodhar lift below the
+    previous lift, beginning below `start`; the lifts, or None as soon as
+    one does not exist."""
+    lifts = []
+    for coset in cosets:
+        try:
+            start = group.deodhar_max_lift(start, coset)
+        except LiftError:
+            return None
+        lifts.append(start)
+    return lifts
+
+
 def max_defining_chain(setup: Setup, wchain):
     """Unique maximal defining chain of a weakly decreasing chain of pairs
     (theta in W/W_{P_I}, I), listed from the top; None if none exists."""
-    group = setup.group
-    lifts = []
-    current = setup.tau
-    for theta, iset in wchain:
-        try:
-            current = group.deodhar_max_lift(current, theta)
-        except LiftError:
-            return None
-        lifts.append(current)
-    return lifts
+    return greedy_max_lifts(setup.group, setup.tau, [theta for theta, _ in wchain])
 
 
 def min_defining_chain(setup: Setup, wchain):
     """Unique minimal defining chain, or None; wchain is listed from the top."""
     group = setup.group
     lifts = []
-    current = None
-    for theta, iset in reversed(wchain):
-        if current is None:
-            current = group.min_lift(theta, setup.q)
-        else:
-            try:
-                current = group.deodhar_min_lift(current, theta)
-            except LiftError:
-                return None
-        lifts.append(current)
+    for theta, _ in reversed(wchain):
+        if not lifts:
+            lifts.append(group.min_lift(theta, setup.q))
+            continue
+        try:
+            lifts.append(group.deodhar_min_lift(lifts[-1], theta))
+        except LiftError:
+            return None
     lifts.reverse()
-    if not group.coset_leq(lifts[0], setup.tau):
+    if lifts and not group.coset_leq(lifts[0], setup.tau):
         return None
     return lifts
 
@@ -689,7 +701,8 @@ def defining_chain_extremes(setup: Setup, wchain):
     if upper is None:
         raise LiftError("the chain admits no defining chain")
     lower = min_defining_chain(setup, wchain)
-    assert lower is not None
+    if lower is None:
+        raise InvariantError("a chain with a maximal defining chain has no minimal one")
     return upper, lower
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .dcp import DCP, DCPNode, Setup, rho_map
+from .dcp import DCP, DCPNode, Setup
 from .demazure import weyl_dimension
 from .lspath import chain_lattice_points, theta_single, theta_single_inverse
 from .tableaux import LSTableau, make_tableau
@@ -223,24 +223,13 @@ def weight(setup: Setup, vec: FanVector):
     return tuple(int(x) for x in total)
 
 
-def _slice_inverse(dcp: DCP):
-    """rho as a lookup (coset in W/W_{P_I}, I) -> node; needs rho injective."""
-    images = rho_map(dcp)
-    collisions = [v for v in images.values() if len(v) > 1]
-    if collisions:
-        raise FanError(
-            "the index poset is not standard for tau; the slice map is not injective"
-        )
-    return {k: v[0] for k, v in images.items()}
-
-
 def theta_d(dcp: DCP, tableau: LSTableau):
     """Fan vector of a standard tableau: sum of the column vectors, each
-    transported into its slice of the poset."""
-    setup = dcp.setup
+    transported into its slice of the poset through the rho lookup; raises
+    NotStandardError when rho is not injective."""
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
-    inverse = _slice_inverse(dcp)
+    inverse = dcp.rho_lookup()
     vec: FanVector = {}
     for path, s in zip(tableau.columns, tableau.shapes):
         for coset, c in theta_single(path, 1).items():

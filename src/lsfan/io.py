@@ -19,9 +19,7 @@ from .weyl import Coset, WeylGroup
 __all__ = [
     "word_of",
     "coset_to_json",
-    "coset_from_json",
     "path_to_json",
-    "path_from_json",
     "tableau_to_json",
     "dcp_to_json",
     "dcp_node_ids",
@@ -48,19 +46,9 @@ def coset_to_json(group: WeylGroup, c: Coset) -> dict:
     }
 
 
-def coset_from_json(group: WeylGroup, data: dict) -> Coset:
-    w = group.from_word(data["word"])
-    return group.coset(w, frozenset(data["parabolic"]))
-
-
 def _frac_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _frac_parse(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def path_to_json(group: WeylGroup, path: LSPath) -> dict:
@@ -69,16 +57,6 @@ def path_to_json(group: WeylGroup, path: LSPath) -> dict:
         "cosets": [word_of(group, c.rep) for c in path.cosets],
         "cuts": [_frac_str(c) for c in path.cuts],
     }
-
-
-def path_from_json(group: WeylGroup, data: dict) -> LSPath:
-    shape = tuple(data["shape"])
-    parabolic = group.stabilizer_parabolic(shape)
-    cosets = tuple(
-        group.coset(group.from_word(word), parabolic) for word in data["cosets"]
-    )
-    cuts = tuple(_frac_parse(s) for s in data["cuts"])
-    return LSPath(shape, cosets, cuts)
 
 
 def tableau_to_json(group: WeylGroup, tableau: LSTableau) -> dict:

@@ -24,6 +24,7 @@ __all__ = [
     "theta_single",
     "theta_single_inverse",
     "chain_lattice_points",
+    "maximal_bonded_chains",
 ]
 
 
@@ -86,18 +87,25 @@ class ShapePoset:
 
     def maximal_chains(self):
         """All maximal chains from the top, as (nodes, edge bonds) pairs."""
-        chains = []
+        return maximal_bonded_chains(self.covers_down, self.top)
 
-        def descend(node, acc_nodes, acc_bonds):
-            downs = self.covers_down[node]
-            if not downs:
-                chains.append((tuple(acc_nodes), tuple(acc_bonds)))
-                return
-            for lower, _, bond in downs:
-                descend(lower, acc_nodes + [lower], acc_bonds + [bond])
 
-        descend(self.top, [self.top], [])
-        return chains
+def maximal_bonded_chains(covers_down, top):
+    """All maximal chains of a graded poset from `top` downwards, as
+    (nodes, edge bonds) pairs; covers_down maps a node to its
+    (lower, label, bond) covers."""
+    chains = []
+
+    def descend(node, acc_nodes, acc_bonds):
+        downs = covers_down[node]
+        if not downs:
+            chains.append((tuple(acc_nodes), tuple(acc_bonds)))
+            return
+        for lower, _, bond in downs:
+            descend(lower, acc_nodes + [lower], acc_bonds + [bond])
+
+    descend(top, [top], [])
+    return chains
 
 
 def _structure_check(group: WeylGroup, path: LSPath) -> None:

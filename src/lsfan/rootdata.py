@@ -121,9 +121,6 @@ class RootDatum:
         """<weight, coroot> for a weight in omega-coordinates."""
         return sum(w * c for w, c in zip(weight, coroot))
 
-    def coroot_of_positive_root(self, index: int) -> tuple[int, ...]:
-        return self.positive_coroots[index]
-
     def fundamental_weight(self, i: int) -> tuple[int, ...]:
         """Omega-coordinates of omega_i (1-based i)."""
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))

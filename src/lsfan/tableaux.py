@@ -13,9 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dcp import DCP, Setup, build_dcp_inductive, is_tau_standard
+from .dcp import (
+    DCP,
+    Setup,
+    build_dcp_inductive,
+    greedy_max_lifts,
+    is_tau_standard,
+    max_defining_chain,
+    min_defining_chain,
+)
 from .lspath import LSPath, enumerate_ls_paths, endpoint
-from .weyl import Coset, LiftError, WeylGroup, one_line_to_word, word_to_one_line
+from .weyl import Coset, WeylGroup, one_line_to_word, word_to_one_line
 
 __all__ = [
     "LSTableau",
@@ -162,36 +170,12 @@ def flatten(tableau: LSTableau):
 def max_defining_chain_of(setup: Setup, tableau: LSTableau):
     """Unique maximal defining chain (one W/W_Q coset per flattened entry),
     or None when the tableau is not standard."""
-    group = setup.group
-    lifts = []
-    current = setup.tau
-    for coset, _ in flatten(tableau):
-        try:
-            current = group.deodhar_max_lift(current, coset)
-        except LiftError:
-            return None
-        lifts.append(current)
-    return lifts
+    return max_defining_chain(setup, flatten(tableau))
 
 
 def min_defining_chain_of(setup: Setup, tableau: LSTableau):
     """Unique minimal defining chain, or None when the tableau is not standard."""
-    group = setup.group
-    lifts = []
-    current = None
-    for coset, _ in reversed(flatten(tableau)):
-        try:
-            if current is None:
-                current = group.min_lift(coset, setup.q)
-            else:
-                current = group.deodhar_min_lift(current, coset)
-        except LiftError:
-            return None
-        lifts.append(current)
-    lifts.reverse()
-    if lifts and not group.coset_leq(lifts[0], setup.tau):
-        return None
-    return lifts
+    return min_defining_chain(setup, flatten(tableau))
 
 
 def is_standard(setup: Setup, tableau: LSTableau):
@@ -248,16 +232,9 @@ def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
             return
         s = shapes[k]
         for path in candidates[s]:
-            lift = current_lift
-            feasible = True
-            for coset in path.cosets:
-                try:
-                    lift = group.deodhar_max_lift(lift, coset)
-                except LiftError:
-                    feasible = False
-                    break
-            if feasible:
-                extend(k + 1, lift, acc + [path])
+            lifts = greedy_max_lifts(group, current_lift, path.cosets)
+            if lifts is not None:
+                extend(k + 1, lifts[-1], acc + [path])
 
     extend(0, setup.tau, [])
     return results

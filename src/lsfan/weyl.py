@@ -178,8 +178,12 @@ class WeylGroup:
         return self._elements[self._inverses[w.matrix]]
 
     def from_word(self, word) -> WeylElt:
+        """The product of the simple reflections of a (not necessarily
+        reduced) word; letters are 1-based indices in 1..rank."""
         w = self.identity
         for i in word:
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"word letter {i} is not in 1..{self.rank}")
             w = self.mult(w, self.simple_reflection(i))
         return w
 

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from lsfan import cli
+from lsfan import DCP, DCPNode, cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -210,7 +210,7 @@ def test_conjecture_mixed_chain(capsys):
     assert "agree" in err
 
 
-def test_invalid_inputs_exit_two(capsys):
+def test_invalid_inputs_exit_two(capsys, tmp_path):
     code, _, err = run(
         capsys, "dcp", "--type", "Z", "--rank", "5",
         "--lambda", "1", "--tau", "w0", "--iposet", "chain",
@@ -234,6 +234,39 @@ def test_invalid_inputs_exit_two(capsys):
         "--degree", "1,1,1",
     )
     assert code == 2
+    # tau letters outside 1..rank
+    for word in ("0", "9"):
+        code, _, err = run(
+            capsys, "dcp", "--type", "A", "--rank", "2",
+            "--lambda", "1,0;0,1", "--tau", word, "--iposet", "chain",
+        )
+        assert code == 2 and err.startswith("error:")
+    # a weight with more coordinates than the rank
+    code, _, err = run(
+        capsys, "dcp", "--type", "A", "--rank", "2",
+        "--lambda", "1,0,0", "--tau", "w0", "--iposet", "chain",
+    )
+    assert code == 2 and err.startswith("error:")
+    # an index poset that is neither a string nor a list of lists
+    job = tmp_path / "bad_iposet.json"
+    job.write_text(json.dumps(
+        {"type": "A", "rank": 2, "lambdas": [[1, 0]], "tau": "w0", "iposet": 7}
+    ))
+    code, _, err = run(capsys, "dcp", "--job", str(job))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_inductive_direct_mismatch_exits_one(capsys, monkeypatch):
+    def top_only(setup):
+        return DCP(setup, [DCPNode(setup.tau, setup.iposet.full)], [])
+
+    monkeypatch.setattr(cli, "build_dcp_direct_w0", top_only)
+    code, out, err = run(
+        capsys, "dcp", "--job", str(FIXTURES / "a2_young_chain_w0.json")
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_etype_poset_fixture_is_valid_index_poset():

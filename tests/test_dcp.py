@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from lsfan import (
     DCPNode,
     IndexPosetError,
+    InvariantError,
     LiftError,
+    LSPath,
+    NotStandardError,
     Setup,
     UnderlineW,
     build_dcp_direct_w0,
@@ -15,6 +19,7 @@ from lsfan import (
     chain_iposet,
     defining_chain_extremes,
     is_tau_standard,
+    make_tableau,
     max_defining_chain,
     min_defining_chain,
     one_line_to_word,
@@ -23,6 +28,7 @@ from lsfan import (
     rho_inverse,
     rho_inverse_w0,
     tau_standardness_report,
+    theta_d,
     totally_ordered_exists,
     triangle_down,
     triangle_up,
@@ -469,6 +475,27 @@ def test_rho_not_injective_on_tau312_instance(a2):
     report = tau_standardness_report(setup, dcp)
     assert not report.standard
     assert report.collisions
+
+
+def test_theta_d_rejects_non_standard_poset(a2):
+    setup = tau312_setup(a2)
+    dcp = build_dcp_inductive(setup)
+    top = setup.iposet.full
+    column = LSPath(setup.lambda_of[top], (setup.tau_in(top),), (Fraction(1),))
+    tableau = make_tableau(setup, [column], [top])
+    with pytest.raises(NotStandardError):
+        theta_d(dcp, tableau)
+
+
+def test_criteria_disagreement_is_an_invariant_error(a3, monkeypatch):
+    import lsfan.dcp
+
+    flip = lsfan.dcp._criterion_dynkin
+    monkeypatch.setattr(lsfan.dcp, "_criterion_dynkin", lambda *a: not flip(*a))
+    setup = Setup(a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], a3.longest, chain_iposet(3))
+    with pytest.raises(InvariantError):
+        tau_standardness_report(setup)
+    assert not issubclass(InvariantError, ValueError)
 
 
 def test_rho_inverse_closed_form_matches_search(a3):

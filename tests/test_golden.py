@@ -1,0 +1,58 @@
+"""Byte-for-byte CLI output on the job fixtures.
+
+The sha256 of each command's stdout was recorded from the library before the
+rho table, the shared Deodhar-lift routines and the shared maximal-chain walk
+replaced their duplicated predecessors; a refactor must keep every hash.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from lsfan import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+GOLDEN = [
+    ("dcp", "a2_tau312_chain", (),
+     "69b59fb11da800806a4e6f96c1d2ccb4aef799c507f5abd80af6829eefebe968"),
+    ("check", "a2_tau312_chain", (),
+     "13c1f75f2f6dd696bcbc9b0adc010a8b8e35af72eb7a63f1e92b686a8ed34434"),
+    ("dcp", "a2_young_chain_w0", (),
+     "812c3b01cc38d0a61f11a84cda29ea85c7cd515965437b85de8756f7d94b3060"),
+    ("check", "a2_young_chain_w0", (),
+     "3ed4d134879a08a74a90a4e33fb631376c8d2fa59adb93f4d31b2307d385d397"),
+    ("dcp", "a3_mixed_chain_w0", (),
+     "359a55a900a8bf3b5d7e6518a7843900c3dd87210997e34dfe71266b2b36a173"),
+    ("check", "a3_mixed_chain_w0", (),
+     "11dba4712afc4268821707c4ebb945d2c8b73a6a88461938e2ef88d42ecbf92e"),
+    ("dcp", "a3_tau3412_branched", (),
+     "5d1246fce4e1bd3953e6b955de27a6d76208bb00e454232edebd8c373ae42c62"),
+    ("check", "a3_tau3412_branched", (),
+     "fa71e321ce01bca48adfe758b8c721cbe77b8a21ef9c68dc090cb6916f9e235b"),
+    ("dcp", "a3_young_chain_w0", (),
+     "242bf76bac5a4271dfce6eacf92619c11f8669f5a4b7a6ef0765de059ade8262"),
+    ("check", "a3_young_chain_w0", (),
+     "6ba7b341102537f41c6b9394d3093b3938a3be1d362f50db850d37b9ac7ffd61"),
+    ("dcp", "d4_flag_branched", (),
+     "3a325feb1513e458e4790ff144bf511a7e4179e08544ed8acf42e45e19e574ab"),
+    ("check", "d4_flag_branched", (),
+     "0fdec4b61d62cf4c845acbb91ada561c98bc03b481506126a8516779e07739e0"),
+    ("enumerate", "a2_young_chain_w0", ("--degree", "1,1"),
+     "379410e8de9d75e7620ac0e2f5bc548da9217f5b4f069499c4e126a12067c7a8"),
+    ("verify", "a3_tau3412_branched", ("--max-total-degree", "2"),
+     "6de97b56e833cfe75707f966e83cf1e42d9d18c903c2c22d3ebbacd63904dff8"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,job,extra,digest",
+    GOLDEN,
+    ids=[f"{c}-{j}" for c, j, _, _ in GOLDEN],
+)
+def test_stdout_bytes_unchanged(capsys, command, job, extra, digest):
+    code = cli.main([command, "--job", str(FIXTURES / f"{job}.json"), *extra])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
