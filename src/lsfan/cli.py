@@ -39,16 +39,23 @@ from .tableaux import enumerate_standard, tableau_endpoint
 from .weyl import WeylGroup
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _ints(value, what: str) -> tuple[int, ...]:
+    """A string 'a,b,...' or a list of integers as a tuple of ints; raises
+    ValueError for anything else."""
+    if isinstance(value, str):
+        return tuple(int(x) for x in value.split(","))
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        return tuple(value)
+    raise ValueError(f"{what} {value!r} is not a list of integers")
 
 
-def _parse_vectors(text: str) -> list[tuple[int, ...]]:
-    return [_parse_vector(part) for part in text.split(";") if part]
-
-
-def _parse_sets(text: str) -> list[frozenset[int]]:
-    return [frozenset(int(x) for x in part.split(",")) for part in text.split(";") if part]
+def _int_lists(value, what: str) -> list[tuple[int, ...]]:
+    """A string 'a,b;c,d;...' or a list of lists as a list of int tuples."""
+    if isinstance(value, str):
+        return [_ints(part, what) for part in value.split(";") if part]
+    if isinstance(value, list):
+        return [_ints(part, what) for part in value]
+    raise ValueError(f"{what}s {value!r} are neither a string nor a list")
 
 
 def _load_job(args) -> dict:
@@ -56,6 +63,8 @@ def _load_job(args) -> dict:
     if getattr(args, "job", None):
         with open(args.job) as fh:
             job = json.load(fh)
+        if not isinstance(job, dict):
+            raise ValueError(f"job file {args.job} does not hold a JSON object")
     for key in (
         "type",
         "rank",
@@ -78,42 +87,28 @@ def _setup_from_job(job: dict) -> Setup:
             raise ValueError(f"job is missing '{key}'")
     datum = build_root_datum(job["type"], int(job["rank"]))
     group = WeylGroup(datum, int(job.get("size_guard", 1152)))
-    lambdas = job["lambdas"]
-    if isinstance(lambdas, str):
-        lambdas = _parse_vectors(lambdas)
-    lambdas = [tuple(l) for l in lambdas]
+    lambdas = _int_lists(job["lambdas"], "weight")
     m = len(lambdas)
     iposet = job["iposet"]
     if iposet == "chain":
         iposet = chain_iposet(m)
     elif iposet == "powerset":
         iposet = powerset_iposet(m)
-    elif isinstance(iposet, str):
-        iposet = build_index_poset(_parse_sets(iposet), m)
-    elif isinstance(iposet, list) and all(isinstance(s, list) for s in iposet):
-        iposet = build_index_poset([frozenset(s) for s in iposet], m)
     else:
-        raise ValueError(f"iposet {iposet!r} is neither a string nor a list of lists")
+        sets = [frozenset(s) for s in _int_lists(iposet, "iposet set")]
+        iposet = build_index_poset(sets, m)
     tau = job["tau"]
-    if tau == "w0":
-        tau_elt = group.longest
-    else:
-        tau_elt = group.from_word(
-            _parse_vector(tau) if isinstance(tau, str) else tuple(tau)
-        )
+    tau_elt = group.longest if tau == "w0" else group.from_word(_ints(tau, "tau"))
     return Setup(group, lambdas, tau_elt, iposet)
 
 
 def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
     degrees = []
-    if "degree" in job and job["degree"] is not None:
-        raw = job["degree"]
-        if isinstance(raw, str):
-            degrees.extend(_parse_vectors(raw))
-        elif raw and isinstance(raw[0], (list, tuple)):
-            degrees.extend(tuple(d) for d in raw)
-        else:
-            degrees.append(tuple(raw))
+    raw = job.get("degree")
+    if isinstance(raw, list) and not (raw and isinstance(raw[0], list)):
+        degrees.append(_ints(raw, "degree"))
+    elif raw is not None:
+        degrees.extend(_int_lists(raw, "degree"))
     if "max_total_degree" in job and job["max_total_degree"] is not None and not degrees:
         bound = int(job["max_total_degree"])
         stack = [()]

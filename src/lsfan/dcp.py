@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lspath import maximal_bonded_chains
+from .lspath import bonded_chain, maximal_bonded_chains
+from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup
 
 __all__ = [
@@ -53,10 +54,6 @@ class IndexPosetError(ValueError):
 
 class NotStandardError(ValueError):
     """Raised when rho is not injective: the index poset is not standard for tau."""
-
-
-class InvariantError(Exception):
-    """An internal consistency check failed; a defect, never bad input."""
 
 
 class IndexPoset:
@@ -121,9 +118,6 @@ class IndexPoset:
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self._set_lookup
-
-    def rank(self, s: frozenset) -> int:
-        return len(s) - 1
 
     def e_vector(self, s: frozenset) -> tuple[int, ...]:
         u = self.underline[s]
@@ -236,7 +230,8 @@ class Setup:
             for i in group.datum.simple_indices
             if group.has_right_descent(max_rep, i)
         )
-        assert self.q <= self.q_tau
+        if not self.q <= self.q_tau:
+            raise InvariantError("Q is not contained in the descent parabolic of tau")
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
@@ -332,6 +327,10 @@ class DCPNode:
     def __hash__(self):
         return hash((self.theta, self.iset))
 
+    @property
+    def rank(self) -> int:
+        return self.theta.rank + len(self.iset) - 1
+
 
 class DCP:
     """The defining chain poset: graded, with typed, bond-labelled covers."""
@@ -348,21 +347,17 @@ class DCP:
             self.covers_down[upper].append((lower, kind, bond))
             self.covers_up[lower].append(upper)
         self.top = DCPNode(setup.tau, setup.iposet.full)
-        assert self.top in self.covers_down
+        if self.top not in self.covers_down:
+            raise InvariantError("the top (tau, [m]) is not a node")
         self._rho_table = None
         self._rho_lookup = None
 
-    def rank(self, node: DCPNode) -> int:
-        return node.theta.rank + len(node.iset) - 1
-
     def length(self) -> int:
-        return self.rank(self.top)
-
-    def bonds(self) -> dict[tuple[DCPNode, DCPNode], int]:
-        return {(u, l): bond for u, l, _, bond in self.edges}
+        return self.top.rank
 
     def maximal_chains(self):
-        """All maximal chains from the top, as (nodes, edge bonds) pairs."""
+        """All maximal chains from the top, as (nodes, edge bonds) pairs; a
+        brute-force reference for the bonded walk."""
         return maximal_bonded_chains(self.covers_down, self.top)
 
     def rho_table(self) -> dict:
@@ -399,23 +394,11 @@ class DCP:
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
         """a <= b in the poset order (reachability through covers)."""
-        if a == b:
-            return True
-        stack = [b]
-        seen = set()
-        while stack:
-            x = stack.pop()
-            for lower, _, _ in self.covers_down[x]:
-                if lower == a:
-                    return True
-                if self.rank(lower) > self.rank(a) and lower not in seen:
-                    seen.add(lower)
-                    stack.append(lower)
-        return False
+        return bonded_chain(self.covers_down, b, a, 0) is not None
 
 
 def _node_key(n: DCPNode):
-    return (-(n.theta.rank + len(n.iset) - 1), _set_key(n.iset), n.theta.rep.matrix)
+    return (-n.rank, _set_key(n.iset), n.theta.rep.matrix)
 
 
 def _same_i_bond(setup: Setup, upper: DCPNode, lower: DCPNode) -> int:
@@ -460,9 +443,8 @@ def build_dcp_inductive(setup: Setup) -> DCP:
     """
     group = setup.group
     top = DCPNode(setup.tau, setup.iposet.full)
-    top_rank = setup.tau.rank + setup.m - 1
-    nodes_by_rank = {top_rank: {top}}
-    for r in range(top_rank, 0, -1):
+    nodes_by_rank = {top.rank: {top}}
+    for r in range(top.rank, 0, -1):
         current = nodes_by_rank.get(r, set())
         below: set[DCPNode] = set()
         for node in current:
@@ -505,7 +487,7 @@ def build_dcp_direct_w0(setup: Setup) -> DCP:
                 nodes.append(DCPNode(c, s))
     nodes_by_rank: dict[int, set] = {}
     for n in nodes:
-        nodes_by_rank.setdefault(n.theta.rank + len(n.iset) - 1, set()).add(n)
+        nodes_by_rank.setdefault(n.rank, set()).add(n)
     return DCP(setup, nodes, _collect_edges(setup, nodes_by_rank))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootdata import RootDatum
+from .rootdata import InvariantError, RootDatum
 from .weyl import Coset, WeylGroup
 
 __all__ = ["demazure_character", "demazure_dimension", "weyl_dimension", "character_of_irrep"]
@@ -67,7 +67,8 @@ def demazure_character(group: WeylGroup, mu, tau: Coset) -> dict:
     char = {tuple(mu): 1}
     for i in reversed(word):
         char = demazure_operator(group, i, char)
-    assert all(m > 0 for m in char.values())
+    if any(m <= 0 for m in char.values()):
+        raise InvariantError(f"character of {tuple(mu)} has a multiplicity <= 0")
     return char
 
 
@@ -83,7 +84,8 @@ def weyl_dimension(datum: RootDatum, mu) -> int:
     result = Fraction(1)
     for coroot in datum.positive_coroots:
         result *= Fraction(datum.pairing(mu_rho, coroot), datum.pairing(rho, coroot))
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise InvariantError(f"dim V({tuple(mu)}) = {result} is not an integer")
     return int(result)
 
 

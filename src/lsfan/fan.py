@@ -2,20 +2,25 @@
 
 A fan vector is a sparse map from poset nodes to non-negative rationals whose
 support lies on one maximal chain; membership in the fan is cut out by
-bond-weighted partial-sum integrality along that chain.  Fan vectors of a
-fixed degree biject with the standard tableaux of that degree, and the
-multidegree checker compares chain/bond statistics against an exact fit of
-the Hilbert polynomial computed from the dimension oracle.
+bond-weighted partial-sum integrality along that chain.  The condition is
+local: between consecutive support nodes the running sum only has to make
+bond * sum integral on the covers of one saturated chain, so membership and
+enumeration walk covers with lspath.bonded_chain and never list maximal
+chains.  Fan vectors of a fixed degree biject with the standard tableaux of
+that degree, and the multidegree checker compares bond products summed over
+maximal chains, by dynamic programming over the poset, against an exact fit
+of the Hilbert polynomial computed from the dimension oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from math import gcd, lcm
 
 from .dcp import DCP, DCPNode, Setup
 from .demazure import weyl_dimension
-from .lspath import chain_lattice_points, theta_single, theta_single_inverse
+from .lspath import bonded_chain, theta_single, theta_single_inverse
+from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
 __all__ = [
@@ -43,12 +48,8 @@ class FanError(ValueError):
 def canonical_vector(vec: FanVector):
     """Hashable canonical form: (node, coefficient) pairs sorted by rank then id."""
     items = [(n, Fraction(c)) for n, c in vec.items() if c != 0]
-    items.sort(key=lambda t: (-t[0].theta.rank - len(t[0].iset), _nkey(t[0])))
+    items.sort(key=lambda t: (-t[0].rank, sorted(t[0].iset), t[0].theta.rep.matrix))
     return tuple(items)
-
-
-def _nkey(node: DCPNode):
-    return (tuple(sorted(node.iset)), node.theta.rep.matrix)
 
 
 def fan_degree(setup: Setup, vec: FanVector):
@@ -79,101 +80,75 @@ def ls_lattice_member(vec: FanVector, chain_nodes, chain_bonds) -> bool:
 
 
 def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
-    """Membership in the fan: non-negative, and lattice-compatible with some
-    maximal chain containing the support."""
+    """Membership in the fan: non-negative, integral in total, and each
+    support node reached from the one above it (from the top, for the
+    first) by a bonded walk at the running sum."""
     if any(Fraction(c) < 0 for c in vec.values()):
         return False
-    support = {n for n, c in vec.items() if c != 0}
-    if not support:
-        return True
-    for nodes, bonds in dcp.maximal_chains():
-        if support <= set(nodes):
-            if ls_lattice_member(vec, nodes, bonds):
-                return True
-    return False
-
-
-def _chain_runs(setup: Setup, nodes, bonds):
-    """Split a maximal chain into runs of constant index set.
-
-    Returns (runs, run_bonds) where runs[k] is the node list of the k-th run
-    (top first) and run_bonds[k] the bonds of its internal edges.
-    """
-    runs = [[nodes[0]]]
-    run_bonds = [[]]
-    for k in range(1, len(nodes)):
-        if nodes[k].iset == nodes[k - 1].iset:
-            runs[-1].append(nodes[k])
-            run_bonds[-1].append(bonds[k - 1])
-        else:
-            runs.append([nodes[k]])
-            run_bonds.append([])
-    return runs, run_bonds
-
-
-def _run_sums(setup: Setup, isets, d):
-    """Solve sum_k s_k e_{I_k} = d for the run index sets of one chain.
-
-    The index sets drop one element per step, which makes the system
-    triangular; returns the unique solution or None if it leaves N_0^m.
-    """
-    m = setup.m
-    dropped = []
-    for k, s in enumerate(isets):
-        nxt = isets[k + 1] if k + 1 < len(isets) else frozenset()
-        (x,) = tuple(s - nxt)
-        dropped.append(x)
-    evecs = [setup.iposet.e_vector(s) for s in isets]
-    sums = [0] * len(isets)
-    for k, x in enumerate(dropped):
-        val = d[x - 1] - sum(
-            sums[l] for l in range(k) if evecs[l][x - 1]
-        )
-        if val < 0:
-            return None
-        sums[k] = val
-    residual = list(d)
-    for k, e in enumerate(evecs):
-        for j in range(m):
-            residual[j] -= sums[k] * e[j]
-    if any(residual):
-        return None
-    return sums
+    upper, cum = dcp.top, Fraction(0)
+    for node in sorted((n for n, c in vec.items() if c != 0), key=lambda n: -n.rank):
+        if bonded_chain(dcp.covers_down, upper, node, cum) is None:
+            return False
+        upper, cum = node, cum + Fraction(vec[node])
+    return cum.denominator == 1
 
 
 def enumerate_fan_degree(dcp: DCP, d):
-    """All fan vectors of degree d, duplicate-free across maximal chains."""
+    """All fan vectors of degree d, by a depth-first search over support
+    chains from the top.
+
+    Sums and degrees are kept as integers over L, the lcm of the bonds.  The
+    next support node is one the bonded walk reaches from the last at the
+    running sum; its coefficient must keep the remaining degree non-negative
+    and leave a sum that is integral or suits some cover below the node.
+    Every vector is met exactly once, on the path of its own support.
+    """
     setup = dcp.setup
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    found = {}
-    seen_signatures = set()
-    for nodes, bonds in dcp.maximal_chains():
-        runs, run_bonds = _chain_runs(setup, nodes, bonds)
-        sums = _run_sums(setup, [r[0].iset for r in runs], d)
-        if sums is None:
-            continue
-        # chains that agree on the blocks carrying mass yield the same vectors
-        signature = tuple(
-            (tuple(run), tuple(rb), s)
-            for run, rb, s in zip(runs, run_bonds, sums)
-            if s > 0
-        )
-        if signature in seen_signatures:
-            continue
-        seen_signatures.add(signature)
-        per_run = [
-            list(chain_lattice_points(rb, s)) for rb, s in zip(run_bonds, sums)
-        ]
-        for combo in product(*per_run):
-            vec = {}
-            for run, coeffs in zip(runs, combo):
-                for node, c in zip(run, coeffs):
-                    if c != 0:
-                        vec[node] = vec.get(node, Fraction(0)) + c
-            found[canonical_vector(vec)] = vec
-    return list(found.values())
+    big_l = lcm(1, *(bond for _, _, _, bond in dcp.edges))
+    underline = {
+        n: [j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes
+    }
+    reach: dict[tuple[DCPNode, int], list[DCPNode]] = {}
+
+    def below(node, den):
+        """Nodes under `node` that a bonded walk at a sum of denominator
+        `den` reaches, in the order of dcp.nodes."""
+        if (node, den) not in reach:
+            cut = Fraction(1, den)
+            reach[(node, den)] = [
+                n for n in dcp.nodes
+                if n.rank < node.rank
+                and bonded_chain(dcp.covers_down, node, n, cut) is not None
+            ]
+        return reach[(node, den)]
+
+    found = []
+    vec: FanVector = {}
+
+    def place(candidates, total, rest):
+        if not any(rest):
+            if total % big_l == 0:
+                found.append(dict(vec))
+            return
+        for node in candidates:
+            for c in range(1, min(rest[j] for j in underline[node]) + 1):
+                cum = total + c
+                if cum % big_l and all(
+                    bond * cum % big_l for _, _, bond in dcp.covers_down[node]
+                ):
+                    continue
+                vec[node] = Fraction(c, big_l)
+                left = list(rest)
+                for j in underline[node]:
+                    left[j] -= c
+                place(below(node, big_l // gcd(cum, big_l)), cum, left)
+                del vec[node]
+
+    place([dcp.top] + below(dcp.top, 1), 0, [x * big_l for x in d])
+    return found
 
 
 def decompose(dcp: DCP, vec: FanVector):
@@ -194,11 +169,11 @@ def decompose(dcp: DCP, vec: FanVector):
     for s in isets:
         sl = slices[s]
         total = sum(sl.values())
-        assert total.denominator == 1
-        count = int(total)
-        buckets = [dict() for _ in range(count)]
+        if total.denominator != 1:
+            raise InvariantError(f"slice {set(s)} of a fan member sums to {total}")
+        buckets = [dict() for _ in range(int(total))]
         cum = Fraction(0)
-        for node in sorted(sl, key=lambda n: -n.theta.rank):
+        for node in sorted(sl, key=lambda n: -n.rank):
             remaining = sl[node]
             while remaining > 0:
                 k = int(cum)  # bucket holding cumulative mass [k, k+1)
@@ -219,7 +194,7 @@ def weight(setup: Setup, vec: FanVector):
         for j in range(setup.group.rank):
             total[j] += Fraction(c) * img[j]
     if any(x.denominator != 1 for x in total):
-        raise AssertionError(f"non-integral fan weight {total}")
+        raise InvariantError(f"non-integral fan weight {total}")
     return tuple(int(x) for x in total)
 
 
@@ -340,7 +315,8 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
             for k in mono:
                 for f in range(2, k + 1):
                     value *= f
-            assert value.denominator == 1
+            if value.denominator != 1:
+                raise InvariantError(f"multidegree {mono} is {value}, not an integer")
             degrees[mono] = int(value)
     return degrees
 
@@ -357,8 +333,9 @@ def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
 
     For a totally ordered index poset, each maximal chain of the poset is
     typed by how many nodes it has per member; the left side sums the product
-    of all bonds over chains of each type, the right side takes the exact
-    Hilbert fit.  Returns a report dict; agreement is reported, not asserted.
+    of all bonds over chains of each type, in one top-down pass over the
+    nodes, the right side takes the exact Hilbert fit.  Returns a report
+    dict; agreement is reported, not asserted.
     """
     iposet = setup.iposet
     chain_sets = sorted(iposet.sets, key=len)
@@ -370,19 +347,26 @@ def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
         (x,) = tuple(iposet.underline[s])
         variable_of[s] = x
 
+    def bump(k, s):
+        j = variable_of[s] - 1
+        return k[:j] + (k[j] + 1,) + k[j + 1:]
+
+    # paths[n]: k-tuple of the nodes on a path from the top down to n -> sum
+    # of the bond products of those paths; dcp.nodes runs top-down
+    paths = {n: {} for n in dcp.nodes}
+    paths[dcp.top] = {bump((-1,) * setup.m, iposet.full): 1}
     left: dict[tuple, int] = {}
-    for nodes, bonds in dcp.maximal_chains():
-        count = {s: 0 for s in chain_sets}
-        for node in nodes:
-            count[node.iset] += 1
-        ktuple = [0] * setup.m
-        for s in chain_sets:
-            ktuple[variable_of[s] - 1] = count[s] - 1
-        ktuple = tuple(ktuple)
-        prod = 1
-        for b in bonds:
-            prod *= b
-        left[ktuple] = left.get(ktuple, 0) + prod
+    for node in dcp.nodes:
+        here = paths.pop(node)
+        covers = dcp.covers_down[node]
+        if not covers:
+            for k, v in here.items():
+                left[k] = left.get(k, 0) + v
+        for lower, _, bond in covers:
+            acc = paths[lower]
+            for k, v in here.items():
+                k = bump(k, lower.iset)
+                acc[k] = acc.get(k, 0) + v * bond
 
     right = hilbert_multidegrees(setup, max_total_degree)
     keys = sorted(set(left) | {k for k, v in right.items() if v != 0})

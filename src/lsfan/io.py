@@ -68,12 +68,7 @@ def tableau_to_json(group: WeylGroup, tableau: LSTableau) -> dict:
 
 def dcp_node_ids(dcp: DCP) -> dict[DCPNode, int]:
     ordered = sorted(
-        dcp.nodes,
-        key=lambda n: (
-            dcp.rank(n),
-            tuple(sorted(n.iset)),
-            n.theta.rep.matrix,
-        ),
+        dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.matrix)
     )
     return {n: i for i, n in enumerate(ordered)}
 
@@ -86,7 +81,7 @@ def dcp_to_json(dcp: DCP) -> dict:
             "id": ids[n],
             "theta": word_of(group, n.theta.rep),
             "I": sorted(n.iset),
-            "rank": dcp.rank(n),
+            "rank": n.rank,
         }
         for n in sorted(ids, key=ids.get)
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rootdata import InvariantError
 from .weyl import Coset, WeylGroup
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "theta_single",
     "theta_single_inverse",
     "chain_lattice_points",
+    "bonded_chain",
     "maximal_bonded_chains",
 ]
 
@@ -90,10 +92,40 @@ class ShapePoset:
         return maximal_bonded_chains(self.covers_down, self.top)
 
 
+def bonded_chain(covers_down, upper, lower, cut):
+    """A saturated chain from `upper` down to `lower`, listed from the top,
+    whose every cover has bond * cut integral; None if there is none.
+
+    covers_down maps a node to its (lower, label, bond) covers, and each
+    cover lowers the node's `rank` by one.  The search goes depth first in
+    cover order, stops at the rank of `lower` and skips nodes already known
+    not to reach it.
+    """
+    den = Fraction(cut).denominator
+    floor = lower.rank
+    dead = set()
+
+    def descend(node):
+        if node == lower:
+            return [node]
+        if node.rank <= floor or node in dead:
+            return None
+        for nxt, _, bond in covers_down[node]:
+            if bond % den == 0:
+                rest = descend(nxt)
+                if rest is not None:
+                    return [node] + rest
+        dead.add(node)
+        return None
+
+    return descend(upper)
+
+
 def maximal_bonded_chains(covers_down, top):
     """All maximal chains of a graded poset from `top` downwards, as
     (nodes, edge bonds) pairs; covers_down maps a node to its
-    (lower, label, bond) covers."""
+    (lower, label, bond) covers.  enumerate_ls_paths lists them; on the
+    defining chain poset they are only the tests' brute-force reference."""
     chains = []
 
     def descend(node, acc_nodes, acc_bonds):
@@ -136,28 +168,11 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     certificate = {}
     for k in range(len(path.cosets) - 1):
         upper, lower = path.cosets[k], path.cosets[k + 1]
-        cut = path.cuts[k]
-        witness = _find_chain(group, poset, upper, lower, cut)
+        witness = bonded_chain(poset.covers_down, upper, lower, path.cuts[k])
         if witness is None:
             return False, None
         certificate[(upper, lower)] = witness
     return True, certificate
-
-
-def _find_chain(group, poset, upper, lower, cut):
-    """DFS for a saturated chain from upper to lower with cut*bond integral
-    at every covering step."""
-    if upper == lower:
-        return [upper]
-    for nxt, _, bond in poset.covers_down[upper]:
-        if (cut * bond).denominator != 1:
-            continue
-        if not group.coset_leq(lower, nxt):
-            continue
-        rest = _find_chain(group, poset, nxt, lower, cut)
-        if rest is not None:
-            return [upper] + rest
-    return None
 
 
 def chain_lattice_points(bonds, total: int):
@@ -230,7 +245,7 @@ def endpoint(path: LSPath):
         total = contrib if total is None else tuple(a + b for a, b in zip(total, contrib))
         prev = cut
     if any(x.denominator != 1 for x in total):
-        raise AssertionError(f"non-integral endpoint {total}; path data is inconsistent")
+        raise InvariantError(f"non-integral endpoint {total}; path data is inconsistent")
     return tuple(int(x) for x in total)
 
 

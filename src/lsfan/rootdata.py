@@ -12,13 +12,23 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-__all__ = ["RootDatum", "RootDatumError", "build_root_datum", "weyl_group_order"]
+__all__ = [
+    "RootDatum",
+    "RootDatumError",
+    "InvariantError",
+    "build_root_datum",
+    "weyl_group_order",
+]
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 class RootDatumError(ValueError):
     """Raised for (type, rank) pairs that do not name a simple root system."""
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed; a defect, never bad input."""
 
 
 def _check_type_rank(dynkin_type: str, rank: int) -> None:
@@ -208,14 +218,15 @@ def build_root_datum(dynkin_type: str, rank: int) -> RootDatum:
 def _validate(datum: RootDatum) -> None:
     n = datum.rank
     for i in range(n):
-        assert datum.cartan[i][i] == 2
+        if datum.cartan[i][i] != 2:
+            raise InvariantError(f"Cartan diagonal entry {i + 1} is not 2")
         for j in range(n):
-            if i != j:
-                assert datum.cartan[i][j] <= 0
-    for edge in combinations(range(n), 2):
-        i, j = edge
-        has_edge = frozenset((i + 1, j + 1)) in datum.adjacency
-        assert has_edge == (datum.cartan[i][j] != 0)
+            if i != j and datum.cartan[i][j] > 0:
+                raise InvariantError(f"Cartan entry ({i + 1}, {j + 1}) is positive")
+    for i, j in combinations(range(n), 2):
+        if (frozenset((i + 1, j + 1)) in datum.adjacency) != (datum.cartan[i][j] != 0):
+            raise InvariantError(f"Dynkin edge {i + 1}-{j + 1} contradicts the Cartan matrix")
     # <beta, beta^vee> = 2 ties the two coordinate systems together
     for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-        assert datum.pairing(datum.root_omega_coords(root), coroot) == 2
+        if datum.pairing(datum.root_omega_coords(root), coroot) != 2:
+            raise InvariantError(f"root {root} does not pair to 2 with its coroot")

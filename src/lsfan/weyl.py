@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import RootDatum, build_root_datum, weyl_group_order
+from .rootdata import InvariantError, RootDatum, build_root_datum, weyl_group_order
 
 __all__ = [
     "WeylElt",
@@ -126,7 +126,8 @@ class WeylGroup:
                         inverses[prod] = _mat_mult(s, inv)
                         new_frontier.append(prod)
             frontier = new_frontier
-        assert len(lengths) == order
+        if len(lengths) != order:
+            raise InvariantError(f"generated {len(lengths)} elements, expected {order}")
 
         self._elements = {m: WeylElt(m, l) for m, l in lengths.items()}
         self._inverses = inverses
@@ -425,7 +426,8 @@ class WeylGroup:
             raise ValueError("element is not Q-minimal")
         a = self.coset(w, qp).rep
         b = self.mult(self.inverse(a), w)
-        assert w.length == a.length + b.length
+        if w.length != a.length + b.length:
+            raise InvariantError("the product decomposition is not length-additive")
         return a, b
 
     def bruhat_interval_cover(self, theta: Coset, phi: Coset, p: Parabolic) -> Coset:

@@ -254,6 +254,25 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     ))
     code, _, err = run(capsys, "dcp", "--job", str(job))
     assert code == 2 and err.startswith("error:")
+    # job entries of the wrong type, and a job that is not a JSON object
+    base = {"type": "A", "rank": 2, "lambdas": [[1, 0], [0, 1]], "tau": "w0",
+            "iposet": "chain"}
+    for command, entry in [
+        ("dcp", {"tau": 7}),
+        ("dcp", {"tau": ["a"]}),
+        ("dcp", {"lambdas": [7]}),
+        ("dcp", {"lambdas": [[1, 0], ["a", 1]]}),
+        ("dcp", {"iposet": [[1], [1, "2"]]}),
+        ("verify", {"degree": 7}),
+        ("verify", {"degree": [1, "x"]}),
+    ]:
+        job.write_text(json.dumps({**base, **entry}))
+        code, _, err = run(capsys, command, "--job", str(job))
+        assert code == 2 and err.startswith("error:"), entry
+        assert len(err.splitlines()) == 1, entry
+    job.write_text(json.dumps([base]))
+    code, _, err = run(capsys, "dcp", "--job", str(job))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_inductive_direct_mismatch_exits_one(capsys, monkeypatch):

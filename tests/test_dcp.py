@@ -368,14 +368,14 @@ def test_dcp_structural_invariants(request, name, lambdas, kind):
     group = setup.group
     dcp = build_dcp_inductive(setup)
     top_rank = setup.tau.rank + setup.m - 1
-    assert dcp.rank(dcp.top) == top_rank
+    assert dcp.top.rank == top_rank
     for n in dcp.nodes:
-        assert dcp.rank(n) == n.theta.rank + len(n.iset) - 1
+        assert n.rank == n.theta.rank + len(n.iset) - 1
         assert group.is_q_minimal(n.theta.rep, setup.q_of[n.iset])
         # every node reaches a minimal node and is reached from the top
         if n != dcp.top:
             assert dcp.covers_up[n]
-        if dcp.rank(n) > 0:
+        if n.rank > 0:
             assert dcp.covers_down[n]
     # corollary: pushing a node down any subset stays in the poset, below it
     node_set = dcp.node_set()

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsfan import (
     FanError,
     Setup,
     build_dcp_inductive,
+    build_index_poset,
     canonical_vector,
     chain_iposet,
     decompose,
@@ -18,6 +22,7 @@ from lsfan import (
     hilbert_multidegrees,
     in_ls_plus,
     ls_lattice_member,
+    make_group,
     multidegree_conjecture_check,
     one_line_to_word,
     powerset_iposet,
@@ -27,6 +32,7 @@ from lsfan import (
     theta_single,
     weight,
 )
+from lsfan.lspath import chain_lattice_points
 
 ONE = Fraction(1)
 
@@ -462,3 +468,195 @@ def test_conjecture_needs_totally_ordered_iposet(a2):
     dcp = build_dcp_inductive(setup)
     with pytest.raises(FanError):
         multidegree_conjecture_check(setup, dcp, 3)
+
+
+# -- brute-force references over maximal chains ------------------------------------------
+#
+# The fan and DCP.leq walk covers with the bonded walk and list no maximal
+# chain.  The references below list them all and decide each question chain
+# by chain, as the definitions read.
+
+A3_WEIGHTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+REFERENCE_INSTANCES = {
+    # name: (type, rank, weights, tau word or None for w0, index poset)
+    "b2_chain": ("B", 2, [(1, 0), (0, 1)], None, "chain"),
+    "g2_chain": ("G", 2, [(1, 0), (0, 1)], None, "chain"),
+    "a3_mixed_chain": ("A", 3, [(1, 0, 0), (0, 0, 1), (0, 1, 0)], None, "chain"),
+    "a3_tau3412_branched": (
+        "A", 3, A3_WEIGHTS, (2, 1, 3, 2),
+        [fs(1), fs(2), fs(3), fs(1, 2), fs(2, 3), fs(1, 2, 3)],
+    ),
+    "a3_powerset": ("A", 3, A3_WEIGHTS, None, "powerset"),
+}
+REFERENCE_DEGREES = {
+    "b2_chain": [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)],
+    "g2_chain": [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)],
+    "a3_tau3412_branched": [(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1),
+                            (2, 0, 0), (1, 1, 1), (0, 2, 1)],
+    "a3_powerset": [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1),
+                    (2, 0, 1)],
+}
+
+
+@lru_cache(maxsize=None)
+def reference_instance(name):
+    """(setup, dcp, maximal chains) of one reference instance."""
+    kind, rank, lambdas, word, sets = REFERENCE_INSTANCES[name]
+    group = make_group(kind, rank)
+    tau = group.longest if word is None else group.from_word(word)
+    m = len(lambdas)
+    if sets == "chain":
+        iposet = chain_iposet(m)
+    elif sets == "powerset":
+        iposet = powerset_iposet(m)
+    else:
+        iposet = build_index_poset(sets, m)
+    setup = Setup(group, lambdas, tau, iposet)
+    dcp = build_dcp_inductive(setup)
+    return setup, dcp, dcp.maximal_chains()
+
+
+def reference_fan_degree(setup, chains, d):
+    """Fan vectors of degree d, chain by chain: split the chain into runs of
+    constant index set, solve the triangular system for the run sums, and
+    combine the bond-constrained lattice points of every run."""
+    found = set()
+    for nodes, bonds in chains:
+        runs, run_bonds = [[nodes[0]]], [[]]
+        for k in range(1, len(nodes)):
+            if nodes[k].iset == nodes[k - 1].iset:
+                runs[-1].append(nodes[k])
+                run_bonds[-1].append(bonds[k - 1])
+            else:
+                runs.append([nodes[k]])
+                run_bonds.append([])
+        isets = [run[0].iset for run in runs]
+        evecs = [setup.iposet.e_vector(s) for s in isets]
+        sums = []
+        for k, s in enumerate(isets):
+            nxt = isets[k + 1] if k + 1 < len(isets) else frozenset()
+            (x,) = tuple(s - nxt)
+            sums.append(d[x - 1] - sum(t for t, e in zip(sums, evecs) if e[x - 1]))
+        residual = [
+            d[j] - sum(t * e[j] for t, e in zip(sums, evecs)) for j in range(setup.m)
+        ]
+        if min(sums) < 0 or any(residual):
+            continue
+        per_run = [list(chain_lattice_points(rb, t)) for rb, t in zip(run_bonds, sums)]
+        for combo in product(*per_run):
+            vec = {}
+            for run, coeffs in zip(runs, combo):
+                vec.update((n, c) for n, c in zip(run, coeffs) if c != 0)
+            found.add(canonical_vector(vec))
+    return found
+
+
+def reference_member(chains, vec):
+    """Non-negative, and some maximal chain holds the support and passes
+    ls_lattice_member."""
+    if any(c < 0 for c in vec.values()):
+        return False
+    support = {n for n, c in vec.items() if c != 0}
+    return any(
+        support <= set(nodes) and ls_lattice_member(vec, nodes, bonds)
+        for nodes, bonds in chains
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEGREES))
+def test_enumeration_matches_the_chain_reference(name):
+    setup, dcp, chains = reference_instance(name)
+    assert {b for _, _, _, b in dcp.edges} != {1}
+    for d in REFERENCE_DEGREES[name]:
+        vectors = enumerate_fan_degree(dcp, d)
+        keys = [canonical_vector(v) for v in vectors]
+        assert len(keys) == len(set(keys)), d
+        assert set(keys) == reference_fan_degree(setup, chains, d), d
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEGREES))
+def test_membership_of_enumerated_vectors_matches_the_reference(name):
+    _, dcp, chains = reference_instance(name)
+    for d in REFERENCE_DEGREES[name][:4]:
+        for vec in enumerate_fan_degree(dcp, d):
+            assert in_ls_plus(dcp, vec) and reference_member(chains, vec)
+
+
+COEFFS = [Fraction(k, q) for q in (1, 2, 3, 6) for k in range(-1, 2 * q + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCE_DEGREES)),
+    pick=st.integers(min_value=0, max_value=10**6),
+    changes=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.sampled_from(COEFFS)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_membership_of_perturbed_vectors_matches_the_reference(name, pick, changes):
+    setup, dcp, chains = reference_instance(name)
+    degree = REFERENCE_DEGREES[name][pick % len(REFERENCE_DEGREES[name])]
+    members = enumerate_fan_degree(dcp, degree)
+    vec = dict(members[pick % len(members)])
+    for index, coeff in changes:
+        vec[dcp.nodes[index % len(dcp.nodes)]] = coeff
+    assert in_ls_plus(dcp, vec) == reference_member(chains, vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCE_DEGREES)),
+    pick=st.integers(min_value=0, max_value=10**6),
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from([c for c in COEFFS if c > 0]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_membership_of_chain_supported_vectors_matches_the_reference(name, pick, entries):
+    # support on one maximal chain and an integral total, so that only the
+    # bond conditions between support nodes decide
+    _, dcp, chains = reference_instance(name)
+    nodes, _ = chains[pick % len(chains)]
+    vec = {nodes[index % len(nodes)]: coeff for index, coeff in entries}
+    last = max(vec, key=nodes.index)
+    vec[last] += -sum(vec.values()) % 1
+    assert in_ls_plus(dcp, vec) == reference_member(chains, vec)
+
+
+@pytest.mark.parametrize("name", ["b2_chain", "g2_chain", "a3_mixed_chain"])
+def test_conjecture_left_side_matches_the_chain_reference(name):
+    setup, dcp, chains = reference_instance(name)
+    variable_of = {s: min(setup.iposet.underline[s]) for s in setup.iposet.sets}
+    left = {}
+    for nodes, bonds in chains:
+        k = [-1] * setup.m
+        for node in nodes:
+            k[variable_of[node.iset] - 1] += 1
+        prod = 1
+        for b in bonds:
+            prod *= b
+        left[tuple(k)] = left.get(tuple(k), 0) + prod
+    report = multidegree_conjecture_check(setup, dcp, setup.tau.rank)
+    assert report["left"] == {k: left.get(k, 0) for k in report["left"]}
+    assert set(left) <= set(report["left"])
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_leq_is_the_transitive_closure_of_the_edges(name):
+    _, dcp, _ = reference_instance(name)
+    below = {n: {n} for n in dcp.nodes}
+    for upper, lower, _, _ in dcp.edges:
+        below[upper].add(lower)
+    for k in dcp.nodes:  # Warshall
+        for i in dcp.nodes:
+            if k in below[i]:
+                below[i] |= below[k]
+    for a in dcp.nodes:
+        for b in dcp.nodes:
+            assert dcp.leq(a, b) == (a in below[b]), (a, b)

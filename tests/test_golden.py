@@ -2,7 +2,9 @@
 
 The sha256 of each command's stdout was recorded from the library before the
 rho table, the shared Deodhar-lift routines and the shared maximal-chain walk
-replaced their duplicated predecessors; a refactor must keep every hash.
+replaced their duplicated predecessors; the D4 verify case was recorded before
+the bonded walk replaced the listing of maximal chains in the fan.  A refactor
+must keep every hash.
 """
 
 import hashlib
@@ -43,6 +45,8 @@ GOLDEN = [
      "379410e8de9d75e7620ac0e2f5bc548da9217f5b4f069499c4e126a12067c7a8"),
     ("verify", "a3_tau3412_branched", ("--max-total-degree", "2"),
      "6de97b56e833cfe75707f966e83cf1e42d9d18c903c2c22d3ebbacd63904dff8"),
+    ("verify", "d4_flag_branched", ("--degree", "1,1,0,0"),
+     "b6707501231bb1d09725fc0f04497bf9f0e8f9fec52f53c4142157d1de0d777f"),
 ]
 
 

@@ -1,0 +1,21 @@
+"""Source checks: invariants in the library are named errors, never `assert`,
+so that `python -O` cannot drop them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "lsfan").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_in_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    )
+    assert not offenders, f"{path.name}: assert or AssertionError at lines {offenders}"
