@@ -49,6 +49,15 @@ def _ints(value, what: str) -> tuple[int, ...]:
     raise ValueError(f"{what} {value!r} is not a list of integers")
 
 
+def _int(job: dict, key: str, default=None) -> int:
+    """The job entry `key` (or `default` when it is absent or null) as an
+    int; raises ValueError if it is not one."""
+    value = default if job.get(key) is None else job[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:
     """A string 'a,b;c,d;...' or a list of lists as a list of int tuples."""
     if isinstance(value, str):
@@ -85,8 +94,10 @@ def _setup_from_job(job: dict) -> Setup:
     for key in ("type", "rank", "lambdas", "tau", "iposet"):
         if key not in job:
             raise ValueError(f"job is missing '{key}'")
-    datum = build_root_datum(job["type"], int(job["rank"]))
-    group = WeylGroup(datum, int(job.get("size_guard", 1152)))
+    if not isinstance(job["type"], str):
+        raise ValueError(f"type {job['type']!r} is not a string")
+    datum = build_root_datum(job["type"], _int(job, "rank"))
+    group = WeylGroup(datum, _int(job, "size_guard", 1152))
     lambdas = _int_lists(job["lambdas"], "weight")
     m = len(lambdas)
     iposet = job["iposet"]
@@ -109,8 +120,8 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
         degrees.append(_ints(raw, "degree"))
     elif raw is not None:
         degrees.extend(_int_lists(raw, "degree"))
-    if "max_total_degree" in job and job["max_total_degree"] is not None and not degrees:
-        bound = int(job["max_total_degree"])
+    if job.get("max_total_degree") is not None and not degrees:
+        bound = _int(job, "max_total_degree")
         stack = [()]
         for _ in range(m):
             stack = [p + (k,) for p in stack for k in range(bound + 1)]
@@ -316,8 +327,7 @@ def cmd_conjecture(args) -> int:
     job = _load_job(args)
     setup = _setup_from_job(job)
     dcp = build_dcp_inductive(setup)
-    bound = job.get("max_total_degree")
-    bound = setup.tau.rank if bound is None else int(bound)
+    bound = _int(job, "max_total_degree", setup.tau.rank)
     report = multidegree_conjecture_check(setup, dcp, bound)
     data = {
         "dimension": report["dimension"],

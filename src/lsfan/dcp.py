@@ -268,7 +268,7 @@ class UnderlineW:
             for c in group.all_cosets(setup.p_of[s]):
                 if group.coset_leq(c, top):
                     self.nodes.append((c, s))
-        self.nodes.sort(key=lambda n: (len(n[1]), _set_key(n[1]), n[0].rank, n[0].rep.matrix))
+        self.nodes.sort(key=lambda n: (len(n[1]), _set_key(n[1]), n[0].rank, n[0].rep.index))
         index = {node: k for k, node in enumerate(self.nodes)}
         n = len(self.nodes)
 
@@ -398,7 +398,7 @@ class DCP:
 
 
 def _node_key(n: DCPNode):
-    return (-n.rank, _set_key(n.iset), n.theta.rep.matrix)
+    return (-n.rank, _set_key(n.iset), n.theta.rep.index)
 
 
 def _same_i_bond(setup: Setup, upper: DCPNode, lower: DCPNode) -> int:

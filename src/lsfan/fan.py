@@ -48,7 +48,7 @@ class FanError(ValueError):
 def canonical_vector(vec: FanVector):
     """Hashable canonical form: (node, coefficient) pairs sorted by rank then id."""
     items = [(n, Fraction(c)) for n, c in vec.items() if c != 0]
-    items.sort(key=lambda t: (-t[0].rank, sorted(t[0].iset), t[0].theta.rep.matrix))
+    items.sort(key=lambda t: (-t[0].rank, sorted(t[0].iset), t[0].theta.rep.index))
     return tuple(items)
 
 
@@ -251,20 +251,33 @@ def _monomials(m, n):
 
 
 def _solve_exact(matrix, rhs):
-    """Gaussian elimination over the rationals; matrix must be square and
-    invertible."""
+    """Exact solution of a square invertible integer system, by fraction-free
+    (Bareiss) elimination.
+
+    Every entry stays an integer: each step divides exactly by the previous
+    pivot, so the last pivot is +-det and det * x is integral (Cramer).
+    Back-substitution solves for det * x in integers; only the returned
+    values are Fractions.
+    """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    prev = 1
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        p, top = a[col][col], a[col]
+        for r in range(col + 1, n):
+            row, f = a[r], a[r][col]
+            a[r] = [0] * (col + 1) + [
+                (p * row[j] - f * top[j]) // prev for j in range(col + 1, n + 1)
+            ]
+        prev = p
+    det = prev
+    y = [0] * n
+    for r in range(n - 1, -1, -1):
+        acc = det * a[r][n] - sum(a[r][j] * y[j] for j in range(r + 1, n))
+        y[r] = acc // a[r][r]
+    return [Fraction(v, det) for v in y]
 
 
 def hilbert_multidegrees(setup: Setup, max_total_degree: int):

@@ -2,8 +2,8 @@
 
 Group elements are serialized as reduced words (1-based simple reflection
 indices); rationals as "num/den" strings.  Node ordering is canonical (rank,
-then index set, then matrix) so identical inputs produce byte-identical
-output.
+then index set, then element index, which follows the element's matrix) so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def tableau_to_json(group: WeylGroup, tableau: LSTableau) -> dict:
 
 def dcp_node_ids(dcp: DCP) -> dict[DCPNode, int]:
     ordered = sorted(
-        dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.matrix)
+        dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.index)
     )
     return {n: i for i, n in enumerate(ordered)}
 

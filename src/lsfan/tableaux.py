@@ -221,7 +221,7 @@ def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
     for s in set(shapes):
         paths = enumerate_ls_paths(group, setup.lambda_of[s], setup.tau, 1)
         candidates[s] = sorted(
-            paths, key=lambda p: ([c.rep.matrix for c in p.cosets], p.cuts)
+            paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts)
         )
 
     results = []

@@ -1,15 +1,20 @@
 """Finite Weyl groups acting on the weight lattice, with Bruhat order,
 parabolic quotients, extremal lifts and Deodhar lifts.
 
-Elements are integer matrices in omega-coordinates; a simple reflection acts
-by s_i(lam) = lam - <lam, alpha_i^vee> alpha_i.  Equality of elements is
-matrix equality, so no word normalization is ever needed.  All cosets are
-kept as their unique minimal-length representative.
+An element is an index into tables built once per group.  The elements are
+numbered 0..|W|-1 in ascending order of their integer matrices on
+omega-coordinates; per element the group keeps its length, its products
+with each simple reflection on either side, its descent sets, its inverse
+and one reduced word.  Products, descents, cosets and Bruhat comparisons
+are table lookups.  The matrix is kept only for `act` on weights, where
+s_i(lam) = lam - <lam, alpha_i^vee> alpha_i.  All cosets are kept as their
+unique minimal-length representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .rootdata import InvariantError, RootDatum, build_root_datum, weyl_group_order
 
@@ -38,13 +43,15 @@ class LiftError(ValueError):
 
 @dataclass(frozen=True)
 class WeylElt:
-    """Group element as an integer matrix on omega-coordinates."""
+    """Group element: its index in the group's tables, its integer matrix on
+    omega-coordinates (for `act`) and its length.  Compared by index."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    index: int
+    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
     length: int = field(compare=False)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return self.index
 
     def act(self, weight):
         """Apply to a weight in omega-coordinates (ints or Fractions)."""
@@ -61,31 +68,29 @@ class Coset:
     parabolic: Parabolic
 
     def __hash__(self):
-        return hash((self.rep.matrix, self.parabolic))
+        return hash((self.rep.index, self.parabolic))
 
     @property
     def rank(self) -> int:
         return self.rep.length
 
 
-def _mat_mult(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _mask(parabolic) -> int:
+    """The bit mask of a set of 1-based simple indices."""
+    return sum(1 << (i - 1) for i in parabolic)
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _lowest(mask: int) -> int:
+    """0-based position of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 class WeylGroup:
     """A fully enumerated Weyl group for one root datum.
 
     The constructor rejects groups larger than `size_guard` (default 1152,
-    the order of W(F4)).  All elements, lengths and inverses are materialized
-    up front; Bruhat comparisons are memoized.
+    the order of W(F4)).  All elements and their tables are materialized up
+    front; Bruhat comparisons are memoized.
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
@@ -100,58 +105,73 @@ class WeylGroup:
         n = datum.rank
         cartan = datum.cartan
 
-        self._simple = []
-        for i in range(n):
-            mat = tuple(
-                tuple(
-                    (1 if k == j else 0) - (cartan[k][i] if j == i else 0)
-                    for j in range(n)
-                )
-                for k in range(n)
-            )
-            self._simple.append(mat)
+        # Breadth first from the identity by right multiplication.  An
+        # element w is found by v = w^-1(rho), rho = (1, ..., 1) in
+        # omega-coordinates, which only the identity fixes; (w s_i)^-1(rho)
+        # is s_i(v) = v - v[i] alpha_i, alpha_i being column i of the Cartan
+        # matrix.  The matrix of w s_i differs from that of w only in column
+        # i, which becomes w(e_i) - w(alpha_i).
+        alphas = [tuple(row[i] for row in cartan) for i in range(n)]
+        keys = [(1,) * n]
+        mats = [tuple(tuple(int(r == c) for c in range(n)) for r in range(n))]
+        seen = {keys[0]: 0}
+        bfs_right, bfs_length = [], [0]
+        for w, v in enumerate(keys):  # keys grows while it is walked
+            row = []
+            for i, alpha in enumerate(alphas):
+                u = tuple(x - v[i] * a for x, a in zip(v, alpha))
+                if u not in seen:
+                    seen[u] = len(keys)
+                    keys.append(u)
+                    bfs_length.append(bfs_length[w] + 1)
+                    mats.append(tuple(
+                        r[:i] + (r[i] - sum(a * x for a, x in zip(alpha, r)),) + r[i + 1:]
+                        for r in mats[w]
+                    ))
+                row.append(seen[u])
+            bfs_right.append(row)
+        if len(keys) != order:
+            raise InvariantError(f"generated {len(keys)} elements, expected {order}")
 
-        id_mat = _identity(n)
-        lengths = {id_mat: 0}
-        inverses = {id_mat: id_mat}
-        frontier = [id_mat]
-        while frontier:
-            new_frontier = []
-            for mat in frontier:
-                inv = inverses[mat]
-                for i, s in enumerate(self._simple):
-                    prod = _mat_mult(mat, s)
-                    if prod not in lengths:
-                        lengths[prod] = lengths[mat] + 1
-                        inverses[prod] = _mat_mult(s, inv)
-                        new_frontier.append(prod)
-            frontier = new_frontier
-        if len(lengths) != order:
-            raise InvariantError(f"generated {len(lengths)} elements, expected {order}")
+        # Renumber in ascending matrix order.
+        by_matrix = sorted(range(order), key=mats.__getitem__)
+        new = {w: k for k, w in enumerate(by_matrix)}
+        length = [bfs_length[w] for w in by_matrix]
+        right = [tuple(new[j] for j in bfs_right[w]) for w in by_matrix]
+        right_desc = [
+            sum(1 << i for i, x in enumerate(row) if length[x] < length[w])
+            for w, row in enumerate(right)
+        ]
+        # The reduced word of w is the word of w s_i followed by i, for the
+        # smallest right descent i.
+        words = [()] * order
+        for w in sorted(range(order), key=length.__getitem__):
+            if right_desc[w]:
+                i = _lowest(right_desc[w])
+                words[w] = words[right[w][i]] + (i + 1,)
+        inv = [reduce(lambda x, i: right[x][i - 1], reversed(word), new[0]) for word in words]
+        self._length = length
+        self._right = right
+        self._left = [tuple(inv[x] for x in right[inv[w]]) for w in range(order)]
+        self._right_desc = right_desc
+        self._left_desc = [right_desc[inv[w]] for w in range(order)]
+        self._words = words
+        self._inv = inv
+        self._elts = tuple(WeylElt(k, mats[w], length[k]) for k, w in enumerate(by_matrix))
+        self.identity = self._elts[new[0]]
+        self.longest = max(self._elts, key=lambda w: w.length)
 
-        self._elements = {m: WeylElt(m, l) for m, l in lengths.items()}
-        self._inverses = inverses
-        self.identity = self._elements[id_mat]
-        max_len = len(datum.positive_roots)
-        self.longest = next(w for w in self._elements.values() if w.length == max_len)
-
-        # reflection matrix and omega-coordinates per positive root
+        # reflection per positive root beta, found by
+        # s_beta(rho) = rho - <rho, beta^vee> beta, and the root of each
         self._reflections = []
-        self._root_omegas = []
         for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-            omega = datum.root_omega_coords(root)
-            mat = tuple(
-                tuple(
-                    (1 if k == j else 0) - omega[k] * coroot[j] for j in range(n)
-                )
-                for k in range(n)
-            )
-            self._reflections.append(self._elements[mat])
-            self._root_omegas.append(omega)
+            height = sum(coroot)
+            key = tuple(1 - height * x for x in datum.root_omega_coords(root))
+            self._reflections.append(self._elts[new[seen[key]]])
+        self._root_of = {s.index: idx for idx, s in enumerate(self._reflections)}
 
-        self._bruhat_cache: dict[tuple, bool] = {}
+        self._bruhat_cache: dict[int, bool] = {}
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
-        self._w0_cache: dict[Parabolic, WeylElt] = {}
         self._coset_cache: dict[Parabolic, list[Coset]] = {}
         self._covers_cache: dict[Coset, list[tuple[Coset, int]]] = {}
         self._fiber_cache: dict[tuple, list[Coset]] = {}
@@ -159,76 +179,70 @@ class WeylGroup:
     # -- basic group operations -------------------------------------------
 
     def elements(self):
-        return self._elements.values()
+        return self._elts
 
     def __len__(self):
-        return len(self._elements)
+        return len(self._elts)
 
     def simple_reflection(self, i: int) -> WeylElt:
         """s_i for a 1-based Bourbaki index."""
-        return self._elements[self._simple[i - 1]]
+        return self._elts[self._right[self.identity.index][i - 1]]
 
     def reflection(self, root_index: int) -> WeylElt:
         """s_beta for the positive root at `root_index`."""
         return self._reflections[root_index]
 
     def mult(self, u: WeylElt, v: WeylElt) -> WeylElt:
-        return self._elements[_mat_mult(u.matrix, v.matrix)]
+        """u v, by multiplying u by the letters of a reduced word of v."""
+        x, right = u.index, self._right
+        for i in self._words[v.index]:
+            x = right[x][i - 1]
+        return self._elts[x]
 
     def inverse(self, w: WeylElt) -> WeylElt:
-        return self._elements[self._inverses[w.matrix]]
+        return self._elts[self._inv[w.index]]
 
     def from_word(self, word) -> WeylElt:
         """The product of the simple reflections of a (not necessarily
         reduced) word; letters are 1-based indices in 1..rank."""
-        w = self.identity
+        x = self.identity.index
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"word letter {i} is not in 1..{self.rank}")
-            w = self.mult(w, self.simple_reflection(i))
-        return w
+            x = self._right[x][i - 1]
+        return self._elts[x]
 
     def reduced_word(self, w: WeylElt) -> tuple[int, ...]:
-        """A reduced word for w (1-based indices, lexicographically greedy)."""
-        suffix = []
-        while w.length > 0:
-            i = next(
-                i for i in self.datum.simple_indices if self.has_right_descent(w, i)
-            )
-            suffix.append(i)
-            w = self.mult(w, self.simple_reflection(i))
-        return tuple(reversed(suffix))
+        """A reduced word for w (1-based indices); its last letter is the
+        smallest right descent of w, recursively."""
+        return self._words[w.index]
 
     def has_right_descent(self, w: WeylElt, i: int) -> bool:
-        return self.mult(w, self.simple_reflection(i)).length < w.length
+        return bool(self._right_desc[w.index] >> (i - 1) & 1)
 
     def has_left_descent(self, w: WeylElt, i: int) -> bool:
-        return self.mult(self.simple_reflection(i), w).length < w.length
+        return bool(self._left_desc[w.index] >> (i - 1) & 1)
 
     # -- Bruhat order -------------------------------------------------------
 
     def bruhat_leq(self, u: WeylElt, v: WeylElt) -> bool:
         """u <= v in Bruhat order, by the recursive descent criterion."""
-        if u.length > v.length:
+        return self._leq(u.index, v.index)
+
+    def _leq(self, u: int, v: int) -> bool:
+        length = self._length
+        if length[u] > length[v]:
             return False
         if u == v:
             return True
-        if v.length == 0:
-            return False
-        key = (u.matrix, v.matrix)
+        key = u * len(length) + v
         cached = self._bruhat_cache.get(key)
         if cached is not None:
             return cached
-        i = next(
-            i for i in self.datum.simple_indices if self.has_left_descent(v, i)
-        )
-        s = self.simple_reflection(i)
-        sv = self.mult(s, v)
-        su = self.mult(s, u)
-        if su.length < u.length:
-            result = self.bruhat_leq(su, sv)
-        else:
-            result = self.bruhat_leq(u, sv)
+        i = _lowest(self._left_desc[v])
+        su = self._left[u][i]
+        sv = self._left[v][i]
+        result = self._leq(su, sv) if length[su] < length[u] else self._leq(u, sv)
         self._bruhat_cache[key] = result
         return result
 
@@ -240,43 +254,19 @@ class WeylGroup:
         cached = self._parabolic_cache.get(parabolic)
         if cached is not None:
             return cached
-        gens = [self.simple_reflection(i) for i in parabolic]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new_frontier = []
-            for w in frontier:
-                for s in gens:
-                    ws = self.mult(w, s)
-                    if ws not in seen:
-                        seen.add(ws)
-                        new_frontier.append(ws)
-            frontier = new_frontier
-        result = tuple(sorted(seen, key=lambda w: (w.length, w.matrix)))
+        # w lies in W_P iff some (every) reduced word of w has letters in P
+        members = [w for w in self._elts if parabolic.issuperset(self._words[w.index])]
+        result = tuple(sorted(members, key=lambda w: (w.length, w.index)))
         self._parabolic_cache[parabolic] = result
         return result
 
     def longest_in_parabolic(self, parabolic: Parabolic) -> WeylElt:
-        parabolic = frozenset(parabolic)
-        cached = self._w0_cache.get(parabolic)
-        if cached is not None:
-            return cached
-        w = self.identity
-        gens = [self.simple_reflection(i) for i in parabolic]
-        improved = True
-        while improved:
-            improved = False
-            for s in gens:
-                ws = self.mult(w, s)
-                if ws.length > w.length:
-                    w = ws
-                    improved = True
-        self._w0_cache[parabolic] = w
-        return w
+        """The longest element of W_P, the last of `parabolic_elements`."""
+        return self.parabolic_elements(parabolic)[-1]
 
     def is_q_minimal(self, w: WeylElt, parabolic: Parabolic) -> bool:
         """True iff w has no right descent inside the parabolic."""
-        return not any(self.has_right_descent(w, i) for i in parabolic)
+        return not self._right_desc[w.index] & _mask(parabolic)
 
     def stabilizer_parabolic(self, weight) -> Parabolic:
         """Simple indices i with <weight, alpha_i^vee> = 0."""
@@ -289,24 +279,18 @@ class WeylGroup:
     def coset(self, w: WeylElt, parabolic: Parabolic) -> Coset:
         """The coset w W_P, reduced to its minimal representative."""
         parabolic = frozenset(parabolic)
-        reduced = True
-        while reduced:
-            reduced = False
-            for i in parabolic:
-                ws = self.mult(w, self.simple_reflection(i))
-                if ws.length < w.length:
-                    w = ws
-                    reduced = True
-        return Coset(w, parabolic)
+        mask = _mask(parabolic)
+        x = w.index
+        while self._right_desc[x] & mask:
+            x = self._right[x][_lowest(self._right_desc[x] & mask)]
+        return Coset(self._elts[x], parabolic)
 
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:
         parabolic = frozenset(parabolic)
         cached = self._coset_cache.get(parabolic)
         if cached is None:
-            reps = [
-                w for w in self._elements.values() if self.is_q_minimal(w, parabolic)
-            ]
-            reps.sort(key=lambda w: (w.length, w.matrix))
+            reps = [w for w in self._elts if self.is_q_minimal(w, parabolic)]
+            reps.sort(key=lambda w: (w.length, w.index))
             cached = [Coset(w, parabolic) for w in reps]
             self._coset_cache[parabolic] = cached
         return cached
@@ -346,12 +330,12 @@ class WeylGroup:
         smaller = frozenset(smaller)
         if not smaller <= c.parabolic:
             raise ValueError("lift target must be contained in the source parabolic")
-        key = (c.rep.matrix, c.parabolic, smaller)
+        key = (c.rep.index, c.parabolic, smaller)
         cached = self._fiber_cache.get(key)
         if cached is None:
             fiber = {self.coset(self.mult(c.rep, u), smaller)
                      for u in self.parabolic_elements(c.parabolic)}
-            cached = sorted(fiber, key=lambda x: (x.rank, x.rep.matrix))
+            cached = sorted(fiber, key=lambda x: (x.rank, x.rep.index))
             self._fiber_cache[key] = cached
         return cached
 
@@ -402,17 +386,16 @@ class WeylGroup:
             v = self.mult(self._reflections[idx], c.rep)
             if v.length == c.rep.length - 1 and self.is_q_minimal(v, c.parabolic):
                 result.append((Coset(v, c.parabolic), idx))
-        result.sort(key=lambda t: t[0].rep.matrix)
+        result.sort(key=lambda t: t[0].rep.index)
         self._covers_cache[c] = result
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:
         """Index of the positive root beta with s_beta min(lower) = min(upper)."""
         delta = self.mult(upper.rep, self.inverse(lower.rep))
-        for idx, refl in enumerate(self._reflections):
-            if refl == delta:
-                return idx
-        raise ValueError("elements are not related by a reflection")
+        if delta.index not in self._root_of:
+            raise ValueError("elements are not related by a reflection")
+        return self._root_of[delta.index]
 
     # -- product decomposition and interval covers -------------------------------
 
@@ -457,7 +440,7 @@ class WeylGroup:
                 and self.coset_leq(phi_bar, c)
                 and self.coset_leq(c, theta)
             ]
-            phi = min(candidates, key=lambda c: (c.rank, c.rep.matrix))
+            phi = min(candidates, key=lambda c: (c.rank, c.rep.index))
 
 
 def make_group(dynkin_type: str, rank: int, size_guard: int = 1152) -> WeylGroup:
@@ -476,7 +459,7 @@ def covering_relations(group: WeylGroup, parabolic: Parabolic, tau: Coset):
             continue
         for lower, beta_idx in group.covers_down(upper):
             result.append((upper, lower, beta_idx))
-    result.sort(key=lambda t: (t[0].rank, t[0].rep.matrix, t[1].rep.matrix))
+    result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
     return result
 
 

@@ -265,6 +265,12 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         ("dcp", {"iposet": [[1], [1, "2"]]}),
         ("verify", {"degree": 7}),
         ("verify", {"degree": [1, "x"]}),
+        ("verify", {"type": ["A"]}),
+        ("verify", {"rank": [2]}),
+        ("verify", {"rank": True}),
+        ("verify", {"size_guard": [5]}),
+        ("verify", {"max_total_degree": [1]}),
+        ("conjecture", {"max_total_degree": [1]}),
     ]:
         job.write_text(json.dumps({**base, **entry}))
         code, _, err = run(capsys, command, "--job", str(job))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -32,6 +33,7 @@ from lsfan import (
     theta_single,
     weight,
 )
+from lsfan.fan import _monomials, _power, _solve_exact
 from lsfan.lspath import chain_lattice_points
 
 ONE = Fraction(1)
@@ -468,6 +470,40 @@ def test_conjecture_needs_totally_ordered_iposet(a2):
     dcp = build_dcp_inductive(setup)
     with pytest.raises(FanError):
         multidegree_conjecture_check(setup, dcp, 3)
+
+
+def reference_solve(matrix, rhs):
+    """Gauss-Jordan elimination over Fraction: the solver the fraction-free
+    one replaced."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 6), (4, 4)])
+def test_fraction_free_solver_matches_the_fraction_reference(m, n):
+    """The Hilbert-fit systems (simplex points against monomials), with
+    random right-hand sides, in the given row order and shuffled so that
+    pivoting swaps rows."""
+    monomials = _monomials(m, n)
+    matrix = [[_power(pt, mono) for mono in monomials] for pt in monomials]
+    rng = random.Random(f"{m},{n}")
+    rhs = [rng.randint(-10**6, 10**6) for _ in monomials]
+    assert _solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
+    rows = list(zip(matrix, rhs))
+    rng.shuffle(rows)
+    shuffled = [r for r, _ in rows]
+    rhs = [rng.randint(-10**6, 10**6) for _ in rows]
+    assert _solve_exact(shuffled, rhs) == reference_solve(shuffled, rhs)
 
 
 # -- brute-force references over maximal chains ------------------------------------------

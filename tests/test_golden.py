@@ -3,8 +3,10 @@
 The sha256 of each command's stdout was recorded from the library before the
 rho table, the shared Deodhar-lift routines and the shared maximal-chain walk
 replaced their duplicated predecessors; the D4 verify case was recorded before
-the bonded walk replaced the listing of maximal chains in the fan.  A refactor
-must keep every hash.
+the bonded walk replaced the listing of maximal chains in the fan; the
+`underline-w`, `conjecture` and DOT cases, whose order follows the order of
+group elements, were recorded while elements were still compared and sorted
+by their matrices.  A refactor must keep every hash.
 """
 
 import hashlib
@@ -47,13 +49,23 @@ GOLDEN = [
      "6de97b56e833cfe75707f966e83cf1e42d9d18c903c2c22d3ebbacd63904dff8"),
     ("verify", "d4_flag_branched", ("--degree", "1,1,0,0"),
      "b6707501231bb1d09725fc0f04497bf9f0e8f9fec52f53c4142157d1de0d777f"),
+    ("underline-w", "a3_tau3412_branched", (),
+     "94d61104e3d9c0589fb35d06ad6651f0d8478b2201062c41866c7b9cd001e3fd"),
+    ("underline-w", "d4_flag_branched", (),
+     "d374b239a3735b8710590c20ace4988276ddf19694de8dbad73b40b8d5cff88f"),
+    ("conjecture", "a3_mixed_chain_w0", (),
+     "f5e795d0d006c3fa5874071f76d3f34850802d164b508774feab09e5179fecc8"),
+    ("conjecture", "a3_young_chain_w0", (),
+     "a4edb8346cc0ccc542e14ab1accbc804d28259de9565a9c534c61b93a58890e4"),
+    ("dcp", "d4_flag_branched", ("--format", "dot"),
+     "6c627e61ef48381b90734917a9988821fef09ea6c3aad624f415190945c6ae50"),
 ]
 
 
 @pytest.mark.parametrize(
     "command,job,extra,digest",
     GOLDEN,
-    ids=[f"{c}-{j}" for c, j, _, _ in GOLDEN],
+    ids=[f"{c}-{j}" + ("-dot" if "dot" in e else "") for c, j, e, _ in GOLDEN],
 )
 def test_stdout_bytes_unchanged(capsys, command, job, extra, digest):
     code = cli.main([command, "--job", str(FIXTURES / f"{job}.json"), *extra])

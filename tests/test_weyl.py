@@ -4,6 +4,7 @@ import pytest
 
 from lsfan import (
     GroupSizeError,
+    WeylElt,
     WeylGroup,
     build_root_datum,
     covering_relations,
@@ -76,6 +77,70 @@ def test_products_of_distinct_simple_reflections_are_reduced(a3, d4):
             for subset in combinations(indices, k):
                 for order in permutations(subset):
                     assert group.from_word(order).length == k
+
+
+# -- tables against matrix products ------------------------------------------------
+#
+# The group multiplies, inverts and finds descents by table lookup; these
+# references multiply the element matrices instead.
+
+
+def mat_mult(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.fixture(scope="module")
+def f4():
+    return make_group("F", 4)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("B", 3), ("G", 2)])
+def test_tables_match_matrix_products(kind, rank):
+    group = make_group(kind, rank)
+    by_matrix = {w.matrix: w for w in group.elements()}
+    assert len(by_matrix) == len(group)
+    simple = [group.simple_reflection(i) for i in group.datum.simple_indices]
+    for u in group.elements():
+        assert group.mult(group.inverse(u), u) == group.identity
+        for v in group.elements():
+            assert group.mult(u, v).matrix == mat_mult(u.matrix, v.matrix)
+        for i, s in enumerate(simple):
+            us = by_matrix[mat_mult(u.matrix, s.matrix)]
+            su = by_matrix[mat_mult(s.matrix, u.matrix)]
+            assert group._right[u.index][i] == us.index
+            assert group._left[u.index][i] == su.index
+            assert group.has_right_descent(u, i + 1) == (us.length < u.length)
+            assert group.has_left_descent(u, i + 1) == (su.length < u.length)
+
+
+def test_f4_indices_follow_the_matrix_order(f4):
+    elements = f4.elements()
+    assert [w.index for w in elements] == list(range(len(f4))) == [
+        w.index for w in sorted(elements, key=lambda w: w.matrix)
+    ]
+
+
+def test_f4_covering_root_matches_a_scan_over_the_reflections(f4):
+    roots = range(len(f4.datum.positive_roots))
+    p = frozenset({2, 3})
+    for upper in f4.all_cosets(p):
+        for lower, idx in f4.covers_down(upper):
+            scanned = [
+                k for k in roots
+                if mat_mult(f4.reflection(k).matrix, lower.rep.matrix) == upper.rep.matrix
+            ]
+            assert scanned == [idx] == [f4.covering_root(upper, lower)]
+
+
+def test_elements_compare_and_hash_by_index(a3):
+    w = a3.longest
+    twin = WeylElt(w.index, (), -1)
+    assert twin == w and hash(twin) == hash(w)
+    assert WeylElt(w.index + 1, w.matrix, w.length) != w
 
 
 # -- Bruhat order -----------------------------------------------------------------
