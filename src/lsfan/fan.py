@@ -4,22 +4,28 @@ A fan vector is a sparse map from poset nodes to non-negative rationals whose
 support lies on one maximal chain; membership in the fan is cut out by
 bond-weighted partial-sum integrality along that chain.  The condition is
 local: between consecutive support nodes the running sum only has to make
-bond * sum integral on the covers of one saturated chain, so membership and
-enumeration walk covers with lspath.bonded_chain and never list maximal
-chains.  Fan vectors of a fixed degree biject with the standard tableaux of
-that degree, and the multidegree checker compares bond products summed over
-maximal chains, by dynamic programming over the poset, against an exact fit
-of the Hilbert polynomial computed from the dimension oracle.
+bond * sum integral on the covers of one saturated chain, so membership walks
+covers with lspath.bonded_chain, enumeration is lspath.chain_lattice_points,
+and neither lists maximal chains.  Fan vectors of a fixed degree biject with
+the standard tableaux of that degree, and the multidegree checker compares
+bond products summed over maximal chains, by dynamic programming over the
+poset, against an exact fit of the Hilbert polynomial computed from the
+dimension oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .dcp import DCP, DCPNode, Setup
+from .dcp import DCP, Setup
 from .demazure import weyl_dimension
-from .lspath import bonded_chain, theta_single, theta_single_inverse
+from .lspath import (
+    bonded_chain,
+    chain_lattice_points,
+    theta_single,
+    theta_single_inverse,
+)
 from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
@@ -94,61 +100,17 @@ def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
 
 
 def enumerate_fan_degree(dcp: DCP, d):
-    """All fan vectors of degree d, by a depth-first search over support
-    chains from the top.
-
-    Sums and degrees are kept as integers over L, the lcm of the bonds.  The
-    next support node is one the bonded walk reaches from the last at the
-    running sum; its coefficient must keep the remaining degree non-negative
-    and leave a sum that is integral or suits some cover below the node.
-    Every vector is met exactly once, on the path of its own support.
+    """All fan vectors of degree d: the lattice points of
+    lspath.chain_lattice_points on the poset, where a node's coefficient
+    counts against the coordinates of its index set's underline.  Every
+    vector is met exactly once, on the path of its own support.
     """
     setup = dcp.setup
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    big_l = lcm(1, *(bond for _, _, _, bond in dcp.edges))
-    underline = {
-        n: [j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes
-    }
-    reach: dict[tuple[DCPNode, int], list[DCPNode]] = {}
-
-    def below(node, den):
-        """Nodes under `node` that a bonded walk at a sum of denominator
-        `den` reaches, in the order of dcp.nodes."""
-        if (node, den) not in reach:
-            cut = Fraction(1, den)
-            reach[(node, den)] = [
-                n for n in dcp.nodes
-                if n.rank < node.rank
-                and bonded_chain(dcp.covers_down, node, n, cut) is not None
-            ]
-        return reach[(node, den)]
-
-    found = []
-    vec: FanVector = {}
-
-    def place(candidates, total, rest):
-        if not any(rest):
-            if total % big_l == 0:
-                found.append(dict(vec))
-            return
-        for node in candidates:
-            for c in range(1, min(rest[j] for j in underline[node]) + 1):
-                cum = total + c
-                if cum % big_l and all(
-                    bond * cum % big_l for _, _, bond in dcp.covers_down[node]
-                ):
-                    continue
-                vec[node] = Fraction(c, big_l)
-                left = list(rest)
-                for j in underline[node]:
-                    left[j] -= c
-                place(below(node, big_l // gcd(cum, big_l)), cum, left)
-                del vec[node]
-
-    place([dcp.top] + below(dcp.top, 1), 0, [x * big_l for x in d])
-    return found
+    spend = {n: [j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes}
+    return list(chain_lattice_points(dcp.covers_down, dcp.nodes, dcp.top, d, spend))
 
 
 def decompose(dcp: DCP, vec: FanVector):
@@ -311,11 +273,14 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
         [_power(pt, mono) for mono in monomials] for pt in points
     ]
     rhs = [hilbert(pt) for pt in points]
-    coeffs = dict(zip(monomials, _solve_exact(matrix, rhs)))
+    solution = _solve_exact(matrix, rhs)
+    coeffs = dict(zip(monomials, solution))
 
+    den = lcm(1, *(c.denominator for c in solution))
+    nums = [c.numerator * (den // c.denominator) for c in solution]
     for pt in _monomials(m, max_total_degree):
-        value = sum(c * _power(pt, mono) for mono, c in coeffs.items())
-        if value != hilbert(pt):
+        value = sum(num * _power(pt, mono) for mono, num in zip(monomials, nums))
+        if value != den * hilbert(pt):
             raise FanError(
                 f"dimension data at {pt} is not polynomial of degree {n}; "
                 "the fit cannot be trusted"

@@ -3,13 +3,18 @@
 A path of shape nu is a strictly decreasing chain of cosets in W/W_nu with
 rational cut points, subject to the chain-integrality condition: consecutive
 cosets must be joined by a saturated chain of covering relations whose pairing
-with the cut point is integral at every step.  All arithmetic is exact.
+with the cut point is integral at every step.  The condition is local, so
+paths are built one support coset at a time by the same lattice-point walk
+that enumerates fan vectors (chain_lattice_points); no maximal chain is
+listed.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
 from .rootdata import InvariantError
 from .weyl import Coset, WeylGroup
@@ -26,6 +31,7 @@ __all__ = [
     "theta_single_inverse",
     "chain_lattice_points",
     "bonded_chain",
+    "bonded_below",
     "maximal_bonded_chains",
 ]
 
@@ -58,38 +64,41 @@ def initial_direction(path: LSPath) -> Coset:
     return path.cosets[0]
 
 
-class ShapePoset:
-    """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers.
+class BondedCovers(dict):
+    """Coset -> its (lower, root index, bond) covers in W/W_nu, each entry
+    filled on first use.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
     the positive root beta with s_beta min(phi) = min(theta).
     """
 
-    def __init__(self, group: WeylGroup, nu, tau: Coset):
+    def __init__(self, group: WeylGroup, nu):
+        super().__init__()
         if any(x < 0 for x in nu):
             raise PathError(f"shape {nu} is not dominant")
         self.group = group
         self.nu = tuple(nu)
-        self.parabolic = group.stabilizer_parabolic(nu)
-        self.top = group.pi(tau, self.parabolic)
-        nodes = [
-            c
-            for c in group.all_cosets(self.parabolic)
-            if group.coset_leq(c, self.top)
-        ]
-        self.nodes = nodes
-        self.covers_down: dict[Coset, list[tuple[Coset, int, int]]] = {}
-        for c in nodes:
-            entries = []
-            for lower, beta_idx in group.covers_down(c):
-                coroot = group.datum.positive_coroots[beta_idx]
-                bond = abs(group.datum.pairing(lower.rep.act(self.nu), coroot))
-                entries.append((lower, beta_idx, bond))
-            self.covers_down[c] = entries
 
-    def maximal_chains(self):
-        """All maximal chains from the top, as (nodes, edge bonds) pairs."""
-        return maximal_bonded_chains(self.covers_down, self.top)
+    def __missing__(self, c: Coset):
+        datum = self.group.datum
+        self[c] = [
+            (lower, idx, abs(datum.pairing(lower.rep.act(self.nu),
+                                           datum.positive_coroots[idx])))
+            for lower, idx in self.group.covers_down(c)
+        ]
+        return self[c]
+
+
+class ShapePoset:
+    """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers."""
+
+    def __init__(self, group: WeylGroup, nu, tau: Coset):
+        self.covers_down = BondedCovers(group, nu)
+        parabolic = group.stabilizer_parabolic(nu)
+        self.top = group.pi(tau, parabolic)
+        self.nodes = [
+            c for c in group.all_cosets(parabolic) if group.coset_leq(c, self.top)
+        ]
 
 
 def bonded_chain(covers_down, upper, lower, cut):
@@ -121,11 +130,25 @@ def bonded_chain(covers_down, upper, lower, cut):
     return descend(upper)
 
 
+def bonded_below(covers_down, upper, den):
+    """Every node that a walk down the covers whose bond is divisible by
+    `den` reaches from `upper`, as a set without `upper` itself."""
+    reached = set()
+    stack = [upper]
+    while stack:
+        for lower, _, bond in covers_down[stack.pop()]:
+            if bond % den == 0 and lower not in reached:
+                reached.add(lower)
+                stack.append(lower)
+    return reached
+
+
 def maximal_bonded_chains(covers_down, top):
     """All maximal chains of a graded poset from `top` downwards, as
     (nodes, edge bonds) pairs; covers_down maps a node to its
-    (lower, label, bond) covers.  enumerate_ls_paths lists them; on the
-    defining chain poset they are only the tests' brute-force reference."""
+    (lower, label, bond) covers.  The library walks covers and lists no
+    chain: this is the brute-force reference of DCP.maximal_chains and of
+    the tests."""
     chains = []
 
     def descend(node, acc_nodes, acc_bonds):
@@ -164,74 +187,83 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     before any chain search happens.
     """
     _structure_check(group, path)
-    poset = ShapePoset(group, path.shape, path.cosets[0])
+    covers = BondedCovers(group, path.shape)
     certificate = {}
     for k in range(len(path.cosets) - 1):
         upper, lower = path.cosets[k], path.cosets[k + 1]
-        witness = bonded_chain(poset.covers_down, upper, lower, path.cuts[k])
+        witness = bonded_chain(covers, upper, lower, path.cuts[k])
         if witness is None:
             return False, None
         certificate[(upper, lower)] = witness
     return True, certificate
 
 
-def chain_lattice_points(bonds, total: int):
-    """Yield coefficient tuples on a chain of len(bonds)+1 nodes (top first).
+def chain_lattice_points(covers_down, nodes, top, degree, spend):
+    """Every lattice point of degree `degree` on the chains of a graded
+    poset, once each, by a depth-first search over support chains from
+    `top`; each is yielded as {node: Fraction} in top-down support order.
 
-    Coefficients are non-negative rationals summing to `total` such that for
-    every edge the bond times the partial sum above the edge is an integer.
+    covers_down maps a node to its (lower, label, bond) covers and `nodes`
+    lists the poset.  A node's coefficient counts against the coordinates
+    spend[node] of `degree`, and the search stops when all are spent.  Sums
+    are integers over L, the lcm of the bonds.  The next support node is one
+    bonded_below reaches from the last at the running sum (candidates in
+    the order of `nodes`); its coefficient must leave a sum that is
+    integral or suits some cover below the node, and the last sum must be
+    integral.
     """
-    r = len(bonds)
-    coeffs_buffer = [Fraction(0)] * (r + 1)
+    big_l = lcm(1, *(bond for n in nodes for _, _, bond in covers_down[n]))
+    reach = {}
 
-    def rec(k, prev_cum):
-        if k == r:
-            coeffs_buffer[r] = total - prev_cum
-            yield tuple(coeffs_buffer)
+    def below(node, den):
+        if (node, den) not in reach:
+            reached = bonded_below(covers_down, node, den)
+            reach[(node, den)] = [n for n in nodes if n in reached]
+        return reach[(node, den)]
+
+    vec = {}
+
+    def place(candidates, total, rest):
+        if not any(rest):
+            if total % big_l == 0:
+                yield dict(vec)
             return
-        b = bonds[k]
-        step = Fraction(1, b)
-        # smallest multiple of 1/b that is >= prev_cum
-        start = -((-prev_cum * b) // 1)  # ceil(prev_cum * b)
-        t = Fraction(start, b)
-        while t <= total:
-            coeffs_buffer[k] = t - prev_cum
-            yield from rec(k + 1, t)
-            t += step
-    yield from rec(0, Fraction(0))
+        for node in candidates:
+            for c in range(1, min(rest[j] for j in spend[node]) + 1):
+                cum = total + c
+                if cum % big_l and all(
+                    bond * cum % big_l for _, _, bond in covers_down[node]
+                ):
+                    continue
+                vec[node] = Fraction(c, big_l)
+                left = list(rest)
+                for j in spend[node]:
+                    left[j] -= c
+                yield from place(below(node, big_l // gcd(cum, big_l)), cum, left)
+                del vec[node]
+
+    yield from place([top] + below(top, 1), 0, [x * big_l for x in degree])
 
 
 def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     """All LS-paths of shape d*nu whose initial direction is <= tau.
 
-    Realized per maximal chain of {sigma <= tau} as lattice points of the
-    bond-constrained monoid of degree d, deduplicated across chains.
+    The lattice points of degree d on the poset {sigma <= tau}, each met
+    once by chain_lattice_points, with cut points the running sums over d.
     """
-    if any(x < 0 for x in nu):
-        raise PathError(f"shape {nu} is not dominant")
+    poset = ShapePoset(group, nu, tau)
     if d < 0:
         raise PathError("degree must be non-negative")
-    poset = ShapePoset(group, nu, tau)
-    shape = tuple(d * x for x in nu)
-    found: set[LSPath] = set()
     if d == 0:
-        return found
-    for nodes, bonds in poset.maximal_chains():
-        for coeffs in chain_lattice_points(list(bonds), d):
-            path = _path_from_chain_coeffs(nodes, coeffs, shape, d)
-            found.add(path)
-    return found
-
-
-def _path_from_chain_coeffs(nodes, coeffs, shape, d):
-    support = [(node, c) for node, c in zip(nodes, coeffs) if c != 0]
-    cosets = tuple(node for node, _ in support)
-    cum = Fraction(0)
-    cuts = []
-    for _, c in support:
-        cum += c
-        cuts.append(cum / d)
-    return LSPath(shape, cosets, tuple(cuts))
+        return set()
+    shape = tuple(d * x for x in nu)
+    spend = dict.fromkeys(poset.nodes, (0,))
+    return {
+        LSPath(shape, tuple(vec), tuple(cum / d for cum in accumulate(vec.values())))
+        for vec in chain_lattice_points(
+            poset.covers_down, poset.nodes, poset.top, (d,), spend
+        )
+    }
 
 
 def endpoint(path: LSPath):

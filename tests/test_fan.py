@@ -34,7 +34,8 @@ from lsfan import (
     weight,
 )
 from lsfan.fan import _monomials, _power, _solve_exact
-from lsfan.lspath import chain_lattice_points
+
+from chain_reference import chain_lattice_points
 
 ONE = Fraction(1)
 

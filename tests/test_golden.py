@@ -6,7 +6,8 @@ replaced their duplicated predecessors; the D4 verify case was recorded before
 the bonded walk replaced the listing of maximal chains in the fan; the
 `underline-w`, `conjecture` and DOT cases, whose order follows the order of
 group elements, were recorded while elements were still compared and sorted
-by their matrices.  A refactor must keep every hash.
+by their matrices; the C3 powerset verify case was recorded while LS-paths were
+still enumerated chain by chain.  A refactor must keep every hash.
 """
 
 import hashlib
@@ -59,6 +60,8 @@ GOLDEN = [
      "a4edb8346cc0ccc542e14ab1accbc804d28259de9565a9c534c61b93a58890e4"),
     ("dcp", "d4_flag_branched", ("--format", "dot"),
      "6c627e61ef48381b90734917a9988821fef09ea6c3aad624f415190945c6ae50"),
+    ("verify", "c3_powerset", ("--degree", "1,1,1"),
+     "846df12ab626d5ac7397422337b16e6b850c3f504d9f05dfcc20309aa9f3c892"),
 ]
 
 

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +8,24 @@ from hypothesis import given, settings, strategies as st
 from lsfan import (
     LSPath,
     PathError,
+    Setup,
     ShapePoset,
+    build_dcp_inductive,
     demazure_character,
     demazure_dimension,
     endpoint,
     enumerate_ls_paths,
     initial_direction,
+    make_group,
+    powerset_iposet,
     theta_single,
     theta_single_inverse,
     validate_ls_path,
     weyl_dimension,
 )
+from lsfan.lspath import bonded_below, bonded_chain
+
+from chain_reference import reference_ls_paths
 
 ONE = Fraction(1)
 
@@ -228,3 +236,43 @@ def test_enumerated_paths_survive_round_trips(data, a2):
         return
     path = data.draw(st.sampled_from(paths))
     assert theta_single_inverse(a2, theta_single(path, d), nu) == path
+
+
+# -- the lattice-point walk against the per-chain reference ------------------------------
+
+WALK_CASES = (
+    [("A", 2, nu, 3) for nu in product(range(3), repeat=2) if any(nu)]
+    + [("B", 2, nu, 3) for nu in product(range(3), repeat=2) if any(nu)]
+    + [("G", 2, nu, 2) for nu in product(range(2), repeat=2) if any(nu)]
+    + [("A", 3, nu, 1) for nu in product(range(2), repeat=3) if any(nu)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind,rank,nu,dmax", WALK_CASES, ids=[f"{k}{r}-{nu}" for k, r, nu, _ in WALK_CASES]
+)
+def test_enumeration_matches_the_chain_reference(kind, rank, nu, dmax):
+    group = make_group(kind, rank)
+    for tau in group.all_cosets(group.stabilizer_parabolic(nu)):
+        for d in range(dmax + 1):
+            assert enumerate_ls_paths(group, nu, tau, d) == reference_ls_paths(
+                group, nu, tau, d
+            ), (tau, d)
+
+
+def test_bonded_below_matches_bonded_chain(b2):
+    nu = (1, 1)
+    poset = ShapePoset(b2, nu, top_coset(b2, nu))
+    setup = Setup(b2, [(1, 0), (0, 1)], b2.longest, powerset_iposet(2))
+    dcp = build_dcp_inductive(setup)
+    for covers, nodes in [(poset.covers_down, poset.nodes), (dcp.covers_down, dcp.nodes)]:
+        bonds = {bond for n in nodes for _, _, bond in covers[n]}
+        assert bonds != {1}
+        for upper in nodes:
+            for den in (1, 2, 3):
+                reached = {
+                    n for n in nodes
+                    if n != upper
+                    and bonded_chain(covers, upper, n, Fraction(1, den)) is not None
+                }
+                assert bonded_below(covers, upper, den) == reached, (upper, den)
