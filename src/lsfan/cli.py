@@ -34,7 +34,7 @@ from .fan import (
     theta_d,
     theta_d_inverse,
 )
-from .rootdata import build_root_datum
+from .rootdata import build_root_datum, checked_group_order
 from .tableaux import enumerate_standard, tableau_endpoint
 from .weyl import WeylGroup
 
@@ -96,8 +96,9 @@ def _setup_from_job(job: dict) -> Setup:
             raise ValueError(f"job is missing '{key}'")
     if not isinstance(job["type"], str):
         raise ValueError(f"type {job['type']!r} is not a string")
-    datum = build_root_datum(job["type"], _int(job, "rank"))
-    group = WeylGroup(datum, _int(job, "size_guard", 1152))
+    rank, size_guard = _int(job, "rank"), _int(job, "size_guard", 1152)
+    checked_group_order(job["type"], rank, size_guard)
+    group = WeylGroup(build_root_datum(job["type"], rank), size_guard)
     lambdas = _int_lists(job["lambdas"], "weight")
     m = len(lambdas)
     iposet = job["iposet"]
@@ -219,12 +220,13 @@ def cmd_enumerate(args) -> int:
     dcp = build_dcp_inductive(setup)
     tableaux = enumerate_standard(setup, degrees[0], dcp)
     group = setup.group
+    ids = lsio.dcp_node_ids(dcp)
     data = {
         "degree": list(degrees[0]),
         "count": len(tableaux),
         "tableaux": [lsio.tableau_to_json(group, t) for t in tableaux],
         "fan_vectors": [
-            lsio.fan_vector_to_json(dcp, theta_d(dcp, t)) for t in tableaux
+            lsio.fan_vector_to_json(ids, theta_d(dcp, t)) for t in tableaux
         ],
     }
     _emit(args, lsio.dumps(data))
@@ -265,11 +267,20 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
                 "detail": {"weights": len(char)},
             }
         )
-        round_trip = all(
-            theta_d_inverse(dcp, theta_d(dcp, t)) == t for t in tableaux
-        )
-        image = {canonical_vector(theta_d(dcp, t)) for t in tableaux}
-        onto = image == {canonical_vector(v) for v in vectors}
+        # onto: the theta_d image is the set of fan vectors, i.e. every
+        # image is one and every fan vector is hit
+        hit = dict.fromkeys(map(canonical_vector, vectors), False)
+        round_trip = onto = True
+        for t in tableaux:
+            vec = theta_d(dcp, t)
+            if theta_d_inverse(dcp, vec) != t:
+                round_trip = False
+            key = canonical_vector(vec)
+            if key in hit:
+                hit[key] = True
+            else:
+                onto = False
+        onto = onto and all(hit.values())
         checks.append(
             {
                 "check": "theta_bijection",

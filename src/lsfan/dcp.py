@@ -134,21 +134,6 @@ class IndexPoset:
                     chains.append((s,) + chain)
         return chains
 
-    def maximal_chains(self):
-        """All maximal chains, listed from the full set downwards."""
-        chains = []
-
-        def descend(s, acc):
-            covers = self.covers_down[s]
-            if not covers:
-                chains.append(tuple(acc))
-                return
-            for t in covers:
-                descend(t, acc + [t])
-
-        descend(self.full, [self.full])
-        return chains
-
 
 def _set_key(s: frozenset):
     return (len(s), tuple(sorted(s)))
@@ -176,9 +161,9 @@ def chain_iposet(m: int) -> IndexPoset:
 class Setup:
     """One instance: group, weight sequence, bounding coset and index poset.
 
-    Precomputes the parabolic subgroups attached to the index poset: P_i per
-    weight, P_I and Q_I per member, the maximal parabolic over which tau stays
-    maximal, and the upper parabolic of each covering chain.
+    Precomputes the parabolic subgroups attached to the index poset: P_I and
+    Q_I per member, the maximal parabolic over which tau stays maximal, and
+    the upper parabolic of each covering chain.
     """
 
     def __init__(self, group: WeylGroup, lambdas, tau, iposet: IndexPoset):
@@ -203,10 +188,6 @@ class Setup:
             raise ValueError("tau must live in W/W_Q for Q the total stabilizer")
         self.tau = tau
 
-        self.p_weight = {
-            i: group.stabilizer_parabolic(self.lambdas[i - 1])
-            for i in range(1, self.m + 1)
-        }
         self.lambda_of = {}
         self.p_of = {}
         self.q_of = {}
@@ -324,9 +305,6 @@ class DCPNode:
     theta: Coset  # in W/W_Q, Q_I-minimal
     iset: frozenset
 
-    def __hash__(self):
-        return hash((self.theta, self.iset))
-
     @property
     def rank(self) -> int:
         return self.theta.rank + len(self.iset) - 1
@@ -342,10 +320,8 @@ class DCP:
         self.covers_down: dict[DCPNode, list[tuple[DCPNode, str, int]]] = {
             n: [] for n in self.nodes
         }
-        self.covers_up: dict[DCPNode, list[DCPNode]] = {n: [] for n in self.nodes}
         for upper, lower, kind, bond in self.edges:
             self.covers_down[upper].append((lower, kind, bond))
-            self.covers_up[lower].append(upper)
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if self.top not in self.covers_down:
             raise InvariantError("the top (tau, [m]) is not a node")

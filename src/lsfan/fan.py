@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .dcp import DCP, Setup
+from .dcp import DCP, Setup, rho
 from .demazure import weyl_dimension
 from .lspath import (
     bonded_chain,
@@ -33,7 +33,6 @@ __all__ = [
     "FanError",
     "canonical_vector",
     "fan_degree",
-    "ls_lattice_member",
     "in_ls_plus",
     "enumerate_fan_degree",
     "decompose",
@@ -52,10 +51,9 @@ class FanError(ValueError):
 
 
 def canonical_vector(vec: FanVector):
-    """Hashable canonical form: (node, coefficient) pairs sorted by rank then id."""
-    items = [(n, Fraction(c)) for n, c in vec.items() if c != 0]
-    items.sort(key=lambda t: (-t[0].rank, sorted(t[0].iset), t[0].theta.rep.index))
-    return tuple(items)
+    """Hashable canonical form: the frozenset of the non-zero (node,
+    coefficient) pairs, so it needs no node order of its own."""
+    return frozenset((n, c) for n, c in vec.items() if c != 0)
 
 
 def fan_degree(setup: Setup, vec: FanVector):
@@ -67,22 +65,9 @@ def fan_degree(setup: Setup, vec: FanVector):
     return tuple(total)
 
 
-def ls_lattice_member(vec: FanVector, chain_nodes, chain_bonds) -> bool:
-    """Partial-sum integrality of a vector supported on the given maximal chain.
-
-    chain_nodes runs from the top; chain_bonds[k] is the bond of the edge
-    between chain_nodes[k] and chain_nodes[k+1].  Membership in the fan
-    additionally requires non-negative coefficients.
-    """
-    support = {n for n, c in vec.items() if c != 0}
-    if not support <= set(chain_nodes):
-        raise FanError("vector is not supported on the chain")
-    cum = Fraction(0)
-    for k, node in enumerate(chain_nodes):
-        cum += Fraction(vec.get(node, 0))
-        if k < len(chain_bonds) and (cum * chain_bonds[k]).denominator != 1:
-            return False
-    return cum.denominator == 1
+def _support(vec: FanVector):
+    """The nodes with a non-zero coefficient, from the top down by rank."""
+    return sorted((n for n, c in vec.items() if c != 0), key=lambda n: -n.rank)
 
 
 def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
@@ -92,7 +77,7 @@ def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
     if any(Fraction(c) < 0 for c in vec.values()):
         return False
     upper, cum = dcp.top, Fraction(0)
-    for node in sorted((n for n, c in vec.items() if c != 0), key=lambda n: -n.rank):
+    for node in _support(vec):
         if bonded_chain(dcp.covers_down, upper, node, cum) is None:
             return False
         upper, cum = node, cum + Fraction(vec[node])
@@ -114,36 +99,33 @@ def enumerate_fan_degree(dcp: DCP, d):
 
 
 def decompose(dcp: DCP, vec: FanVector):
-    """Unique decomposition into fan vectors of total degree one, ordered so
-    that the support of each part lies weakly above the support of the next."""
-    setup = dcp.setup
+    """Unique decomposition into fan vectors of total degree one.
+
+    One pass down the support, in the order in_ls_plus walks it, with one
+    running sum: part k holds the mass in [k, k+1), so the support of each
+    part lies weakly above the support of the next.  Fan membership makes
+    the index sets of the support a chain and the running sum integral
+    where the index set changes, so that each part lies in one slice; both
+    are checked as invariants.
+    """
     if not in_ls_plus(dcp, vec):
         raise FanError("vector is not a member of the fan")
-    slices: dict[frozenset, dict] = {}
-    for node, c in vec.items():
-        if c != 0:
-            slices.setdefault(node.iset, {})[node] = Fraction(c)
-    isets = sorted(slices, key=lambda s: -len(s))
-    for a, b in zip(isets, isets[1:]):
-        if not b < a:
-            raise FanError("slice index sets do not form a chain")
-    parts = []
-    for s in isets:
-        sl = slices[s]
-        total = sum(sl.values())
-        if total.denominator != 1:
-            raise InvariantError(f"slice {set(s)} of a fan member sums to {total}")
-        buckets = [dict() for _ in range(int(total))]
-        cum = Fraction(0)
-        for node in sorted(sl, key=lambda n: -n.rank):
-            remaining = sl[node]
-            while remaining > 0:
-                k = int(cum)  # bucket holding cumulative mass [k, k+1)
-                take = min(remaining, k + 1 - cum)
-                buckets[k][node] = buckets[k].get(node, Fraction(0)) + take
-                cum += take
-                remaining -= take
-        parts.extend(buckets)
+    parts, cum, iset = [], Fraction(0), None
+    for node in _support(vec):
+        if node.iset != iset:
+            if cum.denominator != 1:
+                raise InvariantError(f"slice {set(iset)} of a fan member ends at {cum}")
+            if iset is not None and not node.iset < iset:
+                raise InvariantError("slice index sets of a fan member are not a chain")
+            iset = node.iset
+        remaining = Fraction(vec[node])
+        while remaining:
+            if cum == len(parts):
+                parts.append({})
+            take = min(remaining, len(parts) - cum)
+            parts[-1][node] = take
+            cum += take
+            remaining -= take
     return parts
 
 
@@ -180,16 +162,14 @@ def theta_d(dcp: DCP, tableau: LSTableau):
 def theta_d_inverse(dcp: DCP, vec: FanVector) -> LSTableau:
     """Tableau of a fan vector, via the unique degree-one decomposition."""
     setup = dcp.setup
-    group = setup.group
     columns = []
     shapes = []
     for part in decompose(dcp, vec):
-        (s,) = {node.iset for node in part}
         coeffs = {}
         for node, c in part.items():
-            coset = group.pi(node.theta, setup.p_of[s])
+            coset, s = rho(setup, node)
             coeffs[coset] = coeffs.get(coset, Fraction(0)) + c
-        columns.append(theta_single_inverse(group, coeffs, setup.lambda_of[s]))
+        columns.append(theta_single_inverse(setup.group, coeffs, setup.lambda_of[s]))
         shapes.append(s)
     return make_tableau(setup, columns, shapes)
 

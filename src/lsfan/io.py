@@ -67,6 +67,8 @@ def tableau_to_json(group: WeylGroup, tableau: LSTableau) -> dict:
 
 
 def dcp_node_ids(dcp: DCP) -> dict[DCPNode, int]:
+    """The canonical node numbering of a poset; compute it once per poset
+    and pass it to fan_vector_to_json."""
     ordered = sorted(
         dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.index)
     )
@@ -103,8 +105,9 @@ def dcp_to_json(dcp: DCP) -> dict:
     }
 
 
-def fan_vector_to_json(dcp: DCP, vec) -> list[dict]:
-    ids = dcp_node_ids(dcp)
+def fan_vector_to_json(ids: dict[DCPNode, int], vec) -> list[dict]:
+    """Non-zero coefficients of a fan vector by node id; `ids` is the
+    dcp_node_ids numbering of its poset."""
     items = [
         {"node_id": ids[n], "coeff": _frac_str(c)} for n, c in vec.items() if c != 0
     ]

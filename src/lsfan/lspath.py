@@ -294,8 +294,10 @@ def theta_single(path: LSPath, d: int) -> dict[Coset, Fraction]:
 def theta_single_inverse(group: WeylGroup, coeffs: dict[Coset, Fraction], nu) -> LSPath:
     """Inverse of theta_single on the monoid of shape nu.
 
-    The support must be totally ordered; the resulting path is validated and a
-    PathError is raised when the vector does not encode an LS-path.
+    The support, sorted by rank, must be a strictly decreasing chain: the
+    path is validated, which compares consecutive cosets only (Bruhat order
+    is transitive), and a PathError is raised when the vector does not
+    encode an LS-path.
     """
     support = [(c, Fraction(v)) for c, v in coeffs.items() if v != 0]
     if not support:
@@ -304,10 +306,6 @@ def theta_single_inverse(group: WeylGroup, coeffs: dict[Coset, Fraction], nu) ->
     if total.denominator != 1 or total <= 0:
         raise PathError(f"coefficients sum to {total}, not a positive integer")
     d = int(total)
-    for a, _ in support:
-        for b, _ in support:
-            if not (group.coset_leq(a, b) or group.coset_leq(b, a)):
-                raise PathError("support is not totally ordered")
     support.sort(key=lambda t: t[0].rank, reverse=True)
     shape = tuple(d * x for x in nu)
     cosets = tuple(c for c, _ in support)

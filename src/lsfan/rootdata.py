@@ -16,7 +16,9 @@ __all__ = [
     "RootDatum",
     "RootDatumError",
     "InvariantError",
+    "GroupSizeError",
     "build_root_datum",
+    "checked_group_order",
     "weyl_group_order",
 ]
 
@@ -29,6 +31,10 @@ class RootDatumError(ValueError):
 
 class InvariantError(Exception):
     """An internal consistency check failed; a defect, never bad input."""
+
+
+class GroupSizeError(ValueError):
+    """Raised when a Weyl group exceeds the enumeration guard."""
 
 
 def _check_type_rank(dynkin_type: str, rank: int) -> None:
@@ -60,6 +66,24 @@ def weyl_group_order(dynkin_type: str, rank: int) -> int:
     if dynkin_type == "F":
         return 1152
     return 12  # G2
+
+
+def checked_group_order(dynkin_type: str, rank: int, size_guard: int) -> int:
+    """Order of the Weyl group of the given simple type; raises
+    GroupSizeError when it exceeds `size_guard`.  Every simple type has
+    |W| >= 2^rank, so a rank of at least the guard's bit length is rejected
+    before |W| is computed."""
+    _check_type_rank(dynkin_type, rank)
+    if rank >= max(size_guard, 1).bit_length():
+        shown = f">= 2^{rank}"
+    else:
+        order = weyl_group_order(dynkin_type, rank)
+        if order <= size_guard:
+            return order
+        shown = f"= {order}"
+    raise GroupSizeError(
+        f"|W({dynkin_type}_{rank})| {shown} exceeds the size guard {size_guard}"
+    )
 
 
 def _dynkin_edges(dynkin_type: str, rank: int) -> set[frozenset[int]]:

@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .rootdata import InvariantError, RootDatum, build_root_datum, weyl_group_order
+from .rootdata import (
+    GroupSizeError,
+    InvariantError,
+    RootDatum,
+    build_root_datum,
+    checked_group_order,
+)
 
 __all__ = [
     "WeylElt",
@@ -31,10 +37,6 @@ __all__ = [
 ]
 
 Parabolic = frozenset  # subset of 1-based simple-root indices
-
-
-class GroupSizeError(ValueError):
-    """Raised when a Weyl group exceeds the enumeration guard."""
 
 
 class LiftError(ValueError):
@@ -94,12 +96,7 @@ class WeylGroup:
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
-        order = weyl_group_order(datum.dynkin_type, datum.rank)
-        if order > size_guard:
-            raise GroupSizeError(
-                f"|W({datum.dynkin_type}_{datum.rank})| = {order} exceeds the "
-                f"size guard {size_guard}"
-            )
+        order = checked_group_order(datum.dynkin_type, datum.rank, size_guard)
         self.datum = datum
         self.rank = datum.rank
         n = datum.rank

@@ -7,7 +7,43 @@ the definitions read, for the tests to compare against.
 
 from fractions import Fraction
 
+from lsfan.fan import FanError
 from lsfan.lspath import LSPath, ShapePoset, maximal_bonded_chains
+
+
+def index_poset_maximal_chains(iposet):
+    """All maximal chains of an index poset, listed from the full set
+    downwards."""
+    chains = []
+
+    def descend(s, acc):
+        covers = iposet.covers_down[s]
+        if not covers:
+            chains.append(tuple(acc))
+            return
+        for t in covers:
+            descend(t, acc + [t])
+
+    descend(iposet.full, [iposet.full])
+    return chains
+
+
+def ls_lattice_member(vec, chain_nodes, chain_bonds) -> bool:
+    """Partial-sum integrality of a vector supported on the given maximal chain.
+
+    chain_nodes runs from the top; chain_bonds[k] is the bond of the edge
+    between chain_nodes[k] and chain_nodes[k+1].  Membership in the fan
+    additionally requires non-negative coefficients.
+    """
+    support = {n for n, c in vec.items() if c != 0}
+    if not support <= set(chain_nodes):
+        raise FanError("vector is not supported on the chain")
+    cum = Fraction(0)
+    for k, node in enumerate(chain_nodes):
+        cum += Fraction(vec.get(node, 0))
+        if k < len(chain_bonds) and (cum * chain_bonds[k]).denominator != 1:
+            return False
+    return cum.denominator == 1
 
 
 def chain_lattice_points(bonds, total: int):

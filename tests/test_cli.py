@@ -199,6 +199,29 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAILED" in err
 
 
+def test_theta_bijection_check_reports_each_failure(capsys, monkeypatch):
+    enumerate_fan_degree = cli.enumerate_fan_degree
+    argv = ("verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),
+            "--degree", "1,1")
+
+    def bijection_detail():
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        return json.loads(out)["checks"][2]["detail"]
+
+    # a fan vector that no tableau hits, then a tableau image that is no
+    # enumerated fan vector
+    extra = lambda dcp, d: enumerate_fan_degree(dcp, d) + [{dcp.top: 7}]
+    monkeypatch.setattr(cli, "enumerate_fan_degree", extra)
+    assert bijection_detail() == {"onto": False, "round_trip": True}
+    short = lambda dcp, d: enumerate_fan_degree(dcp, d)[1:]
+    monkeypatch.setattr(cli, "enumerate_fan_degree", short)
+    assert bijection_detail() == {"onto": False, "round_trip": True}
+    monkeypatch.setattr(cli, "enumerate_fan_degree", enumerate_fan_degree)
+    monkeypatch.setattr(cli, "theta_d_inverse", lambda dcp, vec: None)
+    assert bijection_detail() == {"onto": True, "round_trip": False}
+
+
 def test_conjecture_mixed_chain(capsys):
     code, out, err = run(
         capsys, "conjecture", "--job", str(FIXTURES / "a3_mixed_chain_w0.json")
@@ -279,6 +302,24 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     job.write_text(json.dumps([base]))
     code, _, err = run(capsys, "dcp", "--job", str(job))
     assert code == 2 and err.startswith("error:")
+
+
+def test_size_guard_rejects_a_large_rank_before_building_anything(
+    capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("the root datum was built for an oversized group")
+
+    monkeypatch.setattr(cli, "build_root_datum", never)
+    for rank in ("400", "40", "11"):
+        code, out, err = run(
+            capsys, "dcp", "--type", "A", "--rank", rank,
+            "--lambda", "1" + ",0" * (int(rank) - 1), "--tau", "w0",
+            "--iposet", "chain",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds the size guard 1152" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_inductive_direct_mismatch_exits_one(capsys, monkeypatch):

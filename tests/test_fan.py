@@ -22,7 +22,6 @@ from lsfan import (
     fan_degree,
     hilbert_multidegrees,
     in_ls_plus,
-    ls_lattice_member,
     make_group,
     multidegree_conjecture_check,
     one_line_to_word,
@@ -35,7 +34,7 @@ from lsfan import (
 )
 from lsfan.fan import _monomials, _power, _solve_exact
 
-from chain_reference import chain_lattice_points
+from chain_reference import chain_lattice_points, ls_lattice_member
 
 ONE = Fraction(1)
 

@@ -7,7 +7,10 @@ the bonded walk replaced the listing of maximal chains in the fan; the
 `underline-w`, `conjecture` and DOT cases, whose order follows the order of
 group elements, were recorded while elements were still compared and sorted
 by their matrices; the C3 powerset verify case was recorded while LS-paths were
-still enumerated chain by chain.  A refactor must keep every hash.
+still enumerated chain by chain; the B3 chain verify and C3 powerset enumerate
+cases were recorded while theta_d was computed twice per tableau and fan
+vectors were serialized with a node numbering of their own.  A refactor must
+keep every hash.
 """
 
 import hashlib
@@ -62,6 +65,10 @@ GOLDEN = [
      "6c627e61ef48381b90734917a9988821fef09ea6c3aad624f415190945c6ae50"),
     ("verify", "c3_powerset", ("--degree", "1,1,1"),
      "846df12ab626d5ac7397422337b16e6b850c3f504d9f05dfcc20309aa9f3c892"),
+    ("verify", "b3_chain", ("--degree", "2,1,1"),
+     "08de9a4afa03710f2156198080e00966fcbb77830724c6a23ec5deb52925bb7f"),
+    ("enumerate", "c3_powerset", ("--degree", "0,1,1"),
+     "21ed25a0d55418d92b5b2afa057bb841de365581f0e04e860b60dd12345a3ac2"),
 ]
 
 

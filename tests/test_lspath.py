@@ -221,6 +221,22 @@ def test_theta_inverse_rejects_junk(a2):
         theta_single_inverse(a2, {s1: Fraction(1, 2), s2: Fraction(1, 2)}, nu2)
 
 
+def test_theta_inverse_rejects_incomparable_support_of_different_ranks(a3):
+    # s1 and s2 s3 are incomparable in Bruhat order; the rank sort puts
+    # s2 s3 first, and the consecutive-pair check must still reject them
+    regular = (1, 1, 1)
+    s1 = a3.coset(a3.from_word((1,)), frozenset())
+    s2s3 = a3.coset(a3.from_word((2, 3)), frozenset())
+    assert (s1.rank, s2s3.rank) == (1, 2)
+    assert not a3.coset_leq(s1, s2s3) and not a3.coset_leq(s2s3, s1)
+    for coeffs in (
+        {s1: Fraction(1, 2), s2s3: Fraction(1, 2)},
+        {s2s3: Fraction(1, 3), s1: Fraction(2, 3)},
+    ):
+        with pytest.raises(PathError):
+            theta_single_inverse(a3, coeffs, regular)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_enumerated_paths_survive_round_trips(data, a2):

@@ -1,0 +1,54 @@
+"""The benchmark's layer tracer patches library functions by name; it must
+find every one of them.  A refactor that removes or renames a traced name
+fails here instead of only in the benchmark's own smoke test.  The tracer's
+call counts also pin how often theta_d and the node numbering run."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import lsfan.cli
+import lsfan.fan
+
+TRACING = Path(__file__).parent.parent / "benchmark" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("lsfan_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = load_tracing()
+    theta_d, main = lsfan.fan.theta_d, lsfan.cli.main
+    with tracing.Tracer() as tracer:
+        for module_name, attr, _ in tracing.TARGETS:
+            owner = sys.modules[module_name]
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert hasattr(owner, "__wrapped__"), (module_name, attr)
+        assert lsfan.fan.theta_d is not theta_d
+        assert lsfan.cli.theta_d is lsfan.fan.theta_d
+        assert lsfan.cli.main is main
+    assert not tracer._restore
+    assert lsfan.fan.theta_d is theta_d and lsfan.cli.theta_d is theta_d
+
+
+def test_theta_d_once_per_tableau_and_one_node_numbering_per_job(capsys):
+    tracing = load_tracing()
+    job = str(Path(__file__).parent / "fixtures" / "a2_young_chain_w0.json")
+
+    def traced(command):
+        with tracing.Tracer() as tracer:
+            assert lsfan.cli.main([command, "--job", job, "--degree", "1,1"]) == 0
+        return tracer.calls, json.loads(capsys.readouterr().out)
+
+    calls, out = traced("enumerate")
+    assert calls["theta_d"] == out["count"] > 0
+    assert calls["dcp_node_ids"] == 1
+    calls, out = traced("verify")
+    tableaux = out["checks"][0]["detail"]["tableaux"]
+    assert calls["theta_d"] == calls["theta_d_inverse"] == tableaux > 0

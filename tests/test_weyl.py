@@ -4,6 +4,7 @@ import pytest
 
 from lsfan import (
     GroupSizeError,
+    RootDatumError,
     WeylElt,
     WeylGroup,
     build_root_datum,
@@ -12,6 +13,7 @@ from lsfan import (
     one_line_to_word,
     word_to_one_line,
 )
+from lsfan.rootdata import checked_group_order
 
 ALL = frozenset()
 
@@ -498,3 +500,18 @@ def test_concurrent_style_purity(a3):
     v = perm_elt(a3, (4, 2, 3, 1))
     first = a3.bruhat_leq(u, v)
     assert all(a3.bruhat_leq(u, v) == first for _ in range(3))
+
+
+def test_size_guard_rejects_large_ranks_without_the_group_order():
+    # |W| >= 2^rank for every simple type, so these fail before |W| or the
+    # root datum is computed
+    with pytest.raises(GroupSizeError, match=r">= 2\^1000000000 exceeds"):
+        checked_group_order("A", 10**9, 1152)
+    with pytest.raises(GroupSizeError, match=r"\| = 48 exceeds the size guard 47"):
+        checked_group_order("B", 3, 47)
+    checked_group_order("B", 3, 48)
+    with pytest.raises(GroupSizeError):
+        checked_group_order("A", 1, 0)
+    # the type and rank are checked first
+    with pytest.raises(RootDatumError):
+        checked_group_order("E", 400, 1152)
