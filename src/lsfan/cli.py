@@ -34,9 +34,8 @@ from .fan import (
     theta_d,
     theta_d_inverse,
 )
-from .rootdata import build_root_datum, checked_group_order
 from .tableaux import enumerate_standard, tableau_endpoint
-from .weyl import WeylGroup
+from .weyl import make_group
 
 
 def _ints(value, what: str) -> tuple[int, ...]:
@@ -96,9 +95,7 @@ def _setup_from_job(job: dict) -> Setup:
             raise ValueError(f"job is missing '{key}'")
     if not isinstance(job["type"], str):
         raise ValueError(f"type {job['type']!r} is not a string")
-    rank, size_guard = _int(job, "rank"), _int(job, "size_guard", 1152)
-    checked_group_order(job["type"], rank, size_guard)
-    group = WeylGroup(build_root_datum(job["type"], rank), size_guard)
+    group = make_group(job["type"], _int(job, "rank"), _int(job, "size_guard", 1152))
     lambdas = _int_lists(job["lambdas"], "weight")
     m = len(lambdas)
     iposet = job["iposet"]
@@ -148,7 +145,7 @@ def cmd_dcp(args) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
         direct = build_dcp_direct_w0(setup)
-        if (direct.node_set(), direct.edge_set()) != (dcp.node_set(), dcp.edge_set()):
+        if (direct.nodes, direct.edges) != (dcp.nodes, dcp.edges):
             raise InvariantError("the inductive and the direct constructions differ")
     data = lsio.dcp_to_json(dcp)
     if args.format == "dot":
@@ -233,6 +230,18 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _degree_key(degree) -> str:
+    return ",".join(map(str, degree))
+
+
+def _sides_by_degree(report) -> dict:
+    """The left and right sides of a multidegree report, keyed by 'a,b,...'."""
+    return {
+        side: {_degree_key(k): v for k, v in report[side].items()}
+        for side in ("left", "right")
+    }
+
+
 def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     group = setup.group
     dcp = build_dcp_inductive(setup)
@@ -296,10 +305,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
                 "check": "multidegree_conjecture",
                 "degree": None,
                 "pass": report["agree"],
-                "detail": {
-                    "left": {",".join(map(str, k)): v for k, v in report["left"].items()},
-                    "right": {",".join(map(str, k)): v for k, v in report["right"].items()},
-                },
+                "detail": _sides_by_degree(report),
             }
         )
     return checks
@@ -342,10 +348,9 @@ def cmd_conjecture(args) -> int:
     report = multidegree_conjecture_check(setup, dcp, bound)
     data = {
         "dimension": report["dimension"],
-        "left": {",".join(map(str, k)): v for k, v in report["left"].items()},
-        "right": {",".join(map(str, k)): v for k, v in report["right"].items()},
+        **_sides_by_degree(report),
         "agree": report["agree"],
-        "mismatches": [",".join(map(str, k)) for k in report["mismatches"]],
+        "mismatches": [_degree_key(k) for k in report["mismatches"]],
     }
     _emit(args, lsio.dumps(data))
     verdict = "agree" if report["agree"] else "DISAGREE"

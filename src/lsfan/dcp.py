@@ -2,11 +2,15 @@
 
 An instance is fixed by a sequence of dominant weights, a bounding coset tau
 in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
-of [m].  The defining chain poset is built either by the rank-by-rank
-inductive procedure (any tau) or directly via minimality/maximality
-conditions (tau maximal); tau-standardness of the index poset is decided by
-injectivity of the slice-projection map rho, with the four diagram-level
-criteria available in the maximal case.
+of [m].  One cover rule gives the lower covers of a node (theta, I) of the
+defining chain poset, each with its type and bond: shrink I through a cover
+of the index poset, or step theta down one cover of W/W_Q that stays visible
+in W/W_{P_I}.  The inductive build (any tau) walks this rule down from
+(tau, [m]) and records nodes and edges in one pass; the direct build (tau
+maximal) finds its nodes by minimality/maximality conditions of its own and
+keeps the rule's covers between them.  tau-standardness of the index poset
+is decided by injectivity of the slice-projection map rho, with the four
+diagram-level criteria available in the maximal case.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lspath import bonded_chain, maximal_bonded_chains
+from .lspath import BondedCovers, bonded_chain, maximal_bonded_chains
 from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup
 
@@ -163,7 +167,8 @@ class Setup:
 
     Precomputes the parabolic subgroups attached to the index poset: P_I and
     Q_I per member, the maximal parabolic over which tau stays maximal, and
-    the upper parabolic of each covering chain.
+    the upper parabolic of each covering chain.  covers_of[I] gives the
+    covers of W/W_Q with their bonds for lambda_I, one table per weight.
     """
 
     def __init__(self, group: WeylGroup, lambdas, tau, iposet: IndexPoset):
@@ -191,12 +196,17 @@ class Setup:
         self.lambda_of = {}
         self.p_of = {}
         self.q_of = {}
+        self.covers_of: dict[frozenset, BondedCovers] = {}
+        by_weight = {}
         for s in iposet.sets:
             lam_i = tuple(
                 sum(self.lambdas[i - 1][j] for i in iposet.underline[s])
                 for j in range(group.rank)
             )
             self.lambda_of[s] = lam_i
+            if lam_i not in by_weight:
+                by_weight[lam_i] = BondedCovers(group, lam_i)
+            self.covers_of[s] = by_weight[lam_i]
             self.p_of[s] = group.stabilizer_parabolic(lam_i)
             sum_all = tuple(
                 sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
@@ -362,12 +372,6 @@ class DCP:
             self._rho_lookup = {k: v[0] for k, v in self.rho_table().items()}
         return self._rho_lookup
 
-    def node_set(self):
-        return set(self.nodes)
-
-    def edge_set(self):
-        return {(u, l) for u, l, _, _ in self.edges}
-
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
         """a <= b in the poset order (reachability through covers)."""
         return bonded_chain(self.covers_down, b, a, 0) is not None
@@ -377,68 +381,47 @@ def _node_key(n: DCPNode):
     return (-n.rank, _set_key(n.iset), n.theta.rep.index)
 
 
-def _same_i_bond(setup: Setup, upper: DCPNode, lower: DCPNode) -> int:
-    group = setup.group
-    beta_idx = group.covering_root(upper.theta, lower.theta)
-    coroot = group.datum.positive_coroots[beta_idx]
-    lam = setup.lambda_of[upper.iset]
-    return abs(group.datum.pairing(lower.theta.rep.act(lam), coroot))
+def _lower_covers(setup: Setup, node: DCPNode):
+    """The cover rule: the (lower, kind, bond) covers of a node (theta, I).
 
-
-def _collect_edges(setup: Setup, nodes_by_rank):
-    """All covering edges between consecutive ranks, with types and bonds."""
+    shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
+    sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal
+    and pi_{P_I}(phi) != pi_{P_I}(theta), with the bond of lambda_I.
+    """
     group = setup.group
-    edges = []
-    for r in sorted(nodes_by_rank, reverse=True):
-        lower_set = nodes_by_rank.get(r - 1, set())
-        if not lower_set:
-            continue
-        for node in nodes_by_rank[r]:
-            for j in setup.iposet.covers_down[node.iset]:
-                cand = DCPNode(node.theta, j)
-                if cand in lower_set:
-                    edges.append((node, cand, "shrinkI", 1))
-            p_i = setup.p_of[node.iset]
-            theta_p = group.pi(node.theta, p_i)
-            for phi, _ in group.covers_down(node.theta):
-                cand = DCPNode(phi, node.iset)
-                if cand in lower_set and group.pi(phi, p_i) != theta_p:
-                    edges.append(
-                        (node, cand, "sameI", _same_i_bond(setup, node, cand))
-                    )
-    return edges
+    theta, iset = node.theta, node.iset
+    covers = [
+        (DCPNode(theta, j), "shrinkI", 1)
+        for j in setup.iposet.covers_down[iset]
+        if group.is_q_minimal(theta.rep, setup.q_of[j])
+    ]
+    p_i, q_i = setup.p_of[iset], setup.q_of[iset]
+    theta_p = group.pi(theta, p_i)
+    covers.extend(
+        (DCPNode(phi, iset), "sameI", bond)
+        for phi, _, bond in setup.covers_of[iset][theta]
+        if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
+    )
+    return covers
 
 
 def build_dcp_inductive(setup: Setup) -> DCP:
     """Rank-by-rank construction, valid for every bounding coset tau.
 
-    Starting from (tau, [m]), each rank is populated by the two kinds of
-    candidates: shrink the index set through a covering of the index poset
-    keeping theta minimal for the smaller parabolic, or step down one
-    covering relation of W/W_Q that stays visible in W/W_{P_I}.
+    Walks the cover rule down from (tau, [m]), one rank at a time: every
+    lower cover of a node is a node, and its edge is recorded as it is met.
     """
-    group = setup.group
-    top = DCPNode(setup.tau, setup.iposet.full)
-    nodes_by_rank = {top.rank: {top}}
-    for r in range(top.rank, 0, -1):
-        current = nodes_by_rank.get(r, set())
-        below: set[DCPNode] = set()
-        for node in current:
-            for j in setup.iposet.covers_down[node.iset]:
-                if group.is_q_minimal(node.theta.rep, setup.q_of[j]):
-                    below.add(DCPNode(node.theta, j))
-            p_i = setup.p_of[node.iset]
-            q_i = setup.q_of[node.iset]
-            theta_p = group.pi(node.theta, p_i)
-            for phi, _ in group.covers_down(node.theta):
-                if group.pi(phi, p_i) == theta_p:
-                    continue
-                if group.is_q_minimal(phi.rep, q_i):
-                    below.add(DCPNode(phi, node.iset))
-        if below:
-            nodes_by_rank[r - 1] = below
-    nodes = [n for bucket in nodes_by_rank.values() for n in bucket]
-    return DCP(setup, nodes, _collect_edges(setup, nodes_by_rank))
+    level = {DCPNode(setup.tau, setup.iposet.full)}
+    nodes, edges = list(level), []
+    while level:
+        below = set()
+        for node in level:
+            for lower, kind, bond in _lower_covers(setup, node):
+                edges.append((node, lower, kind, bond))
+                below.add(lower)
+        nodes.extend(below)
+        level = below
+    return DCP(setup, nodes, edges)
 
 
 def build_dcp_direct_w0(setup: Setup) -> DCP:
@@ -446,7 +429,8 @@ def build_dcp_direct_w0(setup: Setup) -> DCP:
 
     A pair (theta, I) is a node iff theta is Q_I-minimal and, for some chain
     of covering relations from I to [m], theta is maximal with respect to the
-    intersection of the corresponding shape parabolics.
+    intersection of the corresponding shape parabolics.  The edges are the
+    cover rule's covers between these nodes.
     """
     group = setup.group
     if not setup.is_w0_instance():
@@ -461,10 +445,14 @@ def build_dcp_direct_w0(setup: Setup) -> DCP:
                 continue
             if any(group.is_lift_maximal(c, qr) for qr in uppers):
                 nodes.append(DCPNode(c, s))
-    nodes_by_rank: dict[int, set] = {}
-    for n in nodes:
-        nodes_by_rank.setdefault(n.rank, set()).add(n)
-    return DCP(setup, nodes, _collect_edges(setup, nodes_by_rank))
+    node_set = set(nodes)
+    edges = [
+        (node, lower, kind, bond)
+        for node in nodes
+        for lower, kind, bond in _lower_covers(setup, node)
+        if lower in node_set
+    ]
+    return DCP(setup, nodes, edges)
 
 
 # -- rho and tau-standardness -------------------------------------------------

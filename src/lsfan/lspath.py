@@ -65,11 +65,13 @@ def initial_direction(path: LSPath) -> Coset:
 
 
 class BondedCovers(dict):
-    """Coset -> its (lower, root index, bond) covers in W/W_nu, each entry
-    filled on first use.
+    """Coset -> its (lower, root index, bond) covers in its quotient, each
+    entry filled on first use.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
-    the positive root beta with s_beta min(phi) = min(theta).
+    the positive root beta with s_beta min(phi) = min(theta).  This is the
+    one place bonds are computed: LS-paths of shape nu use it on W/W_nu, the
+    defining chain poset on W/W_Q with Q inside the stabilizer of nu.
     """
 
     def __init__(self, group: WeylGroup, nu):

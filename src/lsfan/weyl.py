@@ -441,7 +441,9 @@ class WeylGroup:
 
 
 def make_group(dynkin_type: str, rank: int, size_guard: int = 1152) -> WeylGroup:
-    """Convenience: root datum plus enumerated group in one call."""
+    """Root datum plus enumerated group in one call; the size guard is
+    checked before either is built."""
+    checked_group_order(dynkin_type, rank, size_guard)
     return WeylGroup(build_root_datum(dynkin_type, rank), size_guard)
 
 

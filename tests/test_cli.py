@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import lsfan.weyl
 from lsfan import DCP, DCPNode, cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -310,7 +311,7 @@ def test_size_guard_rejects_a_large_rank_before_building_anything(
     def never(*args):
         raise AssertionError("the root datum was built for an oversized group")
 
-    monkeypatch.setattr(cli, "build_root_datum", never)
+    monkeypatch.setattr(lsfan.weyl, "build_root_datum", never)
     for rank in ("400", "40", "11"):
         code, out, err = run(
             capsys, "dcp", "--type", "A", "--rank", rank,

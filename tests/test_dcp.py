@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,8 @@ from lsfan import (
     triangle_up,
     word_to_one_line,
 )
+
+from lsfan import cli
 
 from chain_reference import index_poset_maximal_chains
 
@@ -363,8 +367,8 @@ def test_inductive_equals_direct_on_w0_grid(request, name, lambdas, kind):
     setup = grid_setup(request, name, lambdas, kind)
     ind = build_dcp_inductive(setup)
     direct = build_dcp_direct_w0(setup)
-    assert ind.node_set() == direct.node_set()
-    assert ind.edge_set() == direct.edge_set()
+    assert set(ind.nodes) == set(direct.nodes)
+    assert set(ind.edges) == set(direct.edges)
 
 
 @pytest.mark.parametrize("name,lambdas,kind", GRID[:10])
@@ -384,7 +388,7 @@ def test_dcp_structural_invariants(request, name, lambdas, kind):
         if n.rank > 0:
             assert dcp.covers_down[n]
     # corollary: pushing a node down any subset stays in the poset, below it
-    node_set = dcp.node_set()
+    node_set = set(dcp.nodes)
     for n in dcp.nodes:
         for j in setup.iposet.sets:
             if j <= n.iset:
@@ -434,13 +438,13 @@ def reachability_nodes(setup):
 def test_inductive_nodes_match_reachability_oracle(request, name, lambdas, kind):
     setup = grid_setup(request, name, lambdas, kind)
     dcp = build_dcp_inductive(setup)
-    assert dcp.node_set() == reachability_nodes(setup)
+    assert set(dcp.nodes) == reachability_nodes(setup)
 
 
 def test_reachability_oracle_on_a_non_maximal_tau(a2):
     setup = tau312_setup(a2)
     dcp = build_dcp_inductive(setup)
-    assert dcp.node_set() == reachability_nodes(setup)
+    assert set(dcp.nodes) == reachability_nodes(setup)
 
 
 # -- bonds ------------------------------------------------------------------------
@@ -451,6 +455,23 @@ def test_shrink_edges_have_bond_one(a3):
     for _, _, kind, bond in dcp.edges:
         if kind == "shrinkI":
             assert bond == 1
+
+
+@pytest.mark.parametrize(
+    "job", ["b3_chain", "c3_powerset", "a3_tau3412_branched", "d4_flag_branched"]
+)
+def test_same_i_bonds_pair_the_lower_weight_with_the_covering_coroot(job):
+    # reference: the covering root recomputed from the two representatives
+    path = Path(__file__).parent / "fixtures" / f"{job}.json"
+    setup = cli._setup_from_job(json.loads(path.read_text()))
+    group, datum = setup.group, setup.group.datum
+    dcp = build_dcp_inductive(setup)
+    same_i = [e for e in dcp.edges if e[2] == "sameI"]
+    assert same_i
+    for upper, lower, _, bond in same_i:
+        coroot = datum.positive_coroots[group.covering_root(upper.theta, lower.theta)]
+        weight = lower.theta.rep.act(setup.lambda_of[upper.iset])
+        assert bond == abs(datum.pairing(weight, coroot))
 
 
 def test_b2_single_weight_has_a_bond_two_edge(b2):

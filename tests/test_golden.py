@@ -9,8 +9,11 @@ group elements, were recorded while elements were still compared and sorted
 by their matrices; the C3 powerset verify case was recorded while LS-paths were
 still enumerated chain by chain; the B3 chain verify and C3 powerset enumerate
 cases were recorded while theta_d was computed twice per tableau and fan
-vectors were serialized with a node numbering of their own.  A refactor must
-keep every hash.
+vectors were serialized with a node numbering of their own; the C3 powerset
+and B3 chain DCP cases, which pin bonds of 2 in JSON and in DOT, were
+recorded while the DCP edges were found by a second pass over the nodes and
+each same-I bond recomputed its covering root.  A refactor must keep every
+hash.
 """
 
 import hashlib
@@ -69,6 +72,10 @@ GOLDEN = [
      "08de9a4afa03710f2156198080e00966fcbb77830724c6a23ec5deb52925bb7f"),
     ("enumerate", "c3_powerset", ("--degree", "0,1,1"),
      "21ed25a0d55418d92b5b2afa057bb841de365581f0e04e860b60dd12345a3ac2"),
+    ("dcp", "c3_powerset", (),
+     "df0b544341ef6707f53dcd6fb3371a16b593c05af00571b92162a7149c10940d"),
+    ("dcp", "b3_chain", ("--format", "dot"),
+     "6b74a87d33e884d1ee0b4bc37b44cdb262fdef8b8349f408642c9ffd859c72d8"),
 ]
 
 

@@ -1,7 +1,8 @@
 """The benchmark's layer tracer patches library functions by name; it must
 find every one of them.  A refactor that removes or renames a traced name
 fails here instead of only in the benchmark's own smoke test.  The tracer's
-call counts also pin how often theta_d and the node numbering run."""
+call counts also pin how often theta_d and the node numbering run, and that
+no command recomputes a covering root that the cover walk already gave."""
 
 import importlib.util
 import json
@@ -52,3 +53,16 @@ def test_theta_d_once_per_tableau_and_one_node_numbering_per_job(capsys):
     calls, out = traced("verify")
     tableaux = out["checks"][0]["detail"]["tableaux"]
     assert calls["theta_d"] == calls["theta_d_inverse"] == tableaux > 0
+
+
+def test_dcp_edges_come_from_the_one_cover_walk(capsys):
+    # tau != w0, so the DCP is built inductively only
+    tracing = load_tracing()
+    job = str(Path(__file__).parent / "fixtures" / "a3_tau3412_branched.json")
+    runs = (("dcp", ()), ("check", ()), ("verify", ("--degree", "1,1,0")))
+    for command, extra in runs:
+        with tracing.Tracer() as tracer:
+            assert lsfan.cli.main([command, "--job", job, *extra]) == 0
+        capsys.readouterr()
+        assert tracer.calls["build_dcp_inductive"] == 1
+        assert tracer.calls["WeylGroup.covering_root"] == 0, command

@@ -13,6 +13,7 @@ from lsfan import (
     one_line_to_word,
     word_to_one_line,
 )
+import lsfan.weyl
 from lsfan.rootdata import checked_group_order
 
 ALL = frozenset()
@@ -502,9 +503,15 @@ def test_concurrent_style_purity(a3):
     assert all(a3.bruhat_leq(u, v) == first for _ in range(3))
 
 
-def test_size_guard_rejects_large_ranks_without_the_group_order():
+def test_size_guard_rejects_large_ranks_without_the_group_order(monkeypatch):
     # |W| >= 2^rank for every simple type, so these fail before |W| or the
     # root datum is computed
+    def never(*args):
+        raise AssertionError("the root datum was built for an oversized group")
+
+    monkeypatch.setattr(lsfan.weyl, "build_root_datum", never)
+    with pytest.raises(GroupSizeError, match=r">= 2\^400 exceeds"):
+        make_group("A", 400)
     with pytest.raises(GroupSizeError, match=r">= 2\^1000000000 exceeds"):
         checked_group_order("A", 10**9, 1152)
     with pytest.raises(GroupSizeError, match=r"\| = 48 exceeds the size guard 47"):
