@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from itertools import product
 
 from . import io as lsio
 from .dcp import (
@@ -120,11 +121,10 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
         degrees.extend(_int_lists(raw, "degree"))
     if job.get("max_total_degree") is not None and not degrees:
         bound = _int(job, "max_total_degree")
-        stack = [()]
-        for _ in range(m):
-            stack = [p + (k,) for p in stack for k in range(bound + 1)]
-        degrees = [d for d in stack if 0 < sum(d) <= bound]
-        degrees.sort()
+        if bound < 0:
+            raise ValueError(f"max_total_degree {bound} is negative")
+        grid = product(range(bound + 1), repeat=m)
+        degrees = [d for d in grid if 0 < sum(d) <= bound]
     for d in degrees:
         if len(d) != m or any(x < 0 for x in d):
             raise ValueError(f"degree {d} does not match the weight count {m}")

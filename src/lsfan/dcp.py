@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
-from .lspath import BondedCovers, bonded_chain, maximal_bonded_chains
+from .lspath import bonded_chain, maximal_bonded_chains, shape_covers
 from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup
 
@@ -102,16 +103,11 @@ class IndexPoset:
                         f"{set(t)} < {set(s)} skips a cardinality"
                     )
 
-        self.underline: dict[frozenset, frozenset] = {}
-        for s in self.sets:
-            covers = self.covers_down[s]
-            if not covers:
-                self.underline[s] = s
-            else:
-                u = frozenset()
-                for t in covers:
-                    u |= s - t
-                self.underline[s] = u
+        # a member with covers adds what any cover lacks; a minimal one, itself
+        self.underline: dict[frozenset, frozenset] = {
+            s: frozenset().union(*(s - t for t in self.covers_down[s])) or s
+            for s in self.sets
+        }
 
         for j, i in ((j, i) for j in self.sets for i in self.sets):
             if self.underline[j] <= i and not j <= i:
@@ -167,8 +163,8 @@ class Setup:
 
     Precomputes the parabolic subgroups attached to the index poset: P_I and
     Q_I per member, the maximal parabolic over which tau stays maximal, and
-    the upper parabolic of each covering chain.  covers_of[I] gives the
-    covers of W/W_Q with their bonds for lambda_I, one table per weight.
+    the upper parabolic of each covering chain.  Bonds for lambda_I come
+    from lspath.shape_covers, one table per weight.
     """
 
     def __init__(self, group: WeylGroup, lambdas, tau, iposet: IndexPoset):
@@ -196,17 +192,12 @@ class Setup:
         self.lambda_of = {}
         self.p_of = {}
         self.q_of = {}
-        self.covers_of: dict[frozenset, BondedCovers] = {}
-        by_weight = {}
         for s in iposet.sets:
             lam_i = tuple(
                 sum(self.lambdas[i - 1][j] for i in iposet.underline[s])
                 for j in range(group.rank)
             )
             self.lambda_of[s] = lam_i
-            if lam_i not in by_weight:
-                by_weight[lam_i] = BondedCovers(group, lam_i)
-            self.covers_of[s] = by_weight[lam_i]
             self.p_of[s] = group.stabilizer_parabolic(lam_i)
             sum_all = tuple(
                 sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
@@ -321,7 +312,8 @@ class DCPNode:
 
 
 class DCP:
-    """The defining chain poset: graded, with typed, bond-labelled covers."""
+    """The defining chain poset: graded, with typed, bond-labelled covers;
+    big_l, the lcm of the bonds, is the one denominator of its fan vectors."""
 
     def __init__(self, setup: Setup, nodes, edges):
         self.setup = setup
@@ -332,11 +324,14 @@ class DCP:
         }
         for upper, lower, kind, bond in self.edges:
             self.covers_down[upper].append((lower, kind, bond))
+        self.big_l = lcm(*{bond for _, _, _, bond in self.edges})
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if self.top not in self.covers_down:
             raise InvariantError("the top (tau, [m]) is not a node")
         self._rho_table = None
         self._rho_lookup = None
+        self._rho_images = None
+        self._walks = {}
 
     def length(self) -> int:
         return self.top.rank
@@ -351,6 +346,12 @@ class DCP:
         if self._rho_table is None:
             self._rho_table = rho_map(self)
         return self._rho_table
+
+    def rho_images(self) -> dict:
+        """node -> its rho image, read off rho_table."""
+        if self._rho_images is None:
+            self._rho_images = {n: k for k, ns in self.rho_table().items() for n in ns}
+        return self._rho_images
 
     def rho_collisions(self) -> list:
         """Groups of nodes sharing one rho image, ordered by their first node;
@@ -374,7 +375,15 @@ class DCP:
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
         """a <= b in the poset order (reachability through covers)."""
-        return bonded_chain(self.covers_down, b, a, 0) is not None
+        return self.reaches(b, a, 1)
+
+    def reaches(self, upper: DCPNode, lower: DCPNode, den: int) -> bool:
+        """Whether lspath.bonded_chain at denominator den walks upper to lower."""
+        key = (upper, lower, den)
+        if key not in self._walks:
+            walk = bonded_chain(self.covers_down, upper, lower, den)
+            self._walks[key] = walk is not None
+        return self._walks[key]
 
 
 def _node_key(n: DCPNode):
@@ -399,7 +408,7 @@ def _lower_covers(setup: Setup, node: DCPNode):
     theta_p = group.pi(theta, p_i)
     covers.extend(
         (DCPNode(phi, iset), "sameI", bond)
-        for phi, _, bond in setup.covers_of[iset][theta]
+        for phi, _, bond in shape_covers(group, setup.lambda_of[iset])[theta]
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )
     return covers

@@ -6,24 +6,27 @@ bond-weighted partial-sum integrality along that chain.  The condition is
 local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership walks
 covers with lspath.bonded_chain, enumeration is lspath.chain_lattice_points,
-and neither lists maximal chains.  Fan vectors of a fixed degree biject with
-the standard tableaux of that degree, and the multidegree checker compares
-bond products summed over maximal chains, by dynamic programming over the
-poset, against an exact fit of the Hilbert polynomial computed from the
-dimension oracle.
+and neither lists maximal chains.  The poset has one denominator, the lcm
+of its bonds (DCP.big_l): coefficients are summed as integer numerators
+over it, and Fractions are built only for returned values.  Fan vectors of
+a fixed degree biject with the standard tableaux of that degree, and the
+multidegree checker compares bond products summed over maximal chains, by
+dynamic programming over the poset, against an exact fit of the Hilbert
+polynomial computed from the dimension oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import factorial, gcd, lcm, prod
 
-from .dcp import DCP, Setup, rho
+from .dcp import DCP, Setup
 from .demazure import weyl_dimension
 from .lspath import (
-    bonded_chain,
     chain_lattice_points,
-    theta_single,
+    column_steps,
+    numerators,
     theta_single_inverse,
 )
 from .rootdata import InvariantError
@@ -56,32 +59,52 @@ def canonical_vector(vec: FanVector):
     return frozenset((n, c) for n, c in vec.items() if c != 0)
 
 
+def _integral_sum(vec: FanVector, image, size: int, what: str):
+    """sum of a_n * image(n), divided once at the end; InvariantError if not integral."""
+    nums, den = numerators(list(vec.values()))
+    total = [0] * size
+    for node, num in zip(vec, nums):
+        for j, x in enumerate(image(node)):
+            total[j] += num * x
+    if any(x % den for x in total):
+        total = tuple(Fraction(x, den) for x in total)
+        raise InvariantError(f"non-integral fan {what} {total}")
+    return tuple(x // den for x in total)
+
+
 def fan_degree(setup: Setup, vec: FanVector):
-    """deg(a) = sum of a_{(theta,I)} * e_I, exact."""
-    total = [Fraction(0)] * setup.m
+    """deg(a) = sum of a_{(theta,I)} * e_I, exact and integral."""
+    return _integral_sum(vec, lambda n: setup.iposet.e_vector(n.iset), setup.m, "degree")
+
+
+def _support(dcp: DCP, vec: FanVector):
+    """The non-zero (node, numerator over dcp.big_l) pairs, top down by rank;
+    None if one is negative or has a denominator not dividing big_l."""
+    support = []
     for node, c in vec.items():
-        for j, x in enumerate(setup.iposet.e_vector(node.iset)):
-            total[j] += Fraction(c) * x
-    return tuple(total)
-
-
-def _support(vec: FanVector):
-    """The nodes with a non-zero coefficient, from the top down by rank."""
-    return sorted((n for n, c in vec.items() if c != 0), key=lambda n: -n.rank)
+        num = c.numerator
+        if num:
+            scale, rest = divmod(dcp.big_l, c.denominator)
+            if num < 0 or rest:
+                return None
+            support.append((node, num * scale))
+    support.sort(key=lambda t: -t[0].rank)
+    return support
 
 
 def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
     """Membership in the fan: non-negative, integral in total, and each
     support node reached from the one above it (from the top, for the
-    first) by a bonded walk at the running sum."""
-    if any(Fraction(c) < 0 for c in vec.values()):
+    first) by a bonded walk at the denominator of the running sum."""
+    support = _support(dcp, vec)
+    if support is None:
         return False
-    upper, cum = dcp.top, Fraction(0)
-    for node in _support(vec):
-        if bonded_chain(dcp.covers_down, upper, node, cum) is None:
+    big_l, upper, cum = dcp.big_l, dcp.top, 0
+    for node, c in support:
+        if not dcp.reaches(upper, node, big_l // gcd(cum, big_l)):
             return False
-        upper, cum = node, cum + Fraction(vec[node])
-    return cum.denominator == 1
+        upper, cum = node, cum + c
+    return cum % big_l == 0
 
 
 def enumerate_fan_degree(dcp: DCP, d):
@@ -102,73 +125,70 @@ def decompose(dcp: DCP, vec: FanVector):
     """Unique decomposition into fan vectors of total degree one.
 
     One pass down the support, in the order in_ls_plus walks it, with one
-    running sum: part k holds the mass in [k, k+1), so the support of each
-    part lies weakly above the support of the next.  Fan membership makes
-    the index sets of the support a chain and the running sum integral
-    where the index set changes, so that each part lies in one slice; both
-    are checked as invariants.
+    running sum of numerators over L = big_l: part k holds the mass in
+    [kL, (k+1)L), so the support of each part lies weakly above the support
+    of the next.  Fan membership makes the index sets of the support a chain
+    and the running sum integral where the index set changes, so that each
+    part lies in one slice; both are checked as invariants.
     """
     if not in_ls_plus(dcp, vec):
         raise FanError("vector is not a member of the fan")
-    parts, cum, iset = [], Fraction(0), None
-    for node in _support(vec):
+    big_l = dcp.big_l
+    parts, cum, iset = [], 0, None
+    for node, remaining in _support(dcp, vec):
         if node.iset != iset:
-            if cum.denominator != 1:
-                raise InvariantError(f"slice {set(iset)} of a fan member ends at {cum}")
+            if cum % big_l:
+                at = Fraction(cum, big_l)
+                raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
             if iset is not None and not node.iset < iset:
                 raise InvariantError("slice index sets of a fan member are not a chain")
             iset = node.iset
-        remaining = Fraction(vec[node])
         while remaining:
-            if cum == len(parts):
+            if cum == len(parts) * big_l:
                 parts.append({})
-            take = min(remaining, len(parts) - cum)
+            take = min(remaining, len(parts) * big_l - cum)
             parts[-1][node] = take
             cum += take
             remaining -= take
-    return parts
+    return [{n: Fraction(c, big_l) for n, c in part.items()} for part in parts]
 
 
 def weight(setup: Setup, vec: FanVector):
     """wt(a) = sum of a_{(theta,I)} * theta(lambda_I), exact and integral."""
-    total = [Fraction(0)] * setup.group.rank
-    for node, c in vec.items():
-        lam = setup.lambda_of[node.iset]
-        img = node.theta.rep.act(lam)
-        for j in range(setup.group.rank):
-            total[j] += Fraction(c) * img[j]
-    if any(x.denominator != 1 for x in total):
-        raise InvariantError(f"non-integral fan weight {total}")
-    return tuple(int(x) for x in total)
+    return _integral_sum(
+        vec, lambda n: n.theta.rep.act(setup.lambda_of[n.iset]), setup.group.rank, "weight"
+    )
 
 
 def theta_d(dcp: DCP, tableau: LSTableau):
-    """Fan vector of a standard tableau: sum of the column vectors, each
-    transported into its slice of the poset through the rho lookup; raises
-    NotStandardError when rho is not injective."""
+    """Fan vector of a standard tableau: sum of the column vectors over one
+    denominator, each transported into its slice of the poset through the
+    rho lookup; raises NotStandardError when rho is not injective."""
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
     inverse = dcp.rho_lookup()
-    vec: FanVector = {}
+    den = lcm(*(cut.denominator for path in tableau.columns for cut in path.cuts))
+    nums = {}
     for path, s in zip(tableau.columns, tableau.shapes):
-        for coset, c in theta_single(path, 1).items():
+        steps, _ = column_steps(path, den)
+        for coset, step in zip(path.cosets, steps):
             node = inverse.get((coset, s))
             if node is None:
                 raise FanError(f"column coset {coset} has no node in slice {set(s)}")
-            vec[node] = vec.get(node, Fraction(0)) + c
-    return vec
+            nums[node] = nums.get(node, 0) + step
+    return {node: Fraction(num, den) for node, num in nums.items()}
 
 
 def theta_d_inverse(dcp: DCP, vec: FanVector) -> LSTableau:
     """Tableau of a fan vector, via the unique degree-one decomposition."""
     setup = dcp.setup
-    columns = []
-    shapes = []
+    images = dcp.rho_images()
+    columns, shapes = [], []
     for part in decompose(dcp, vec):
         coeffs = {}
         for node, c in part.items():
-            coset, s = rho(setup, node)
-            coeffs[coset] = coeffs.get(coset, Fraction(0)) + c
+            coset, s = images[node]
+            coeffs[coset] = coeffs[coset] + c if coset in coeffs else c
         columns.append(theta_single_inverse(setup.group, coeffs, setup.lambda_of[s]))
         shapes.append(s)
     return make_tableau(setup, columns, shapes)
@@ -179,17 +199,7 @@ def theta_d_inverse(dcp: DCP, vec: FanVector) -> LSTableau:
 
 def _monomials(m, n):
     """Exponent tuples in m variables of total degree <= n, lexicographic."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == m:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], n)
-    return out
+    return [e for e in product(range(n + 1), repeat=m) if sum(e) <= n]
 
 
 def _solve_exact(matrix, rhs):
@@ -269,10 +279,7 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
     degrees = {}
     for mono in monomials:
         if sum(mono) == n:
-            value = coeffs[mono]
-            for k in mono:
-                for f in range(2, k + 1):
-                    value *= f
+            value = coeffs[mono] * prod(map(factorial, mono))
             if value.denominator != 1:
                 raise InvariantError(f"multidegree {mono} is {value}, not an integer")
             degrees[mono] = int(value)

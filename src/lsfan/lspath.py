@@ -6,7 +6,9 @@ cosets must be joined by a saturated chain of covering relations whose pairing
 with the cut point is integral at every step.  The condition is local, so
 paths are built one support coset at a time by the same lattice-point walk
 that enumerates fan vectors (chain_lattice_points); no maximal chain is
-listed.  All arithmetic is exact.
+listed.  All arithmetic is exact: sums are integer numerators over one
+denominator (one per defining chain poset, DCP.big_l), and Fractions are
+built only where a function returns them.
 """
 
 from __future__ import annotations
@@ -91,11 +93,19 @@ class BondedCovers(dict):
         return self[c]
 
 
+def shape_covers(group: WeylGroup, nu) -> BondedCovers:
+    """The one BondedCovers of shape nu on the group, made on first use."""
+    nu = tuple(nu)
+    if nu not in group.bonded_covers:
+        group.bonded_covers[nu] = BondedCovers(group, nu)
+    return group.bonded_covers[nu]
+
+
 class ShapePoset:
     """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers."""
 
     def __init__(self, group: WeylGroup, nu, tau: Coset):
-        self.covers_down = BondedCovers(group, nu)
+        self.covers_down = shape_covers(group, nu)
         parabolic = group.stabilizer_parabolic(nu)
         self.top = group.pi(tau, parabolic)
         self.nodes = [
@@ -103,16 +113,15 @@ class ShapePoset:
         ]
 
 
-def bonded_chain(covers_down, upper, lower, cut):
+def bonded_chain(covers_down, upper, lower, den):
     """A saturated chain from `upper` down to `lower`, listed from the top,
-    whose every cover has bond * cut integral; None if there is none.
+    whose bonds are all divisible by `den`, a cut point's denominator; None if none.
 
     covers_down maps a node to its (lower, label, bond) covers, and each
     cover lowers the node's `rank` by one.  The search goes depth first in
     cover order, stops at the rank of `lower` and skips nodes already known
     not to reach it.
     """
-    den = Fraction(cut).denominator
     floor = lower.rank
     dead = set()
 
@@ -189,11 +198,10 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     before any chain search happens.
     """
     _structure_check(group, path)
-    covers = BondedCovers(group, path.shape)
+    covers = shape_covers(group, path.shape)
     certificate = {}
-    for k in range(len(path.cosets) - 1):
-        upper, lower = path.cosets[k], path.cosets[k + 1]
-        witness = bonded_chain(covers, upper, lower, path.cuts[k])
+    for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
+        witness = bonded_chain(covers, upper, lower, cut.denominator)
         if witness is None:
             return False, None
         certificate[(upper, lower)] = witness
@@ -268,29 +276,37 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     }
 
 
+def numerators(values, den=None):
+    """(numerators, den): the ints or Fractions `values` as integers over
+    `den`, a multiple of their denominators, by default their lcm."""
+    if den is None:
+        den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def column_steps(path: LSPath, den=None):
+    """(steps, den): the column rule den * (a_j - a_{j+1}) per coset sigma_j."""
+    cums, den = numerators(path.cuts, den)
+    return [b - a for a, b in zip([0] + cums, cums)], den
+
+
 def endpoint(path: LSPath):
     """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape)."""
-    total = None
-    prev = Fraction(0)
-    for coset, cut in zip(path.cosets, path.cuts):
-        term = coset.rep.act(path.shape)
-        seg = cut - prev
-        contrib = tuple(seg * t for t in term)
-        total = contrib if total is None else tuple(a + b for a, b in zip(total, contrib))
-        prev = cut
-    if any(x.denominator != 1 for x in total):
+    steps, den = column_steps(path)
+    total = [0] * len(path.shape)
+    for coset, step in zip(path.cosets, steps):
+        for j, x in enumerate(coset.rep.act(path.shape)):
+            total[j] += step * x
+    if any(x % den for x in total):
+        total = tuple(Fraction(x, den) for x in total)
         raise InvariantError(f"non-integral endpoint {total}; path data is inconsistent")
-    return tuple(int(x) for x in total)
+    return tuple(x // den for x in total)
 
 
 def theta_single(path: LSPath, d: int) -> dict[Coset, Fraction]:
     """Coefficient vector of a degree-d path: sigma_j gets (a_j - a_{j+1}) * d."""
-    coeffs = {}
-    prev = Fraction(0)
-    for coset, cut in zip(path.cosets, path.cuts):
-        coeffs[coset] = (cut - prev) * d
-        prev = cut
-    return coeffs
+    steps, den = column_steps(path)
+    return {c: Fraction(d * step, den) for c, step in zip(path.cosets, steps)}
 
 
 def theta_single_inverse(group: WeylGroup, coeffs: dict[Coset, Fraction], nu) -> LSPath:
@@ -301,22 +317,17 @@ def theta_single_inverse(group: WeylGroup, coeffs: dict[Coset, Fraction], nu) ->
     is transitive), and a PathError is raised when the vector does not
     encode an LS-path.
     """
-    support = [(c, Fraction(v)) for c, v in coeffs.items() if v != 0]
+    support = sorted((c for c, v in coeffs.items() if v), key=lambda c: -c.rank)
     if not support:
         raise PathError("zero vector encodes no path")
-    total = sum(v for _, v in support)
-    if total.denominator != 1 or total <= 0:
-        raise PathError(f"coefficients sum to {total}, not a positive integer")
-    d = int(total)
-    support.sort(key=lambda t: t[0].rank, reverse=True)
+    nums, den = numerators([coeffs[c] for c in support])
+    cums = list(accumulate(nums))
+    total = cums[-1]
+    d, rest = divmod(total, den)
+    if rest or d <= 0:
+        raise PathError(f"coefficients sum to {Fraction(total, den)}, not a positive integer")
     shape = tuple(d * x for x in nu)
-    cosets = tuple(c for c, _ in support)
-    cum = Fraction(0)
-    cuts = []
-    for _, v in support:
-        cum += v
-        cuts.append(cum / d)
-    path = LSPath(shape, cosets, tuple(cuts))
+    path = LSPath(shape, tuple(support), tuple(Fraction(c, total) for c in cums))
     ok, _ = validate_ls_path(group, path)
     if not ok:
         raise PathError("vector does not satisfy the chain-integrality conditions")

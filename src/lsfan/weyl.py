@@ -172,6 +172,7 @@ class WeylGroup:
         self._coset_cache: dict[Parabolic, list[Coset]] = {}
         self._covers_cache: dict[Coset, list[tuple[Coset, int]]] = {}
         self._fiber_cache: dict[tuple, list[Coset]] = {}
+        self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
 
     # -- basic group operations -------------------------------------------
 

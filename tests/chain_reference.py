@@ -1,14 +1,28 @@
-"""Brute-force references that list maximal chains.
+"""Brute-force and Fraction references for the library's chain work.
 
 The library builds LS-paths and fan vectors one support node at a time and
-lists no chain.  These helpers decide the same questions chain by chain, as
-the definitions read, for the tests to compare against.
+lists no chain.  The first helpers decide the same questions chain by chain,
+as the definitions read, for the tests to compare against.
+
+The library also carries every coefficient of the theta round trip as an
+integer numerator over one denominator.  The last helpers are the earlier
+versions of that round trip and of `endpoint`, which sum `Fraction`s
+directly; they are kept as they were, apart from their type annotations.
 """
 
 from fractions import Fraction
 
+from lsfan.dcp import rho
 from lsfan.fan import FanError
-from lsfan.lspath import LSPath, ShapePoset, maximal_bonded_chains
+from lsfan.lspath import (
+    LSPath,
+    PathError,
+    ShapePoset,
+    maximal_bonded_chains,
+    validate_ls_path,
+)
+from lsfan.rootdata import InvariantError
+from lsfan.tableaux import make_tableau
 
 
 def index_poset_maximal_chains(iposet):
@@ -91,3 +105,172 @@ def reference_ls_paths(group, nu, tau, d):
                 cuts.append(cum / d)
             found.add(LSPath(shape, tuple(n for n, _ in support), tuple(cuts)))
     return found
+
+
+# -- the theta round trip and endpoint in Fraction arithmetic -----------------
+
+
+def bonded_chain(covers_down, upper, lower, cut):
+    """A saturated chain from `upper` down to `lower`, listed from the top,
+    whose every cover has bond * cut integral; None if there is none.
+
+    covers_down maps a node to its (lower, label, bond) covers, and each
+    cover lowers the node's `rank` by one.  The search goes depth first in
+    cover order, stops at the rank of `lower` and skips nodes already known
+    not to reach it.
+    """
+    den = Fraction(cut).denominator
+    floor = lower.rank
+    dead = set()
+
+    def descend(node):
+        if node == lower:
+            return [node]
+        if node.rank <= floor or node in dead:
+            return None
+        for nxt, _, bond in covers_down[node]:
+            if bond % den == 0:
+                rest = descend(nxt)
+                if rest is not None:
+                    return [node] + rest
+        dead.add(node)
+        return None
+
+    return descend(upper)
+
+
+def _support(vec):
+    """The nodes with a non-zero coefficient, from the top down by rank."""
+    return sorted((n for n, c in vec.items() if c != 0), key=lambda n: -n.rank)
+
+
+def in_ls_plus(dcp, vec) -> bool:
+    """Membership in the fan: non-negative, integral in total, and each
+    support node reached from the one above it (from the top, for the
+    first) by a bonded walk at the running sum."""
+    if any(Fraction(c) < 0 for c in vec.values()):
+        return False
+    upper, cum = dcp.top, Fraction(0)
+    for node in _support(vec):
+        if bonded_chain(dcp.covers_down, upper, node, cum) is None:
+            return False
+        upper, cum = node, cum + Fraction(vec[node])
+    return cum.denominator == 1
+
+
+def decompose(dcp, vec):
+    """Unique decomposition into fan vectors of total degree one.
+
+    One pass down the support, in the order in_ls_plus walks it, with one
+    running sum: part k holds the mass in [k, k+1), so the support of each
+    part lies weakly above the support of the next.  Fan membership makes
+    the index sets of the support a chain and the running sum integral
+    where the index set changes, so that each part lies in one slice; both
+    are checked as invariants.
+    """
+    if not in_ls_plus(dcp, vec):
+        raise FanError("vector is not a member of the fan")
+    parts, cum, iset = [], Fraction(0), None
+    for node in _support(vec):
+        if node.iset != iset:
+            if cum.denominator != 1:
+                raise InvariantError(f"slice {set(iset)} of a fan member ends at {cum}")
+            if iset is not None and not node.iset < iset:
+                raise InvariantError("slice index sets of a fan member are not a chain")
+            iset = node.iset
+        remaining = Fraction(vec[node])
+        while remaining:
+            if cum == len(parts):
+                parts.append({})
+            take = min(remaining, len(parts) - cum)
+            parts[-1][node] = take
+            cum += take
+            remaining -= take
+    return parts
+
+
+def theta_single(path, d):
+    """Coefficient vector of a degree-d path: sigma_j gets (a_j - a_{j+1}) * d."""
+    coeffs = {}
+    prev = Fraction(0)
+    for coset, cut in zip(path.cosets, path.cuts):
+        coeffs[coset] = (cut - prev) * d
+        prev = cut
+    return coeffs
+
+
+def theta_single_inverse(group, coeffs, nu):
+    """Inverse of theta_single on the monoid of shape nu.
+
+    The support, sorted by rank, must be a strictly decreasing chain: the
+    path is validated, which compares consecutive cosets only (Bruhat order
+    is transitive), and a PathError is raised when the vector does not
+    encode an LS-path.
+    """
+    support = [(c, Fraction(v)) for c, v in coeffs.items() if v != 0]
+    if not support:
+        raise PathError("zero vector encodes no path")
+    total = sum(v for _, v in support)
+    if total.denominator != 1 or total <= 0:
+        raise PathError(f"coefficients sum to {total}, not a positive integer")
+    d = int(total)
+    support.sort(key=lambda t: t[0].rank, reverse=True)
+    shape = tuple(d * x for x in nu)
+    cosets = tuple(c for c, _ in support)
+    cum = Fraction(0)
+    cuts = []
+    for _, v in support:
+        cum += v
+        cuts.append(cum / d)
+    path = LSPath(shape, cosets, tuple(cuts))
+    ok, _ = validate_ls_path(group, path)
+    if not ok:
+        raise PathError("vector does not satisfy the chain-integrality conditions")
+    return path
+
+
+def theta_d(dcp, tableau):
+    """Fan vector of a standard tableau: sum of the column vectors, each
+    transported into its slice of the poset through the rho lookup; raises
+    NotStandardError when rho is not injective."""
+    if tableau.shapes is None:
+        raise FanError("theta_d needs a tableau typed by the index poset")
+    inverse = dcp.rho_lookup()
+    vec = {}
+    for path, s in zip(tableau.columns, tableau.shapes):
+        for coset, c in theta_single(path, 1).items():
+            node = inverse.get((coset, s))
+            if node is None:
+                raise FanError(f"column coset {coset} has no node in slice {set(s)}")
+            vec[node] = vec.get(node, Fraction(0)) + c
+    return vec
+
+
+def theta_d_inverse(dcp, vec):
+    """Tableau of a fan vector, via the unique degree-one decomposition."""
+    setup = dcp.setup
+    columns = []
+    shapes = []
+    for part in decompose(dcp, vec):
+        coeffs = {}
+        for node, c in part.items():
+            coset, s = rho(setup, node)
+            coeffs[coset] = coeffs.get(coset, Fraction(0)) + c
+        columns.append(theta_single_inverse(setup.group, coeffs, setup.lambda_of[s]))
+        shapes.append(s)
+    return make_tableau(setup, columns, shapes)
+
+
+def endpoint(path):
+    """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape)."""
+    total = None
+    prev = Fraction(0)
+    for coset, cut in zip(path.cosets, path.cuts):
+        term = coset.rep.act(path.shape)
+        seg = cut - prev
+        contrib = tuple(seg * t for t in term)
+        total = contrib if total is None else tuple(a + b for a, b in zip(total, contrib))
+        prev = cut
+    if any(x.denominator != 1 for x in total):
+        raise InvariantError(f"non-integral endpoint {total}; path data is inconsistent")
+    return tuple(int(x) for x in total)

@@ -295,6 +295,7 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         ("verify", {"size_guard": [5]}),
         ("verify", {"max_total_degree": [1]}),
         ("conjecture", {"max_total_degree": [1]}),
+        ("verify", {"max_total_degree": -3}),
     ]:
         job.write_text(json.dumps({**base, **entry}))
         code, _, err = run(capsys, command, "--job", str(job))
@@ -303,6 +304,13 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     job.write_text(json.dumps([base]))
     code, _, err = run(capsys, "dcp", "--job", str(job))
     assert code == 2 and err.startswith("error:")
+    # a negative degree bound on the command line, over a job file
+    code, out, err = run(
+        capsys, "verify", "--job", str(FIXTURES / "a3_tau3412_branched.json"),
+        "--max-total-degree", "-1",
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_size_guard_rejects_a_large_rank_before_building_anything(

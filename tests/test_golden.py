@@ -12,8 +12,10 @@ cases were recorded while theta_d was computed twice per tableau and fan
 vectors were serialized with a node numbering of their own; the C3 powerset
 and B3 chain DCP cases, which pin bonds of 2 in JSON and in DOT, were
 recorded while the DCP edges were found by a second pass over the nodes and
-each same-I bond recomputed its covering root.  A refactor must keep every
-hash.
+each same-I bond recomputed its covering root; the G2 chain cases, whose
+bonds reach 3 and whose fan vectors carry halves and thirds, were recorded
+while theta_d, its inverse and fan membership still summed Fraction
+coefficients.  A refactor must keep every hash.
 """
 
 import hashlib
@@ -76,6 +78,10 @@ GOLDEN = [
      "df0b544341ef6707f53dcd6fb3371a16b593c05af00571b92162a7149c10940d"),
     ("dcp", "b3_chain", ("--format", "dot"),
      "6b74a87d33e884d1ee0b4bc37b44cdb262fdef8b8349f408642c9ffd859c72d8"),
+    ("verify", "g2_chain", ("--degree", "2,2"),
+     "d8027c4ae7c6b92efe7bf8c4d2d59959da449878232ef9227dc56caa57a21a15"),
+    ("enumerate", "g2_chain", ("--degree", "1,1"),
+     "ef118c85817ba57af78c1c7c46765ab83d6e5fcf43f7374f2d7b4207fbf998aa"),
 ]
 
 

@@ -289,6 +289,6 @@ def test_bonded_below_matches_bonded_chain(b2):
                 reached = {
                     n for n in nodes
                     if n != upper
-                    and bonded_chain(covers, upper, n, Fraction(1, den)) is not None
+                    and bonded_chain(covers, upper, n, den) is not None
                 }
                 assert bonded_below(covers, upper, den) == reached, (upper, den)

@@ -1,12 +1,15 @@
 """The benchmark's layer tracer patches library functions by name; it must
 find every one of them.  A refactor that removes or renames a traced name
 fails here instead of only in the benchmark's own smoke test.  The tracer's
-call counts also pin how often theta_d and the node numbering run, and that
-no command recomputes a covering root that the cover walk already gave."""
+call counts also pin how often theta_d and the node numbering run, that no
+command recomputes a covering root that the cover walk already gave, and
+that verify validates one path per column; a count of Fraction constructions
+pins the integer arithmetic of the theta round trip."""
 
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import lsfan.cli
@@ -66,3 +69,32 @@ def test_dcp_edges_come_from_the_one_cover_walk(capsys):
         capsys.readouterr()
         assert tracer.calls["build_dcp_inductive"] == 1
         assert tracer.calls["WeylGroup.covering_root"] == 0, command
+
+
+def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
+    # the theta round trip and the end points sum integer numerators; only
+    # the values that public functions return are Fractions
+    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(None)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+    finally:
+        Fraction.__new__ = original
+    tableaux = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["tableaux"]
+    assert tableaux == 512
+    assert len(made) <= 20 * tableaux, len(made) / tableaux
+
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+    capsys.readouterr()
+    calls = tracer.calls
+    assert calls["in_ls_plus"] == calls["theta_d_inverse"] == tableaux
+    assert calls["validate_ls_path"] == 3 * tableaux  # one per column
