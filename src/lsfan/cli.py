@@ -29,11 +29,11 @@ from .dcp import (
 )
 from .demazure import demazure_character, demazure_dimension
 from .fan import (
-    canonical_vector,
     enumerate_fan_degree,
     multidegree_conjecture_check,
     theta_d,
     theta_d_inverse,
+    vector_key,
 )
 from .tableaux import enumerate_standard, tableau_endpoint
 from .weyl import make_group
@@ -58,6 +58,13 @@ def _int(job: dict, key: str, default=None) -> int:
     return value
 
 
+def _bound(value, what: str) -> int:
+    """A degree bound: a non-negative int; raises ValueError for anything else."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    return value
+
+
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:
     """A string 'a,b;c,d;...' or a list of lists as a list of int tuples."""
     if isinstance(value, str):
@@ -74,17 +81,9 @@ def _load_job(args) -> dict:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ValueError(f"job file {args.job} does not hold a JSON object")
-    for key in (
-        "type",
-        "rank",
-        "lambdas",
-        "tau",
-        "iposet",
-        "degree",
-        "max_total_degree",
-        "size_guard",
-    ):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("type", "rank", "lambdas", "tau", "iposet", "degree",
+                "max_total_degree", "size_guard"):
+        value = getattr(args, key, None)
         if value is not None:
             job[key] = value
     return job
@@ -120,9 +119,7 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
     elif raw is not None:
         degrees.extend(_int_lists(raw, "degree"))
     if job.get("max_total_degree") is not None and not degrees:
-        bound = _int(job, "max_total_degree")
-        if bound < 0:
-            raise ValueError(f"max_total_degree {bound} is negative")
+        bound = _bound(_int(job, "max_total_degree"), "max_total_degree")
         grid = product(range(bound + 1), repeat=m)
         degrees = [d for d in grid if 0 < sum(d) <= bound]
     for d in degrees:
@@ -191,11 +188,7 @@ def cmd_check(args) -> int:
     }
     if report.criteria is not None:
         data["criteria"] = [
-            {
-                "I": sorted(s),
-                "chain": [sorted(t) for t in chain],
-                **values,
-            }
+            {"I": sorted(s), "chain": [sorted(t) for t in chain], **values}
             for (s, chain), values in sorted(
                 report.criteria.items(),
                 key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
@@ -247,10 +240,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     dcp = build_dcp_inductive(setup)
     checks = []
     for d in degrees:
-        mu = tuple(
-            sum(d[i] * setup.lambdas[i][j] for i in range(setup.m))
-            for j in range(group.rank)
-        )
+        mu = setup.degree_weight(d)
         dim = demazure_dimension(group, mu, setup.tau)
         tableaux = enumerate_standard(setup, d, dcp)
         vectors = enumerate_fan_degree(dcp, d)
@@ -278,18 +268,13 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
         )
         # onto: the theta_d image is the set of fan vectors, i.e. every
         # image is one and every fan vector is hit
-        hit = dict.fromkeys(map(canonical_vector, vectors), False)
-        round_trip = onto = True
+        images, round_trip = set(), True
         for t in tableaux:
             vec = theta_d(dcp, t)
             if theta_d_inverse(dcp, vec) != t:
                 round_trip = False
-            key = canonical_vector(vec)
-            if key in hit:
-                hit[key] = True
-            else:
-                onto = False
-        onto = onto and all(hit.values())
+            images.add(vector_key(dcp, vec))
+        onto = images == {vector_key(dcp, v) for v in vectors}
         checks.append(
             {
                 "check": "theta_bijection",
@@ -320,7 +305,9 @@ def cmd_verify(args) -> int:
         _emit(args, lsio.dumps(data))
         print("verify: vacuous pass (empty degree grid)", file=sys.stderr)
         return 0
-    bound = int(args.conjecture) if getattr(args, "conjecture", None) else None
+    bound = args.conjecture  # a string; '' and '-1' are not bounds
+    if bound is not None:
+        bound = _bound(int(bound) if bound.strip().isdecimal() else bound, "--conjecture")
     checks = _verify_checks(setup, degrees, bound)
     identity_failures = [
         c for c in checks if not c["pass"] and c["check"] != "multidegree_conjecture"
@@ -381,48 +368,30 @@ def main(argv=None) -> int:
         description="defining chain posets, LS-tableaux and the LS-fan of monoids",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("dcp", help="build the defining chain poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_dcp)
-
-    sub = commands.add_parser("underline-w", help="build the coset-pair poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_underline_w)
-
-    sub = commands.add_parser("check", help="tau-standardness of the index poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_check)
-
-    sub = commands.add_parser("enumerate", help="standard tableaux of one degree")
-    _add_common(sub)
-    sub.add_argument("--degree", help="degree vector 'd1,...,dm'")
-    sub.set_defaults(func=cmd_enumerate)
-
-    sub = commands.add_parser("verify", help="counting/character/theta identity suite")
-    _add_common(sub)
-    sub.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
-    sub.add_argument(
-        "--max-total-degree",
-        dest="max_total_degree",
-        type=int,
-        help="use all degrees of total degree up to this bound",
+    subs = {}
+    for name, func, text in (
+        ("dcp", cmd_dcp, "build the defining chain poset"),
+        ("underline-w", cmd_underline_w, "build the coset-pair poset"),
+        ("check", cmd_check, "tau-standardness of the index poset"),
+        ("enumerate", cmd_enumerate, "standard tableaux of one degree"),
+        ("verify", cmd_verify, "counting/character/theta identity suite"),
+        ("conjecture", cmd_conjecture, "multidegree conjecture report"),
+    ):
+        subs[name] = commands.add_parser(name, help=text)
+        _add_common(subs[name])
+        subs[name].set_defaults(func=func)
+    subs["enumerate"].add_argument("--degree", help="degree vector 'd1,...,dm'")
+    subs["verify"].add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
+    for name, text in (
+        ("verify", "use all degrees of total degree up to this bound"),
+        ("conjecture", "bound for the exact Hilbert fit (default: dim X_tau)"),
+    ):
+        subs[name].add_argument(
+            "--max-total-degree", dest="max_total_degree", type=int, help=text
+        )
+    subs["verify"].add_argument(
+        "--conjecture", help="also run the multidegree comparison with this fit bound"
     )
-    sub.add_argument(
-        "--conjecture",
-        help="also run the multidegree comparison with this fit bound",
-    )
-    sub.set_defaults(func=cmd_verify)
-
-    sub = commands.add_parser("conjecture", help="multidegree conjecture report")
-    _add_common(sub)
-    sub.add_argument(
-        "--max-total-degree",
-        dest="max_total_degree",
-        type=int,
-        help="bound for the exact Hilbert fit (default: dim X_tau)",
-    )
-    sub.set_defaults(func=cmd_conjecture)
 
     args = parser.parse_args(argv)
     try:

@@ -8,20 +8,25 @@ of the index poset, or step theta down one cover of W/W_Q that stays visible
 in W/W_{P_I}.  The inductive build (any tau) walks this rule down from
 (tau, [m]) and records nodes and edges in one pass; the direct build (tau
 maximal) finds its nodes by minimality/maximality conditions of its own and
-keeps the rule's covers between them.  tau-standardness of the index poset
-is decided by injectivity of the slice-projection map rho, with the four
+keeps the rule's covers between them.  A node carries one int key, packing
+theta's key with the bit mask of I, so the two builds compare node by node
+on (theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then
+I, then element index) and keeps its covers, ranks, rho lookup and walk
+memo as tables over these numbers.  tau-standardness of the index poset is
+decided by injectivity of the slice-projection map rho, with the four
 diagram-level criteria available in the maximal case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
 from .lspath import bonded_chain, maximal_bonded_chains, shape_covers
 from .rootdata import InvariantError
-from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup
+from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup, bitmask, pair_key
 
 __all__ = [
     "IndexPoset",
@@ -81,21 +86,16 @@ class IndexPoset:
         self.full = full
 
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
-        for s in self.sets:
+        for s in self.sets:  # self.sets is sorted, so each cover tuple is too
             below = [t for t in self.sets if t < s]
-            covers = [
-                t for t in below if not any(t < u < s for u in below)
-            ]
-            self.covers_down[s] = tuple(sorted(covers, key=_set_key))
+            self.covers_down[s] = tuple(t for t in below if not any(t < u < s for u in below))
 
-        minimal = [s for s in self.sets if not self.covers_down[s]]
-        for s in minimal:
-            if len(s) != 1:
+        for s in self.sets:
+            if not self.covers_down[s] and len(s) != 1:
                 raise IndexPosetError(
                     f"not graded of length {m - 1}: minimal member {set(s)} "
                     "is not a singleton"
                 )
-        for s in self.sets:
             for t in self.covers_down[s]:
                 if len(s) != len(t) + 1:
                     raise IndexPosetError(
@@ -145,10 +145,8 @@ def build_index_poset(sets, m: int) -> IndexPoset:
 
 
 def powerset_iposet(m: int) -> IndexPoset:
-    members = []
-    for k in range(1, m + 1):
-        members.extend(frozenset(c) for c in combinations(range(1, m + 1), k))
-    return IndexPoset(m, members)
+    ground = range(1, m + 1)
+    return IndexPoset(m, [frozenset(c) for k in ground for c in combinations(ground, k)])
 
 
 def chain_iposet(m: int) -> IndexPoset:
@@ -179,9 +177,7 @@ class Setup:
                 raise ValueError(f"weight {lam} is not dominant")
         self.iposet = iposet
         self.m = iposet.m
-        self.total_weight = tuple(
-            sum(l[j] for l in self.lambdas) for j in range(group.rank)
-        )
+        self.total_weight = self.degree_weight((1,) * self.m)
         self.q: Parabolic = group.stabilizer_parabolic(self.total_weight)
         if isinstance(tau, WeylElt):
             tau = group.coset(tau, self.q)
@@ -189,41 +185,34 @@ class Setup:
             raise ValueError("tau must live in W/W_Q for Q the total stabilizer")
         self.tau = tau
 
-        self.lambda_of = {}
-        self.p_of = {}
+        # lambda_I sums the weights of underline(I); Q_I stabilizes all of I
+        self.lambda_of = {s: self.degree_weight(iposet.e_vector(s)) for s in iposet.sets}
+        self.p_of = {s: group.stabilizer_parabolic(self.lambda_of[s]) for s in iposet.sets}
         self.q_of = {}
         for s in iposet.sets:
-            lam_i = tuple(
-                sum(self.lambdas[i - 1][j] for i in iposet.underline[s])
-                for j in range(group.rank)
-            )
-            self.lambda_of[s] = lam_i
-            self.p_of[s] = group.stabilizer_parabolic(lam_i)
-            sum_all = tuple(
-                sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
-            )
-            self.q_of[s] = group.stabilizer_parabolic(sum_all)
+            ones = [i in s for i in range(1, self.m + 1)]
+            self.q_of[s] = group.stabilizer_parabolic(self.degree_weight(ones))
 
         # largest parabolic over Q for which tau is maximal: the right descent
         # set of the maximal-length representative of tau
         max_rep = group.max_rep(tau)
         self.q_tau: Parabolic = frozenset(
-            i
-            for i in group.datum.simple_indices
-            if group.has_right_descent(max_rep, i)
+            i for i in group.datum.simple_indices if group.has_right_descent(max_rep, i)
         )
         if not self.q <= self.q_tau:
             raise InvariantError("Q is not contained in the descent parabolic of tau")
+
+    def degree_weight(self, d) -> tuple[int, ...]:
+        """The weight sum of d_i * lambda_i of a degree vector d."""
+        pairs = list(zip(d, self.lambdas))
+        return tuple(sum(x * lam[j] for x, lam in pairs) for j in range(self.group.rank))
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
 
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
-        result = set(self.q_tau)
-        for j in chain:
-            result &= self.p_of[j]
-        return frozenset(result)
+        return self.q_tau.intersection(*(self.p_of[j] for j in chain))
 
     def tau_in(self, s: frozenset) -> Coset:
         return self.group.pi(self.tau, self.p_of[s])
@@ -251,60 +240,63 @@ class UnderlineW:
                 if group.coset_leq(c, top):
                     self.nodes.append((c, s))
         self.nodes.sort(key=lambda n: (len(n[1]), _set_key(n[1]), n[0].rank, n[0].rep.index))
-        index = {node: k for k, node in enumerate(self.nodes)}
+        self._index = {node: k for k, node in enumerate(self.nodes)}
         n = len(self.nodes)
 
-        gen = [[False] * n for _ in range(n)]
+        # relations as bit rows: bit b of gen[a] says node a >= node b
+        gen, lifts = [0] * n, [(group.min_lift(c, setup.q), s) for c, s in self.nodes]
         for a, (ca, sa) in enumerate(self.nodes):
             max_a = group.max_lift(ca, setup.q)
-            for b, (cb, sb) in enumerate(self.nodes):
-                if a == b or not sb <= sa:
-                    continue
-                min_b = group.min_lift(cb, setup.q)
-                if group.coset_leq(min_b, max_a):
-                    gen[a][b] = True
-
-        hull = [row[:] for row in gen]
+            for b, (min_b, sb) in enumerate(lifts):
+                if a != b and sb <= sa and group.coset_leq(min_b, max_a):
+                    gen[a] |= 1 << b
+        hull = gen[:]
         for k in range(n):
-            hk = hull[k]
             for i in range(n):
-                if hull[i][k]:
-                    hi = hull[i]
-                    for j in range(n):
-                        if hk[j]:
-                            hi[j] = True
-        self._gen = gen
-        self._hull = hull
-        self._index = index
+                if hull[i] >> k & 1:
+                    hull[i] |= hull[k]
+        self._gen, self._hull = gen, hull
         self.generating_is_transitive = gen == hull
 
     def generating_geq(self, a, b) -> bool:
-        return a == b or self._gen[self._index[a]][self._index[b]]
+        return a == b or bool(self._gen[self._index[a]] >> self._index[b] & 1)
 
     def geq(self, a, b) -> bool:
-        return a == b or self._hull[self._index[a]][self._index[b]]
+        return a == b or bool(self._hull[self._index[a]] >> self._index[b] & 1)
 
     def covers(self):
         """Hasse edges of the hull, as (upper, lower) pairs."""
-        n = len(self.nodes)
-        result = []
+        n, hull, result = len(self.nodes), self._hull, []
         for i in range(n):
-            for j in range(n):
-                if not self._hull[i][j]:
-                    continue
-                if any(self._hull[i][k] and self._hull[k][j] for k in range(n)):
-                    continue
-                result.append((self.nodes[i], self.nodes[j]))
+            through = 0  # everything below something below node i
+            for k in range(n):
+                if hull[i] >> k & 1:
+                    through |= hull[k]
+            hasse = hull[i] & ~through
+            result.extend((self.nodes[i], self.nodes[j]) for j in range(n) if hasse >> j & 1)
         return result
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DCPNode:
+    """A node (theta, I); `key` packs (theta.key, mask of I) into one int at
+    construction, and equality and hashing read it alone."""
+
     theta: Coset  # in W/W_Q, Q_I-minimal
     iset: frozenset
+    key: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", pair_key(self.theta.key, bitmask(self.iset)))
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, DCPNode) else NotImplemented
+
+    def __hash__(self):
+        return self.key
 
     @property
     def rank(self) -> int:
@@ -312,25 +304,29 @@ class DCPNode:
 
 
 class DCP:
-    """The defining chain poset: graded, with typed, bond-labelled covers;
-    big_l, the lcm of the bonds, is the one denominator of its fan vectors."""
+    """The defining chain poset: graded, with typed, bond-labelled covers.
+
+    The nodes are numbered 0..N-1 in `nodes` order, top down by rank, then
+    by index set and element index, so the top is 0; `position` maps a
+    node's key to its number.  covers_down (the (lower, kind, bond) covers)
+    and rank are tables over these numbers, and the walks, the rho lookup
+    and the fan arithmetic run on them.  big_l, the lcm of the bonds, is the
+    one denominator of its fan vectors.
+    """
 
     def __init__(self, setup: Setup, nodes, edges):
         self.setup = setup
         self.nodes = sorted(nodes, key=_node_key)
-        self.edges = sorted(edges, key=lambda e: (_node_key(e[0]), _node_key(e[1])))
-        self.covers_down: dict[DCPNode, list[tuple[DCPNode, str, int]]] = {
-            n: [] for n in self.nodes
-        }
+        self.position = position = {n.key: k for k, n in enumerate(self.nodes)}
+        self.edges = sorted(edges, key=lambda e: (position[e[0].key], position[e[1].key]))
+        self.rank = [n.rank for n in self.nodes]
+        self.covers_down = [[] for _ in self.nodes]
         for upper, lower, kind, bond in self.edges:
-            self.covers_down[upper].append((lower, kind, bond))
+            self.covers_down[position[upper.key]].append((position[lower.key], kind, bond))
         self.big_l = lcm(*{bond for _, _, _, bond in self.edges})
         self.top = DCPNode(setup.tau, setup.iposet.full)
-        if self.top not in self.covers_down:
-            raise InvariantError("the top (tau, [m]) is not a node")
-        self._rho_table = None
-        self._rho_lookup = None
-        self._rho_images = None
+        if position.get(self.top.key) != 0:
+            raise InvariantError("the top (tau, [m]) is not the largest node")
         self._walks = {}
 
     def length(self) -> int:
@@ -339,49 +335,50 @@ class DCP:
     def maximal_chains(self):
         """All maximal chains from the top, as (nodes, edge bonds) pairs; a
         brute-force reference for the bonded walk."""
-        return maximal_bonded_chains(self.covers_down, self.top)
+        return [
+            (tuple(self.nodes[k] for k in chain), bonds)
+            for chain, bonds in maximal_bonded_chains(self.covers_down, 0)
+        ]
 
+    @cached_property
+    def rho_images(self) -> list:
+        """node number -> its rho image (pi_{P_I}(theta), I)."""
+        return [rho(self.setup, n) for n in self.nodes]
+
+    @cached_property
     def rho_table(self) -> dict:
-        """rho_map of this poset, computed on first use."""
-        if self._rho_table is None:
-            self._rho_table = rho_map(self)
-        return self._rho_table
-
-    def rho_images(self) -> dict:
-        """node -> its rho image, read off rho_table."""
-        if self._rho_images is None:
-            self._rho_images = {n: k for k, ns in self.rho_table().items() for n in ns}
-        return self._rho_images
+        """rho_map of this poset."""
+        return rho_map(self)
 
     def rho_collisions(self) -> list:
-        """Groups of nodes sharing one rho image, ordered by their first node;
-        empty iff the index poset is standard for tau."""
-        groups = (v for v in self.rho_table().values() if len(v) > 1)
-        return sorted(groups, key=lambda group: _node_key(group[0]))
+        """Groups of nodes sharing one rho image, ordered by their first node
+        (rho_map meets the nodes in order); empty iff the index poset is
+        standard for tau."""
+        return [v for v in self.rho_table.values() if len(v) > 1]
 
+    @cached_property
     def rho_lookup(self) -> dict:
-        """rho inverted: (coset in W/W_{P_I}, I) -> node.  Raises
-        NotStandardError when rho is not injective."""
-        if self._rho_lookup is None:
-            collisions = self.rho_collisions()
-            if collisions:
-                pair = collisions[0]
-                raise NotStandardError(
-                    f"rho is not injective; the index poset is not standard for "
-                    f"tau (collision at {pair[0]} / {pair[1]})"
-                )
-            self._rho_lookup = {k: v[0] for k, v in self.rho_table().items()}
-        return self._rho_lookup
+        """rho inverted: (key of a coset in W/W_{P_I}, I) -> node number.
+        Raises NotStandardError when rho is not injective."""
+        collisions = self.rho_collisions()
+        if collisions:
+            pair = collisions[0]
+            raise NotStandardError(
+                f"rho is not injective; the index poset is not standard for "
+                f"tau (collision at {pair[0]} / {pair[1]})"
+            )
+        return {(c.key, s): k for k, (c, s) in enumerate(self.rho_images)}
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
         """a <= b in the poset order (reachability through covers)."""
-        return self.reaches(b, a, 1)
+        return self.reaches(self.position[b.key], self.position[a.key], 1)
 
-    def reaches(self, upper: DCPNode, lower: DCPNode, den: int) -> bool:
-        """Whether lspath.bonded_chain at denominator den walks upper to lower."""
+    def reaches(self, upper: int, lower: int, den: int) -> bool:
+        """Whether lspath.bonded_chain at denominator den walks the node
+        numbered `upper` to the one numbered `lower`."""
         key = (upper, lower, den)
         if key not in self._walks:
-            walk = bonded_chain(self.covers_down, upper, lower, den)
+            walk = bonded_chain(self.covers_down, self.rank, upper, lower, den)
             self._walks[key] = walk is not None
         return self._walks[key]
 
@@ -406,9 +403,10 @@ def _lower_covers(setup: Setup, node: DCPNode):
     ]
     p_i, q_i = setup.p_of[iset], setup.q_of[iset]
     theta_p = group.pi(theta, p_i)
+    bonds = shape_covers(group, setup.lambda_of[iset])
     covers.extend(
-        (DCPNode(phi, iset), "sameI", bond)
-        for phi, _, bond in shape_covers(group, setup.lambda_of[iset])[theta]
+        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep, root))
+        for phi, root in group.covers_down(theta)
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )
     return covers
@@ -473,15 +471,16 @@ def rho(setup: Setup, node: DCPNode):
 
 
 def rho_map(dcp: DCP):
+    """rho image -> the nodes that have it."""
     images: dict = {}
-    for node in dcp.nodes:
-        images.setdefault(rho(dcp.setup, node), []).append(node)
+    for node, image in zip(dcp.nodes, dcp.rho_images):
+        images.setdefault(image, []).append(node)
     return images
 
 
 def rho_inverse(dcp: DCP, theta, iset):
     """Preimage of (theta, I) under rho; requires rho to be injective."""
-    return dcp.rho_lookup()[(theta, frozenset(iset))]
+    return dcp.nodes[dcp.rho_lookup[(theta.key, frozenset(iset))]]
 
 
 def rho_inverse_w0(setup: Setup, theta: Coset, iset):
@@ -510,7 +509,7 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
     group = setup.group
     if dcp is None:
         dcp = build_dcp_inductive(setup)
-    images = dcp.rho_table()
+    images = dcp.rho_table
     collisions = dcp.rho_collisions()
     standard = not collisions
 
@@ -528,12 +527,8 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
                 crit_ii = _criterion_min_max(group, setup, p_i, q_i, q_r)
                 crit_iii = _criterion_subgroup(group, setup, p_i, q_i, q_r)
                 crit_iv = _criterion_dynkin(group.datum, p_i, q_i, q_r)
-                criteria[(s, chain)] = {
-                    "i": crit_i,
-                    "ii": crit_ii,
-                    "iii": crit_iii,
-                    "iv": crit_iv,
-                }
+                criteria[(s, chain)] = {"i": crit_i, "ii": crit_ii,
+                                         "iii": crit_iii, "iv": crit_iv}
         agree = all(len(set(v.values())) == 1 for v in criteria.values())
         if not agree:
             raise InvariantError(f"standardness criteria disagree: {criteria}")

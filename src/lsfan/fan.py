@@ -7,8 +7,10 @@ local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership walks
 covers with lspath.bonded_chain, enumeration is lspath.chain_lattice_points,
 and neither lists maximal chains.  The poset has one denominator, the lcm
-of its bonds (DCP.big_l): coefficients are summed as integer numerators
-over it, and Fractions are built only for returned values.  Fan vectors of
+of its bonds (DCP.big_l).  At the public boundary a fan vector is a dict
+{DCPNode: Fraction}; inside, it is the sorted tuple of its (node number,
+numerator over big_l) pairs (vector_key), and the round trip, membership
+and the onto check of verify run on those pairs.  Fractions are built only for returned values.  Fan vectors of
 a fixed degree biject with the standard tableaux of that degree, and the
 multidegree checker compares bond products summed over maximal chains, by
 dynamic programming over the poset, against an exact fit of the Hilbert
@@ -23,18 +25,14 @@ from math import factorial, gcd, lcm, prod
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
-from .lspath import (
-    chain_lattice_points,
-    column_steps,
-    numerators,
-    theta_single_inverse,
-)
+from .lspath import chain_lattice_points, column_of, column_steps, numerators
 from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
 __all__ = [
     "FanError",
     "canonical_vector",
+    "vector_key",
     "fan_degree",
     "in_ls_plus",
     "enumerate_fan_degree",
@@ -77,48 +75,78 @@ def fan_degree(setup: Setup, vec: FanVector):
     return _integral_sum(vec, lambda n: setup.iposet.e_vector(n.iset), setup.m, "degree")
 
 
-def _support(dcp: DCP, vec: FanVector):
-    """The non-zero (node, numerator over dcp.big_l) pairs, top down by rank;
-    None if one is negative or has a denominator not dividing big_l."""
-    support = []
+def vector_key(dcp: DCP, vec: FanVector):
+    """The int form of a vector on the poset, hashable and canonical: the
+    sorted tuple of its non-zero (node number, numerator over dcp.big_l)
+    pairs, which runs top down by rank.  None if a node is not in the poset
+    or a coefficient is negative or has a denominator not dividing big_l,
+    as no fan vector has such a coefficient."""
+    position, big_l, support = dcp.position, dcp.big_l, []
     for node, c in vec.items():
-        num = c.numerator
+        num, den = c.as_integer_ratio()
         if num:
-            scale, rest = divmod(dcp.big_l, c.denominator)
-            if num < 0 or rest:
+            k = position.get(node.key)
+            if num < 0 or big_l % den or k is None:
                 return None
-            support.append((node, num * scale))
-    support.sort(key=lambda t: -t[0].rank)
-    return support
+            support.append((k, num * (big_l // den)))
+    return tuple(sorted(support))
 
 
 def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
     """Membership in the fan: non-negative, integral in total, and each
     support node reached from the one above it (from the top, for the
     first) by a bonded walk at the denominator of the running sum."""
-    support = _support(dcp, vec)
+    support = vector_key(dcp, vec)
     if support is None:
         return False
-    big_l, upper, cum = dcp.big_l, dcp.top, 0
-    for node, c in support:
-        if not dcp.reaches(upper, node, big_l // gcd(cum, big_l)):
+    big_l, upper, cum = dcp.big_l, 0, 0
+    for k, c in support:
+        if not dcp.reaches(upper, k, big_l // gcd(cum, big_l)):
             return False
-        upper, cum = node, cum + c
+        upper, cum = k, cum + c
     return cum % big_l == 0
 
 
 def enumerate_fan_degree(dcp: DCP, d):
     """All fan vectors of degree d: the lattice points of
-    lspath.chain_lattice_points on the poset, where a node's coefficient
-    counts against the coordinates of its index set's underline.  Every
-    vector is met exactly once, on the path of its own support.
+    lspath.chain_lattice_points on the node numbers of the poset, where a
+    node's coefficient counts against the coordinates of its index set's
+    underline.  Every vector is met exactly once, on the path of its own
+    support.
     """
     setup = dcp.setup
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    spend = {n: [j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes}
-    return list(chain_lattice_points(dcp.covers_down, dcp.nodes, dcp.top, d, spend))
+    nodes = dcp.nodes
+    spend = [[j - 1 for j in setup.iposet.underline[n.iset]] for n in nodes]
+    points = chain_lattice_points(dcp.covers_down, range(len(nodes)), 0, d, spend)
+    return [{nodes[k]: c for k, c in vec.items()} for vec in points]
+
+
+def _parts(dcp: DCP, vec: FanVector):
+    """decompose on node numbers: each part as (node number, numerator over
+    big_l) pairs."""
+    if not in_ls_plus(dcp, vec):
+        raise FanError("vector is not a member of the fan")
+    big_l, nodes = dcp.big_l, dcp.nodes
+    parts, cum, iset = [], 0, None
+    for k, remaining in vector_key(dcp, vec):
+        if nodes[k].iset != iset:
+            if cum % big_l:
+                at = Fraction(cum, big_l)
+                raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
+            if iset is not None and not nodes[k].iset < iset:
+                raise InvariantError("slice index sets of a fan member are not a chain")
+            iset = nodes[k].iset
+        while remaining:
+            if cum == len(parts) * big_l:
+                parts.append([])
+            take = min(remaining, len(parts) * big_l - cum)
+            parts[-1].append((k, take))
+            cum += take
+            remaining -= take
+    return parts
 
 
 def decompose(dcp: DCP, vec: FanVector):
@@ -131,26 +159,8 @@ def decompose(dcp: DCP, vec: FanVector):
     and the running sum integral where the index set changes, so that each
     part lies in one slice; both are checked as invariants.
     """
-    if not in_ls_plus(dcp, vec):
-        raise FanError("vector is not a member of the fan")
-    big_l = dcp.big_l
-    parts, cum, iset = [], 0, None
-    for node, remaining in _support(dcp, vec):
-        if node.iset != iset:
-            if cum % big_l:
-                at = Fraction(cum, big_l)
-                raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
-            if iset is not None and not node.iset < iset:
-                raise InvariantError("slice index sets of a fan member are not a chain")
-            iset = node.iset
-        while remaining:
-            if cum == len(parts) * big_l:
-                parts.append({})
-            take = min(remaining, len(parts) * big_l - cum)
-            parts[-1][node] = take
-            cum += take
-            remaining -= take
-    return [{n: Fraction(c, big_l) for n, c in part.items()} for part in parts]
+    nodes, big_l = dcp.nodes, dcp.big_l
+    return [{nodes[k]: Fraction(c, big_l) for k, c in part} for part in _parts(dcp, vec)]
 
 
 def weight(setup: Setup, vec: FanVector):
@@ -166,30 +176,29 @@ def theta_d(dcp: DCP, tableau: LSTableau):
     rho lookup; raises NotStandardError when rho is not injective."""
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
-    inverse = dcp.rho_lookup()
+    inverse = dcp.rho_lookup
     den = lcm(*(cut.denominator for path in tableau.columns for cut in path.cuts))
     nums = {}
     for path, s in zip(tableau.columns, tableau.shapes):
         steps, _ = column_steps(path, den)
         for coset, step in zip(path.cosets, steps):
-            node = inverse.get((coset, s))
-            if node is None:
+            k = inverse.get((coset.key, s))
+            if k is None:
                 raise FanError(f"column coset {coset} has no node in slice {set(s)}")
-            nums[node] = nums.get(node, 0) + step
-    return {node: Fraction(num, den) for node, num in nums.items()}
+            nums[k] = nums.get(k, 0) + step
+    return {dcp.nodes[k]: Fraction(num, den) for k, num in nums.items()}
 
 
 def theta_d_inverse(dcp: DCP, vec: FanVector) -> LSTableau:
-    """Tableau of a fan vector, via the unique degree-one decomposition."""
+    """Tableau of a fan vector, via the unique degree-one decomposition; a
+    part's nodes lie in one slice with distinct rho images."""
     setup = dcp.setup
-    images = dcp.rho_images()
+    images = dcp.rho_images
     columns, shapes = [], []
-    for part in decompose(dcp, vec):
-        coeffs = {}
-        for node, c in part.items():
-            coset, s = images[node]
-            coeffs[coset] = coeffs[coset] + c if coset in coeffs else c
-        columns.append(theta_single_inverse(setup.group, coeffs, setup.lambda_of[s]))
+    for part in _parts(dcp, vec):
+        s = images[part[0][0]][1]
+        terms = [(images[k][0], c) for k, c in part]
+        columns.append(column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s]))
         shapes.append(s)
     return make_tableau(setup, columns, shapes)
 
@@ -251,17 +260,11 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
         )
 
     def hilbert(dvec):
-        mu = tuple(
-            sum(dvec[i] * setup.lambdas[i][j] for i in range(m))
-            for j in range(setup.group.rank)
-        )
-        return weyl_dimension(setup.group.datum, mu)
+        return weyl_dimension(setup.group.datum, setup.degree_weight(dvec))
 
     monomials = _monomials(m, n)
-    points = _monomials(m, n)  # the simplex principal lattice is unisolvent
-    matrix = [
-        [_power(pt, mono) for mono in monomials] for pt in points
-    ]
+    points = monomials  # the simplex principal lattice is unisolvent
+    matrix = [[_power(pt, mono) for mono in monomials] for pt in points]
     rhs = [hilbert(pt) for pt in points]
     solution = _solve_exact(matrix, rhs)
     coeffs = dict(zip(monomials, solution))
@@ -287,10 +290,7 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
 
 
 def _power(point, exponents):
-    out = 1
-    for x, e in zip(point, exponents):
-        out *= x**e
-    return out
+    return prod(map(pow, point, exponents))
 
 
 def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
@@ -316,21 +316,20 @@ def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
         j = variable_of[s] - 1
         return k[:j] + (k[j] + 1,) + k[j + 1:]
 
-    # paths[n]: k-tuple of the nodes on a path from the top down to n -> sum
-    # of the bond products of those paths; dcp.nodes runs top-down
-    paths = {n: {} for n in dcp.nodes}
-    paths[dcp.top] = {bump((-1,) * setup.m, iposet.full): 1}
+    # paths[n]: k-tuple of the nodes on a path from the top down to node
+    # number n -> sum of the bond products of those paths; nodes run top-down
+    paths = [{} for _ in dcp.nodes]
+    paths[0] = {bump((-1,) * setup.m, iposet.full): 1}
     left: dict[tuple, int] = {}
-    for node in dcp.nodes:
-        here = paths.pop(node)
-        covers = dcp.covers_down[node]
+    for n, covers in enumerate(dcp.covers_down):
+        here, paths[n] = paths[n], None
         if not covers:
             for k, v in here.items():
                 left[k] = left.get(k, 0) + v
         for lower, _, bond in covers:
-            acc = paths[lower]
+            acc, iset = paths[lower], dcp.nodes[lower].iset
             for k, v in here.items():
-                k = bump(k, lower.iset)
+                k = bump(k, iset)
                 acc[k] = acc.get(k, 0) + v * bond
 
     right = hilbert_multidegrees(setup, max_total_degree)

@@ -6,9 +6,10 @@ cosets must be joined by a saturated chain of covering relations whose pairing
 with the cut point is integral at every step.  The condition is local, so
 paths are built one support coset at a time by the same lattice-point walk
 that enumerates fan vectors (chain_lattice_points); no maximal chain is
-listed.  All arithmetic is exact: sums are integer numerators over one
-denominator (one per defining chain poset, DCP.big_l), and Fractions are
-built only where a function returns them.
+listed.  The walks run on int-keyed covers: representative indices here,
+node numbers on a defining chain poset.  All arithmetic is exact: sums are
+integer numerators over one denominator (one per defining chain poset,
+DCP.big_l), and Fractions are built only where a function returns them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .rootdata import InvariantError
-from .weyl import Coset, WeylGroup
+from .weyl import Coset, WeylElt, WeylGroup
 
 __all__ = [
     "LSPath",
@@ -67,11 +68,13 @@ def initial_direction(path: LSPath) -> Coset:
 
 
 class BondedCovers(dict):
-    """Coset -> its (lower, root index, bond) covers in its quotient, each
-    entry filled on first use.
+    """The int-keyed coset poset W/W_nu of a shape nu: the rep index of a
+    coset -> its (lower rep index, root index, bond) covers, each entry
+    filled on first use.  It also keeps the stabilizer parabolic of nu and
+    the image w(nu) per rep index w, each computed once.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
-    the positive root beta with s_beta min(phi) = min(theta).  This is the
+    the positive root beta with s_beta min(phi) = min(theta).  `bond` is the
     one place bonds are computed: LS-paths of shape nu use it on W/W_nu, the
     defining chain poset on W/W_Q with Q inside the stabilizer of nu.
     """
@@ -82,15 +85,27 @@ class BondedCovers(dict):
             raise PathError(f"shape {nu} is not dominant")
         self.group = group
         self.nu = tuple(nu)
+        self.parabolic = group.stabilizer_parabolic(self.nu)
+        self.images = {}
 
-    def __missing__(self, c: Coset):
+    def image(self, w: WeylElt):
+        """w(nu), computed once per element."""
+        if w.index not in self.images:
+            self.images[w.index] = w.act(self.nu)
+        return self.images[w.index]
+
+    def bond(self, lower: WeylElt, root: int) -> int:
+        """|<lower(nu), beta^vee>| for the positive root beta at `root`."""
         datum = self.group.datum
-        self[c] = [
-            (lower, idx, abs(datum.pairing(lower.rep.act(self.nu),
-                                           datum.positive_coroots[idx])))
-            for lower, idx in self.group.covers_down(c)
+        return abs(datum.pairing(self.image(lower), datum.positive_coroots[root]))
+
+    def __missing__(self, x: int):
+        coset = Coset(self.group.elements()[x], self.parabolic)
+        self[x] = [
+            (lower.rep.index, idx, self.bond(lower.rep, idx))
+            for lower, idx in self.group.covers_down(coset)
         ]
-        return self[c]
+        return self[x]
 
 
 def shape_covers(group: WeylGroup, nu) -> BondedCovers:
@@ -102,33 +117,36 @@ def shape_covers(group: WeylGroup, nu) -> BondedCovers:
 
 
 class ShapePoset:
-    """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers."""
+    """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers.
+
+    `nodes` and `top` are cosets; `covers_down`, the shape's BondedCovers,
+    is keyed by their rep indices, and so is its rank table group.lengths."""
 
     def __init__(self, group: WeylGroup, nu, tau: Coset):
         self.covers_down = shape_covers(group, nu)
-        parabolic = group.stabilizer_parabolic(nu)
-        self.top = group.pi(tau, parabolic)
+        self.top = group.pi(tau, self.covers_down.parabolic)
         self.nodes = [
-            c for c in group.all_cosets(parabolic) if group.coset_leq(c, self.top)
+            c for c in group.all_cosets(self.top.parabolic)
+            if group.coset_leq(c, self.top)
         ]
 
 
-def bonded_chain(covers_down, upper, lower, den):
+def bonded_chain(covers_down, rank, upper, lower, den):
     """A saturated chain from `upper` down to `lower`, listed from the top,
     whose bonds are all divisible by `den`, a cut point's denominator; None if none.
 
-    covers_down maps a node to its (lower, label, bond) covers, and each
-    cover lowers the node's `rank` by one.  The search goes depth first in
-    cover order, stops at the rank of `lower` and skips nodes already known
-    not to reach it.
+    covers_down maps a node id to its (lower, label, bond) covers, and each
+    cover lowers rank[node] by one.  The search goes depth first in cover
+    order, stops at the rank of `lower` and skips nodes already known not to
+    reach it.
     """
-    floor = lower.rank
+    floor = rank[lower]
     dead = set()
 
     def descend(node):
         if node == lower:
             return [node]
-        if node.rank <= floor or node in dead:
+        if rank[node] <= floor or node in dead:
             return None
         for nxt, _, bond in covers_down[node]:
             if bond % den == 0:
@@ -174,8 +192,7 @@ def maximal_bonded_chains(covers_down, top):
     return chains
 
 
-def _structure_check(group: WeylGroup, path: LSPath) -> None:
-    parabolic = group.stabilizer_parabolic(path.shape)
+def _structure_check(group: WeylGroup, parabolic, path: LSPath) -> None:
     for c in path.cosets:
         if c.parabolic != parabolic:
             raise PathError("cosets do not live in the stabilizer quotient of the shape")
@@ -197,14 +214,16 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     Structural defects (non-decreasing cosets, bad cut points) raise PathError
     before any chain search happens.
     """
-    _structure_check(group, path)
     covers = shape_covers(group, path.shape)
-    certificate = {}
+    _structure_check(group, covers.parabolic, path)
+    elements, certificate = group.elements(), {}
     for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
-        witness = bonded_chain(covers, upper, lower, cut.denominator)
+        witness = bonded_chain(
+            covers, group.lengths, upper.rep.index, lower.rep.index, cut.denominator
+        )
         if witness is None:
             return False, None
-        certificate[(upper, lower)] = witness
+        certificate[(upper, lower)] = [Coset(elements[x], covers.parabolic) for x in witness]
     return True, certificate
 
 
@@ -213,8 +232,8 @@ def chain_lattice_points(covers_down, nodes, top, degree, spend):
     poset, once each, by a depth-first search over support chains from
     `top`; each is yielded as {node: Fraction} in top-down support order.
 
-    covers_down maps a node to its (lower, label, bond) covers and `nodes`
-    lists the poset.  A node's coefficient counts against the coordinates
+    covers_down maps a node id to its (lower, label, bond) covers and
+    `nodes` lists the ids.  A node's coefficient counts against the coordinates
     spend[node] of `degree`, and the search stops when all are spent.  Sums
     are integers over L, the lcm of the bonds.  The next support node is one
     bonded_below reaches from the last at the running sum (candidates in
@@ -236,7 +255,7 @@ def chain_lattice_points(covers_down, nodes, top, degree, spend):
     def place(candidates, total, rest):
         if not any(rest):
             if total % big_l == 0:
-                yield dict(vec)
+                yield {node: Fraction(c, big_l) for node, c in vec.items()}
             return
         for node in candidates:
             for c in range(1, min(rest[j] for j in spend[node]) + 1):
@@ -245,7 +264,7 @@ def chain_lattice_points(covers_down, nodes, top, degree, spend):
                     bond * cum % big_l for _, _, bond in covers_down[node]
                 ):
                     continue
-                vec[node] = Fraction(c, big_l)
+                vec[node] = c
                 left = list(rest)
                 for j in spend[node]:
                     left[j] -= c
@@ -267,13 +286,12 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     if d == 0:
         return set()
     shape = tuple(d * x for x in nu)
-    spend = dict.fromkeys(poset.nodes, (0,))
-    return {
-        LSPath(shape, tuple(vec), tuple(cum / d for cum in accumulate(vec.values())))
-        for vec in chain_lattice_points(
-            poset.covers_down, poset.nodes, poset.top, (d,), spend
-        )
-    }
+    cosets = {c.rep.index: c for c in poset.nodes}  # the walk's ids
+    top, spend, paths = poset.top.rep.index, dict.fromkeys(cosets, (0,)), set()
+    for vec in chain_lattice_points(poset.covers_down, list(cosets), top, (d,), spend):
+        cuts = tuple(cum / d for cum in accumulate(vec.values()))
+        paths.add(LSPath(shape, tuple(map(cosets.get, vec)), cuts))
+    return paths
 
 
 def numerators(values, den=None):
@@ -290,12 +308,16 @@ def column_steps(path: LSPath, den=None):
     return [b - a for a, b in zip([0] + cums, cums)], den
 
 
-def endpoint(path: LSPath):
-    """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape)."""
+def endpoint(path: LSPath, group: WeylGroup | None = None):
+    """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape).
+
+    Given the group, the images sigma_j(shape) come from the shape's table
+    in shape_covers instead of a matrix product per segment."""
     steps, den = column_steps(path)
+    image = shape_covers(group, path.shape).image if group else lambda w: w.act(path.shape)
     total = [0] * len(path.shape)
     for coset, step in zip(path.cosets, steps):
-        for j, x in enumerate(coset.rep.act(path.shape)):
+        for j, x in enumerate(image(coset.rep)):
             total[j] += step * x
     if any(x % den for x in total):
         total = tuple(Fraction(x, den) for x in total)
@@ -310,24 +332,31 @@ def theta_single(path: LSPath, d: int) -> dict[Coset, Fraction]:
 
 
 def theta_single_inverse(group: WeylGroup, coeffs: dict[Coset, Fraction], nu) -> LSPath:
-    """Inverse of theta_single on the monoid of shape nu.
+    """Inverse of theta_single on the monoid of shape nu."""
+    nums, den = numerators(list(coeffs.values()))
+    return column_of(group, zip(coeffs, nums), den, nu)
+
+
+def column_of(group: WeylGroup, terms, den: int, nu) -> LSPath:
+    """The LS-path of shape d*nu whose theta_single vector has the
+    coefficient num/den at each (coset, num) of `terms`, cosets distinct.
 
     The support, sorted by rank, must be a strictly decreasing chain: the
     path is validated, which compares consecutive cosets only (Bruhat order
     is transitive), and a PathError is raised when the vector does not
     encode an LS-path.
     """
-    support = sorted((c for c, v in coeffs.items() if v), key=lambda c: -c.rank)
-    if not support:
+    terms = sorted((t for t in terms if t[1]), key=lambda t: -t[0].rank)
+    if not terms:
         raise PathError("zero vector encodes no path")
-    nums, den = numerators([coeffs[c] for c in support])
-    cums = list(accumulate(nums))
+    cums = list(accumulate(num for _, num in terms))
     total = cums[-1]
     d, rest = divmod(total, den)
     if rest or d <= 0:
         raise PathError(f"coefficients sum to {Fraction(total, den)}, not a positive integer")
     shape = tuple(d * x for x in nu)
-    path = LSPath(shape, tuple(support), tuple(Fraction(c, total) for c in cums))
+    cosets = tuple(c for c, _ in terms)
+    path = LSPath(shape, cosets, tuple(Fraction(c, total) for c in cums))
     ok, _ = validate_ls_path(group, path)
     if not ok:
         raise PathError("vector does not satisfy the chain-integrality conditions")

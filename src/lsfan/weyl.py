@@ -8,13 +8,14 @@ with each simple reflection on either side, its descent sets, its inverse
 and one reduced word.  Products, descents, cosets and Bruhat comparisons
 are table lookups.  The matrix is kept only for `act` on weights, where
 s_i(lam) = lam - <lam, alpha_i^vee> alpha_i.  All cosets are kept as their
-unique minimal-length representative.
+unique minimal-length representative, and a coset is keyed by one int that
+packs its representative's index with the bit mask of its parabolic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 from .rootdata import (
     GroupSizeError,
@@ -62,24 +63,48 @@ class WeylElt:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coset:
-    """Coset of a parabolic quotient W/W_P, stored by its minimal representative."""
+    """Coset of a parabolic quotient W/W_P, stored by its minimal representative.
+
+    `key` packs (rep index, mask of P) into one int at construction; equality
+    and hashing read it alone."""
 
     rep: WeylElt
     parabolic: Parabolic
+    key: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", pair_key(self.rep.index, bitmask(self.parabolic)))
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, Coset) else NotImplemented
 
     def __hash__(self):
-        return hash((self.rep.index, self.parabolic))
+        return self.key
 
     @property
     def rank(self) -> int:
         return self.rep.length
 
 
-def _mask(parabolic) -> int:
-    """The bit mask of a set of 1-based simple indices."""
-    return sum(1 << (i - 1) for i in parabolic)
+@cache
+def bitmask(indices: frozenset) -> int:
+    """The bit mask of a set of 1-based indices (simple roots, or members of [m])."""
+    return sum(1 << (i - 1) for i in indices)
+
+
+def pair_key(a: int, b: int) -> int:
+    """One int for a pair of non-negative ints, injective (Cantor pairing)."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
+def _lift_target(c: Coset, smaller) -> Parabolic:
+    """`smaller` as a parabolic, which must lie inside the coset's."""
+    smaller = frozenset(smaller)
+    if not smaller <= c.parabolic:
+        raise ValueError("lift target must be contained in the source parabolic")
+    return smaller
 
 
 def _lowest(mask: int) -> int:
@@ -92,7 +117,8 @@ class WeylGroup:
 
     The constructor rejects groups larger than `size_guard` (default 1152,
     the order of W(F4)).  All elements and their tables are materialized up
-    front; Bruhat comparisons are memoized.
+    front, `lengths` among them (by element index, the rank table of the
+    coset posets); Bruhat comparisons are memoized.
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
@@ -147,7 +173,7 @@ class WeylGroup:
                 i = _lowest(right_desc[w])
                 words[w] = words[right[w][i]] + (i + 1,)
         inv = [reduce(lambda x, i: right[x][i - 1], reversed(word), new[0]) for word in words]
-        self._length = length
+        self.lengths = length
         self._right = right
         self._left = [tuple(inv[x] for x in right[inv[w]]) for w in range(order)]
         self._right_desc = right_desc
@@ -170,7 +196,7 @@ class WeylGroup:
         self._bruhat_cache: dict[int, bool] = {}
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
         self._coset_cache: dict[Parabolic, list[Coset]] = {}
-        self._covers_cache: dict[Coset, list[tuple[Coset, int]]] = {}
+        self._covers_cache: dict[int, list[tuple[Coset, int]]] = {}  # by coset key
         self._fiber_cache: dict[tuple, list[Coset]] = {}
         self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
 
@@ -228,7 +254,7 @@ class WeylGroup:
         return self._leq(u.index, v.index)
 
     def _leq(self, u: int, v: int) -> bool:
-        length = self._length
+        length = self.lengths
         if length[u] > length[v]:
             return False
         if u == v:
@@ -264,7 +290,7 @@ class WeylGroup:
 
     def is_q_minimal(self, w: WeylElt, parabolic: Parabolic) -> bool:
         """True iff w has no right descent inside the parabolic."""
-        return not self._right_desc[w.index] & _mask(parabolic)
+        return not self._right_desc[w.index] & bitmask(frozenset(parabolic))
 
     def stabilizer_parabolic(self, weight) -> Parabolic:
         """Simple indices i with <weight, alpha_i^vee> = 0."""
@@ -277,7 +303,7 @@ class WeylGroup:
     def coset(self, w: WeylElt, parabolic: Parabolic) -> Coset:
         """The coset w W_P, reduced to its minimal representative."""
         parabolic = frozenset(parabolic)
-        mask = _mask(parabolic)
+        mask = bitmask(parabolic)
         x = w.index
         while self._right_desc[x] & mask:
             x = self._right[x][_lowest(self._right_desc[x] & mask)]
@@ -311,24 +337,16 @@ class WeylGroup:
 
     def min_lift(self, c: Coset, smaller: Parabolic) -> Coset:
         """Unique minimal preimage under W/W_P -> W/W_P' for P <= P'."""
-        smaller = frozenset(smaller)
-        if not smaller <= c.parabolic:
-            raise ValueError("lift target must be contained in the source parabolic")
-        return Coset(c.rep, smaller)
+        return Coset(c.rep, _lift_target(c, smaller))
 
     def max_lift(self, c: Coset, smaller: Parabolic) -> Coset:
         """Unique maximal preimage under W/W_P -> W/W_P' for P <= P'."""
-        smaller = frozenset(smaller)
-        if not smaller <= c.parabolic:
-            raise ValueError("lift target must be contained in the source parabolic")
-        return self.coset(self.max_rep(c), smaller)
+        return self.coset(self.max_rep(c), _lift_target(c, smaller))
 
     def coset_fiber(self, c: Coset, smaller: Parabolic) -> list[Coset]:
         """All preimages of the coset under W/W_P -> W/W_P'."""
-        smaller = frozenset(smaller)
-        if not smaller <= c.parabolic:
-            raise ValueError("lift target must be contained in the source parabolic")
-        key = (c.rep.index, c.parabolic, smaller)
+        smaller = _lift_target(c, smaller)
+        key = (c.key, smaller)
         cached = self._fiber_cache.get(key)
         if cached is None:
             fiber = {self.coset(self.mult(c.rep, u), smaller)
@@ -352,31 +370,23 @@ class WeylGroup:
         that is <= theta_bar.  Requires pi(theta_bar) >= phi."""
         if not self.coset_leq(phi, self.pi(theta_bar, phi.parabolic)):
             raise LiftError("no lift below the given bound exists")
-        candidates = [
-            c
-            for c in self.coset_fiber(phi, theta_bar.parabolic)
-            if self.coset_leq(c, theta_bar)
-        ]
-        return max(candidates, key=lambda c: c.rank)
+        fiber = self.coset_fiber(phi, theta_bar.parabolic)
+        return max((c for c in fiber if self.coset_leq(c, theta_bar)), key=lambda c: c.rank)
 
     def deodhar_min_lift(self, phi_bar: Coset, theta: Coset) -> Coset:
         """Unique minimal lift of theta (in W/W_P') to phi_bar's quotient
         that is >= phi_bar.  Requires theta >= pi(phi_bar)."""
         if not self.coset_leq(self.pi(phi_bar, theta.parabolic), theta):
             raise LiftError("no lift above the given bound exists")
-        candidates = [
-            c
-            for c in self.coset_fiber(theta, phi_bar.parabolic)
-            if self.coset_leq(phi_bar, c)
-        ]
-        return min(candidates, key=lambda c: c.rank)
+        fiber = self.coset_fiber(theta, phi_bar.parabolic)
+        return min((c for c in fiber if self.coset_leq(phi_bar, c)), key=lambda c: c.rank)
 
     # -- covering relations ------------------------------------------------------
 
     def covers_down(self, c: Coset) -> list[tuple[Coset, int]]:
         """Cosets covered by c, each with the index of the positive root beta
         satisfying s_beta min(lower) = min(upper)."""
-        cached = self._covers_cache.get(c)
+        cached = self._covers_cache.get(c.key)
         if cached is not None:
             return cached
         result = []
@@ -385,7 +395,7 @@ class WeylGroup:
             if v.length == c.rep.length - 1 and self.is_q_minimal(v, c.parabolic):
                 result.append((Coset(v, c.parabolic), idx))
         result.sort(key=lambda t: t[0].rep.index)
-        self._covers_cache[c] = result
+        self._covers_cache[c.key] = result
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:
@@ -453,12 +463,11 @@ def covering_relations(group: WeylGroup, parabolic: Parabolic, tau: Coset):
     the index of the positive root beta with s_beta min(phi) = min(theta)."""
     parabolic = frozenset(parabolic)
     top = group.pi(tau, parabolic)
-    result = []
-    for upper in group.all_cosets(parabolic):
-        if not group.coset_leq(upper, top):
-            continue
-        for lower, beta_idx in group.covers_down(upper):
-            result.append((upper, lower, beta_idx))
+    result = [
+        (upper, lower, beta_idx)
+        for upper in group.all_cosets(parabolic) if group.coset_leq(upper, top)
+        for lower, beta_idx in group.covers_down(upper)
+    ]
     result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
     return result
 

@@ -7,7 +7,9 @@ as the definitions read, for the tests to compare against.
 The library also carries every coefficient of the theta round trip as an
 integer numerator over one denominator.  The last helpers are the earlier
 versions of that round trip and of `endpoint`, which sum `Fraction`s
-directly; they are kept as they were, apart from their type annotations.
+directly; they are kept as they were, apart from their type annotations
+and from reading the poset's covers and rho lookup, which the library keys
+by node number, through node_covers and dcp.nodes.
 """
 
 from fractions import Fraction
@@ -95,7 +97,9 @@ def reference_ls_paths(group, nu, tau, d):
     found = set()
     if d == 0:
         return found
-    for nodes, bonds in maximal_bonded_chains(poset.covers_down, poset.top):
+    cosets = {c.rep.index: c for c in poset.nodes}  # the poset's ids
+    for ids, bonds in maximal_bonded_chains(poset.covers_down, poset.top.rep.index):
+        nodes = [cosets[x] for x in ids]
         for coeffs in chain_lattice_points(bonds, d):
             support = [(node, c) for node, c in zip(nodes, coeffs) if c != 0]
             cum = Fraction(0)
@@ -108,6 +112,14 @@ def reference_ls_paths(group, nu, tau, d):
 
 
 # -- the theta round trip and endpoint in Fraction arithmetic -----------------
+
+
+def node_covers(dcp):
+    """The covers of a defining chain poset keyed by node, from its edges."""
+    covers = {n: [] for n in dcp.nodes}
+    for upper, lower, kind, bond in dcp.edges:
+        covers[upper].append((lower, kind, bond))
+    return covers
 
 
 def bonded_chain(covers_down, upper, lower, cut):
@@ -150,9 +162,9 @@ def in_ls_plus(dcp, vec) -> bool:
     first) by a bonded walk at the running sum."""
     if any(Fraction(c) < 0 for c in vec.values()):
         return False
-    upper, cum = dcp.top, Fraction(0)
+    upper, cum, covers = dcp.top, Fraction(0), node_covers(dcp)
     for node in _support(vec):
-        if bonded_chain(dcp.covers_down, upper, node, cum) is None:
+        if bonded_chain(covers, upper, node, cum) is None:
             return False
         upper, cum = node, cum + Fraction(vec[node])
     return cum.denominator == 1
@@ -235,13 +247,14 @@ def theta_d(dcp, tableau):
     NotStandardError when rho is not injective."""
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
-    inverse = dcp.rho_lookup()
+    inverse = dcp.rho_lookup
     vec = {}
     for path, s in zip(tableau.columns, tableau.shapes):
         for coset, c in theta_single(path, 1).items():
-            node = inverse.get((coset, s))
-            if node is None:
+            k = inverse.get((coset.key, s))
+            if k is None:
                 raise FanError(f"column coset {coset} has no node in slice {set(s)}")
+            node = dcp.nodes[k]
             vec[node] = vec.get(node, Fraction(0)) + c
     return vec
 

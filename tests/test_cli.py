@@ -311,6 +311,15 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     )
     assert code == 2 and out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1
+    # a conjecture bound that is empty, not an integer or negative is
+    # rejected, not dropped
+    for bound in ("", " ", "x", "1.5", "-1", "2,3"):
+        code, out, err = run(
+            capsys, "verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),
+            "--degree", "1,1", "--conjecture", bound,
+        )
+        assert code == 2 and out == "" and err.startswith("error:"), bound
+        assert len(err.splitlines()) == 1 and "--conjecture" in err, bound
 
 
 def test_size_guard_rejects_a_large_rank_before_building_anything(

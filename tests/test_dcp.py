@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from lsfan import (
+    DCP,
+    Coset,
     DCPNode,
     IndexPosetError,
     InvariantError,
@@ -386,7 +388,7 @@ def test_dcp_structural_invariants(request, name, lambdas, kind):
         if n != dcp.top:
             assert n in has_upper_cover
         if n.rank > 0:
-            assert dcp.covers_down[n]
+            assert dcp.covers_down[dcp.position[n.key]]
     # corollary: pushing a node down any subset stays in the poset, below it
     node_set = set(dcp.nodes)
     for n in dcp.nodes:
@@ -445,6 +447,67 @@ def test_reachability_oracle_on_a_non_maximal_tau(a2):
     setup = tau312_setup(a2)
     dcp = build_dcp_inductive(setup)
     assert set(dcp.nodes) == reachability_nodes(setup)
+
+
+# -- node identity ------------------------------------------------------------------
+
+
+def test_cosets_compare_by_rep_and_parabolic(a3):
+    w = perm_elt(a3, (3, 1, 2, 4))
+    a = a3.coset(w, fs(2))
+    b = Coset(a3.elements()[a.rep.index], frozenset([2]))
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    # the identity is minimal in every quotient: same rep, other parabolic
+    e = a3.identity
+    assert Coset(e, fs(1)) != Coset(e, fs(2)) and Coset(e, fs(1)) != Coset(e, fs())
+    assert Coset(e, fs(1)) != Coset(a3.simple_reflection(2), fs(1))
+    keys = {c.key for p in (fs(), fs(1), fs(2), fs(1, 3)) for c in a3.all_cosets(p)}
+    assert len(keys) == sum(len(a3.all_cosets(p)) for p in (fs(), fs(1), fs(2), fs(1, 3)))
+
+
+def test_dcp_nodes_compare_by_theta_and_index_set(a3):
+    setup = mixed_chain_setup(a3)
+    inductive, direct = build_dcp_inductive(setup), build_dcp_direct_w0(setup)
+    for a, b in zip(inductive.nodes, direct.nodes):
+        assert a is not b and a.theta is not b.theta
+        assert a == b and hash(a) == hash(b)
+    assert len({n.key for n in inductive.nodes}) == len(inductive.nodes)
+    theta = setup.tau
+    full, smaller = setup.iposet.full, setup.iposet.sets[-2]
+    assert DCPNode(theta, full) == DCPNode(a3.coset(a3.longest, setup.q), frozenset(full))
+    assert DCPNode(theta, full) != DCPNode(theta, smaller)
+    assert DCPNode(theta, full) != theta and DCPNode(theta, full) != (theta, full)
+
+
+def test_direct_dcp_with_one_theta_swapped_exits_one(capsys, monkeypatch):
+    # same node count and the swapped node in the same position: only
+    # comparing (theta, I), not positions, tells the two posets apart
+    def swapped(setup):
+        real = build_dcp_direct_w0(setup)
+        group, present = setup.group, set(real.nodes)
+        for old in real.nodes[1:]:
+            for c in group.all_cosets(setup.q):
+                new = DCPNode(c, old.iset)
+                if (c.rank == old.theta.rank and new not in present
+                        and group.is_q_minimal(c.rep, setup.q_of[old.iset])):
+                    swap = {old: new}
+                    dcp = DCP(
+                        setup,
+                        [swap.get(n, n) for n in real.nodes],
+                        [(swap.get(u, u), swap.get(l, l), kind, bond)
+                         for u, l, kind, bond in real.edges],
+                    )
+                    if dcp.position[new.key] == real.position[old.key]:
+                        return dcp
+        raise AssertionError("no coset to swap in")
+
+    monkeypatch.setattr(cli, "build_dcp_direct_w0", swapped)
+    job = str(Path(__file__).parent / "fixtures" / "a3_mixed_chain_w0.json")
+    assert cli.main(["dcp", "--job", job]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "differ" in captured.err
 
 
 # -- bonds ------------------------------------------------------------------------

@@ -72,10 +72,11 @@ def test_bad_cut_points_rejected(a2):
 def test_b2_half_cut_across_bond_two(b2):
     nu = (1, 0)
     poset = ShapePoset(b2, nu, top_coset(b2, nu))
+    cosets = {c.rep.index: c for c in poset.nodes}
     pair = next(
-        (c, lower)
+        (c, cosets[lower])
         for c in poset.nodes
-        for lower, _, bond in poset.covers_down[c]
+        for lower, _, bond in poset.covers_down[c.rep.index]
         if bond == 2
     )
     upper, lower = pair
@@ -281,7 +282,11 @@ def test_bonded_below_matches_bonded_chain(b2):
     poset = ShapePoset(b2, nu, top_coset(b2, nu))
     setup = Setup(b2, [(1, 0), (0, 1)], b2.longest, powerset_iposet(2))
     dcp = build_dcp_inductive(setup)
-    for covers, nodes in [(poset.covers_down, poset.nodes), (dcp.covers_down, dcp.nodes)]:
+    # both posets walk int ids: rep indices and node numbers
+    for covers, rank, nodes in [
+        (poset.covers_down, b2.lengths, [c.rep.index for c in poset.nodes]),
+        (dcp.covers_down, dcp.rank, range(len(dcp.nodes))),
+    ]:
         bonds = {bond for n in nodes for _, _, bond in covers[n]}
         assert bonds != {1}
         for upper in nodes:
@@ -289,6 +294,6 @@ def test_bonded_below_matches_bonded_chain(b2):
                 reached = {
                     n for n in nodes
                     if n != upper
-                    and bonded_chain(covers, upper, n, den) is not None
+                    and bonded_chain(covers, rank, upper, n, den) is not None
                 }
                 assert bonded_below(covers, upper, den) == reached, (upper, den)

@@ -5,7 +5,10 @@ membership, the degree-one decomposition and the path end point as an
 integer numerator over one denominator.  `chain_reference` keeps the
 versions that summed `Fraction`s directly; both must give the same results
 on every tableau and fan vector of small instances whose bonds reach 2 and
-3, and on perturbed vectors that are not fan members.
+3, among them the C3 powerset poset with its many bond-2 edges, and on
+perturbed vectors that are not fan members.  The library runs the round
+trip on node numbers and the references on nodes, so the two also check
+the numbering against each other.
 """
 
 import json
@@ -77,7 +80,7 @@ def tableaux(name, d):
     return enumerate_standard(setup, d, dcp)
 
 
-NAMES = ["b2_chain", "g2_chain", "a3_powerset", "a3_tau3412_branched"]
+NAMES = ["b2_chain", "g2_chain", "a3_powerset", "a3_tau3412_branched", "c3_powerset"]
 
 
 def outcome(fn, *args):

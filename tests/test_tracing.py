@@ -3,8 +3,9 @@ find every one of them.  A refactor that removes or renames a traced name
 fails here instead of only in the benchmark's own smoke test.  The tracer's
 call counts also pin how often theta_d and the node numbering run, that no
 command recomputes a covering root that the cover walk already gave, and
-that verify validates one path per column; a count of Fraction constructions
-pins the integer arithmetic of the theta round trip."""
+that verify validates one path per column, computes each image w(nu) once
+and reads a shape's stabilizer from its table; a count of Fraction
+constructions pins the integer arithmetic of the theta round trip."""
 
 import importlib.util
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import lsfan.cli
 import lsfan.fan
+import lsfan.weyl
 
 TRACING = Path(__file__).parent.parent / "benchmark" / "tracing.py"
 
@@ -89,7 +91,7 @@ def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
         Fraction.__new__ = original
     tableaux = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["tableaux"]
     assert tableaux == 512
-    assert len(made) <= 20 * tableaux, len(made) / tableaux
+    assert len(made) <= 11 * tableaux, len(made) / tableaux
 
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
@@ -98,3 +100,24 @@ def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
     calls = tracer.calls
     assert calls["in_ls_plus"] == calls["theta_d_inverse"] == tableaux
     assert calls["validate_ls_path"] == 3 * tableaux  # one per column
+
+
+def test_verify_reads_shape_images_and_stabilizers_from_tables(capsys, monkeypatch):
+    # each image w(nu) is one matrix product, and the stabilizer of a
+    # column's shape is read once per shape, not once per validated column
+    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+    acts = []
+    act = lsfan.weyl.WeylElt.act
+
+    def counted(w, weight):
+        acts.append((w.index, tuple(weight)))
+        return act(w, weight)
+
+    monkeypatch.setattr(lsfan.weyl.WeylElt, "act", counted)
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+    capsys.readouterr()
+    assert acts and len(acts) == len(set(acts))
+    assert tracer.calls["validate_ls_path"] == 3 * 512
+    assert tracer.calls["WeylGroup.stabilizer_parabolic"] < 20
