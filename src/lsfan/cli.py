@@ -81,9 +81,17 @@ def _load_job(args) -> dict:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ValueError(f"job file {args.job} does not hold a JSON object")
-    for key in ("type", "rank", "lambdas", "tau", "iposet", "degree",
-                "max_total_degree", "size_guard"):
-        value = getattr(args, key, None)
+    for key in (
+        "type",
+        "rank",
+        "lambdas",
+        "tau",
+        "iposet",
+        "degree",
+        "max_total_degree",
+        "size_guard",
+    ):
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             job[key] = value
     return job
@@ -188,7 +196,11 @@ def cmd_check(args) -> int:
     }
     if report.criteria is not None:
         data["criteria"] = [
-            {"I": sorted(s), "chain": [sorted(t) for t in chain], **values}
+            {
+                "I": sorted(s),
+                "chain": [sorted(t) for t in chain],
+                **values,
+            }
             for (s, chain), values in sorted(
                 report.criteria.items(),
                 key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
@@ -240,7 +252,10 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     dcp = build_dcp_inductive(setup)
     checks = []
     for d in degrees:
-        mu = setup.degree_weight(d)
+        mu = tuple(
+            sum(d[i] * setup.lambdas[i][j] for i in range(setup.m))
+            for j in range(group.rank)
+        )
         dim = demazure_dimension(group, mu, setup.tau)
         tableaux = enumerate_standard(setup, d, dcp)
         vectors = enumerate_fan_degree(dcp, d)
@@ -305,9 +320,13 @@ def cmd_verify(args) -> int:
         _emit(args, lsio.dumps(data))
         print("verify: vacuous pass (empty degree grid)", file=sys.stderr)
         return 0
-    bound = args.conjecture  # a string; '' and '-1' are not bounds
-    if bound is not None:
-        bound = _bound(int(bound) if bound.strip().isdecimal() else bound, "--conjecture")
+    bound = None
+    if args.conjecture is not None:
+        try:
+            bound = int(args.conjecture)
+        except ValueError:
+            raise ValueError(f"--conjecture {args.conjecture!r} is not an integer") from None
+        bound = _bound(bound, "--conjecture")
     checks = _verify_checks(setup, degrees, bound)
     identity_failures = [
         c for c in checks if not c["pass"] and c["check"] != "multidegree_conjecture"
@@ -368,30 +387,48 @@ def main(argv=None) -> int:
         description="defining chain posets, LS-tableaux and the LS-fan of monoids",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {}
-    for name, func, text in (
-        ("dcp", cmd_dcp, "build the defining chain poset"),
-        ("underline-w", cmd_underline_w, "build the coset-pair poset"),
-        ("check", cmd_check, "tau-standardness of the index poset"),
-        ("enumerate", cmd_enumerate, "standard tableaux of one degree"),
-        ("verify", cmd_verify, "counting/character/theta identity suite"),
-        ("conjecture", cmd_conjecture, "multidegree conjecture report"),
-    ):
-        subs[name] = commands.add_parser(name, help=text)
-        _add_common(subs[name])
-        subs[name].set_defaults(func=func)
-    subs["enumerate"].add_argument("--degree", help="degree vector 'd1,...,dm'")
-    subs["verify"].add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
-    for name, text in (
-        ("verify", "use all degrees of total degree up to this bound"),
-        ("conjecture", "bound for the exact Hilbert fit (default: dim X_tau)"),
-    ):
-        subs[name].add_argument(
-            "--max-total-degree", dest="max_total_degree", type=int, help=text
-        )
-    subs["verify"].add_argument(
-        "--conjecture", help="also run the multidegree comparison with this fit bound"
+
+    sub = commands.add_parser("dcp", help="build the defining chain poset")
+    _add_common(sub)
+    sub.set_defaults(func=cmd_dcp)
+
+    sub = commands.add_parser("underline-w", help="build the coset-pair poset")
+    _add_common(sub)
+    sub.set_defaults(func=cmd_underline_w)
+
+    sub = commands.add_parser("check", help="tau-standardness of the index poset")
+    _add_common(sub)
+    sub.set_defaults(func=cmd_check)
+
+    sub = commands.add_parser("enumerate", help="standard tableaux of one degree")
+    _add_common(sub)
+    sub.add_argument("--degree", help="degree vector 'd1,...,dm'")
+    sub.set_defaults(func=cmd_enumerate)
+
+    sub = commands.add_parser("verify", help="counting/character/theta identity suite")
+    _add_common(sub)
+    sub.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
+    sub.add_argument(
+        "--max-total-degree",
+        dest="max_total_degree",
+        type=int,
+        help="use all degrees of total degree up to this bound",
     )
+    sub.add_argument(
+        "--conjecture",
+        help="also run the multidegree comparison with this fit bound",
+    )
+    sub.set_defaults(func=cmd_verify)
+
+    sub = commands.add_parser("conjecture", help="multidegree conjecture report")
+    _add_common(sub)
+    sub.add_argument(
+        "--max-total-degree",
+        dest="max_total_degree",
+        type=int,
+        help="bound for the exact Hilbert fit (default: dim X_tau)",
+    )
+    sub.set_defaults(func=cmd_conjecture)
 
     args = parser.parse_args(argv)
     try:

@@ -86,16 +86,21 @@ class IndexPoset:
         self.full = full
 
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
-        for s in self.sets:  # self.sets is sorted, so each cover tuple is too
-            below = [t for t in self.sets if t < s]
-            self.covers_down[s] = tuple(t for t in below if not any(t < u < s for u in below))
-
         for s in self.sets:
-            if not self.covers_down[s] and len(s) != 1:
+            below = [t for t in self.sets if t < s]
+            covers = [
+                t for t in below if not any(t < u < s for u in below)
+            ]
+            self.covers_down[s] = tuple(sorted(covers, key=_set_key))
+
+        minimal = [s for s in self.sets if not self.covers_down[s]]
+        for s in minimal:
+            if len(s) != 1:
                 raise IndexPosetError(
                     f"not graded of length {m - 1}: minimal member {set(s)} "
                     "is not a singleton"
                 )
+        for s in self.sets:
             for t in self.covers_down[s]:
                 if len(s) != len(t) + 1:
                     raise IndexPosetError(
@@ -145,8 +150,10 @@ def build_index_poset(sets, m: int) -> IndexPoset:
 
 
 def powerset_iposet(m: int) -> IndexPoset:
-    ground = range(1, m + 1)
-    return IndexPoset(m, [frozenset(c) for k in ground for c in combinations(ground, k)])
+    members = []
+    for k in range(1, m + 1):
+        members.extend(frozenset(c) for c in combinations(range(1, m + 1), k))
+    return IndexPoset(m, members)
 
 
 def chain_iposet(m: int) -> IndexPoset:
@@ -177,7 +184,9 @@ class Setup:
                 raise ValueError(f"weight {lam} is not dominant")
         self.iposet = iposet
         self.m = iposet.m
-        self.total_weight = self.degree_weight((1,) * self.m)
+        self.total_weight = tuple(
+            sum(l[j] for l in self.lambdas) for j in range(group.rank)
+        )
         self.q: Parabolic = group.stabilizer_parabolic(self.total_weight)
         if isinstance(tau, WeylElt):
             tau = group.coset(tau, self.q)
@@ -185,34 +194,41 @@ class Setup:
             raise ValueError("tau must live in W/W_Q for Q the total stabilizer")
         self.tau = tau
 
-        # lambda_I sums the weights of underline(I); Q_I stabilizes all of I
-        self.lambda_of = {s: self.degree_weight(iposet.e_vector(s)) for s in iposet.sets}
-        self.p_of = {s: group.stabilizer_parabolic(self.lambda_of[s]) for s in iposet.sets}
+        self.lambda_of = {}
+        self.p_of = {}
         self.q_of = {}
         for s in iposet.sets:
-            ones = [i in s for i in range(1, self.m + 1)]
-            self.q_of[s] = group.stabilizer_parabolic(self.degree_weight(ones))
+            lam_i = tuple(
+                sum(self.lambdas[i - 1][j] for i in iposet.underline[s])
+                for j in range(group.rank)
+            )
+            self.lambda_of[s] = lam_i
+            self.p_of[s] = group.stabilizer_parabolic(lam_i)
+            sum_all = tuple(
+                sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
+            )
+            self.q_of[s] = group.stabilizer_parabolic(sum_all)
 
         # largest parabolic over Q for which tau is maximal: the right descent
         # set of the maximal-length representative of tau
         max_rep = group.max_rep(tau)
         self.q_tau: Parabolic = frozenset(
-            i for i in group.datum.simple_indices if group.has_right_descent(max_rep, i)
+            i
+            for i in group.datum.simple_indices
+            if group.has_right_descent(max_rep, i)
         )
         if not self.q <= self.q_tau:
             raise InvariantError("Q is not contained in the descent parabolic of tau")
-
-    def degree_weight(self, d) -> tuple[int, ...]:
-        """The weight sum of d_i * lambda_i of a degree vector d."""
-        pairs = list(zip(d, self.lambdas))
-        return tuple(sum(x * lam[j] for x, lam in pairs) for j in range(self.group.rank))
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
 
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
-        return self.q_tau.intersection(*(self.p_of[j] for j in chain))
+        result = set(self.q_tau)
+        for j in chain:
+            result &= self.p_of[j]
+        return frozenset(result)
 
     def tau_in(self, s: frozenset) -> Coset:
         return self.group.pi(self.tau, self.p_of[s])
@@ -240,40 +256,50 @@ class UnderlineW:
                 if group.coset_leq(c, top):
                     self.nodes.append((c, s))
         self.nodes.sort(key=lambda n: (len(n[1]), _set_key(n[1]), n[0].rank, n[0].rep.index))
-        self._index = {node: k for k, node in enumerate(self.nodes)}
+        index = {node: k for k, node in enumerate(self.nodes)}
         n = len(self.nodes)
 
-        # relations as bit rows: bit b of gen[a] says node a >= node b
-        gen, lifts = [0] * n, [(group.min_lift(c, setup.q), s) for c, s in self.nodes]
+        gen = [[False] * n for _ in range(n)]
         for a, (ca, sa) in enumerate(self.nodes):
             max_a = group.max_lift(ca, setup.q)
-            for b, (min_b, sb) in enumerate(lifts):
-                if a != b and sb <= sa and group.coset_leq(min_b, max_a):
-                    gen[a] |= 1 << b
-        hull = gen[:]
+            for b, (cb, sb) in enumerate(self.nodes):
+                if a == b or not sb <= sa:
+                    continue
+                min_b = group.min_lift(cb, setup.q)
+                if group.coset_leq(min_b, max_a):
+                    gen[a][b] = True
+
+        hull = [row[:] for row in gen]
         for k in range(n):
+            hk = hull[k]
             for i in range(n):
-                if hull[i] >> k & 1:
-                    hull[i] |= hull[k]
-        self._gen, self._hull = gen, hull
+                if hull[i][k]:
+                    hi = hull[i]
+                    for j in range(n):
+                        if hk[j]:
+                            hi[j] = True
+        self._gen = gen
+        self._hull = hull
+        self._index = index
         self.generating_is_transitive = gen == hull
 
     def generating_geq(self, a, b) -> bool:
-        return a == b or bool(self._gen[self._index[a]] >> self._index[b] & 1)
+        return a == b or self._gen[self._index[a]][self._index[b]]
 
     def geq(self, a, b) -> bool:
-        return a == b or bool(self._hull[self._index[a]] >> self._index[b] & 1)
+        return a == b or self._hull[self._index[a]][self._index[b]]
 
     def covers(self):
         """Hasse edges of the hull, as (upper, lower) pairs."""
-        n, hull, result = len(self.nodes), self._hull, []
+        n = len(self.nodes)
+        result = []
         for i in range(n):
-            through = 0  # everything below something below node i
-            for k in range(n):
-                if hull[i] >> k & 1:
-                    through |= hull[k]
-            hasse = hull[i] & ~through
-            result.extend((self.nodes[i], self.nodes[j]) for j in range(n) if hasse >> j & 1)
+            for j in range(n):
+                if not self._hull[i][j]:
+                    continue
+                if any(self._hull[i][k] and self._hull[k][j] for k in range(n)):
+                    continue
+                result.append((self.nodes[i], self.nodes[j]))
         return result
 
 
@@ -351,10 +377,10 @@ class DCP:
         return rho_map(self)
 
     def rho_collisions(self) -> list:
-        """Groups of nodes sharing one rho image, ordered by their first node
-        (rho_map meets the nodes in order); empty iff the index poset is
-        standard for tau."""
-        return [v for v in self.rho_table.values() if len(v) > 1]
+        """Groups of nodes sharing one rho image, ordered by their first node;
+        empty iff the index poset is standard for tau."""
+        groups = (v for v in self.rho_table.values() if len(v) > 1)
+        return sorted(groups, key=lambda group: _node_key(group[0]))
 
     @cached_property
     def rho_lookup(self) -> dict:
@@ -527,8 +553,12 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
                 crit_ii = _criterion_min_max(group, setup, p_i, q_i, q_r)
                 crit_iii = _criterion_subgroup(group, setup, p_i, q_i, q_r)
                 crit_iv = _criterion_dynkin(group.datum, p_i, q_i, q_r)
-                criteria[(s, chain)] = {"i": crit_i, "ii": crit_ii,
-                                         "iii": crit_iii, "iv": crit_iv}
+                criteria[(s, chain)] = {
+                    "i": crit_i,
+                    "ii": crit_ii,
+                    "iii": crit_iii,
+                    "iv": crit_iv,
+                }
         agree = all(len(set(v.values())) == 1 for v in criteria.values())
         if not agree:
             raise InvariantError(f"standardness criteria disagree: {criteria}")

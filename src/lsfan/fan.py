@@ -10,11 +10,12 @@ and neither lists maximal chains.  The poset has one denominator, the lcm
 of its bonds (DCP.big_l).  At the public boundary a fan vector is a dict
 {DCPNode: Fraction}; inside, it is the sorted tuple of its (node number,
 numerator over big_l) pairs (vector_key), and the round trip, membership
-and the onto check of verify run on those pairs.  Fractions are built only for returned values.  Fan vectors of
-a fixed degree biject with the standard tableaux of that degree, and the
-multidegree checker compares bond products summed over maximal chains, by
-dynamic programming over the poset, against an exact fit of the Hilbert
-polynomial computed from the dimension oracle.
+and the onto check of verify run on those pairs.  Fractions are built only
+for returned values.  Fan vectors of a fixed degree biject with the
+standard tableaux of that degree, and the multidegree checker compares
+bond products summed over maximal chains, by dynamic programming over the
+poset, against an exact fit of the Hilbert polynomial computed from the
+dimension oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .tableaux import LSTableau, make_tableau
 
 __all__ = [
     "FanError",
-    "canonical_vector",
     "vector_key",
     "fan_degree",
     "in_ls_plus",
@@ -49,12 +49,6 @@ FanVector = dict  # DCPNode -> Fraction
 
 class FanError(ValueError):
     pass
-
-
-def canonical_vector(vec: FanVector):
-    """Hashable canonical form: the frozenset of the non-zero (node,
-    coefficient) pairs, so it needs no node order of its own."""
-    return frozenset((n, c) for n, c in vec.items() if c != 0)
 
 
 def _integral_sum(vec: FanVector, image, size: int, what: str):
@@ -260,11 +254,17 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
         )
 
     def hilbert(dvec):
-        return weyl_dimension(setup.group.datum, setup.degree_weight(dvec))
+        mu = tuple(
+            sum(dvec[i] * setup.lambdas[i][j] for i in range(m))
+            for j in range(setup.group.rank)
+        )
+        return weyl_dimension(setup.group.datum, mu)
 
     monomials = _monomials(m, n)
-    points = monomials  # the simplex principal lattice is unisolvent
-    matrix = [[_power(pt, mono) for mono in monomials] for pt in points]
+    points = _monomials(m, n)  # the simplex principal lattice is unisolvent
+    matrix = [
+        [_power(pt, mono) for mono in monomials] for pt in points
+    ]
     rhs = [hilbert(pt) for pt in points]
     solution = _solve_exact(matrix, rhs)
     coeffs = dict(zip(monomials, solution))
@@ -290,7 +290,10 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
 
 
 def _power(point, exponents):
-    return prod(map(pow, point, exponents))
+    out = 1
+    for x, e in zip(point, exponents):
+        out *= x**e
+    return out
 
 
 def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):

@@ -308,13 +308,13 @@ def column_steps(path: LSPath, den=None):
     return [b - a for a, b in zip([0] + cums, cums)], den
 
 
-def endpoint(path: LSPath, group: WeylGroup | None = None):
+def endpoint(path: LSPath, group: WeylGroup):
     """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape).
 
-    Given the group, the images sigma_j(shape) come from the shape's table
-    in shape_covers instead of a matrix product per segment."""
+    The images sigma_j(shape) come from the shape's table in shape_covers
+    instead of a matrix product per segment."""
     steps, den = column_steps(path)
-    image = shape_covers(group, path.shape).image if group else lambda w: w.act(path.shape)
+    image = shape_covers(group, path.shape).image
     total = [0] * len(path.shape)
     for coset, step in zip(path.cosets, steps):
         for j, x in enumerate(image(coset.rep)):

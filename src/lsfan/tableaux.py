@@ -94,14 +94,20 @@ def free_tableau(columns) -> LSTableau:
 def degree(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
     if tableau.shapes is None:
         raise TableauError("degree needs a tableau typed by the index poset")
-    columns = (setup.iposet.e_vector(s) for s in tableau.shapes)
-    return tuple(map(sum, zip((0,) * setup.m, *columns)))
+    total = [0] * setup.m
+    for s in tableau.shapes:
+        for j, x in enumerate(setup.iposet.e_vector(s)):
+            total[j] += x
+    return tuple(total)
 
 
 def tableau_endpoint(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
     """End point of the concatenation of all columns."""
-    ends = [endpoint(path, setup.group) for path in tableau.columns]
-    return tuple(map(sum, zip((0,) * setup.group.rank, *ends)))
+    total = (0,) * setup.group.rank
+    for path in tableau.columns:
+        e = endpoint(path, setup.group)
+        total = tuple(a + b for a, b in zip(total, e))
+    return total
 
 
 def shape_for_degree(setup: Setup, d) -> tuple[frozenset, ...]:

@@ -99,14 +99,6 @@ def pair_key(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def _lift_target(c: Coset, smaller) -> Parabolic:
-    """`smaller` as a parabolic, which must lie inside the coset's."""
-    smaller = frozenset(smaller)
-    if not smaller <= c.parabolic:
-        raise ValueError("lift target must be contained in the source parabolic")
-    return smaller
-
-
 def _lowest(mask: int) -> int:
     """0-based position of the lowest set bit."""
     return (mask & -mask).bit_length() - 1
@@ -337,15 +329,23 @@ class WeylGroup:
 
     def min_lift(self, c: Coset, smaller: Parabolic) -> Coset:
         """Unique minimal preimage under W/W_P -> W/W_P' for P <= P'."""
-        return Coset(c.rep, _lift_target(c, smaller))
+        smaller = frozenset(smaller)
+        if not smaller <= c.parabolic:
+            raise ValueError("lift target must be contained in the source parabolic")
+        return Coset(c.rep, smaller)
 
     def max_lift(self, c: Coset, smaller: Parabolic) -> Coset:
         """Unique maximal preimage under W/W_P -> W/W_P' for P <= P'."""
-        return self.coset(self.max_rep(c), _lift_target(c, smaller))
+        smaller = frozenset(smaller)
+        if not smaller <= c.parabolic:
+            raise ValueError("lift target must be contained in the source parabolic")
+        return self.coset(self.max_rep(c), smaller)
 
     def coset_fiber(self, c: Coset, smaller: Parabolic) -> list[Coset]:
         """All preimages of the coset under W/W_P -> W/W_P'."""
-        smaller = _lift_target(c, smaller)
+        smaller = frozenset(smaller)
+        if not smaller <= c.parabolic:
+            raise ValueError("lift target must be contained in the source parabolic")
         key = (c.key, smaller)
         cached = self._fiber_cache.get(key)
         if cached is None:
@@ -370,16 +370,24 @@ class WeylGroup:
         that is <= theta_bar.  Requires pi(theta_bar) >= phi."""
         if not self.coset_leq(phi, self.pi(theta_bar, phi.parabolic)):
             raise LiftError("no lift below the given bound exists")
-        fiber = self.coset_fiber(phi, theta_bar.parabolic)
-        return max((c for c in fiber if self.coset_leq(c, theta_bar)), key=lambda c: c.rank)
+        candidates = [
+            c
+            for c in self.coset_fiber(phi, theta_bar.parabolic)
+            if self.coset_leq(c, theta_bar)
+        ]
+        return max(candidates, key=lambda c: c.rank)
 
     def deodhar_min_lift(self, phi_bar: Coset, theta: Coset) -> Coset:
         """Unique minimal lift of theta (in W/W_P') to phi_bar's quotient
         that is >= phi_bar.  Requires theta >= pi(phi_bar)."""
         if not self.coset_leq(self.pi(phi_bar, theta.parabolic), theta):
             raise LiftError("no lift above the given bound exists")
-        fiber = self.coset_fiber(theta, phi_bar.parabolic)
-        return min((c for c in fiber if self.coset_leq(phi_bar, c)), key=lambda c: c.rank)
+        candidates = [
+            c
+            for c in self.coset_fiber(theta, phi_bar.parabolic)
+            if self.coset_leq(phi_bar, c)
+        ]
+        return min(candidates, key=lambda c: c.rank)
 
     # -- covering relations ------------------------------------------------------
 
@@ -395,7 +403,7 @@ class WeylGroup:
             if v.length == c.rep.length - 1 and self.is_q_minimal(v, c.parabolic):
                 result.append((Coset(v, c.parabolic), idx))
         result.sort(key=lambda t: t[0].rep.index)
-        self._covers_cache[c.key] = result
+        self._covers_cache[c] = result
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:
@@ -463,11 +471,12 @@ def covering_relations(group: WeylGroup, parabolic: Parabolic, tau: Coset):
     the index of the positive root beta with s_beta min(phi) = min(theta)."""
     parabolic = frozenset(parabolic)
     top = group.pi(tau, parabolic)
-    result = [
-        (upper, lower, beta_idx)
-        for upper in group.all_cosets(parabolic) if group.coset_leq(upper, top)
-        for lower, beta_idx in group.covers_down(upper)
-    ]
+    result = []
+    for upper in group.all_cosets(parabolic):
+        if not group.coset_leq(upper, top):
+            continue
+        for lower, beta_idx in group.covers_down(upper):
+            result.append((upper, lower, beta_idx))
     result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
     return result
 

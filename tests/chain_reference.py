@@ -44,6 +44,12 @@ def index_poset_maximal_chains(iposet):
     return chains
 
 
+def canonical_vector(vec):
+    """Hashable canonical form of a {node: coefficient} vector: the frozenset
+    of its non-zero pairs, so it needs no node order of its own."""
+    return frozenset((n, c) for n, c in vec.items() if c != 0)
+
+
 def ls_lattice_member(vec, chain_nodes, chain_bonds) -> bool:
     """Partial-sum integrality of a vector supported on the given maximal chain.
 

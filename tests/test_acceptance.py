@@ -22,7 +22,6 @@ from lsfan import (
     build_dcp_direct_w0,
     build_dcp_inductive,
     build_index_poset,
-    canonical_vector,
     chain_iposet,
     demazure_character,
     demazure_dimension,

@@ -320,6 +320,12 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         )
         assert code == 2 and out == "" and err.startswith("error:"), bound
         assert len(err.splitlines()) == 1 and "--conjecture" in err, bound
+    # any bound that int() parses is accepted, a sign included
+    code, out, _ = run(
+        capsys, "verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),
+        "--degree", "1,1", "--conjecture", "+3",
+    )
+    assert code == 0 and '"multidegree_conjecture"' in out
 
 
 def test_size_guard_rejects_a_large_rank_before_building_anything(

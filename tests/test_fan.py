@@ -12,7 +12,6 @@ from lsfan import (
     Setup,
     build_dcp_inductive,
     build_index_poset,
-    canonical_vector,
     chain_iposet,
     decompose,
     demazure_dimension,
@@ -30,11 +29,12 @@ from lsfan import (
     theta_d,
     theta_d_inverse,
     theta_single,
+    vector_key,
     weight,
 )
 from lsfan.fan import _monomials, _power, _solve_exact
 
-from chain_reference import chain_lattice_points, ls_lattice_member
+from chain_reference import canonical_vector, chain_lattice_points, ls_lattice_member
 
 ONE = Fraction(1)
 
@@ -179,8 +179,8 @@ def test_pure_degree_embeds_single_shape_fan(a2):
                     if n.iset == s and group.pi(n.theta, setup.p_of[s]) == coset
                 )
                 lifted[node] = c
-            path_keys.add(canonical_vector(lifted))
-        assert path_keys == {canonical_vector(v) for v in vectors}
+            path_keys.add(vector_key(dcp, lifted))
+        assert path_keys == {vector_key(dcp, v) for v in vectors}
 
 
 def test_tau312_degree_10_matches_bounded_paths(a2):
@@ -332,8 +332,8 @@ def test_theta_bijection_on_mixed_instances(a2, a3, b2):
             for t in tabs:
                 vec = theta_d(dcp, t)
                 assert theta_d_inverse(dcp, vec) == t
-            assert {canonical_vector(theta_d(dcp, t)) for t in tabs} == {
-                canonical_vector(v) for v in vecs
+            assert {vector_key(dcp, theta_d(dcp, t)) for t in tabs} == {
+                vector_key(dcp, v) for v in vecs
             }
 
 

@@ -160,7 +160,7 @@ def test_endpoint_multiset_is_demazure_character(a2, b2):
         parabolic = group.stabilizer_parabolic(nu)
         for tau in group.all_cosets(parabolic):
             counts = Counter(
-                endpoint(p) for p in enumerate_ls_paths(group, nu, tau, 1)
+                endpoint(p, group) for p in enumerate_ls_paths(group, nu, tau, 1)
             )
             assert dict(counts) == demazure_character(group, nu, tau)
 
@@ -169,19 +169,19 @@ def test_endpoint_multiset_at_higher_degree(b2):
     nu = (1, 0)
     top = top_coset(b2, nu)
     for d in (2, 3):
-        counts = Counter(endpoint(p) for p in enumerate_ls_paths(b2, nu, top, d))
+        counts = Counter(endpoint(p, b2) for p in enumerate_ls_paths(b2, nu, top, d))
         assert dict(counts) == demazure_character(b2, scaled(nu, d), top)
 
 
 def test_endpoint_examples(a2):
     nu = (1, 1)
     sigma = top_coset(a2, nu)
-    assert endpoint(LSPath(nu, (sigma,), (ONE,))) == sigma.rep.act(nu)
+    assert endpoint(LSPath(nu, (sigma,), (ONE,)), a2) == sigma.rep.act(nu)
     ident = a2.coset(a2.identity, a2.stabilizer_parabolic(nu))
-    assert endpoint(LSPath(nu, (ident,), (ONE,))) == nu
+    assert endpoint(LSPath(nu, (ident,), (ONE,)), a2) == nu
     total = (0, 0)
     for p in enumerate_ls_paths(a2, (1, 0), top_coset(a2, (1, 0)), 1):
-        e = endpoint(p)
+        e = endpoint(p, a2)
         total = (total[0] + e[0], total[1] + e[1])
     assert total == (0, 0)
 

@@ -102,7 +102,7 @@ def test_round_trip_matches_the_fraction_reference(name):
             assert all(type(c) is Fraction for c in vec.values())
             assert theta_d_inverse(dcp, vec) == ref.theta_d_inverse(dcp, vec) == t
             for path in t.columns:
-                e = endpoint(path)
+                e = endpoint(path, setup.group)
                 assert e == ref.endpoint(path)
                 assert all(type(x) is int for x in e)
                 assert theta_single(path, 2) == ref.theta_single(path, 2)
