@@ -306,7 +306,7 @@ class UnderlineW:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DCPNode:
     """A node (theta, I); `key` packs (theta.key, mask of I) into one int at
     construction, and equality and hashing read it alone."""

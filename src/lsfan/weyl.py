@@ -63,7 +63,7 @@ class WeylElt:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Coset:
     """Coset of a parabolic quotient W/W_P, stored by its minimal representative.
 
