@@ -65,6 +65,15 @@ def _bound(value, what: str) -> int:
     return value
 
 
+def _flag_bound(value: str, flag: str) -> int:
+    """A degree bound given on the command line: a string that int() parses
+    to a non-negative int; raises ValueError for anything else."""
+    try:
+        return _bound(int(value), flag)
+    except ValueError:
+        raise ValueError(f"{flag} {value!r} is not a non-negative integer") from None
+
+
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:
     """A string 'a,b;c,d;...' or a list of lists as a list of int tuples."""
     if isinstance(value, str):
@@ -88,12 +97,13 @@ def _load_job(args) -> dict:
         "tau",
         "iposet",
         "degree",
-        "max_total_degree",
         "size_guard",
     ):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             job[key] = value
+    if getattr(args, "max_total_degree", None) is not None:
+        job["max_total_degree"] = _flag_bound(args.max_total_degree, "--max-total-degree")
     return job
 
 
@@ -315,18 +325,14 @@ def cmd_verify(args) -> int:
     job = _load_job(args)
     setup = _setup_from_job(job)
     degrees = _degrees_from_job(job, setup.m)
-    if not degrees:
+    bound = None
+    if args.conjecture is not None:
+        bound = _flag_bound(args.conjecture, "--conjecture")
+    if not degrees and bound is None:
         data = {"ok": True, "checks": [], "warning": "empty degree grid"}
         _emit(args, lsio.dumps(data))
         print("verify: vacuous pass (empty degree grid)", file=sys.stderr)
         return 0
-    bound = None
-    if args.conjecture is not None:
-        try:
-            bound = int(args.conjecture)
-        except ValueError:
-            raise ValueError(f"--conjecture {args.conjecture!r} is not an integer") from None
-        bound = _bound(bound, "--conjecture")
     checks = _verify_checks(setup, degrees, bound)
     identity_failures = [
         c for c in checks if not c["pass"] and c["check"] != "multidegree_conjecture"
@@ -411,7 +417,6 @@ def main(argv=None) -> int:
     sub.add_argument(
         "--max-total-degree",
         dest="max_total_degree",
-        type=int,
         help="use all degrees of total degree up to this bound",
     )
     sub.add_argument(
@@ -425,8 +430,8 @@ def main(argv=None) -> int:
     sub.add_argument(
         "--max-total-degree",
         dest="max_total_degree",
-        type=int,
-        help="bound for the exact Hilbert fit (default: dim X_tau)",
+        help="degree bound of the grid the Hilbert multidegrees are read "
+        "and checked on (default: dim X_tau)",
     )
     sub.set_defaults(func=cmd_conjecture)
 

@@ -14,15 +14,15 @@ and the onto check of verify run on those pairs.  Fractions are built only
 for returned values.  Fan vectors of a fixed degree biject with the
 standard tableaux of that degree, and the multidegree checker compares
 bond products summed over maximal chains, by dynamic programming over the
-poset, against an exact fit of the Hilbert polynomial computed from the
-dimension oracle.
+poset, against the Hilbert multidegrees, read off as forward differences
+of the dimension oracle on the simplex grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
@@ -205,43 +205,18 @@ def _monomials(m, n):
     return [e for e in product(range(n + 1), repeat=m) if sum(e) <= n]
 
 
-def _solve_exact(matrix, rhs):
-    """Exact solution of a square invertible integer system, by fraction-free
-    (Bareiss) elimination.
-
-    Every entry stays an integer: each step divides exactly by the previous
-    pivot, so the last pivot is +-det and det * x is integral (Cramer).
-    Back-substitution solves for det * x in integers; only the returned
-    values are Fractions.
-    """
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    prev = 1
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        p, top = a[col][col], a[col]
-        for r in range(col + 1, n):
-            row, f = a[r], a[r][col]
-            a[r] = [0] * (col + 1) + [
-                (p * row[j] - f * top[j]) // prev for j in range(col + 1, n + 1)
-            ]
-        prev = p
-    det = prev
-    y = [0] * n
-    for r in range(n - 1, -1, -1):
-        acc = det * a[r][n] - sum(a[r][j] * y[j] for j in range(r + 1, n))
-        y[r] = acc // a[r][r]
-    return [Fraction(v, det) for v in y]
-
-
 def hilbert_multidegrees(setup: Setup, max_total_degree: int):
-    """Leading coefficients of the Hilbert polynomial, factorial-normalized.
+    """Leading coefficients of the Hilbert polynomial, factorial-normalized,
+    by forward differences on the simplex grid.
 
-    The Hilbert function d -> dim V(d . lambda) (dimension oracle) is fitted
-    exactly on the simplex grid of total degree dim X_tau; remaining grid
-    points up to max_total_degree verify the fit.  Returns a dict k -> degree
-    over tuples with |k| = dim X_tau.
+    The Hilbert function H: d -> dim V(d . lambda) (dimension oracle) is
+    evaluated once at each grid point of total degree <= max_total_degree
+    and differenced in place along each axis in turn, which leaves
+    Delta^k H(0) at k.  Then H(d) = sum of Delta^k H(0) * prod C(d_i, k_i)
+    on the grid, so H is polynomial of degree dim X_tau there exactly when
+    every difference of higher order vanishes, and the multidegree of k,
+    the coefficient of d^k times prod k_i!, is the integer Delta^k H(0).
+    Returns a dict k -> degree over tuples with |k| = dim X_tau.
     """
     if not setup.is_w0_instance():
         raise FanError("multidegrees via the dimension formula need tau = w0")
@@ -260,40 +235,26 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
         )
         return weyl_dimension(setup.group.datum, mu)
 
-    monomials = _monomials(m, n)
-    points = _monomials(m, n)  # the simplex principal lattice is unisolvent
-    matrix = [
-        [_power(pt, mono) for mono in monomials] for pt in points
-    ]
-    rhs = [hilbert(pt) for pt in points]
-    solution = _solve_exact(matrix, rhs)
-    coeffs = dict(zip(monomials, solution))
+    points = _monomials(m, max_total_degree)
+    table = {pt: hilbert(pt) for pt in points}
+    # pass s along axis i takes s-th differences; reversed lex order runs
+    # down each line along the axis, so each subtraction reads the pass s - 1
+    # value below it
+    for i in range(m):
+        for s in range(1, max_total_degree + 1):
+            for pt in reversed(points):
+                if pt[i] >= s:
+                    table[pt] -= table[pt[:i] + (pt[i] - 1,) + pt[i + 1:]]
 
-    den = lcm(1, *(c.denominator for c in solution))
-    nums = [c.numerator * (den // c.denominator) for c in solution]
-    for pt in _monomials(m, max_total_degree):
-        value = sum(num * _power(pt, mono) for mono, num in zip(monomials, nums))
-        if value != den * hilbert(pt):
+    # the first such k in lex order is also the first grid point where H
+    # differs from the polynomial of degree n through the points of |k| <= n
+    for k in points:
+        if sum(k) > n and table[k]:
             raise FanError(
-                f"dimension data at {pt} is not polynomial of degree {n}; "
+                f"dimension data at {k} is not polynomial of degree {n}; "
                 "the fit cannot be trusted"
             )
-
-    degrees = {}
-    for mono in monomials:
-        if sum(mono) == n:
-            value = coeffs[mono] * prod(map(factorial, mono))
-            if value.denominator != 1:
-                raise InvariantError(f"multidegree {mono} is {value}, not an integer")
-            degrees[mono] = int(value)
-    return degrees
-
-
-def _power(point, exponents):
-    out = 1
-    for x, e in zip(point, exponents):
-        out *= x**e
-    return out
+    return {k: table[k] for k in points if sum(k) == n}
 
 
 def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
@@ -302,7 +263,7 @@ def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
     For a totally ordered index poset, each maximal chain of the poset is
     typed by how many nodes it has per member; the left side sums the product
     of all bonds over chains of each type, in one top-down pass over the
-    nodes, the right side takes the exact Hilbert fit.  Returns a report
+    nodes, the right side takes the Hilbert multidegrees.  Returns a report
     dict; agreement is reported, not asserted.
     """
     iposet = setup.iposet

@@ -10,12 +10,18 @@ versions of that round trip and of `endpoint`, which sum `Fraction`s
 directly; they are kept as they were, apart from their type annotations
 and from reading the poset's covers and rho lookup, which the library keys
 by node number, through node_covers and dcp.nodes.
+
+The library reads the Hilbert multidegrees off forward differences on the
+simplex grid.  The monomial-basis fit it replaced, a fraction-free (Bareiss)
+solve checked at every grid point, is the reference for it at the end.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 from lsfan.dcp import rho
-from lsfan.fan import FanError
+from lsfan.demazure import weyl_dimension
+from lsfan.fan import FanError, _monomials
 from lsfan.lspath import (
     LSPath,
     PathError,
@@ -293,3 +299,69 @@ def endpoint(path):
     if any(x.denominator != 1 for x in total):
         raise InvariantError(f"non-integral endpoint {total}; path data is inconsistent")
     return tuple(int(x) for x in total)
+
+
+def solve_exact(matrix, rhs):
+    """Exact solution of a square invertible integer system, by fraction-free
+    (Bareiss) elimination.
+
+    Every entry stays an integer: each step divides exactly by the previous
+    pivot, so the last pivot is +-det and det * x is integral (Cramer).
+    Back-substitution solves for det * x in integers; only the returned
+    values are Fractions.
+    """
+    n = len(matrix)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    prev = 1
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        p, top = a[col][col], a[col]
+        for r in range(col + 1, n):
+            row, f = a[r], a[r][col]
+            a[r] = [0] * (col + 1) + [
+                (p * row[j] - f * top[j]) // prev for j in range(col + 1, n + 1)
+            ]
+        prev = p
+    det = prev
+    y = [0] * n
+    for r in range(n - 1, -1, -1):
+        acc = det * a[r][n] - sum(a[r][j] * y[j] for j in range(r + 1, n))
+        y[r] = acc // a[r][r]
+    return [Fraction(v, det) for v in y]
+
+
+def power(point, exponents):
+    out = 1
+    for x, e in zip(point, exponents):
+        out *= x**e
+    return out
+
+
+def monomial_fit_multidegrees(setup, max_total_degree):
+    """Hilbert multidegrees by an exact fit in the monomial basis: solve for
+    the coefficients of the polynomial of degree n = dim X_tau through the
+    simplex points of total degree <= n, check it at every grid point up to
+    max_total_degree, and return each top coefficient times prod k_i!, as a
+    Fraction, for |k| = n.  None if the check fails."""
+    n, m = setup.tau.rank, setup.m
+
+    def hilbert(dvec):
+        mu = tuple(
+            sum(dvec[i] * setup.lambdas[i][j] for i in range(m))
+            for j in range(setup.group.rank)
+        )
+        return weyl_dimension(setup.group.datum, mu)
+
+    monomials = _monomials(m, n)
+    matrix = [[power(pt, mono) for mono in monomials] for pt in monomials]
+    coeffs = solve_exact(matrix, [hilbert(pt) for pt in monomials])
+    for pt in _monomials(m, max_total_degree):
+        value = sum(c * power(pt, mono) for mono, c in zip(monomials, coeffs))
+        if value != hilbert(pt):
+            return None
+    return {
+        mono: c * prod(map(factorial, mono))
+        for mono, c in zip(monomials, coeffs)
+        if sum(mono) == n
+    }

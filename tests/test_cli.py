@@ -182,6 +182,17 @@ def test_verify_empty_grid_vacuous(capsys):
     data = json.loads(out)
     assert data["ok"] is True and data["warning"]
     assert "vacuous" in err
+    # a conjecture bound is parsed, checked and run on an empty grid too
+    flags = ("--type", "A", "--rank", "2", "--lambda", "1,0;0,1", "--tau", "w0",
+             "--iposet", "chain")
+    for bound in ("x", "-1"):
+        code, out, err = run(capsys, "verify", *flags, "--conjecture", bound)
+        assert code == 2 and out == "" and err.startswith("error:"), bound
+        assert len(err.splitlines()) == 1 and "--conjecture" in err, bound
+    code, out, _ = run(capsys, "verify", *flags, "--conjecture", "3")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "multidegree_conjecture" and check["pass"] is True
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -311,6 +322,15 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     )
     assert code == 2 and out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1
+    # a degree bound on the command line that is not an integer
+    for command in ("verify", "conjecture"):
+        for bound in ("x", "1.5"):
+            code, out, err = run(
+                capsys, command, "--job", str(FIXTURES / "a2_young_chain_w0.json"),
+                "--max-total-degree", bound,
+            )
+            assert code == 2 and out == "" and err.startswith("error:"), bound
+            assert len(err.splitlines()) == 1 and "--max-total-degree" in err, bound
     # a conjecture bound that is empty, not an integer or negative is
     # rejected, not dropped
     for bound in ("", " ", "x", "1.5", "-1", "2,3"):

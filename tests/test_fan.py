@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsfan.fan
 from lsfan import (
     FanError,
     Setup,
     build_dcp_inductive,
     build_index_poset,
     chain_iposet,
+    cli,
     decompose,
     demazure_dimension,
     enumerate_fan_degree,
@@ -32,9 +34,16 @@ from lsfan import (
     vector_key,
     weight,
 )
-from lsfan.fan import _monomials, _power, _solve_exact
+from lsfan.fan import _monomials
 
-from chain_reference import canonical_vector, chain_lattice_points, ls_lattice_member
+from chain_reference import (
+    canonical_vector,
+    chain_lattice_points,
+    ls_lattice_member,
+    monomial_fit_multidegrees,
+    power,
+    solve_exact,
+)
 
 ONE = Fraction(1)
 
@@ -465,6 +474,53 @@ def test_hilbert_fit_rejects_small_grid(a2):
     assert "total degree at least 3" in str(err.value)
 
 
+MULTIDEGREE_INSTANCES = [
+    # type, rank, weights; the chain index poset and tau = w0
+    ("A", 2, [(1, 0), (0, 1)]),
+    ("B", 2, [(1, 0), (0, 1)]),
+    ("G", 2, [(1, 0), (0, 1)]),
+    ("A", 3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    ("A", 3, [(1, 0, 0), (0, 0, 1), (0, 1, 0)]),
+    ("B", 3, [(1, 0, 0), (0, 0, 1)]),
+    ("A", 4, [(1, 0, 0, 0)] * 4),
+]
+
+
+@pytest.mark.parametrize("kind,rank,lambdas", MULTIDEGREE_INSTANCES)
+def test_multidegrees_match_the_monomial_fit(kind, rank, lambdas):
+    group = make_group(kind, rank)
+    setup = Setup(group, lambdas, group.longest, chain_iposet(len(lambdas)))
+    n = setup.tau.rank
+    for bound in (n, n + 1):
+        degrees = hilbert_multidegrees(setup, bound)
+        assert degrees == monomial_fit_multidegrees(setup, bound), bound
+        assert all(type(v) is int for v in degrees.values())
+
+
+@pytest.mark.parametrize("at", [(1, 1), (0, 3), (2, 2)])
+def test_hilbert_fit_rejects_data_that_is_not_polynomial(a2, monkeypatch, capsys, at):
+    """One dimension off by one, at a point that determines the degree-3
+    polynomial (|at| <= 3) or at one that only checks it (|at| = 4, then
+    named), is caught on the grid up to total degree 4.  On A2 with the
+    fundamental weights, the point d is the highest weight d . lambda."""
+    setup, _ = chain_instance(a2, [(1, 0), (0, 1)])
+    original = lsfan.fan.weyl_dimension
+    monkeypatch.setattr(
+        lsfan.fan, "weyl_dimension", lambda datum, mu: original(datum, mu) + (mu == at)
+    )
+    with pytest.raises(FanError, match="not polynomial of degree 3") as err:
+        hilbert_multidegrees(setup, 4)
+    if sum(at) == 4:
+        assert f"at {at}" in str(err.value)
+    code = cli.main([
+        "conjecture", "--type", "A", "--rank", "2", "--lambda", "1,0;0,1",
+        "--tau", "w0", "--iposet", "chain", "--max-total-degree", "4",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "not polynomial" in err
+
+
 def test_conjecture_needs_totally_ordered_iposet(a2):
     setup = Setup(a2, [(1, 0), (0, 1)], a2.longest, powerset_iposet(2))
     dcp = build_dcp_inductive(setup)
@@ -495,15 +551,15 @@ def test_fraction_free_solver_matches_the_fraction_reference(m, n):
     random right-hand sides, in the given row order and shuffled so that
     pivoting swaps rows."""
     monomials = _monomials(m, n)
-    matrix = [[_power(pt, mono) for mono in monomials] for pt in monomials]
+    matrix = [[power(pt, mono) for mono in monomials] for pt in monomials]
     rng = random.Random(f"{m},{n}")
     rhs = [rng.randint(-10**6, 10**6) for _ in monomials]
-    assert _solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
+    assert solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
     rows = list(zip(matrix, rhs))
     rng.shuffle(rows)
     shuffled = [r for r, _ in rows]
     rhs = [rng.randint(-10**6, 10**6) for _ in rows]
-    assert _solve_exact(shuffled, rhs) == reference_solve(shuffled, rhs)
+    assert solve_exact(shuffled, rhs) == reference_solve(shuffled, rhs)
 
 
 # -- brute-force references over maximal chains ------------------------------------------
