@@ -66,8 +66,9 @@ def _bound(value, what: str) -> int:
 
 
 def _flag_bound(value: str, flag: str) -> int:
-    """A degree bound given on the command line: a string that int() parses
-    to a non-negative int; raises ValueError for anything else."""
+    """A bound given on the command line (a rank, a size guard or a degree
+    bound): a string that int() parses to a non-negative int; raises
+    ValueError for anything else."""
     try:
         return _bound(int(value), flag)
     except ValueError:
@@ -90,20 +91,17 @@ def _load_job(args) -> dict:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ValueError(f"job file {args.job} does not hold a JSON object")
-    for key in (
-        "type",
-        "rank",
-        "lambdas",
-        "tau",
-        "iposet",
-        "degree",
-        "size_guard",
-    ):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("type", "lambdas", "tau", "iposet", "degree"):
+        value = getattr(args, key, None)
         if value is not None:
             job[key] = value
-    if getattr(args, "max_total_degree", None) is not None:
-        job["max_total_degree"] = _flag_bound(args.max_total_degree, "--max-total-degree")
+    for key, flag in (
+        ("rank", "--rank"),
+        ("size_guard", "--size-guard"),
+        ("max_total_degree", "--max-total-degree"),
+    ):
+        if getattr(args, key, None) is not None:
+            job[key] = _flag_bound(getattr(args, key), flag)
     return job
 
 
@@ -374,7 +372,7 @@ def cmd_conjecture(args) -> int:
 def _add_common(sub):
     sub.add_argument("--job", help="JSON job file; flags override its entries")
     sub.add_argument("--type", help="Dynkin type A..G")
-    sub.add_argument("--rank", type=int)
+    sub.add_argument("--rank")
     sub.add_argument(
         "--lambda",
         dest="lambdas",
@@ -382,7 +380,7 @@ def _add_common(sub):
     )
     sub.add_argument("--tau", help="word '2,1' with letters in 1..rank, or 'w0'")
     sub.add_argument("--iposet", help="'chain', 'powerset', or sets '1;1,2;1,2,3'")
-    sub.add_argument("--size-guard", dest="size_guard", type=int)
+    sub.add_argument("--size-guard", dest="size_guard")
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=["json", "dot"], default="json")
 

@@ -11,10 +11,10 @@ maximal) finds its nodes by minimality/maximality conditions of its own and
 keeps the rule's covers between them.  A node carries one int key, packing
 theta's key with the bit mask of I, so the two builds compare node by node
 on (theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then
-I, then element index) and keeps its covers, ranks, rho lookup and walk
-memo as tables over these numbers.  tau-standardness of the index poset is
-decided by injectivity of the slice-projection map rho, with the four
-diagram-level criteria available in the maximal case.
+I, then element index) and keeps its covers, rho lookup and reach memo
+(lspath.bonded_below) as tables over these numbers.  tau-standardness of
+the index poset is decided by injectivity of the slice-projection map rho,
+with the four diagram-level criteria available in the maximal case.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .lspath import bonded_chain, maximal_bonded_chains, shape_covers
+from .lspath import bonded_below, maximal_bonded_chains, shape_covers
 from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup, bitmask, pair_key
 
@@ -335,9 +335,9 @@ class DCP:
     The nodes are numbered 0..N-1 in `nodes` order, top down by rank, then
     by index set and element index, so the top is 0; `position` maps a
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
-    and rank are tables over these numbers, and the walks, the rho lookup
-    and the fan arithmetic run on them.  big_l, the lcm of the bonds, is the
-    one denominator of its fan vectors.
+    is a table over these numbers, and so are `reach`, the memo of
+    lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
+    lcm of the bonds, is the one denominator of its fan vectors.
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -345,7 +345,6 @@ class DCP:
         self.nodes = sorted(nodes, key=_node_key)
         self.position = position = {n.key: k for k, n in enumerate(self.nodes)}
         self.edges = sorted(edges, key=lambda e: (position[e[0].key], position[e[1].key]))
-        self.rank = [n.rank for n in self.nodes]
         self.covers_down = [[] for _ in self.nodes]
         for upper, lower, kind, bond in self.edges:
             self.covers_down[position[upper.key]].append((position[lower.key], kind, bond))
@@ -353,14 +352,14 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self._walks = {}
+        self.reach = {}
 
     def length(self) -> int:
         return self.top.rank
 
     def maximal_chains(self):
         """All maximal chains from the top, as (nodes, edge bonds) pairs; a
-        brute-force reference for the bonded walk."""
+        brute-force reference for the reach table."""
         return [
             (tuple(self.nodes[k] for k in chain), bonds)
             for chain, bonds in maximal_bonded_chains(self.covers_down, 0)
@@ -396,17 +395,9 @@ class DCP:
         return {(c.key, s): k for k, (c, s) in enumerate(self.rho_images)}
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
-        """a <= b in the poset order (reachability through covers)."""
-        return self.reaches(self.position[b.key], self.position[a.key], 1)
-
-    def reaches(self, upper: int, lower: int, den: int) -> bool:
-        """Whether lspath.bonded_chain at denominator den walks the node
-        numbered `upper` to the one numbered `lower`."""
-        key = (upper, lower, den)
-        if key not in self._walks:
-            walk = bonded_chain(self.covers_down, self.rank, upper, lower, den)
-            self._walks[key] = walk is not None
-        return self._walks[key]
+        """a <= b in the poset order: a is in the reach of b at denominator 1."""
+        reach = bonded_below(self.covers_down, self.position[b.key], 1, self.reach)
+        return reach >> self.position[a.key] & 1 == 1
 
 
 def _node_key(n: DCPNode):

@@ -9,6 +9,7 @@ can cross-check the combinatorial enumerations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .rootdata import InvariantError, RootDatum
 from .weyl import Coset, WeylGroup
@@ -81,12 +82,12 @@ def weyl_dimension(datum: RootDatum, mu) -> int:
     _require_dominant(mu)
     rho = datum.rho()
     mu_rho = tuple(x + 1 for x in mu)
-    result = Fraction(1)
-    for coroot in datum.positive_coroots:
-        result *= Fraction(datum.pairing(mu_rho, coroot), datum.pairing(rho, coroot))
-    if result.denominator != 1:
-        raise InvariantError(f"dim V({tuple(mu)}) = {result} is not an integer")
-    return int(result)
+    coroots = datum.positive_coroots
+    num = prod(datum.pairing(mu_rho, coroot) for coroot in coroots)
+    den = prod(datum.pairing(rho, coroot) for coroot in coroots)
+    if num % den:
+        raise InvariantError(f"dim V({tuple(mu)}) = {Fraction(num, den)} is not an integer")
+    return num // den
 
 
 def character_of_irrep(group: WeylGroup, mu) -> dict:

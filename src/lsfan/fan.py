@@ -4,18 +4,19 @@ A fan vector is a sparse map from poset nodes to non-negative rationals whose
 support lies on one maximal chain; membership in the fan is cut out by
 bond-weighted partial-sum integrality along that chain.  The condition is
 local: between consecutive support nodes the running sum only has to make
-bond * sum integral on the covers of one saturated chain, so membership walks
-covers with lspath.bonded_chain, enumeration is lspath.chain_lattice_points,
-and neither lists maximal chains.  The poset has one denominator, the lcm
-of its bonds (DCP.big_l).  At the public boundary a fan vector is a dict
-{DCPNode: Fraction}; inside, it is the sorted tuple of its (node number,
-numerator over big_l) pairs (vector_key), and the round trip, membership
-and the onto check of verify run on those pairs.  Fractions are built only
-for returned values.  Fan vectors of a fixed degree biject with the
-standard tableaux of that degree, and the multidegree checker compares
-bond products summed over maximal chains, by dynamic programming over the
-poset, against the Hilbert multidegrees, read off as forward differences
-of the dimension oracle on the simplex grid.
+bond * sum integral on the covers of one saturated chain, so membership
+tests one bit of the reach of the node above (lspath.bonded_below, memoized
+per poset in DCP.reach), enumeration is lspath.chain_lattice_points over
+the same reach table, and neither lists maximal chains.  The poset has one
+denominator, the lcm of its bonds (DCP.big_l).  At the public boundary a
+fan vector is a dict {DCPNode: Fraction}; inside, it is the sorted tuple of
+its (node number, numerator over big_l) pairs (vector_key), and the round
+trip, membership and the onto check of verify run on those pairs.
+Fractions are built only for returned values.  Fan vectors of a fixed
+degree biject with the standard tableaux of that degree, and the
+multidegree checker compares bond products summed over maximal chains, by
+dynamic programming over the poset, against the Hilbert multidegrees, read
+off as forward differences of the dimension oracle on the simplex grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from math import gcd, lcm
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
-from .lspath import chain_lattice_points, column_of, column_steps, numerators
+from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
+                     integral_sum, numerators)
 from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
@@ -54,14 +56,7 @@ class FanError(ValueError):
 def _integral_sum(vec: FanVector, image, size: int, what: str):
     """sum of a_n * image(n), divided once at the end; InvariantError if not integral."""
     nums, den = numerators(list(vec.values()))
-    total = [0] * size
-    for node, num in zip(vec, nums):
-        for j, x in enumerate(image(node)):
-            total[j] += num * x
-    if any(x % den for x in total):
-        total = tuple(Fraction(x, den) for x in total)
-        raise InvariantError(f"non-integral fan {what} {total}")
-    return tuple(x // den for x in total)
+    return integral_sum(nums, map(image, vec), den, size, f"fan {what}")
 
 
 def fan_degree(setup: Setup, vec: FanVector):
@@ -88,14 +83,14 @@ def vector_key(dcp: DCP, vec: FanVector):
 
 def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
     """Membership in the fan: non-negative, integral in total, and each
-    support node reached from the one above it (from the top, for the
-    first) by a bonded walk at the denominator of the running sum."""
+    support node in the reach (lspath.bonded_below) of the one above it
+    (of the top, for the first) at the denominator of the running sum."""
     support = vector_key(dcp, vec)
     if support is None:
         return False
-    big_l, upper, cum = dcp.big_l, 0, 0
+    covers, big_l, upper, cum = dcp.covers_down, dcp.big_l, 0, 0
     for k, c in support:
-        if not dcp.reaches(upper, k, big_l // gcd(cum, big_l)):
+        if not bonded_below(covers, upper, big_l // gcd(cum, big_l), dcp.reach) >> k & 1:
             return False
         upper, cum = k, cum + c
     return cum % big_l == 0
@@ -114,7 +109,7 @@ def enumerate_fan_degree(dcp: DCP, d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
     nodes = dcp.nodes
     spend = [[j - 1 for j in setup.iposet.underline[n.iset]] for n in nodes]
-    points = chain_lattice_points(dcp.covers_down, range(len(nodes)), 0, d, spend)
+    points = chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach)
     return [{nodes[k]: c for k, c in vec.items()} for vec in points]
 
 

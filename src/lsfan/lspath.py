@@ -3,9 +3,11 @@
 A path of shape nu is a strictly decreasing chain of cosets in W/W_nu with
 rational cut points, subject to the chain-integrality condition: consecutive
 cosets must be joined by a saturated chain of covering relations whose pairing
-with the cut point is integral at every step.  The condition is local, so
-paths are built one support coset at a time by the same lattice-point walk
-that enumerates fan vectors (chain_lattice_points); no maximal chain is
+with the cut point is integral at every step.  The condition is local, and
+bonded_below, the reach of a node at a denominator memoized per poset, is
+its one home: validation reads certificates off the reach, and paths are
+built one support coset at a time by the lattice-point walk over it that
+also enumerates fan vectors (chain_lattice_points); no maximal chain is
 listed.  The walks run on int-keyed covers: representative indices here,
 node numbers on a defining chain poset.  All arithmetic is exact: sums are
 integer numerators over one denominator (one per defining chain poset,
@@ -70,8 +72,9 @@ def initial_direction(path: LSPath) -> Coset:
 class BondedCovers(dict):
     """The int-keyed coset poset W/W_nu of a shape nu: the rep index of a
     coset -> its (lower rep index, root index, bond) covers, each entry
-    filled on first use.  It also keeps the stabilizer parabolic of nu and
-    the image w(nu) per rep index w, each computed once.
+    filled on first use.  It also keeps the stabilizer parabolic of nu, the
+    image w(nu) per rep index w, each computed once, and the memo `reach`
+    of bonded_below.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
     the positive root beta with s_beta min(phi) = min(theta).  `bond` is the
@@ -87,6 +90,7 @@ class BondedCovers(dict):
         self.nu = tuple(nu)
         self.parabolic = group.stabilizer_parabolic(self.nu)
         self.images = {}
+        self.reach = {}
 
     def image(self, w: WeylElt):
         """w(nu), computed once per element."""
@@ -120,7 +124,8 @@ class ShapePoset:
     """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers.
 
     `nodes` and `top` are cosets; `covers_down`, the shape's BondedCovers,
-    is keyed by their rep indices, and so is its rank table group.lengths."""
+    is keyed by their rep indices.  big_l, the lcm of the bonds below the
+    top, is the one denominator of its lattice points."""
 
     def __init__(self, group: WeylGroup, nu, tau: Coset):
         self.covers_down = shape_covers(group, nu)
@@ -129,47 +134,39 @@ class ShapePoset:
             c for c in group.all_cosets(self.top.parabolic)
             if group.coset_leq(c, self.top)
         ]
+        covers = self.covers_down
+        self.big_l = lcm(1, *(bond for c in self.nodes for *_, bond in covers[c.rep.index]))
 
 
-def bonded_chain(covers_down, rank, upper, lower, den):
-    """A saturated chain from `upper` down to `lower`, listed from the top,
-    whose bonds are all divisible by `den`, a cut point's denominator; None if none.
-
-    covers_down maps a node id to its (lower, label, bond) covers, and each
-    cover lowers rank[node] by one.  The search goes depth first in cover
-    order, stops at the rank of `lower` and skips nodes already known not to
-    reach it.
-    """
-    floor = rank[lower]
-    dead = set()
-
-    def descend(node):
-        if node == lower:
-            return [node]
-        if rank[node] <= floor or node in dead:
-            return None
-        for nxt, _, bond in covers_down[node]:
+def bonded_below(covers_down, node, den, memo):
+    """The reach of `node` at `den`, a cut point's denominator: the bit mask
+    of the node ids that a walk down the covers whose bond is divisible by
+    den reaches from it, `node` included.  covers_down maps a node id to its
+    (lower, label, bond) covers; memo keeps each reach of one poset."""
+    reach = memo.get((node, den))
+    if reach is None:
+        reach = 1 << node
+        for lower, _, bond in covers_down[node]:
             if bond % den == 0:
-                rest = descend(nxt)
-                if rest is not None:
-                    return [node] + rest
-        dead.add(node)
+                reach |= bonded_below(covers_down, lower, den, memo)
+        memo[(node, den)] = reach
+    return reach
+
+
+def bonded_chain(covers_down, upper, lower, den, memo):
+    """A saturated chain from `upper` down to `lower`, listed from the top,
+    whose bonds are all divisible by `den`; None if none.  Each step takes
+    the first cover, in cover order, whose reach (bonded_below) holds
+    `lower`."""
+    if not bonded_below(covers_down, upper, den, memo) >> lower & 1:
         return None
-
-    return descend(upper)
-
-
-def bonded_below(covers_down, upper, den):
-    """Every node that a walk down the covers whose bond is divisible by
-    `den` reaches from `upper`, as a set without `upper` itself."""
-    reached = set()
-    stack = [upper]
-    while stack:
-        for lower, _, bond in covers_down[stack.pop()]:
-            if bond % den == 0 and lower not in reached:
-                reached.add(lower)
-                stack.append(lower)
-    return reached
+    chain = [upper]
+    while chain[-1] != lower:
+        chain.append(next(
+            nxt for nxt, _, bond in covers_down[chain[-1]]
+            if bond % den == 0 and bonded_below(covers_down, nxt, den, memo) >> lower & 1
+        ))
+    return chain
 
 
 def maximal_bonded_chains(covers_down, top):
@@ -212,14 +209,14 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     The certificate maps each consecutive coset pair to one saturated chain
     (list of cosets) witnessing the integrality condition at that cut point.
     Structural defects (non-decreasing cosets, bad cut points) raise PathError
-    before any chain search happens.
+    before any reach is read.
     """
     covers = shape_covers(group, path.shape)
     _structure_check(group, covers.parabolic, path)
     elements, certificate = group.elements(), {}
     for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
         witness = bonded_chain(
-            covers, group.lengths, upper.rep.index, lower.rep.index, cut.denominator
+            covers, upper.rep.index, lower.rep.index, cut.denominator, covers.reach
         )
         if witness is None:
             return False, None
@@ -227,51 +224,44 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     return True, certificate
 
 
-def chain_lattice_points(covers_down, nodes, top, degree, spend):
+def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
     """Every lattice point of degree `degree` on the chains of a graded
     poset, once each, by a depth-first search over support chains from
     `top`; each is yielded as {node: Fraction} in top-down support order.
 
-    covers_down maps a node id to its (lower, label, bond) covers and
-    `nodes` lists the ids.  A node's coefficient counts against the coordinates
-    spend[node] of `degree`, and the search stops when all are spent.  Sums
-    are integers over L, the lcm of the bonds.  The next support node is one
-    bonded_below reaches from the last at the running sum (candidates in
-    the order of `nodes`); its coefficient must leave a sum that is
-    integral or suits some cover below the node, and the last sum must be
-    integral.
+    covers_down maps a node id to its (lower, label, bond) covers.  A
+    node's coefficient counts against the coordinates spend[node] of
+    `degree`, and the search stops when all are spent.  Sums are integers
+    over big_l, the poset's denominator, a multiple of its bonds.  The next
+    support node is one in the reach (bonded_below, with the memo) of the
+    last at the running sum, in ascending id; a coefficient whose sum is
+    not integral must leave a non-empty reach below the node, and the last
+    sum must be integral.
     """
-    big_l = lcm(1, *(bond for n in nodes for _, _, bond in covers_down[n]))
-    reach = {}
-
-    def below(node, den):
-        if (node, den) not in reach:
-            reached = bonded_below(covers_down, node, den)
-            reach[(node, den)] = [n for n in nodes if n in reached]
-        return reach[(node, den)]
-
     vec = {}
 
-    def place(candidates, total, rest):
+    def place(reach, total, rest):
         if not any(rest):
             if total % big_l == 0:
                 yield {node: Fraction(c, big_l) for node, c in vec.items()}
             return
-        for node in candidates:
+        while reach:
+            node = (reach & -reach).bit_length() - 1
+            reach ^= 1 << node
             for c in range(1, min(rest[j] for j in spend[node]) + 1):
                 cum = total + c
-                if cum % big_l and all(
-                    bond * cum % big_l for _, _, bond in covers_down[node]
-                ):
+                below = bonded_below(covers_down, node, big_l // gcd(cum, big_l), memo)
+                below ^= 1 << node
+                if cum % big_l and not below:
                     continue
                 vec[node] = c
                 left = list(rest)
                 for j in spend[node]:
                     left[j] -= c
-                yield from place(below(node, big_l // gcd(cum, big_l)), cum, left)
+                yield from place(below, cum, left)
                 del vec[node]
 
-    yield from place([top] + below(top, 1), 0, [x * big_l for x in degree])
+    yield from place(bonded_below(covers_down, top, 1, memo), 0, [x * big_l for x in degree])
 
 
 def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
@@ -287,8 +277,9 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
         return set()
     shape = tuple(d * x for x in nu)
     cosets = {c.rep.index: c for c in poset.nodes}  # the walk's ids
-    top, spend, paths = poset.top.rep.index, dict.fromkeys(cosets, (0,)), set()
-    for vec in chain_lattice_points(poset.covers_down, list(cosets), top, (d,), spend):
+    covers, spend, paths = poset.covers_down, dict.fromkeys(cosets, (0,)), set()
+    top = poset.top.rep.index
+    for vec in chain_lattice_points(covers, top, (d,), spend, poset.big_l, covers.reach):
         cuts = tuple(cum / d for cum in accumulate(vec.values()))
         paths.add(LSPath(shape, tuple(map(cosets.get, vec)), cuts))
     return paths
@@ -315,13 +306,19 @@ def endpoint(path: LSPath, group: WeylGroup):
     instead of a matrix product per segment."""
     steps, den = column_steps(path)
     image = shape_covers(group, path.shape).image
-    total = [0] * len(path.shape)
-    for coset, step in zip(path.cosets, steps):
-        for j, x in enumerate(image(coset.rep)):
-            total[j] += step * x
+    vectors = [image(c.rep) for c in path.cosets]
+    return integral_sum(steps, vectors, den, len(path.shape), "endpoint")
+
+
+def integral_sum(nums, vectors, den: int, size: int, what: str):
+    """The sum of num * vector over `nums` and `vectors`, vectors of length
+    `size`, divided once by den; InvariantError if not integral."""
+    total = [0] * size
+    for num, vector in zip(nums, vectors):
+        for j, x in enumerate(vector):
+            total[j] += num * x
     if any(x % den for x in total):
-        total = tuple(Fraction(x, den) for x in total)
-        raise InvariantError(f"non-integral endpoint {total}; path data is inconsistent")
+        raise InvariantError(f"non-integral {what} {tuple(Fraction(x, den) for x in total)}")
     return tuple(x // den for x in total)
 
 

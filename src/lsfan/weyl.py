@@ -403,7 +403,7 @@ class WeylGroup:
             if v.length == c.rep.length - 1 and self.is_q_minimal(v, c.parabolic):
                 result.append((Coset(v, c.parabolic), idx))
         result.sort(key=lambda t: t[0].rep.index)
-        self._covers_cache[c] = result
+        self._covers_cache[c.key] = result
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:

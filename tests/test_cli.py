@@ -315,6 +315,14 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     job.write_text(json.dumps([base]))
     code, _, err = run(capsys, "dcp", "--job", str(job))
     assert code == 2 and err.startswith("error:")
+    # a rank or a size guard on the command line that is not an integer
+    for flag, value in (("--rank", "x"), ("--rank", "1.5"), ("--size-guard", "y")):
+        code, out, err = run(
+            capsys, "dcp", "--type", "A", "--rank", "2", "--lambda", "1,0",
+            "--tau", "w0", "--iposet", "chain", flag, value,
+        )
+        assert code == 2 and out == "" and err.startswith("error:"), value
+        assert len(err.splitlines()) == 1 and flag in err, value
     # a negative degree bound on the command line, over a job file
     code, out, err = run(
         capsys, "verify", "--job", str(FIXTURES / "a3_tau3412_branched.json"),

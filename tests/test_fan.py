@@ -564,9 +564,9 @@ def test_fraction_free_solver_matches_the_fraction_reference(m, n):
 
 # -- brute-force references over maximal chains ------------------------------------------
 #
-# The fan and DCP.leq walk covers with the bonded walk and list no maximal
-# chain.  The references below list them all and decide each question chain
-# by chain, as the definitions read.
+# The fan and DCP.leq read the reach table of lspath.bonded_below and list
+# no maximal chain.  The references below list them all and decide each
+# question chain by chain, as the definitions read.
 
 A3_WEIGHTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 REFERENCE_INSTANCES = {

@@ -15,7 +15,11 @@ recorded while the DCP edges were found by a second pass over the nodes and
 each same-I bond recomputed its covering root; the G2 chain cases, whose
 bonds reach 3 and whose fan vectors carry halves and thirds, were recorded
 while theta_d, its inverse and fan membership still summed Fraction
-coefficients.  A refactor must keep every hash.
+coefficients.  Every hash was kept when one memoized reach table
+(lspath.bonded_below) replaced the depth-first bonded walk, the per-call
+reach sets and the walk memo of the DCP in path validation, fan
+membership, DCP.leq and lattice-point enumeration.  A refactor must keep
+every hash.
 """
 
 import hashlib

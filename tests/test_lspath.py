@@ -23,9 +23,10 @@ from lsfan import (
     validate_ls_path,
     weyl_dimension,
 )
-from lsfan.lspath import bonded_below, bonded_chain
+from lsfan.lspath import bonded_below, bonded_chain, maximal_bonded_chains
+from lsfan.weyl import Coset
 
-from chain_reference import reference_ls_paths
+from chain_reference import bonded_chain as ref_bonded_chain, reference_ls_paths
 
 ONE = Fraction(1)
 
@@ -277,23 +278,57 @@ def test_enumeration_matches_the_chain_reference(kind, rank, nu, dmax):
             ), (tau, d)
 
 
+def reference_reach(covers, upper, den):
+    """The bit mask of the nodes on the maximal chains from `upper` that the
+    chain reaches before its first bond not divisible by den."""
+    reach = 1 << upper
+    for nodes, bonds in maximal_bonded_chains(covers, upper):
+        for node, bond in zip(nodes[1:], bonds):
+            if bond % den:
+                break
+            reach |= 1 << node
+    return reach
+
+
 def test_bonded_below_matches_bonded_chain(b2):
     nu = (1, 1)
     poset = ShapePoset(b2, nu, top_coset(b2, nu))
     setup = Setup(b2, [(1, 0), (0, 1)], b2.longest, powerset_iposet(2))
     dcp = build_dcp_inductive(setup)
     # both posets walk int ids: rep indices and node numbers
-    for covers, rank, nodes in [
-        (poset.covers_down, b2.lengths, [c.rep.index for c in poset.nodes]),
-        (dcp.covers_down, dcp.rank, range(len(dcp.nodes))),
+    for covers, memo, nodes in [
+        (poset.covers_down, poset.covers_down.reach, [c.rep.index for c in poset.nodes]),
+        (dcp.covers_down, dcp.reach, range(len(dcp.nodes))),
     ]:
         bonds = {bond for n in nodes for _, _, bond in covers[n]}
         assert bonds != {1}
         for upper in nodes:
             for den in (1, 2, 3):
-                reached = {
-                    n for n in nodes
-                    if n != upper
-                    and bonded_chain(covers, rank, upper, n, den) is not None
-                }
-                assert bonded_below(covers, upper, den) == reached, (upper, den)
+                reach = bonded_below(covers, upper, den, memo)
+                assert reach == reference_reach(covers, upper, den), (upper, den)
+                for lower in nodes:
+                    chain = bonded_chain(covers, upper, lower, den, memo)
+                    assert (chain is None) == (not reach >> lower & 1)
+
+
+def test_validation_certificates_are_the_reference_chains(b2):
+    # the chain read off the reach masks is the one the depth-first search
+    # in cover order finds
+    nu, elements, witnessed = (1, 1), b2.elements(), 0
+    top = top_coset(b2, nu)
+    for d in (1, 2):
+        # the covers of the path's shape d * nu, keyed by coset
+        poset = ShapePoset(b2, scaled(nu, d), top)
+        covers = {
+            c: [(Coset(elements[x], c.parabolic), root, bond)
+                for x, root, bond in poset.covers_down[c.rep.index]]
+            for c in poset.nodes
+        }
+        for path in enumerate_ls_paths(b2, nu, top, d):
+            ok, certificate = validate_ls_path(b2, path)
+            assert ok
+            for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
+                reference = ref_bonded_chain(covers, upper, lower, cut)
+                assert certificate[(upper, lower)] == reference, path
+                witnessed += len(reference) > 2
+    assert witnessed

@@ -375,6 +375,15 @@ def test_covers_match_rank_gap_definition(a3, b2):
                 assert got == expected
 
 
+def test_covers_are_computed_once_per_coset(b2):
+    # the memo is keyed by the coset's int key, so an equal coset built
+    # anew reads the same entry
+    for p in [frozenset(), frozenset({1})]:
+        for c in b2.all_cosets(p):
+            first = b2.covers_down(c)
+            assert b2.covers_down(b2.coset(c.rep, p)) is first
+
+
 def test_covering_roots_are_reflection_witnesses(b2):
     for c in b2.all_cosets(frozenset({1})):
         for lower, idx in b2.covers_down(c):
