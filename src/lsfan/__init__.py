@@ -8,7 +8,6 @@ from .weyl import (
     LiftError,
     WeylElt,
     WeylGroup,
-    covering_relations,
     make_group,
     one_line_to_word,
     word_to_one_line,
@@ -50,8 +49,6 @@ from .dcp import (
     min_defining_chain,
     powerset_iposet,
     rho,
-    rho_inverse,
-    rho_inverse_w0,
     tau_standardness_report,
     totally_ordered_exists,
     triangle_down,
@@ -84,6 +81,7 @@ from .fan import (
     decompose,
     enumerate_fan_degree,
     fan_degree,
+    fan_vector,
     hilbert_multidegrees,
     in_ls_plus,
     multidegree_conjecture_check,

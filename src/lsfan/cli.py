@@ -30,10 +30,10 @@ from .dcp import (
 from .demazure import demazure_character, demazure_dimension
 from .fan import (
     enumerate_fan_degree,
+    fan_vector,
     multidegree_conjecture_check,
     theta_d,
     theta_d_inverse,
-    vector_key,
 )
 from .tableaux import enumerate_standard, tableau_endpoint
 from .weyl import make_group
@@ -236,7 +236,8 @@ def cmd_enumerate(args) -> int:
         "count": len(tableaux),
         "tableaux": [lsio.tableau_to_json(group, t) for t in tableaux],
         "fan_vectors": [
-            lsio.fan_vector_to_json(ids, theta_d(dcp, t)) for t in tableaux
+            lsio.fan_vector_to_json(ids, fan_vector(dcp, theta_d(dcp, t)))
+            for t in tableaux
         ],
     }
     _emit(args, lsio.dumps(data))
@@ -290,14 +291,14 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
             }
         )
         # onto: the theta_d image is the set of fan vectors, i.e. every
-        # image is one and every fan vector is hit
+        # image is one and every fan vector is hit; both are keys
         images, round_trip = set(), True
         for t in tableaux:
-            vec = theta_d(dcp, t)
-            if theta_d_inverse(dcp, vec) != t:
+            key = theta_d(dcp, t)
+            if theta_d_inverse(dcp, key) != t:
                 round_trip = False
-            images.add(vector_key(dcp, vec))
-        onto = images == {vector_key(dcp, v) for v in vectors}
+            images.add(key)
+        onto = images == set(vectors)
         checks.append(
             {
                 "check": "theta_bijection",

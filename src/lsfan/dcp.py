@@ -43,8 +43,6 @@ __all__ = [
     "build_dcp_inductive",
     "build_dcp_direct_w0",
     "rho",
-    "rho_inverse",
-    "rho_inverse_w0",
     "StandardnessReport",
     "is_tau_standard",
     "tau_standardness_report",
@@ -337,7 +335,9 @@ class DCP:
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
     is a table over these numbers, and so are `reach`, the memo of
     lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
-    lcm of the bonds, is the one denominator of its fan vectors.
+    lcm of the bonds, is the one denominator of its fan vectors.  It keeps the
+    theta round trip's memos: `theta_columns`, (path, I) -> that column's (node
+    number, numerator) terms, and `part_columns`, a part's key -> (path, I).
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -352,7 +352,7 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self.reach = {}
+        self.reach, self.theta_columns, self.part_columns = {}, {}, {}
 
     def length(self) -> int:
         return self.top.rank
@@ -493,19 +493,6 @@ def rho_map(dcp: DCP):
     for node, image in zip(dcp.nodes, dcp.rho_images):
         images.setdefault(image, []).append(node)
     return images
-
-
-def rho_inverse(dcp: DCP, theta, iset):
-    """Preimage of (theta, I) under rho; requires rho to be injective."""
-    return dcp.nodes[dcp.rho_lookup[(theta.key, frozenset(iset))]]
-
-
-def rho_inverse_w0(setup: Setup, theta: Coset, iset):
-    """Closed-form inverse min_Q(max_{Q_I}(theta)) for the maximal tau."""
-    iset = frozenset(iset)
-    group = setup.group
-    lifted = group.max_lift(theta, setup.q_of[iset])
-    return DCPNode(group.min_lift(lifted, setup.q), iset)
 
 
 @dataclass

@@ -7,23 +7,24 @@ local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership
 tests one bit of the reach of the node above (lspath.bonded_below, memoized
 per poset in DCP.reach), enumeration is lspath.chain_lattice_points over
-the same reach table, and neither lists maximal chains.  The poset has one
-denominator, the lcm of its bonds (DCP.big_l).  At the public boundary a
-fan vector is a dict {DCPNode: Fraction}; inside, it is the sorted tuple of
-its (node number, numerator over big_l) pairs (vector_key), and the round
-trip, membership and the onto check of verify run on those pairs.
-Fractions are built only for returned values.  Fan vectors of a fixed
-degree biject with the standard tableaux of that degree, and the
-multidegree checker compares bond products summed over maximal chains, by
-dynamic programming over the poset, against the Hilbert multidegrees, read
-off as forward differences of the dimension oracle on the simplex grid.
+the same reach table, and neither lists maximal chains.  Every function
+taking a DCP takes and returns a fan vector as its key: the sorted tuple of
+its (node number, numerator over DCP.big_l, the lcm of the bonds) pairs.
+vector_key and fan_vector convert to and from {DCPNode: Fraction}, the form
+of weights, degrees and the JSON.  Fan vectors of a fixed degree biject with
+the standard tableaux of that degree; theta_d and its inverse work column
+by column, through per-DCP memos of each column's terms and of each
+degree-one part's column.  The multidegree checker compares bond products
+summed over maximal chains, by dynamic programming over the poset, against
+the Hilbert multidegrees, read off as forward differences of the dimension
+oracle on the simplex grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
@@ -35,6 +36,7 @@ from .tableaux import LSTableau, make_tableau
 __all__ = [
     "FanError",
     "vector_key",
+    "fan_vector",
     "fan_degree",
     "in_ls_plus",
     "enumerate_fan_degree",
@@ -46,7 +48,8 @@ __all__ = [
     "multidegree_conjecture_check",
 ]
 
-FanVector = dict  # DCPNode -> Fraction
+FanVector = dict  # DCPNode -> Fraction, the boundary form
+FanKey = tuple  # sorted (node number, numerator over DCP.big_l) pairs
 
 
 class FanError(ValueError):
@@ -81,46 +84,49 @@ def vector_key(dcp: DCP, vec: FanVector):
     return tuple(sorted(support))
 
 
-def in_ls_plus(dcp: DCP, vec: FanVector) -> bool:
-    """Membership in the fan: non-negative, integral in total, and each
-    support node in the reach (lspath.bonded_below) of the one above it
-    (of the top, for the first) at the denominator of the running sum."""
-    support = vector_key(dcp, vec)
-    if support is None:
+def fan_vector(dcp: DCP, key: FanKey) -> FanVector:
+    """The {DCPNode: Fraction} form of a key; vector_key inverts it."""
+    nodes, big_l = dcp.nodes, dcp.big_l
+    return {nodes[k]: Fraction(c, big_l) for k, c in key}
+
+
+def in_ls_plus(dcp: DCP, key: FanKey | None) -> bool:
+    """Membership in the fan of a key (None, vector_key's answer for a
+    vector without one, is no member): integral in total, and each support
+    node in the reach (lspath.bonded_below) of the one above it (of the
+    top, for the first) at the denominator of the running sum."""
+    if key is None:
         return False
     covers, big_l, upper, cum = dcp.covers_down, dcp.big_l, 0, 0
-    for k, c in support:
+    for k, c in key:
         if not bonded_below(covers, upper, big_l // gcd(cum, big_l), dcp.reach) >> k & 1:
             return False
         upper, cum = k, cum + c
     return cum % big_l == 0
 
 
-def enumerate_fan_degree(dcp: DCP, d):
-    """All fan vectors of degree d: the lattice points of
+def enumerate_fan_degree(dcp: DCP, d) -> list[FanKey]:
+    """The keys of all fan vectors of degree d: the lattice points of
     lspath.chain_lattice_points on the node numbers of the poset, where a
     node's coefficient counts against the coordinates of its index set's
     underline.  Every vector is met exactly once, on the path of its own
-    support.
+    support, whose node numbers increase down the support.
     """
     setup = dcp.setup
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    nodes = dcp.nodes
-    spend = [[j - 1 for j in setup.iposet.underline[n.iset]] for n in nodes]
-    points = chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach)
-    return [{nodes[k]: c for k, c in vec.items()} for vec in points]
+    spend = [[j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes]
+    return list(chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach))
 
 
-def _parts(dcp: DCP, vec: FanVector):
-    """decompose on node numbers: each part as (node number, numerator over
-    big_l) pairs."""
-    if not in_ls_plus(dcp, vec):
+def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
+    """decompose on keys: the key of each part."""
+    if not in_ls_plus(dcp, key):
         raise FanError("vector is not a member of the fan")
     big_l, nodes = dcp.big_l, dcp.nodes
     parts, cum, iset = [], 0, None
-    for k, remaining in vector_key(dcp, vec):
+    for k, remaining in key:
         if nodes[k].iset != iset:
             if cum % big_l:
                 at = Fraction(cum, big_l)
@@ -135,10 +141,10 @@ def _parts(dcp: DCP, vec: FanVector):
             parts[-1].append((k, take))
             cum += take
             remaining -= take
-    return parts
+    return [tuple(part) for part in parts]
 
 
-def decompose(dcp: DCP, vec: FanVector):
+def decompose(dcp: DCP, key: FanKey | None) -> list[FanVector]:
     """Unique decomposition into fan vectors of total degree one.
 
     One pass down the support, in the order in_ls_plus walks it, with one
@@ -148,8 +154,7 @@ def decompose(dcp: DCP, vec: FanVector):
     and the running sum integral where the index set changes, so that each
     part lies in one slice; both are checked as invariants.
     """
-    nodes, big_l = dcp.nodes, dcp.big_l
-    return [{nodes[k]: Fraction(c, big_l) for k, c in part} for part in _parts(dcp, vec)]
+    return [fan_vector(dcp, part) for part in _parts(dcp, key)]
 
 
 def weight(setup: Setup, vec: FanVector):
@@ -159,36 +164,45 @@ def weight(setup: Setup, vec: FanVector):
     )
 
 
-def theta_d(dcp: DCP, tableau: LSTableau):
-    """Fan vector of a standard tableau: sum of the column vectors over one
-    denominator, each transported into its slice of the poset through the
-    rho lookup; raises NotStandardError when rho is not injective."""
+def theta_d(dcp: DCP, tableau: LSTableau) -> FanKey:
+    """Key of the fan vector of a standard tableau: the sum of its columns'
+    (node number, numerator) terms, each coset transported into its slice
+    through the rho lookup (NotStandardError when rho is not injective),
+    once per (column, shape) in dcp.theta_columns."""
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
-    inverse = dcp.rho_lookup
-    den = lcm(*(cut.denominator for path in tableau.columns for cut in path.cuts))
-    nums = {}
+    memo, big_l, nums = dcp.theta_columns, dcp.big_l, {}
     for path, s in zip(tableau.columns, tableau.shapes):
-        steps, _ = column_steps(path, den)
-        for coset, step in zip(path.cosets, steps):
-            k = inverse.get((coset.key, s))
-            if k is None:
-                raise FanError(f"column coset {coset} has no node in slice {set(s)}")
-            nums[k] = nums.get(k, 0) + step
-    return {dcp.nodes[k]: Fraction(num, den) for k, num in nums.items()}
+        terms = memo.get((path, s))
+        if terms is None:
+            (steps, den), inverse, terms = column_steps(path), dcp.rho_lookup, []
+            if big_l % den:
+                raise InvariantError(f"column steps over {den} are not integral over {big_l}")
+            for coset, step in zip(path.cosets, steps):
+                if (coset.key, s) not in inverse:
+                    raise FanError(f"column coset {coset} has no node in slice {set(s)}")
+                terms.append((inverse[coset.key, s], step * (big_l // den)))
+            memo[path, s] = terms
+        for k, c in terms:
+            nums[k] = nums.get(k, 0) + c
+    return tuple(sorted(nums.items()))
 
 
-def theta_d_inverse(dcp: DCP, vec: FanVector) -> LSTableau:
+def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
     """Tableau of a fan vector, via the unique degree-one decomposition; a
-    part's nodes lie in one slice with distinct rho images."""
-    setup = dcp.setup
-    images = dcp.rho_images
+    part's nodes lie in one slice with distinct rho images.  The column of
+    each distinct part is built and validated once, in dcp.part_columns."""
+    setup, memo, images = dcp.setup, dcp.part_columns, dcp.rho_images
     columns, shapes = [], []
-    for part in _parts(dcp, vec):
-        s = images[part[0][0]][1]
-        terms = [(images[k][0], c) for k, c in part]
-        columns.append(column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s]))
-        shapes.append(s)
+    for part in _parts(dcp, key):
+        column = memo.get(part)
+        if column is None:
+            s = images[part[0][0]][1]
+            terms = [(images[k][0], c) for k, c in part]
+            column = column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s]), s
+            memo[part] = column
+        columns.append(column[0])
+        shapes.append(column[1])
     return make_tableau(setup, columns, shapes)
 
 

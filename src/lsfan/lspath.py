@@ -3,20 +3,20 @@
 A path of shape nu is a strictly decreasing chain of cosets in W/W_nu with
 rational cut points, subject to the chain-integrality condition: consecutive
 cosets must be joined by a saturated chain of covering relations whose pairing
-with the cut point is integral at every step.  The condition is local, and
-bonded_below, the reach of a node at a denominator memoized per poset, is
-its one home: validation reads certificates off the reach, and paths are
-built one support coset at a time by the lattice-point walk over it that
-also enumerates fan vectors (chain_lattice_points); no maximal chain is
-listed.  The walks run on int-keyed covers: representative indices here,
-node numbers on a defining chain poset.  All arithmetic is exact: sums are
-integer numerators over one denominator (one per defining chain poset,
-DCP.big_l), and Fractions are built only where a function returns them.
+with the cut point is integral at every step.  bonded_below, the reach of a
+node at a denominator memoized per poset, is the one home of this local
+condition: validation reads certificates off the reach, and paths are built
+by chain_lattice_points, the walk over it that also enumerates fan vectors,
+yielding (node, numerator) pairs on int-keyed covers (representative indices
+here, node numbers on a DCP) and listing no maximal chain.  Sums are integer
+numerators over one denominator; Fractions are built only for returned
+values.  An LSPath compares and hashes by one key made at construction, so
+paths key the per-job memos of end points and theta columns cheaply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -45,24 +45,35 @@ class PathError(ValueError):
     """Raised for malformed LS-path data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class LSPath:
     """LS-path (sigma_p > ... > sigma_1; 0, a_p, ..., a_1 = 1).
 
     `cosets[0]` is the largest coset (the initial direction) and `cuts[k]` is
     the cut point attached to `cosets[k]`, so cuts increase along the tuple
-    and end in 1.
+    and end in 1.  `key` holds the shape, the coset keys and the cut points'
+    (numerator, denominator) pairs, made at construction; equality and
+    hashing read it alone.
     """
 
     shape: tuple[int, ...]
     cosets: tuple[Coset, ...]
     cuts: tuple[Fraction, ...]
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.cosets) != len(self.cuts) or not self.cosets:
             raise PathError("need one cut point per coset")
         if self.cuts[-1] != 1:
             raise PathError("final cut point must be 1")
+        cuts = tuple((a.numerator, a.denominator) for a in self.cuts)
+        object.__setattr__(self, "key", (self.shape, tuple(c.key for c in self.cosets), cuts))
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, LSPath) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 def initial_direction(path: LSPath) -> Coset:
@@ -74,7 +85,7 @@ class BondedCovers(dict):
     coset -> its (lower rep index, root index, bond) covers, each entry
     filled on first use.  It also keeps the stabilizer parabolic of nu, the
     image w(nu) per rep index w, each computed once, and the memo `reach`
-    of bonded_below.
+    of bonded_below.  `endpoints` memoizes endpoint per path.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
     the positive root beta with s_beta min(phi) = min(theta).  `bond` is the
@@ -89,8 +100,7 @@ class BondedCovers(dict):
         self.group = group
         self.nu = tuple(nu)
         self.parabolic = group.stabilizer_parabolic(self.nu)
-        self.images = {}
-        self.reach = {}
+        self.images, self.reach, self.endpoints = {}, {}, {}
 
     def image(self, w: WeylElt):
         """w(nu), computed once per element."""
@@ -227,7 +237,8 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
 def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
     """Every lattice point of degree `degree` on the chains of a graded
     poset, once each, by a depth-first search over support chains from
-    `top`; each is yielded as {node: Fraction} in top-down support order.
+    `top`; each is yielded as the tuple of its (node, numerator over
+    big_l) pairs in top-down support order.
 
     covers_down maps a node id to its (lower, label, bond) covers.  A
     node's coefficient counts against the coordinates spend[node] of
@@ -243,7 +254,7 @@ def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
     def place(reach, total, rest):
         if not any(rest):
             if total % big_l == 0:
-                yield {node: Fraction(c, big_l) for node, c in vec.items()}
+                yield tuple(vec.items())
             return
         while reach:
             node = (reach & -reach).bit_length() - 1
@@ -278,10 +289,10 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     shape = tuple(d * x for x in nu)
     cosets = {c.rep.index: c for c in poset.nodes}  # the walk's ids
     covers, spend, paths = poset.covers_down, dict.fromkeys(cosets, (0,)), set()
-    top = poset.top.rep.index
-    for vec in chain_lattice_points(covers, top, (d,), spend, poset.big_l, covers.reach):
-        cuts = tuple(cum / d for cum in accumulate(vec.values()))
-        paths.add(LSPath(shape, tuple(map(cosets.get, vec)), cuts))
+    top, big_l = poset.top.rep.index, poset.big_l
+    for point in chain_lattice_points(covers, top, (d,), spend, big_l, covers.reach):
+        cuts = tuple(Fraction(cum, d * big_l) for cum in accumulate(c for _, c in point))
+        paths.add(LSPath(shape, tuple(cosets[x] for x, _ in point), cuts))
     return paths
 
 
@@ -303,11 +314,16 @@ def endpoint(path: LSPath, group: WeylGroup):
     """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape).
 
     The images sigma_j(shape) come from the shape's table in shape_covers
-    instead of a matrix product per segment."""
-    steps, den = column_steps(path)
-    image = shape_covers(group, path.shape).image
-    vectors = [image(c.rep) for c in path.cosets]
-    return integral_sum(steps, vectors, den, len(path.shape), "endpoint")
+    instead of a matrix product per segment, and the end point is computed
+    once per path, in the table's `endpoints`."""
+    covers = shape_covers(group, path.shape)
+    end = covers.endpoints.get(path)
+    if end is None:
+        steps, den = column_steps(path)
+        vectors = [covers.image(c.rep) for c in path.cosets]
+        end = integral_sum(steps, vectors, den, len(path.shape), "endpoint")
+        covers.endpoints[path] = end
+    return end
 
 
 def integral_sum(nums, vectors, den: int, size: int, what: str):

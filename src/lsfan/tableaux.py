@@ -102,7 +102,7 @@ def degree(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
 
 
 def tableau_endpoint(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
-    """End point of the concatenation of all columns."""
+    """Sum of the columns' end points, each memoized per path by lspath.endpoint."""
     total = (0,) * setup.group.rank
     for path in tableau.columns:
         e = endpoint(path, setup.group)

@@ -31,7 +31,6 @@ __all__ = [
     "WeylGroup",
     "GroupSizeError",
     "LiftError",
-    "covering_relations",
     "make_group",
     "one_line_to_word",
     "word_to_one_line",
@@ -464,21 +463,6 @@ def make_group(dynkin_type: str, rank: int, size_guard: int = 1152) -> WeylGroup
     checked before either is built."""
     checked_group_order(dynkin_type, rank, size_guard)
     return WeylGroup(build_root_datum(dynkin_type, rank), size_guard)
-
-
-def covering_relations(group: WeylGroup, parabolic: Parabolic, tau: Coset):
-    """All covering pairs theta > phi in W/W_P with theta <= tau, labelled by
-    the index of the positive root beta with s_beta min(phi) = min(theta)."""
-    parabolic = frozenset(parabolic)
-    top = group.pi(tau, parabolic)
-    result = []
-    for upper in group.all_cosets(parabolic):
-        if not group.coset_leq(upper, top):
-            continue
-        for lower, beta_idx in group.covers_down(upper):
-            result.append((upper, lower, beta_idx))
-    result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
-    return result
 
 
 # -- type A one-line notation ----------------------------------------------------

@@ -13,13 +13,17 @@ by node number, through node_covers and dcp.nodes.
 
 The library reads the Hilbert multidegrees off forward differences on the
 simplex grid.  The monomial-basis fit it replaced, a fraction-free (Bareiss)
-solve checked at every grid point, is the reference for it at the end.
+solve checked at every grid point, is the reference for it after them.
+
+The last helpers are queries with no caller in the library: the covering
+pairs of a bounded quotient and two inverses of the slice map rho, one by
+table lookup and one in closed form for the maximal tau.
 """
 
 from fractions import Fraction
 from math import factorial, prod
 
-from lsfan.dcp import rho
+from lsfan.dcp import DCPNode, rho
 from lsfan.demazure import weyl_dimension
 from lsfan.fan import FanError, _monomials
 from lsfan.lspath import (
@@ -365,3 +369,34 @@ def monomial_fit_multidegrees(setup, max_total_degree):
         for mono, c in zip(monomials, coeffs)
         if sum(mono) == n
     }
+
+
+# -- queries without a library caller -------------------------------------------
+
+
+def covering_relations(group, parabolic, tau):
+    """All covering pairs theta > phi in W/W_P with theta <= tau, labelled by
+    the index of the positive root beta with s_beta min(phi) = min(theta)."""
+    parabolic = frozenset(parabolic)
+    top = group.pi(tau, parabolic)
+    result = []
+    for upper in group.all_cosets(parabolic):
+        if not group.coset_leq(upper, top):
+            continue
+        for lower, beta_idx in group.covers_down(upper):
+            result.append((upper, lower, beta_idx))
+    result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
+    return result
+
+
+def rho_inverse(dcp, theta, iset):
+    """Preimage of (theta, I) under rho; requires rho to be injective."""
+    return dcp.nodes[dcp.rho_lookup[(theta.key, frozenset(iset))]]
+
+
+def rho_inverse_w0(setup, theta, iset):
+    """Closed-form inverse min_Q(max_{Q_I}(theta)) for the maximal tau."""
+    iset = frozenset(iset)
+    group = setup.group
+    lifted = group.max_lift(theta, setup.q_of[iset])
+    return DCPNode(group.min_lift(lifted, setup.q), iset)

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import lsfan.weyl
-from lsfan import DCP, DCPNode, cli
+from lsfan import DCP, DCPNode, cli, vector_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -223,7 +223,9 @@ def test_theta_bijection_check_reports_each_failure(capsys, monkeypatch):
 
     # a fan vector that no tableau hits, then a tableau image that is no
     # enumerated fan vector
-    extra = lambda dcp, d: enumerate_fan_degree(dcp, d) + [{dcp.top: 7}]
+    extra = lambda dcp, d: (
+        enumerate_fan_degree(dcp, d) + [vector_key(dcp, {dcp.top: 7})]
+    )
     monkeypatch.setattr(cli, "enumerate_fan_degree", extra)
     assert bijection_detail() == {"onto": False, "round_trip": True}
     short = lambda dcp, d: enumerate_fan_degree(dcp, d)[1:]

@@ -29,8 +29,6 @@ from lsfan import (
     one_line_to_word,
     powerset_iposet,
     rho,
-    rho_inverse,
-    rho_inverse_w0,
     tau_standardness_report,
     theta_d,
     totally_ordered_exists,
@@ -41,7 +39,7 @@ from lsfan import (
 
 from lsfan import cli
 
-from chain_reference import index_poset_maximal_chains
+from chain_reference import index_poset_maximal_chains, rho_inverse, rho_inverse_w0
 
 ALL = frozenset()
 W1, W2, W3 = (1, 0), (0, 1), (1, 1)

@@ -39,6 +39,37 @@ def scaled(nu, d):
     return tuple(d * x for x in nu)
 
 
+# -- the path key -----------------------------------------------------------------
+
+
+def test_path_key_agrees_with_fieldwise_comparison(b2):
+    # equality and hashing read the key made at construction; they must
+    # agree with comparing shape, cosets and cut points field by field
+    paths = [
+        p for nu in [(1, 0), (0, 1), (1, 1)] for d in (1, 2)
+        for p in enumerate_ls_paths(b2, nu, top_coset(b2, nu), d)
+    ]
+    rebuilt = [LSPath(tuple(p.shape), tuple(p.cosets), tuple(p.cuts)) for p in paths]
+    for p, q in zip(paths, rebuilt):
+        assert p is not q and p == q and hash(p) == hash(q)
+    fields = lambda p: (p.shape, p.cosets, p.cuts)
+    for p in paths:
+        for q in paths:
+            assert (p == q) == (fields(p) == fields(q))
+    assert paths[0] != fields(paths[0])
+
+
+def test_paths_that_differ_in_shape_or_one_cut_are_unequal(b2):
+    nu = (1, 0)
+    path = next(
+        p for p in enumerate_ls_paths(b2, nu, top_coset(b2, nu), 2) if len(p.cuts) == 2
+    )
+    other_shape = LSPath(scaled(path.shape, 2), path.cosets, path.cuts)
+    other_cut = LSPath(path.shape, path.cosets, (path.cuts[0] / 2, ONE))
+    assert other_shape != path and other_cut != path
+    assert len({path, other_shape, other_cut}) == 3
+
+
 # -- validation -------------------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from lsfan import (
     endpoint,
     enumerate_fan_degree,
     enumerate_standard,
+    fan_vector,
     in_ls_plus,
     make_group,
     powerset_iposet,
@@ -38,6 +39,7 @@ from lsfan import (
     theta_d_inverse,
     theta_single,
     theta_single_inverse,
+    vector_key,
 )
 from lsfan.cli import _setup_from_job
 
@@ -97,21 +99,23 @@ def test_round_trip_matches_the_fraction_reference(name):
     assert dcp.big_l == lcm(1, *(bond for *_, bond in dcp.edges))
     for d in degrees:
         for t in tableaux(name, d):
-            vec = theta_d(dcp, t)
+            key = theta_d(dcp, t)
+            vec = fan_vector(dcp, key)
             assert vec == ref.theta_d(dcp, t)
             assert all(type(c) is Fraction for c in vec.values())
-            assert theta_d_inverse(dcp, vec) == ref.theta_d_inverse(dcp, vec) == t
+            assert theta_d_inverse(dcp, key) == ref.theta_d_inverse(dcp, vec) == t
             for path in t.columns:
                 e = endpoint(path, setup.group)
                 assert e == ref.endpoint(path)
                 assert all(type(x) is int for x in e)
                 assert theta_single(path, 2) == ref.theta_single(path, 2)
-        for vec in vectors(name, d):
-            assert in_ls_plus(dcp, vec) and ref.in_ls_plus(dcp, vec)
-            parts = decompose(dcp, vec)
+        for key in vectors(name, d):
+            vec = fan_vector(dcp, key)
+            assert in_ls_plus(dcp, key) and ref.in_ls_plus(dcp, vec)
+            parts = decompose(dcp, key)
             assert parts == ref.decompose(dcp, vec)
             assert all(type(c) is Fraction for p in parts for c in p.values())
-            assert theta_d_inverse(dcp, vec) == ref.theta_d_inverse(dcp, vec)
+            assert theta_d_inverse(dcp, key) == ref.theta_d_inverse(dcp, vec)
 
 
 # a coefficient as (numerator, denominator); "L" is the lcm of the bonds, so
@@ -149,7 +153,7 @@ def test_perturbed_vectors_match_the_fraction_reference(name, pick, changes, mov
     # node, which keeps the total and so leaves the bond conditions to decide
     setup, dcp, degrees = instance(name)
     members = vectors(name, degrees[pick % len(degrees)])
-    vec = dict(members[pick % len(members)])
+    vec = fan_vector(dcp, members[pick % len(members)])
     big_l = lcm(1, *(bond for *_, bond in dcp.edges))
     for source, target, mass in moves:
         source = sorted(vec, key=dcp.nodes.index)[source % len(vec)]
@@ -158,9 +162,10 @@ def test_perturbed_vectors_match_the_fraction_reference(name, pick, changes, mov
         vec[target] = vec.get(target, 0) + mass
     for index, pair in changes:
         vec[dcp.nodes[index % len(dcp.nodes)]] = coefficient(pair, big_l)
-    assert in_ls_plus(dcp, vec) == ref.in_ls_plus(dcp, vec)
-    assert outcome(decompose, dcp, vec) == outcome(ref.decompose, dcp, vec)
-    assert outcome(theta_d_inverse, dcp, vec) == outcome(ref.theta_d_inverse, dcp, vec)
+    key = vector_key(dcp, vec)
+    assert in_ls_plus(dcp, key) == ref.in_ls_plus(dcp, vec)
+    assert outcome(decompose, dcp, key) == outcome(ref.decompose, dcp, vec)
+    assert outcome(theta_d_inverse, dcp, key) == outcome(ref.theta_d_inverse, dcp, vec)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,8 +3,9 @@ find every one of them.  A refactor that removes or renames a traced name
 fails here instead of only in the benchmark's own smoke test.  The tracer's
 call counts also pin how often theta_d and the node numbering run, that no
 command recomputes a covering root that the cover walk already gave, and
-that verify validates one path per column, computes each image w(nu) once
-and reads a shape's stabilizer from its table; a count of Fraction
+that verify validates each distinct degree-one part once, in memos that
+one job builds and no later job sees, computes each image w(nu) once and
+reads a shape's stabilizer from its table; a count of Fraction
 constructions pins the integer arithmetic of the theta round trip."""
 
 import importlib.util
@@ -73,6 +74,10 @@ def test_dcp_edges_come_from_the_one_cover_walk(capsys):
         assert tracer.calls["WeylGroup.covering_root"] == 0, command
 
 
+# B3 chain at degree (1,1,1) has 7 + 21 + 8 distinct degree-one parts
+B3_PARTS = 36
+
+
 def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
     # the theta round trip and the end points sum integer numerators; only
     # the values that public functions return are Fractions
@@ -91,7 +96,7 @@ def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
         Fraction.__new__ = original
     tableaux = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["tableaux"]
     assert tableaux == 512
-    assert len(made) <= 11 * tableaux, len(made) / tableaux
+    assert len(made) <= 4 * tableaux, len(made) / tableaux
 
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
@@ -99,7 +104,7 @@ def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
     capsys.readouterr()
     calls = tracer.calls
     assert calls["in_ls_plus"] == calls["theta_d_inverse"] == tableaux
-    assert calls["validate_ls_path"] == 3 * tableaux  # one per column
+    assert calls["validate_ls_path"] == B3_PARTS  # one per distinct column
 
 
 def test_verify_reads_shape_images_and_stabilizers_from_tables(capsys, monkeypatch):
@@ -119,5 +124,18 @@ def test_verify_reads_shape_images_and_stabilizers_from_tables(capsys, monkeypat
         assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
     capsys.readouterr()
     assert acts and len(acts) == len(set(acts))
-    assert tracer.calls["validate_ls_path"] == 3 * 512
+    assert tracer.calls["validate_ls_path"] == B3_PARTS
     assert tracer.calls["WeylGroup.stabilizer_parabolic"] < 20
+
+
+def test_column_memos_stay_within_one_job(capsys):
+    # the memos live on the job's DCP and group, so a second run in the same
+    # process validates every distinct part again
+    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+    tracing = load_tracing()
+    for _ in range(2):
+        with tracing.Tracer() as tracer:
+            assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+        capsys.readouterr()
+        assert tracer.calls["validate_ls_path"] == B3_PARTS
+        assert tracer.calls["theta_d_inverse"] == 512

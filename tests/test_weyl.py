@@ -8,13 +8,14 @@ from lsfan import (
     WeylElt,
     WeylGroup,
     build_root_datum,
-    covering_relations,
     make_group,
     one_line_to_word,
     word_to_one_line,
 )
 import lsfan.weyl
 from lsfan.rootdata import checked_group_order
+
+from chain_reference import covering_relations
 
 ALL = frozenset()
 
