@@ -27,7 +27,7 @@ from .dcp import (
     tau_standardness_report,
     UnderlineW,
 )
-from .demazure import demazure_character, demazure_dimension
+from .demazure import demazure_character
 from .fan import (
     enumerate_fan_degree,
     fan_vector,
@@ -65,14 +65,13 @@ def _bound(value, what: str) -> int:
     return value
 
 
-def _flag_bound(value: str, flag: str) -> int:
-    """A bound given on the command line (a rank, a size guard or a degree
-    bound): a string that int() parses to a non-negative int; raises
-    ValueError for anything else."""
+def _flag_bound(value: str) -> int:
+    """The type of a bound flag (a rank, a size guard or a degree bound): a
+    string that int() parses to a non-negative int."""
     try:
-        return _bound(int(value), flag)
+        return _bound(int(value), "bound")
     except ValueError:
-        raise ValueError(f"{flag} {value!r} is not a non-negative integer") from None
+        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer") from None
 
 
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:
@@ -91,17 +90,11 @@ def _load_job(args) -> dict:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ValueError(f"job file {args.job} does not hold a JSON object")
-    for key in ("type", "lambdas", "tau", "iposet", "degree"):
+    for key in ("type", "rank", "size_guard", "lambdas", "tau", "iposet", "degree",
+                "max_total_degree"):
         value = getattr(args, key, None)
         if value is not None:
             job[key] = value
-    for key, flag in (
-        ("rank", "--rank"),
-        ("size_guard", "--size-guard"),
-        ("max_total_degree", "--max-total-degree"),
-    ):
-        if getattr(args, key, None) is not None:
-            job[key] = _flag_bound(getattr(args, key), flag)
     return job
 
 
@@ -139,8 +132,10 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
         grid = product(range(bound + 1), repeat=m)
         degrees = [d for d in grid if 0 < sum(d) <= bound]
     for d in degrees:
-        if len(d) != m or any(x < 0 for x in d):
+        if len(d) != m:
             raise ValueError(f"degree {d} does not match the weight count {m}")
+        if min(d) < 0:
+            raise ValueError(f"degree {d} has the negative entry {min(d)}")
     return degrees
 
 
@@ -265,7 +260,8 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
             sum(d[i] * setup.lambdas[i][j] for i in range(setup.m))
             for j in range(group.rank)
         )
-        dim = demazure_dimension(group, mu, setup.tau)
+        char = demazure_character(group, mu, setup.tau)
+        dim = sum(char.values())
         tableaux = enumerate_standard(setup, d, dcp)
         vectors = enumerate_fan_degree(dcp, d)
         checks.append(
@@ -280,7 +276,6 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
                 },
             }
         )
-        char = demazure_character(group, mu, setup.tau)
         endpoints = Counter(tableau_endpoint(setup, t) for t in tableaux)
         checks.append(
             {
@@ -324,15 +319,12 @@ def cmd_verify(args) -> int:
     job = _load_job(args)
     setup = _setup_from_job(job)
     degrees = _degrees_from_job(job, setup.m)
-    bound = None
-    if args.conjecture is not None:
-        bound = _flag_bound(args.conjecture, "--conjecture")
-    if not degrees and bound is None:
+    if not degrees and args.conjecture is None:
         data = {"ok": True, "checks": [], "warning": "empty degree grid"}
         _emit(args, lsio.dumps(data))
         print("verify: vacuous pass (empty degree grid)", file=sys.stderr)
         return 0
-    checks = _verify_checks(setup, degrees, bound)
+    checks = _verify_checks(setup, degrees, args.conjecture)
     identity_failures = [
         c for c in checks if not c["pass"] and c["check"] != "multidegree_conjecture"
     ]
@@ -373,7 +365,7 @@ def cmd_conjecture(args) -> int:
 def _add_common(sub):
     sub.add_argument("--job", help="JSON job file; flags override its entries")
     sub.add_argument("--type", help="Dynkin type A..G")
-    sub.add_argument("--rank")
+    sub.add_argument("--rank", type=_flag_bound)
     sub.add_argument(
         "--lambda",
         dest="lambdas",
@@ -381,13 +373,20 @@ def _add_common(sub):
     )
     sub.add_argument("--tau", help="word '2,1' with letters in 1..rank, or 'w0'")
     sub.add_argument("--iposet", help="'chain', 'powerset', or sets '1;1,2;1,2,3'")
-    sub.add_argument("--size-guard", dest="size_guard")
+    sub.add_argument("--size-guard", dest="size_guard", type=_flag_bound)
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=["json", "dot"], default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, which main reports in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lsfan",
         description="defining chain posets, LS-tableaux and the LS-fan of monoids",
     )
@@ -416,10 +415,12 @@ def main(argv=None) -> int:
     sub.add_argument(
         "--max-total-degree",
         dest="max_total_degree",
+        type=_flag_bound,
         help="use all degrees of total degree up to this bound",
     )
     sub.add_argument(
         "--conjecture",
+        type=_flag_bound,
         help="also run the multidegree comparison with this fit bound",
     )
     sub.set_defaults(func=cmd_verify)
@@ -429,13 +430,14 @@ def main(argv=None) -> int:
     sub.add_argument(
         "--max-total-degree",
         dest="max_total_degree",
+        type=_flag_bound,
         help="degree bound of the grid the Hilbert multidegrees are read "
         "and checked on (default: dim X_tau)",
     )
     sub.set_defaults(func=cmd_conjecture)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .lspath import bonded_below, maximal_bonded_chains, shape_covers
+from .lspath import ShapePoset, bonded_below, maximal_bonded_chains, set_bits, shape_covers
 from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup, bitmask, pair_key
 
@@ -228,76 +228,58 @@ class Setup:
             result &= self.p_of[j]
         return frozenset(result)
 
-    def tau_in(self, s: frozenset) -> Coset:
-        return self.group.pi(self.tau, self.p_of[s])
-
 
 # ---------------------------------------------------------------------------
 
 
 class UnderlineW:
-    """The poset of pairs (theta, I), theta a bounded coset of W/W_{P_I}.
+    """The poset of pairs (theta, I), theta in the shape poset of lambda_I
+    below tau (lspath.ShapePoset), members in index-poset order.
 
-    The generating relation compares the maximal lift of theta with the
-    minimal lift of phi in W/W_Q; the partial order is its transitive hull,
-    which in general is strictly larger (the generating relation need not be
-    transitive).
-    """
+    Node a generates node b != a when I_b is in I_a and the minimal lift of
+    theta_b lies below the maximal lift of theta_a in W/W_Q; the partial
+    order is the transitive hull, which in general is strictly larger.
+    `_gen` and `_hull` hold one int row per node: bit b of row a is set iff
+    node a is above node b."""
 
     def __init__(self, setup: Setup):
         self.setup = setup
         group = setup.group
-        self.nodes = []
-        for s in setup.iposet.sets:
-            top = setup.tau_in(s)
-            for c in group.all_cosets(setup.p_of[s]):
-                if group.coset_leq(c, top):
-                    self.nodes.append((c, s))
-        self.nodes.sort(key=lambda n: (len(n[1]), _set_key(n[1]), n[0].rank, n[0].rep.index))
-        index = {node: k for k, node in enumerate(self.nodes)}
-        n = len(self.nodes)
-
-        gen = [[False] * n for _ in range(n)]
-        for a, (ca, sa) in enumerate(self.nodes):
-            max_a = group.max_lift(ca, setup.q)
-            for b, (cb, sb) in enumerate(self.nodes):
-                if a == b or not sb <= sa:
-                    continue
-                min_b = group.min_lift(cb, setup.q)
-                if group.coset_leq(min_b, max_a):
-                    gen[a][b] = True
-
-        hull = [row[:] for row in gen]
-        for k in range(n):
-            hk = hull[k]
-            for i in range(n):
-                if hull[i][k]:
-                    hi = hull[i]
-                    for j in range(n):
-                        if hk[j]:
-                            hi[j] = True
-        self._gen = gen
-        self._hull = hull
-        self._index = index
-        self.generating_is_transitive = gen == hull
+        self.nodes = [
+            (c, s)
+            for s in setup.iposet.sets
+            for c in ShapePoset(group, setup.lambda_of[s], setup.tau).nodes
+        ]
+        self._index = {node: k for k, node in enumerate(self.nodes)}
+        max_q = [group.max_lift(c, setup.q) for c, _ in self.nodes]
+        min_q = [group.min_lift(c, setup.q) for c, _ in self.nodes]
+        self._gen = [
+            sum(1 << b for b, (_, sb) in enumerate(self.nodes)
+                if b != a and sb <= sa and group.coset_leq(min_q[b], max_q[a]))
+            for a, (_, sa) in enumerate(self.nodes)
+        ]
+        self._hull = hull = self._gen[:]
+        for k in range(len(hull)):  # Warshall, one row at a time
+            for i, row in enumerate(hull):
+                if row >> k & 1:
+                    hull[i] = row | hull[k]
+        self.generating_is_transitive = self._gen == hull
 
     def generating_geq(self, a, b) -> bool:
-        return a == b or self._gen[self._index[a]][self._index[b]]
+        return a == b or self._gen[self._index[a]] >> self._index[b] & 1 == 1
 
     def geq(self, a, b) -> bool:
-        return a == b or self._hull[self._index[a]][self._index[b]]
+        return a == b or self._hull[self._index[a]] >> self._index[b] & 1 == 1
 
     def covers(self):
-        """Hasse edges of the hull, as (upper, lower) pairs."""
-        n = len(self.nodes)
+        """Hasse edges of the hull, as (upper, lower) pairs in node order:
+        a row's bits that no row below it holds."""
         result = []
-        for i in range(n):
-            for j in range(n):
-                if not self._hull[i][j]:
-                    continue
-                if any(self._hull[i][k] and self._hull[k][j] for k in range(n)):
-                    continue
-                result.append((self.nodes[i], self.nodes[j]))
+        for upper, row in zip(self.nodes, self._hull):
+            below = 0
+            for k in set_bits(row):
+                below |= self._hull[k]
+            result.extend((upper, self.nodes[j]) for j in set_bits(row & ~below))
         return result
 
 
@@ -337,7 +319,8 @@ class DCP:
     lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
     lcm of the bonds, is the one denominator of its fan vectors.  It keeps the
     theta round trip's memos: `theta_columns`, (path, I) -> that column's (node
-    number, numerator) terms, and `part_columns`, a part's key -> (path, I).
+    number, numerator) terms, and `part_columns`, a part's key -> (path, I);
+    and `next_lifts`, (lift key, path) -> greedy_max_lifts' last lift or None.
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -352,7 +335,7 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self.reach, self.theta_columns, self.part_columns = {}, {}, {}
+        self.reach, self.theta_columns, self.part_columns, self.next_lifts = {}, {}, {}, {}
 
     def length(self) -> int:
         return self.top.rank

@@ -134,18 +134,23 @@ class ShapePoset:
     """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers.
 
     `nodes` and `top` are cosets; `covers_down`, the shape's BondedCovers,
-    is keyed by their rep indices.  big_l, the lcm of the bonds below the
-    top, is the one denominator of its lattice points."""
+    is keyed by their rep indices.  The nodes, by (length, rep index), are
+    the reach of the top at denominator 1 (Bruhat order on W/W_nu is the
+    closure of its covers).  big_l, the lcm of the bonds below the top, is
+    the one denominator of its lattice points."""
 
     def __init__(self, group: WeylGroup, nu, tau: Coset):
-        self.covers_down = shape_covers(group, nu)
-        self.top = group.pi(tau, self.covers_down.parabolic)
-        self.nodes = [
-            c for c in group.all_cosets(self.top.parabolic)
-            if group.coset_leq(c, self.top)
-        ]
-        covers = self.covers_down
-        self.big_l = lcm(1, *(bond for c in self.nodes for *_, bond in covers[c.rep.index]))
+        self.covers_down = covers = shape_covers(group, nu)
+        self.top = group.pi(tau, covers.parabolic)
+        reach = bonded_below(covers, self.top.rep.index, 1, covers.reach)
+        ids = sorted(set_bits(reach), key=lambda x: (group.lengths[x], x))
+        self.nodes = [Coset(group.elements()[x], covers.parabolic) for x in ids]
+        self.big_l = lcm(1, *(bond for x in ids for *_, bond in covers[x]))
+
+
+def set_bits(mask: int):
+    """The positions of the set bits of a mask, ascending."""
+    return (k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def bonded_below(covers_down, node, den, memo):
@@ -296,17 +301,16 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     return paths
 
 
-def numerators(values, den=None):
+def numerators(values):
     """(numerators, den): the ints or Fractions `values` as integers over
-    `den`, a multiple of their denominators, by default their lcm."""
-    if den is None:
-        den = lcm(*(v.denominator for v in values))
+    `den`, the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def column_steps(path: LSPath, den=None):
+def column_steps(path: LSPath):
     """(steps, den): the column rule den * (a_j - a_{j+1}) per coset sigma_j."""
-    cums, den = numerators(path.cuts, den)
+    cums, den = numerators(path.cuts)
     return [b - a for a, b in zip([0] + cums, cums)], den
 
 

@@ -224,17 +224,19 @@ def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
             paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts)
         )
 
-    results = []
+    results, next_lifts = [], dcp.next_lifts
 
     def extend(k, current_lift, acc):
         if k == len(shapes):
             results.append(LSTableau(tuple(acc), shapes))
             return
-        s = shapes[k]
-        for path in candidates[s]:
-            lifts = greedy_max_lifts(group, current_lift, path.cosets)
-            if lifts is not None:
-                extend(k + 1, lifts[-1], acc + [path])
+        for path in candidates[shapes[k]]:
+            key = (current_lift.key, path)
+            if key not in next_lifts:
+                lifts = greedy_max_lifts(group, current_lift, path.cosets)
+                next_lifts[key] = lifts and lifts[-1]
+            if next_lifts[key] is not None:
+                extend(k + 1, next_lifts[key], acc + [path])
 
     extend(0, setup.tau, [])
     return results

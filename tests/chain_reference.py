@@ -15,6 +15,11 @@ The library reads the Hilbert multidegrees off forward differences on the
 simplex grid.  The monomial-basis fit it replaced, a fraction-free (Bareiss)
 solve checked at every grid point, is the reference for it after them.
 
+The library reads a Bruhat interval below a coset off the reach table of
+its shape, and builds the coset-pair poset on int bit rows.  The scan of all
+cosets and the bool-matrix build with its triple-loop hull and cover test
+that they replaced are the references for them after the fit.
+
 The last helpers are queries with no caller in the library: the covering
 pairs of a bounded quotient and two inverses of the slice map rho, one by
 table lookup and one in closed form for the maximal tau.
@@ -369,6 +374,58 @@ def monomial_fit_multidegrees(setup, max_total_degree):
         for mono, c in zip(monomials, coeffs)
         if sum(mono) == n
     }
+
+
+# -- Bruhat intervals and the coset-pair poset by scans and bool matrices ------
+
+
+def interval_scan(group, parabolic, top):
+    """The cosets of W/W_P below `top`, by scanning every coset of W/W_P."""
+    return [c for c in group.all_cosets(parabolic) if group.coset_leq(c, top)]
+
+
+def underline_w_matrices(setup):
+    """(nodes, gen, hull, covers) of the coset-pair poset: the nodes by
+    scanning each member's quotient, the generating relation and its
+    transitive hull as n x n lists of bools (gen[a][b]: node a is above
+    node b), and the Hasse edges of the hull by an O(n^3) search."""
+    group = setup.group
+    nodes = []
+    for s in setup.iposet.sets:
+        for c in interval_scan(group, setup.p_of[s], group.pi(setup.tau, setup.p_of[s])):
+            nodes.append((c, s))
+    nodes.sort(key=lambda n: (len(n[1]), tuple(sorted(n[1])), n[0].rank, n[0].rep.index))
+    n = len(nodes)
+
+    gen = [[False] * n for _ in range(n)]
+    for a, (ca, sa) in enumerate(nodes):
+        max_a = group.max_lift(ca, setup.q)
+        for b, (cb, sb) in enumerate(nodes):
+            if a == b or not sb <= sa:
+                continue
+            min_b = group.min_lift(cb, setup.q)
+            if group.coset_leq(min_b, max_a):
+                gen[a][b] = True
+
+    hull = [row[:] for row in gen]
+    for k in range(n):
+        hk = hull[k]
+        for i in range(n):
+            if hull[i][k]:
+                hi = hull[i]
+                for j in range(n):
+                    if hk[j]:
+                        hi[j] = True
+
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if not hull[i][j]:
+                continue
+            if any(hull[i][k] and hull[k][j] for k in range(n)):
+                continue
+            covers.append((nodes[i], nodes[j]))
+    return nodes, gen, hull, covers
 
 
 # -- queries without a library caller -------------------------------------------

@@ -196,7 +196,7 @@ def test_verify_empty_grid_vacuous(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "demazure_dimension", lambda *a, **k: -1)
+    monkeypatch.setattr(cli, "demazure_character", lambda *a, **k: {(0, 0): -1})
     code, out, err = run(
         capsys,
         "verify",
@@ -350,6 +350,23 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         )
         assert code == 2 and out == "" and err.startswith("error:"), bound
         assert len(err.splitlines()) == 1 and "--conjecture" in err, bound
+    # argparse's own errors: a negative degree or weight read as a flag, an
+    # unknown flag and a missing subcommand
+    young = str(FIXTURES / "a2_young_chain_w0.json")
+    for argv, text in [
+        (("verify", "--job", young, "--degree", "-1,1"), "--degree"),
+        (("dcp", "--type", "A", "--rank", "2", "--lambda", "-1,0;0,1", "--tau", "w0",
+          "--iposet", "chain"), "--lambda"),
+        (("dcp", "--job", young, "--bogus"), "--bogus"),
+        ((), "command"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert len(err.splitlines()) == 1 and text in err, argv
+    # a negative degree entry that reaches the degree check is named
+    code, out, err = run(capsys, "verify", "--job", young, "--degree=-1,1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "negative entry -1" in err
     # any bound that int() parses is accepted, a sign included
     code, out, _ = run(
         capsys, "verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),

@@ -39,7 +39,17 @@ from lsfan import (
 
 from lsfan import cli
 
-from chain_reference import index_poset_maximal_chains, rho_inverse, rho_inverse_w0
+from chain_reference import (
+    index_poset_maximal_chains,
+    rho_inverse,
+    rho_inverse_w0,
+    underline_w_matrices,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+JOB_FIXTURES = sorted(
+    p for p in FIXTURES.glob("*.json") if "lambdas" in json.loads(p.read_text())
+)
 
 ALL = frozenset()
 W1, W2, W3 = (1, 0), (0, 1), (1, 1)
@@ -220,6 +230,19 @@ def test_relation_criterion_equivalence(a3):
                 cb, group.pi(group.max_lift(ca, setup.q_of[sa]), setup.p_of[sb])
             )
             assert direct == via_qi
+
+
+@pytest.mark.parametrize("path", JOB_FIXTURES, ids=lambda p: p.stem)
+def test_underline_w_matches_the_bool_matrix_reference(path):
+    setup = cli._setup_from_job(json.loads(path.read_text()))
+    uw = UnderlineW(setup)
+    nodes, gen, hull, covers = underline_w_matrices(setup)
+    as_rows = lambda matrix: [sum(1 << b for b, x in enumerate(row) if x) for row in matrix]
+    assert uw.nodes == nodes
+    assert uw._gen == as_rows(gen)
+    assert uw._hull == as_rows(hull)
+    assert uw.covers() == covers
+    assert uw.generating_is_transitive == (gen == hull)
 
 
 # -- defining chain posets ------------------------------------------------------------
@@ -569,7 +592,8 @@ def test_theta_d_rejects_non_standard_poset(a2):
     setup = tau312_setup(a2)
     dcp = build_dcp_inductive(setup)
     top = setup.iposet.full
-    column = LSPath(setup.lambda_of[top], (setup.tau_in(top),), (Fraction(1),))
+    theta = setup.group.pi(setup.tau, setup.p_of[top])
+    column = LSPath(setup.lambda_of[top], (theta,), (Fraction(1),))
     tableau = make_tableau(setup, [column], [top])
     with pytest.raises(NotStandardError):
         theta_d(dcp, tableau)
@@ -694,7 +718,7 @@ def test_totally_ordered_rejects_non_fundamental():
 
 def test_singleton_chain_lifts_to_tau(a2):
     setup = tau312_setup(a2)
-    proj = setup.tau_in(setup.iposet.full)
+    proj = setup.group.pi(setup.tau, setup.p_of[setup.iposet.full])
     upper, lower = defining_chain_extremes(setup, [(proj, setup.iposet.full)])
     assert upper == [setup.tau]
 

@@ -26,7 +26,11 @@ from lsfan import (
 from lsfan.lspath import bonded_below, bonded_chain, maximal_bonded_chains
 from lsfan.weyl import Coset
 
-from chain_reference import bonded_chain as ref_bonded_chain, reference_ls_paths
+from chain_reference import (
+    bonded_chain as ref_bonded_chain,
+    interval_scan,
+    reference_ls_paths,
+)
 
 ONE = Fraction(1)
 
@@ -87,6 +91,19 @@ def test_non_decreasing_cosets_rejected(a3):
         validate_ls_path(
             a3, LSPath(scaled(nu, 2), (sigma, sigma), (Fraction(1, 2), ONE))
         )
+
+
+def test_shape_poset_nodes_are_the_interval_scan():
+    # every nonzero 0/1 shape and every coset of its quotient as the top
+    for dynkin, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3)):
+        group = make_group(dynkin, rank)
+        for nu in product((0, 1), repeat=rank):
+            if not any(nu):
+                continue
+            parabolic = group.stabilizer_parabolic(nu)
+            for tau in group.all_cosets(parabolic):
+                nodes = ShapePoset(group, nu, tau).nodes
+                assert nodes == interval_scan(group, parabolic, tau), (dynkin, nu, tau)
 
 
 def test_bad_cut_points_rejected(a2):

@@ -4,8 +4,9 @@ fails here instead of only in the benchmark's own smoke test.  The tracer's
 call counts also pin how often theta_d and the node numbering run, that no
 command recomputes a covering root that the cover walk already gave, and
 that verify validates each distinct degree-one part once, in memos that
-one job builds and no later job sees, computes each image w(nu) once and
-reads a shape's stabilizer from its table; a count of Fraction
+one job builds and no later job sees, computes each image w(nu) once,
+reads a shape's stabilizer from its table and lifts each (lift, column)
+pair of tableau enumeration once; a count of Fraction
 constructions pins the integer arithmetic of the theta round trip."""
 
 import importlib.util
@@ -130,7 +131,8 @@ def test_verify_reads_shape_images_and_stabilizers_from_tables(capsys, monkeypat
 
 def test_column_memos_stay_within_one_job(capsys):
     # the memos live on the job's DCP and group, so a second run in the same
-    # process validates every distinct part again
+    # process validates every distinct part again, and computes again each
+    # Deodhar lift that the lift memo of tableau enumeration keeps
     job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
     tracing = load_tracing()
     for _ in range(2):
@@ -139,3 +141,4 @@ def test_column_memos_stay_within_one_job(capsys):
         capsys.readouterr()
         assert tracer.calls["validate_ls_path"] == B3_PARTS
         assert tracer.calls["theta_d_inverse"] == 512
+        assert tracer.calls["WeylGroup.deodhar_max_lift"] == 407
