@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 from itertools import product
 
 from . import io as lsio
@@ -147,9 +148,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_dcp(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_dcp(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
         direct = build_dcp_direct_w0(setup)
@@ -168,9 +167,7 @@ def cmd_dcp(args) -> int:
     return 0
 
 
-def cmd_underline_w(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_underline_w(args, job: dict, setup: Setup) -> int:
     uw = UnderlineW(setup)
     if args.format == "dot":
         _emit(args, lsio.underline_w_to_dot(uw))
@@ -179,9 +176,7 @@ def cmd_underline_w(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_check(args, job: dict, setup: Setup) -> int:
     report = tau_standardness_report(setup)
     group = setup.group
     data = {
@@ -216,9 +211,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_enumerate(args, job: dict, setup: Setup) -> int:
     degrees = _degrees_from_job(job, setup.m)
     if len(degrees) != 1:
         raise ValueError("enumerate needs exactly one --degree")
@@ -315,9 +308,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     return checks
 
 
-def cmd_verify(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_verify(args, job: dict, setup: Setup) -> int:
     degrees = _degrees_from_job(job, setup.m)
     if not degrees and args.conjecture is None:
         data = {"ok": True, "checks": [], "warning": "empty degree grid"}
@@ -343,9 +334,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_conjecture(args) -> int:
-    job = _load_job(args)
-    setup = _setup_from_job(job)
+def cmd_conjecture(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     bound = _int(job, "max_total_degree", setup.tau.rank)
     report = multidegree_conjecture_check(setup, dcp, bound)
@@ -385,32 +374,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="lsfan",
         description="defining chain posets, LS-tableaux and the LS-fan of monoids",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("dcp", help="build the defining chain poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_dcp)
-
-    sub = commands.add_parser("underline-w", help="build the coset-pair poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_underline_w)
-
-    sub = commands.add_parser("check", help="tau-standardness of the index poset")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_check)
-
-    sub = commands.add_parser("enumerate", help="standard tableaux of one degree")
-    _add_common(sub)
-    sub.add_argument("--degree", help="degree vector 'd1,...,dm'")
-    sub.set_defaults(func=cmd_enumerate)
-
-    sub = commands.add_parser("verify", help="counting/character/theta identity suite")
-    _add_common(sub)
+    subs = {}
+    for name, func, text in (
+        ("dcp", cmd_dcp, "build the defining chain poset"),
+        ("underline-w", cmd_underline_w, "build the coset-pair poset"),
+        ("check", cmd_check, "tau-standardness of the index poset"),
+        ("enumerate", cmd_enumerate, "standard tableaux of one degree"),
+        ("verify", cmd_verify, "counting/character/theta identity suite"),
+        ("conjecture", cmd_conjecture, "multidegree conjecture report"),
+    ):
+        subs[name] = sub = commands.add_parser(name, help=text)
+        _add_common(sub)
+        sub.set_defaults(func=func)
+    subs["enumerate"].add_argument("--degree", help="degree vector 'd1,...,dm'")
+    sub = subs["verify"]
     sub.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
     sub.add_argument(
         "--max-total-degree",
@@ -423,22 +408,21 @@ def main(argv=None) -> int:
         type=_flag_bound,
         help="also run the multidegree comparison with this fit bound",
     )
-    sub.set_defaults(func=cmd_verify)
-
-    sub = commands.add_parser("conjecture", help="multidegree conjecture report")
-    _add_common(sub)
-    sub.add_argument(
+    subs["conjecture"].add_argument(
         "--max-total-degree",
         dest="max_total_degree",
         type=_flag_bound,
         help="degree bound of the grid the Hilbert multidegrees are read "
         "and checked on (default: dim X_tau)",
     )
-    sub.set_defaults(func=cmd_conjecture)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        job = _load_job(args)
+        return args.func(args, job, _setup_from_job(job))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -125,13 +125,10 @@ def underline_w_to_json(uw: UnderlineW) -> dict:
         }
         for k, (c, s) in enumerate(uw.nodes)
     ]
-    index = {node: k for k, node in enumerate(uw.nodes)}
-    edges = sorted(
-        (index[u], index[l]) for u, l in uw.covers()
-    )
+    index = uw._index
     return {
         "nodes": nodes,
-        "cover_edges": [{"from": a, "to": b} for a, b in edges],
+        "cover_edges": [{"from": index[u], "to": index[l]} for u, l in uw.covers()],
         "generating_relation_transitive": uw.generating_is_transitive,
     }
 
@@ -159,13 +156,13 @@ def dcp_to_dot(dcp: DCP) -> str:
 
 def underline_w_to_dot(uw: UnderlineW) -> str:
     group = uw.setup.group
-    index = {node: k for k, node in enumerate(uw.nodes)}
+    index = uw._index
     lines = ["digraph underline_w {"]
     for k, (c, s) in enumerate(uw.nodes):
         word = "".join(map(str, group.reduced_word(c.rep))) or "e"
         label = f"{word}|{{{','.join(map(str, sorted(s)))}}}"
         lines.append(f'  n{k} [label="{_dot_escape(label)}"];')
-    for u, l in sorted(uw.covers(), key=lambda e: (index[e[0]], index[e[1]])):
+    for u, l in uw.covers():
         lines.append(f"  n{index[u]} -> n{index[l]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

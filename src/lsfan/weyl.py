@@ -10,12 +10,17 @@ are table lookups.  The matrix is kept only for `act` on weights, where
 s_i(lam) = lam - <lam, alpha_i^vee> alpha_i.  All cosets are kept as their
 unique minimal-length representative, and a coset is keyed by one int that
 packs its representative's index with the bit mask of its parabolic.
+
+The tables come from one breadth-first pass that keys each element w by
+w^-1(rho), packed into one int.  The key's signs are the right descents of
+w, so only ascents are multiplied out; the inverse of w is the element
+keyed by w(rho), the row sums of its matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 
 from .rootdata import (
     GroupSizeError,
@@ -43,7 +48,7 @@ class LiftError(ValueError):
     """Raised when a requested extremal lift does not exist."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElt:
     """Group element: its index in the group's tables, its integer matrix on
     omega-coordinates (for `act`) and its length.  Compared by index."""
@@ -115,72 +120,85 @@ class WeylGroup:
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
         order = checked_group_order(datum.dynkin_type, datum.rank, size_guard)
         self.datum = datum
-        self.rank = datum.rank
-        n = datum.rank
-        cartan = datum.cartan
+        self.rank = n = datum.rank
 
-        # Breadth first from the identity by right multiplication.  An
-        # element w is found by v = w^-1(rho), rho = (1, ..., 1) in
-        # omega-coordinates, which only the identity fixes; (w s_i)^-1(rho)
-        # is s_i(v) = v - v[i] alpha_i, alpha_i being column i of the Cartan
-        # matrix.  The matrix of w s_i differs from that of w only in column
-        # i, which becomes w(e_i) - w(alpha_i).
-        alphas = [tuple(row[i] for row in cartan) for i in range(n)]
-        keys = [(1,) * n]
-        mats = [tuple(tuple(int(r == c) for c in range(n)) for r in range(n))]
+        # Breadth first from the identity by right multiplication, so in
+        # length order.  w is keyed by v = w^-1(rho), rho = (1, ..., 1) in
+        # omega-coordinates, with v[k] + 128 in bits 8k..8k+7.  v[i] is the
+        # height of the coroot w(alpha_i^vee), negative iff i is a right
+        # descent, so only ascents are multiplied out: (w s_i)^-1(rho) =
+        # v - v[i] alpha_i, alpha_i being column i of the Cartan matrix.
+        if max(map(sum, datum.positive_coroots)) > 127:
+            raise InvariantError(f"W({datum.dynkin_type}_{n}) has a coroot too high "
+                                 "for the 8-bit digits of its element keys")
+        shifts = range(0, 8 * n, 8)
+
+        def pack(v):
+            return sum((x + 128) << s for x, s in zip(v, shifts))
+
+        alphas = [tuple(row[i] for row in datum.cartan) for i in range(n)]
+        steps = [sum(a << s for a, s in zip(alpha, shifts)) for alpha in alphas]
+        # Matrices are kept as columns until all are found.  Column i of
+        # w s_i is -w(e_i) - sum alpha_i[k] w(e_k) over the Dynkin neighbours
+        # k of i; the other columns are those of w.
+        nbrs = [[(k, a) for k, a in enumerate(alpha) if a and k != i]
+                for i, alpha in enumerate(alphas)]
+        keys = [pack((1,) * n)]
         seen = {keys[0]: 0}
-        bfs_right, bfs_length = [], [0]
+        mats = [tuple(tuple(int(r == c) for r in range(n)) for c in range(n))]
+        bfs_right, bfs_desc, bfs_words = [[0] * n], [], []
         for w, v in enumerate(keys):  # keys grows while it is walked
-            row = []
-            for i, alpha in enumerate(alphas):
-                u = tuple(x - v[i] * a for x, a in zip(v, alpha))
-                if u not in seen:
-                    seen[u] = len(keys)
+            row, cols, mask = bfs_right[w], mats[w], 0
+            for i, (shift, step) in enumerate(zip(shifts, steps)):
+                vi = (v >> shift & 255) - 128
+                if vi < 0:
+                    mask |= 1 << i
+                    continue
+                u = v - vi * step
+                x = seen.get(u)
+                if x is None:
+                    x = seen[u] = len(keys)
                     keys.append(u)
-                    bfs_length.append(bfs_length[w] + 1)
-                    mats.append(tuple(
-                        r[:i] + (r[i] - sum(a * x for a, x in zip(alpha, r)),) + r[i + 1:]
-                        for r in mats[w]
-                    ))
-                row.append(seen[u])
-            bfs_right.append(row)
+                    bfs_right.append([0] * n)
+                    col = [-c for c in cols[i]]
+                    for k, a in nbrs[i]:
+                        col = [c - a * d for c, d in zip(col, cols[k])]
+                    mats.append(cols[:i] + (tuple(col),) + cols[i + 1:])
+                row[i] = x
+                bfs_right[x][i] = w  # a descent slot, filled from the shorter side
+            bfs_desc.append(mask)
+            # a reduced word ends in the smallest right descent
+            i = _lowest(mask)
+            bfs_words.append(bfs_words[row[i]] + (i + 1,) if mask else ())
         if len(keys) != order:
             raise InvariantError(f"generated {len(keys)} elements, expected {order}")
 
-        # Renumber in ascending matrix order.
+        # rows replace columns; inverses by lookup; renumbering in matrix order
+        bfs_inv = []
+        for w, cols in enumerate(mats):
+            rows = mats[w] = tuple(zip(*cols))
+            bfs_inv.append(seen[pack(map(sum, rows))])
         by_matrix = sorted(range(order), key=mats.__getitem__)
-        new = {w: k for k, w in enumerate(by_matrix)}
-        length = [bfs_length[w] for w in by_matrix]
-        right = [tuple(new[j] for j in bfs_right[w]) for w in by_matrix]
-        right_desc = [
-            sum(1 << i for i, x in enumerate(row) if length[x] < length[w])
-            for w, row in enumerate(right)
-        ]
-        # The reduced word of w is the word of w s_i followed by i, for the
-        # smallest right descent i.
-        words = [()] * order
-        for w in sorted(range(order), key=length.__getitem__):
-            if right_desc[w]:
-                i = _lowest(right_desc[w])
-                words[w] = words[right[w][i]] + (i + 1,)
-        inv = [reduce(lambda x, i: right[x][i - 1], reversed(word), new[0]) for word in words]
-        self.lengths = length
-        self._right = right
-        self._left = [tuple(inv[x] for x in right[inv[w]]) for w in range(order)]
-        self._right_desc = right_desc
-        self._left_desc = [right_desc[inv[w]] for w in range(order)]
-        self._words = words
-        self._inv = inv
-        self._elts = tuple(WeylElt(k, mats[w], length[k]) for k, w in enumerate(by_matrix))
+        new = [0] * order
+        for k, w in enumerate(by_matrix):
+            new[w] = k
+        self._words = list(map(bfs_words.__getitem__, by_matrix))
+        self.lengths = lengths = list(map(len, self._words))
+        self._right = right = [tuple(map(new.__getitem__, bfs_right[w])) for w in by_matrix]
+        self._inv = inv = [new[bfs_inv[w]] for w in by_matrix]
+        self._left = [tuple(map(inv.__getitem__, right[x])) for x in inv]
+        self._right_desc = right_desc = list(map(bfs_desc.__getitem__, by_matrix))
+        self._left_desc = list(map(right_desc.__getitem__, inv))
+        self._elts = tuple(map(WeylElt, range(order), map(mats.__getitem__, by_matrix),
+                               lengths))
         self.identity = self._elts[new[0]]
-        self.longest = max(self._elts, key=lambda w: w.length)
+        self.longest = self._elts[new[-1]]  # the only element of the top length
 
         # reflection per positive root beta, found by
         # s_beta(rho) = rho - <rho, beta^vee> beta, and the root of each
         self._reflections = []
         for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-            height = sum(coroot)
-            key = tuple(1 - height * x for x in datum.root_omega_coords(root))
+            key = pack(1 - sum(coroot) * x for x in datum.root_omega_coords(root))
             self._reflections.append(self._elts[new[seen[key]]])
         self._root_of = {s.index: idx for idx, s in enumerate(self._reflections)}
 

@@ -20,12 +20,18 @@ its shape, and builds the coset-pair poset on int bit rows.  The scan of all
 cosets and the bool-matrix build with its triple-loop hull and cover test
 that they replaced are the references for them after the fit.
 
-The last helpers are queries with no caller in the library: the covering
+The next helpers are queries with no caller in the library: the covering
 pairs of a bounded quotient and two inverses of the slice map rho, one by
 table lookup and one in closed form for the maximal tau.
+
+The library builds a Weyl group's tables in one pass that visits only
+ascents and reads descents off signs.  The last helper is the build it
+replaced, which computed every product, compared lengths, sorted the
+reduced words by length and folded each reversed word for the inverse.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, prod
 
 from lsfan.dcp import DCPNode, rho
@@ -40,6 +46,7 @@ from lsfan.lspath import (
 )
 from lsfan.rootdata import InvariantError
 from lsfan.tableaux import make_tableau
+from lsfan.weyl import _lowest
 
 
 def index_poset_maximal_chains(iposet):
@@ -457,3 +464,69 @@ def rho_inverse_w0(setup, theta, iset):
     group = setup.group
     lifted = group.max_lift(theta, setup.q_of[iset])
     return DCPNode(group.min_lift(lifted, setup.q), iset)
+
+
+# -- the Weyl group tables by the earlier build -----------------------------------
+
+
+def reference_group_tables(datum):
+    """Every table of WeylGroup(datum), by the earlier build: a dict from
+    attribute name to value, elements as (index, matrix, length) and the
+    identity, the longest element and the reflections as indices."""
+    n = datum.rank
+    cartan = datum.cartan
+    alphas = [tuple(row[i] for row in cartan) for i in range(n)]
+    keys = [(1,) * n]
+    mats = [tuple(tuple(int(r == c) for c in range(n)) for r in range(n))]
+    seen = {keys[0]: 0}
+    bfs_right, bfs_length = [], [0]
+    for w, v in enumerate(keys):  # keys grows while it is walked
+        row = []
+        for i, alpha in enumerate(alphas):
+            u = tuple(x - v[i] * a for x, a in zip(v, alpha))
+            if u not in seen:
+                seen[u] = len(keys)
+                keys.append(u)
+                bfs_length.append(bfs_length[w] + 1)
+                mats.append(tuple(
+                    r[:i] + (r[i] - sum(a * x for a, x in zip(alpha, r)),) + r[i + 1:]
+                    for r in mats[w]
+                ))
+            row.append(seen[u])
+        bfs_right.append(row)
+    order = len(keys)
+
+    by_matrix = sorted(range(order), key=mats.__getitem__)
+    new = {w: k for k, w in enumerate(by_matrix)}
+    length = [bfs_length[w] for w in by_matrix]
+    right = [tuple(new[j] for j in bfs_right[w]) for w in by_matrix]
+    right_desc = [
+        sum(1 << i for i, x in enumerate(row) if length[x] < length[w])
+        for w, row in enumerate(right)
+    ]
+    words = [()] * order
+    for w in sorted(range(order), key=length.__getitem__):
+        if right_desc[w]:
+            i = _lowest(right_desc[w])
+            words[w] = words[right[w][i]] + (i + 1,)
+    inv = [reduce(lambda x, i: right[x][i - 1], reversed(word), new[0]) for word in words]
+    elements = [(k, mats[w], length[k]) for k, w in enumerate(by_matrix)]
+    reflections = []
+    for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
+        height = sum(coroot)
+        key = tuple(1 - height * x for x in datum.root_omega_coords(root))
+        reflections.append(new[seen[key]])
+    return {
+        "lengths": length,
+        "_right": right,
+        "_left": [tuple(inv[x] for x in right[inv[w]]) for w in range(order)],
+        "_right_desc": right_desc,
+        "_left_desc": [right_desc[inv[w]] for w in range(order)],
+        "_words": words,
+        "_inv": inv,
+        "elements": elements,
+        "identity": new[0],
+        "longest": max(elements, key=lambda e: e[2])[0],
+        "_reflections": reflections,
+        "_root_of": {s: idx for idx, s in enumerate(reflections)},
+    }

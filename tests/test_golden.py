@@ -18,8 +18,9 @@ while theta_d, its inverse and fan membership still summed Fraction
 coefficients.  Every hash was kept when one memoized reach table
 (lspath.bonded_below) replaced the depth-first bonded walk, the per-call
 reach sets and the walk memo of the DCP in path validation, fan
-membership, DCP.leq and lattice-point enumeration.  A refactor must keep
-every hash.
+membership, DCP.leq and lattice-point enumeration.  The underline-w DOT
+case was recorded while the underline-w writers still numbered the nodes
+and sorted the cover edges themselves.  A refactor must keep every hash.
 """
 
 import hashlib
@@ -86,6 +87,8 @@ GOLDEN = [
      "d8027c4ae7c6b92efe7bf8c4d2d59959da449878232ef9227dc56caa57a21a15"),
     ("enumerate", "g2_chain", ("--degree", "1,1"),
      "ef118c85817ba57af78c1c7c46765ab83d6e5fcf43f7374f2d7b4207fbf998aa"),
+    ("underline-w", "d4_flag_branched", ("--format", "dot"),
+     "86606d0c0e7078dd30f2fec926a9b38483a2a63cbb24ab5f37f4f55f69fc39e4"),
 ]
 
 
@@ -99,3 +102,19 @@ def test_stdout_bytes_unchanged(capsys, command, job, extra, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_jobs_after_an_argparse_error_keep_their_bytes(capsys):
+    # the parser is built once per process, so a call that argparse rejects
+    # must leave it as it was for the jobs after it
+    assert cli.main(["dcp", "--no-such-flag"]) == 2
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments")
+    assert cli._parser() is cli._parser()
+    cases = [g for g in GOLDEN if g[:2] in {("dcp", "a2_tau312_chain"),
+                                            ("verify", "d4_flag_branched")}]
+    assert len(cases) == 2
+    for command, job, extra, digest in cases:
+        code = cli.main([command, "--job", str(FIXTURES / f"{job}.json"), *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

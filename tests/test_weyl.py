@@ -1,9 +1,11 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 
 from lsfan import (
     GroupSizeError,
+    InvariantError,
     RootDatumError,
     WeylElt,
     WeylGroup,
@@ -15,7 +17,7 @@ from lsfan import (
 import lsfan.weyl
 from lsfan.rootdata import checked_group_order
 
-from chain_reference import covering_relations
+from chain_reference import covering_relations, reference_group_tables
 
 ALL = frozenset()
 
@@ -60,6 +62,46 @@ def test_size_guard():
     WeylGroup(build_root_datum("B", 3), size_guard=48)
     with pytest.raises(GroupSizeError):
         WeylGroup(build_root_datum("B", 3), size_guard=47)
+
+
+def test_element_count_mismatch_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(lsfan.weyl, "checked_group_order", lambda *args: 49)
+    with pytest.raises(InvariantError, match=r"generated 48 elements, expected 49"):
+        WeylGroup(build_root_datum("B", 3))
+
+
+def test_coroots_too_high_for_the_key_digits_are_an_invariant_error():
+    datum = build_root_datum("B", 3)
+    high = replace(datum, positive_coroots=datum.positive_coroots + ((128, 0, 0),))
+    with pytest.raises(InvariantError, match="too high"):
+        WeylGroup(high)
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 6)]
+    + [(t, r) for t in "BC" for r in (2, 3, 4)]
+    + [("D", r) for r in (3, 4, 5)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
+def test_tables_match_the_reference_build(kind, rank):
+    datum = build_root_datum(kind, rank)
+    group = WeylGroup(datum, size_guard=1920)  # |W(D5)|
+    expected = reference_group_tables(datum)
+    tables = {
+        name: getattr(group, name)
+        for name in ("lengths", "_right", "_left", "_right_desc", "_left_desc",
+                     "_words", "_inv", "_root_of")
+    }
+    tables["elements"] = [(w.index, w.matrix, w.length) for w in group.elements()]
+    tables["identity"] = group.identity.index
+    tables["longest"] = group.longest.index
+    tables["_reflections"] = [s.index for s in group._reflections]
+    assert tables.keys() == expected.keys()
+    for name, table in expected.items():
+        assert tables[name] == table, name
 
 
 def test_longest_element_length_equals_root_count(a3, b2, d4):
