@@ -151,7 +151,7 @@ def _emit(args, text: str) -> None:
 def cmd_dcp(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
-        direct = build_dcp_direct_w0(setup)
+        direct = build_dcp_direct_w0(setup, dcp)  # reads the covers found above
         if (direct.nodes, direct.edges) != (dcp.nodes, dcp.edges):
             raise InvariantError("the inductive and the direct constructions differ")
     data = lsio.dcp_to_json(dcp)

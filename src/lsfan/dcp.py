@@ -5,13 +5,15 @@ in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
 of [m].  One cover rule gives the lower covers of a node (theta, I) of the
 defining chain poset, each with its type and bond: shrink I through a cover
 of the index poset, or step theta down one cover of W/W_Q that stays visible
-in W/W_{P_I}.  The inductive build (any tau) walks this rule down from
-(tau, [m]) and records nodes and edges in one pass; the direct build (tau
-maximal) finds its nodes by minimality/maximality conditions of its own and
-keeps the rule's covers between them.  A node carries one int key, packing
-theta's key with the bit mask of I, so the two builds compare node by node
-on (theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then
-I, then element index) and keeps its covers, rho lookup and reach memo
+in W/W_{P_I}; it reads element indices and bit masks only.  The inductive
+build (any tau) walks this rule down from (tau, [m]) and records nodes and
+edges in one pass; the direct build (tau maximal) finds its nodes by
+minimality/maximality conditions of its own and keeps the rule's covers
+between them, taken from the inductive build when given it, so that a job
+runs the rule once per node.  A node carries one int key, packing theta's
+key with the bit mask of I, so the two builds compare node by node on
+(theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then I,
+then element index) and keeps its covers, rho lookup and reach memo
 (lspath.bonded_below) as tables over these numbers.  tau-standardness of
 the index poset is decided by injectivity of the slice-projection map rho,
 with the four diagram-level criteria available in the maximal case.
@@ -165,9 +167,9 @@ class Setup:
     """One instance: group, weight sequence, bounding coset and index poset.
 
     Precomputes the parabolic subgroups attached to the index poset: P_I and
-    Q_I per member, the maximal parabolic over which tau stays maximal, and
-    the upper parabolic of each covering chain.  Bonds for lambda_I come
-    from lspath.shape_covers, one table per weight.
+    Q_I per member and their bit masks, the maximal parabolic over which tau
+    stays maximal, and the upper parabolic of each covering chain.  Bonds
+    for lambda_I come from lspath.shape_covers, one table per weight.
     """
 
     def __init__(self, group: WeylGroup, lambdas, tau, iposet: IndexPoset):
@@ -206,6 +208,8 @@ class Setup:
                 sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
             )
             self.q_of[s] = group.stabilizer_parabolic(sum_all)
+        self.p_mask = {s: bitmask(p) for s, p in self.p_of.items()}
+        self.q_mask = {s: bitmask(q) for s, q in self.q_of.items()}
 
         # largest parabolic over Q for which tau is maximal: the right descent
         # set of the maximal-length representative of tau
@@ -392,22 +396,23 @@ def _lower_covers(setup: Setup, node: DCPNode):
 
     shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
     sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal
-    and pi_{P_I}(phi) != pi_{P_I}(theta), with the bond of lambda_I.
+    and pi_{P_I}(phi) != pi_{P_I}(theta), with the bond of lambda_I.  Both
+    tests read element indices, right-descent masks and parabolic masks.
     """
-    group = setup.group
+    group, desc = setup.group, setup.group._right_desc
     theta, iset = node.theta, node.iset
     covers = [
         (DCPNode(theta, j), "shrinkI", 1)
         for j in setup.iposet.covers_down[iset]
-        if group.is_q_minimal(theta.rep, setup.q_of[j])
+        if not desc[theta.rep.index] & setup.q_mask[j]
     ]
-    p_i, q_i = setup.p_of[iset], setup.q_of[iset]
-    theta_p = group.pi(theta, p_i)
+    p_i, q_i = setup.p_mask[iset], setup.q_mask[iset]
+    theta_p = group._min_rep(theta.rep.index, p_i)
     bonds = shape_covers(group, setup.lambda_of[iset])
     covers.extend(
         (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep, root))
         for phi, root in group.covers_down(theta)
-        if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
+        if not desc[phi.rep.index] & q_i and group._min_rep(phi.rep.index, p_i) != theta_p
     )
     return covers
 
@@ -431,35 +436,40 @@ def build_dcp_inductive(setup: Setup) -> DCP:
     return DCP(setup, nodes, edges)
 
 
-def build_dcp_direct_w0(setup: Setup) -> DCP:
-    """Direct construction for tau = w0 W_Q.
-
-    A pair (theta, I) is a node iff theta is Q_I-minimal and, for some chain
-    of covering relations from I to [m], theta is maximal with respect to the
-    intersection of the corresponding shape parabolics.  The edges are the
-    cover rule's covers between these nodes.
-    """
-    group = setup.group
+def build_dcp_direct_w0(setup: Setup, known: DCP | None = None) -> DCP:
+    """Direct construction for tau = w0 W_Q: the nodes of _direct_nodes and
+    the cover rule's covers between them.  A node of `known`, the inductive
+    build of the same setup, which keeps every cover the rule gives, takes
+    its covers from there; the rule runs only for the other nodes."""
     if not setup.is_w0_instance():
         raise ValueError("direct construction requires tau = w0 W_Q")
+    nodes = _direct_nodes(setup)
+    node_set = set(nodes)
+    edges = []
+    for node in nodes:
+        k = known.position.get(node.key) if known is not None else None
+        covers = (_lower_covers(setup, node) if k is None else
+                  [(known.nodes[j], kind, bond) for j, kind, bond in known.covers_down[k]])
+        edges.extend((node, lower, kind, bond) for lower, kind, bond in covers
+                     if lower in node_set)
+    return DCP(setup, nodes, edges)
+
+
+def _direct_nodes(setup: Setup) -> list:
+    """The node test of the direct build: (theta, I) with theta Q_I-minimal
+    and maximal over W/W_{Q^r} for the upper parabolic Q^r of some covering
+    chain from I to [m], i.e. the maximal representative of theta has every
+    simple reflection of Q^r as a right descent."""
+    group, desc = setup.group, setup.group._right_desc
+    cosets = [(c, desc[c.rep.index], desc[group.max_rep(c).index])
+              for c in group.all_cosets(setup.q)]
     nodes = []
     for s in setup.iposet.sets:
-        q_i = setup.q_of[s]
-        uppers = [setup.q_upper_chain(chain) for chain in
-                  setup.iposet.covering_chains_to_top(s)]
-        for c in group.all_cosets(setup.q):
-            if not group.is_q_minimal(c.rep, q_i):
-                continue
-            if any(group.is_lift_maximal(c, qr) for qr in uppers):
-                nodes.append(DCPNode(c, s))
-    node_set = set(nodes)
-    edges = [
-        (node, lower, kind, bond)
-        for node in nodes
-        for lower, kind, bond in _lower_covers(setup, node)
-        if lower in node_set
-    ]
-    return DCP(setup, nodes, edges)
+        uppers = [bitmask(setup.q_upper_chain(chain))
+                  for chain in setup.iposet.covering_chains_to_top(s)]
+        nodes.extend(DCPNode(c, s) for c, low, top in cosets
+                     if not low & setup.q_mask[s] and any(top & u == u for u in uppers))
+    return nodes
 
 
 # -- rho and tau-standardness -------------------------------------------------

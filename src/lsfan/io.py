@@ -8,8 +8,8 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .dcp import DCP, DCPNode, UnderlineW
 from .lspath import LSPath
@@ -32,7 +32,34 @@ __all__ = [
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) + "\\n", byte for byte, for
+    str, int, bool, None, lists, tuples and str-keyed dicts; any other type,
+    a float too, raises TypeError.  The stdlib writes an indented document
+    with its pure-Python encoder, through a list of small chunks."""
+    return _dump(data, "\n") + "\n"
+
+
+def _dump(x, nl: str) -> str:
+    """One value; `nl` is a newline plus the indent of the value's line."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, dict):  # a key that is not a str fails in encode_basestring_ascii
+        ends = "{}"
+        items = [encode_basestring_ascii(k) + ": "
+                 + (int.__repr__(v) if type(v) is int else _dump(v, inner))
+                 for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        ends = "[]"
+        items = (map(int.__repr__, x) if all(type(v) is int for v in x)
+                 else [_dump(v, inner) for v in x])
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if x else ends
 
 
 def word_of(group: WeylGroup, w) -> list[int]:

@@ -312,11 +312,13 @@ class WeylGroup:
     def coset(self, w: WeylElt, parabolic: Parabolic) -> Coset:
         """The coset w W_P, reduced to its minimal representative."""
         parabolic = frozenset(parabolic)
-        mask = bitmask(parabolic)
-        x = w.index
+        return Coset(self._elts[self._min_rep(w.index, bitmask(parabolic))], parabolic)
+
+    def _min_rep(self, x: int, mask: int) -> int:
+        """The minimal representative of x W_P, P given by its bit mask."""
         while self._right_desc[x] & mask:
             x = self._right[x][_lowest(self._right_desc[x] & mask)]
-        return Coset(self._elts[x], parabolic)
+        return x
 
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:
         parabolic = frozenset(parabolic)

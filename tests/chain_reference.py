@@ -25,9 +25,14 @@ pairs of a bounded quotient and two inverses of the slice map rho, one by
 table lookup and one in closed form for the maximal tau.
 
 The library builds a Weyl group's tables in one pass that visits only
-ascents and reads descents off signs.  The last helper is the build it
-replaced, which computed every product, compared lengths, sorted the
+ascents and reads descents off signs.  The helper after them is the build
+it replaced, which computed every product, compared lengths, sorted the
 reduced words by length and folded each reversed word for the inverse.
+
+The library runs the DCP cover rule and the direct construction's node
+test on element indices and bit masks.  The last helpers are the versions
+they replaced, which ask the group about Coset objects and parabolics
+given as sets: is_q_minimal, pi and is_lift_maximal.
 """
 
 from fractions import Fraction
@@ -42,6 +47,7 @@ from lsfan.lspath import (
     PathError,
     ShapePoset,
     maximal_bonded_chains,
+    shape_covers,
     validate_ls_path,
 )
 from lsfan.rootdata import InvariantError
@@ -530,3 +536,41 @@ def reference_group_tables(datum):
         "_reflections": reflections,
         "_root_of": {s: idx for idx, s in enumerate(reflections)},
     }
+
+
+def lower_covers(setup, node):
+    """The cover rule on objects: the (lower, kind, bond) covers of a node
+    (theta, I), shrinkI covers first, then sameI covers in covers_down order."""
+    group = setup.group
+    theta, iset = node.theta, node.iset
+    covers = [
+        (DCPNode(theta, j), "shrinkI", 1)
+        for j in setup.iposet.covers_down[iset]
+        if group.is_q_minimal(theta.rep, setup.q_of[j])
+    ]
+    p_i, q_i = setup.p_of[iset], setup.q_of[iset]
+    theta_p = group.pi(theta, p_i)
+    bonds = shape_covers(group, setup.lambda_of[iset])
+    covers.extend(
+        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep, root))
+        for phi, root in group.covers_down(theta)
+        if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
+    )
+    return covers
+
+
+def direct_nodes(setup):
+    """The node test of the direct construction for tau = w0 W_Q, on
+    objects: theta Q_I-minimal and lift-maximal over the upper parabolic of
+    some covering chain from I to [m]."""
+    group = setup.group
+    nodes = []
+    for s in setup.iposet.sets:
+        uppers = [setup.q_upper_chain(chain)
+                  for chain in setup.iposet.covering_chains_to_top(s)]
+        for c in group.all_cosets(setup.q):
+            if not group.is_q_minimal(c.rep, setup.q_of[s]):
+                continue
+            if any(group.is_lift_maximal(c, qr) for qr in uppers):
+                nodes.append(DCPNode(c, s))
+    return nodes

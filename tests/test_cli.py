@@ -394,7 +394,7 @@ def test_size_guard_rejects_a_large_rank_before_building_anything(
 
 
 def test_inductive_direct_mismatch_exits_one(capsys, monkeypatch):
-    def top_only(setup):
+    def top_only(setup, known=None):
         return DCP(setup, [DCPNode(setup.tau, setup.iposet.full)], [])
 
     monkeypatch.setattr(cli, "build_dcp_direct_w0", top_only)

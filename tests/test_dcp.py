@@ -37,10 +37,13 @@ from lsfan import (
     word_to_one_line,
 )
 
+import lsfan.dcp
 from lsfan import cli
 
 from chain_reference import (
+    direct_nodes,
     index_poset_maximal_chains,
+    lower_covers,
     rho_inverse,
     rho_inverse_w0,
     underline_w_matrices,
@@ -50,6 +53,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 JOB_FIXTURES = sorted(
     p for p in FIXTURES.glob("*.json") if "lambdas" in json.loads(p.read_text())
 )
+# every job fixture, and the two largest DCPs of the benchmark
+RULE_JOBS = {p.stem: json.loads(p.read_text()) for p in JOB_FIXTURES} | {
+    "f4_chain": {"type": "F", "rank": 4, "lambdas": "1,0,0,0;0,0,0,1",
+                 "tau": "w0", "iposet": "chain"},
+    "b4_powerset": {"type": "B", "rank": 4, "lambdas": "1,0,0,0;0,1,0,0;0,0,0,1",
+                    "tau": "w0", "iposet": "powerset"},
+}
 
 ALL = frozenset()
 W1, W2, W3 = (1, 0), (0, 1), (1, 1)
@@ -503,8 +513,8 @@ def test_dcp_nodes_compare_by_theta_and_index_set(a3):
 def test_direct_dcp_with_one_theta_swapped_exits_one(capsys, monkeypatch):
     # same node count and the swapped node in the same position: only
     # comparing (theta, I), not positions, tells the two posets apart
-    def swapped(setup):
-        real = build_dcp_direct_w0(setup)
+    def swapped(setup, known=None):
+        real = build_dcp_direct_w0(setup, known)
         group, present = setup.group, set(real.nodes)
         for old in real.nodes[1:]:
             for c in group.all_cosets(setup.q):
@@ -529,6 +539,61 @@ def test_direct_dcp_with_one_theta_swapped_exits_one(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert "differ" in captured.err
+
+
+def cover_keys(covers):
+    return [(lower.key, kind, bond) for lower, kind, bond in covers]
+
+
+@pytest.mark.parametrize("name", RULE_JOBS)
+def test_cover_rule_matches_the_object_reference(name):
+    setup = cli._setup_from_job(RULE_JOBS[name])
+    dcp = build_dcp_inductive(setup)
+    for node in dcp.nodes:
+        expected = cover_keys(lower_covers(setup, node))
+        assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node
+
+
+@pytest.mark.parametrize("name", [n for n, job in RULE_JOBS.items() if job["tau"] == "w0"])
+def test_direct_build_matches_the_object_reference_and_reads_known_covers(
+        name, monkeypatch):
+    setup = cli._setup_from_job(RULE_JOBS[name])
+    nodes = lsfan.dcp._direct_nodes(setup)
+    assert [n.key for n in nodes] == [n.key for n in direct_nodes(setup)]
+    inductive = build_dcp_inductive(setup)
+    fresh = build_dcp_direct_w0(setup)
+    rule, calls = lsfan.dcp._lower_covers, []
+    monkeypatch.setattr(lsfan.dcp, "_lower_covers",
+                        lambda setup, node: calls.append(node) or rule(setup, node))
+    reused = build_dcp_direct_w0(setup, inductive)
+    assert calls == []  # every direct node was reached by the inductive build
+    assert (reused.nodes, reused.edges) == (fresh.nodes, fresh.edges)
+    assert (reused.nodes, reused.edges) == (inductive.nodes, inductive.edges)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_direct_node_test_off_by_one_node_exits_one(capsys, monkeypatch, change):
+    # the direct build reads the inductive build's covers, but its nodes
+    # come from its own node test, so the two-build check still sees a
+    # node too few, or one too many, for which the rule runs
+    node_test = lsfan.dcp._direct_nodes
+
+    def off_by_one(setup):
+        nodes = node_test(setup)
+        if change == "drop":
+            del nodes[len(nodes) // 2]
+        else:
+            present = set(nodes)
+            nodes.append(next(node for s in setup.iposet.sets
+                              for c in setup.group.all_cosets(setup.q)
+                              if (node := DCPNode(c, s)) not in present))
+        return nodes
+
+    monkeypatch.setattr(lsfan.dcp, "_direct_nodes", off_by_one)
+    assert cli.main(["dcp", "--job", str(FIXTURES / "b3_chain.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the inductive and the direct constructions differ\n"
 
 
 # -- bonds ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source checks: invariants in the library are named errors, never `assert`,
-so that `python -O` cannot drop them."""
+so that `python -O` cannot drop them; and every JSON document leaves through
+lsfan.io.dumps, so the library calls no json.dump or json.dumps."""
 
 import ast
 from pathlib import Path
@@ -19,3 +20,17 @@ def test_no_assert_in_library(path):
         or (isinstance(node, ast.Name) and node.id == "AssertionError")
     )
     assert not offenders, f"{path.name}: assert or AssertionError at lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_json_dump_in_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in {"dump", "dumps"}
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(a.name in {"dump", "dumps"} for a in node.names))
+    )
+    assert not offenders, f"{path.name}: json.dump or json.dumps at lines {offenders}"
