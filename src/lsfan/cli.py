@@ -30,22 +30,26 @@ from .dcp import (
 )
 from .demazure import demazure_character
 from .fan import (
+    count_fan_degree,
     enumerate_fan_degree,
     fan_vector,
     multidegree_conjecture_check,
     theta_d,
     theta_d_inverse,
 )
-from .tableaux import enumerate_standard, tableau_endpoint
+from .tableaux import enumerate_standard, walk_standard
 from .weyl import make_group
 
 
 def _ints(value, what: str) -> tuple[int, ...]:
     """A string 'a,b,...' or a list of integers as a tuple of ints; raises
-    ValueError for anything else."""
+    ValueError naming the field `what` for anything else."""
     if isinstance(value, str):
-        return tuple(int(x) for x in value.split(","))
-    if isinstance(value, list) and all(type(x) is int for x in value):
+        try:
+            return tuple(int(x) for x in value.split(","))
+        except ValueError:
+            pass
+    elif isinstance(value, list) and all(type(x) is int for x in value):
         return tuple(value)
     raise ValueError(f"{what} {value!r} is not a list of integers")
 
@@ -106,7 +110,7 @@ def _setup_from_job(job: dict) -> Setup:
     if not isinstance(job["type"], str):
         raise ValueError(f"type {job['type']!r} is not a string")
     group = make_group(job["type"], _int(job, "rank"), _int(job, "size_guard", 1152))
-    lambdas = _int_lists(job["lambdas"], "weight")
+    lambdas = _int_lists(job["lambdas"], "--lambda weight")
     m = len(lambdas)
     iposet = job["iposet"]
     if iposet == "chain":
@@ -114,10 +118,10 @@ def _setup_from_job(job: dict) -> Setup:
     elif iposet == "powerset":
         iposet = powerset_iposet(m)
     else:
-        sets = [frozenset(s) for s in _int_lists(iposet, "iposet set")]
+        sets = [frozenset(s) for s in _int_lists(iposet, "--iposet set")]
         iposet = build_index_poset(sets, m)
     tau = job["tau"]
-    tau_elt = group.longest if tau == "w0" else group.from_word(_ints(tau, "tau"))
+    tau_elt = group.longest if tau == "w0" else group.from_word(_ints(tau, "--tau word"))
     return Setup(group, lambdas, tau_elt, iposet)
 
 
@@ -125,9 +129,9 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
     degrees = []
     raw = job.get("degree")
     if isinstance(raw, list) and not (raw and isinstance(raw[0], list)):
-        degrees.append(_ints(raw, "degree"))
+        degrees.append(_ints(raw, "--degree vector"))
     elif raw is not None:
-        degrees.extend(_int_lists(raw, "degree"))
+        degrees.extend(_int_lists(raw, "--degree vector"))
     if job.get("max_total_degree") is not None and not degrees:
         bound = _bound(_int(job, "max_total_degree"), "max_total_degree")
         grid = product(range(bound + 1), repeat=m)
@@ -152,7 +156,8 @@ def cmd_dcp(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
         direct = build_dcp_direct_w0(setup, dcp)  # reads the covers found above
-        if (direct.nodes, direct.edges) != (dcp.nodes, dcp.edges):
+        # node numbers by key and covers by number: the nodes and edges, on ints
+        if (direct.position, direct.covers_down) != (dcp.position, dcp.covers_down):
             raise InvariantError("the inductive and the direct constructions differ")
     data = lsio.dcp_to_json(dcp)
     if args.format == "dot":
@@ -244,6 +249,11 @@ def _sides_by_degree(report) -> dict:
     }
 
 
+def _check(name: str, degree, ok: bool, detail: dict) -> dict:
+    """One entry of verify's "checks" list."""
+    return {"check": name, "degree": degree, "pass": ok, "detail": detail}
+
+
 def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     group = setup.group
     dcp = build_dcp_inductive(setup)
@@ -255,56 +265,33 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
         )
         char = demazure_character(group, mu, setup.tau)
         dim = sum(char.values())
-        tableaux = enumerate_standard(setup, d, dcp)
-        vectors = enumerate_fan_degree(dcp, d)
-        checks.append(
-            {
-                "check": "counting",
-                "degree": list(d),
-                "pass": len(tableaux) == dim == len(vectors),
-                "detail": {
-                    "tableaux": len(tableaux),
-                    "fan_vectors": len(vectors),
-                    "demazure_dimension": dim,
-                },
-            }
-        )
-        endpoints = Counter(tableau_endpoint(setup, t) for t in tableaux)
-        checks.append(
-            {
-                "check": "character",
-                "degree": list(d),
-                "pass": dict(endpoints) == char,
-                "detail": {"weights": len(char)},
-            }
-        )
-        # onto: the theta_d image is the set of fan vectors, i.e. every
-        # image is one and every fan vector is hit; both are keys
-        images, round_trip = set(), True
-        for t in tableaux:
-            key = theta_d(dcp, t)
-            if theta_d_inverse(dcp, key) != t:
+        # one streamed pass: each tableau's end point and theta round trip
+        tableaux, round_trip, endpoints = 0, True, Counter()
+        for t, end in walk_standard(setup, d, dcp, endpoints=True):
+            tableaux += 1
+            endpoints[end] += 1
+            if theta_d_inverse(dcp, theta_d(dcp, t)) != t:
                 round_trip = False
-            images.add(key)
-        onto = images == set(vectors)
-        checks.append(
-            {
-                "check": "theta_bijection",
-                "degree": list(d),
-                "pass": round_trip and onto,
-                "detail": {"round_trip": round_trip, "onto": onto},
-            }
-        )
+        vectors = count_fan_degree(dcp, d)
+        # onto: theta_d^-1 takes fan members only, so with the round trip
+        # the images are distinct fan vectors, and onto is equal counts;
+        # otherwise compare the image set with the listed fan vectors
+        if round_trip:
+            onto = tableaux == vectors
+        else:
+            images = {theta_d(dcp, t) for t, _ in walk_standard(setup, d, dcp)}
+            onto = images == set(enumerate_fan_degree(dcp, d))
+        detail = {"tableaux": tableaux, "fan_vectors": vectors, "demazure_dimension": dim}
+        checks += [
+            _check("counting", list(d), tableaux == dim == vectors, detail),
+            _check("character", list(d), dict(endpoints) == char, {"weights": len(char)}),
+            _check("theta_bijection", list(d), round_trip and onto,
+                   {"round_trip": round_trip, "onto": onto}),
+        ]
     if conjecture_bound is not None:
         report = multidegree_conjecture_check(setup, dcp, conjecture_bound)
-        checks.append(
-            {
-                "check": "multidegree_conjecture",
-                "degree": None,
-                "pass": report["agree"],
-                "detail": _sides_by_degree(report),
-            }
-        )
+        checks.append(_check("multidegree_conjecture", None, report["agree"],
+                             _sides_by_degree(report)))
     return checks
 
 

@@ -410,7 +410,7 @@ def _lower_covers(setup: Setup, node: DCPNode):
     theta_p = group._min_rep(theta.rep.index, p_i)
     bonds = shape_covers(group, setup.lambda_of[iset])
     covers.extend(
-        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep, root))
+        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep.index, root))
         for phi, root in group.covers_down(theta)
         if not desc[phi.rep.index] & q_i and group._min_rep(phi.rep.index, p_i) != theta_p
     )
@@ -423,16 +423,16 @@ def build_dcp_inductive(setup: Setup) -> DCP:
     Walks the cover rule down from (tau, [m]), one rank at a time: every
     lower cover of a node is a node, and its edge is recorded as it is met.
     """
-    level = {DCPNode(setup.tau, setup.iposet.full)}
+    level = [DCPNode(setup.tau, setup.iposet.full)]
     nodes, edges = list(level), []
     while level:
-        below = set()
+        below = {}  # by node key
         for node in level:
             for lower, kind, bond in _lower_covers(setup, node):
                 edges.append((node, lower, kind, bond))
-                below.add(lower)
-        nodes.extend(below)
-        level = below
+                below.setdefault(lower.key, lower)
+        level = list(below.values())
+        nodes.extend(level)
     return DCP(setup, nodes, edges)
 
 
@@ -444,14 +444,14 @@ def build_dcp_direct_w0(setup: Setup, known: DCP | None = None) -> DCP:
     if not setup.is_w0_instance():
         raise ValueError("direct construction requires tau = w0 W_Q")
     nodes = _direct_nodes(setup)
-    node_set = set(nodes)
+    node_keys = {n.key for n in nodes}
     edges = []
     for node in nodes:
         k = known.position.get(node.key) if known is not None else None
         covers = (_lower_covers(setup, node) if k is None else
                   [(known.nodes[j], kind, bond) for j, kind, bond in known.covers_down[k]])
         edges.extend((node, lower, kind, bond) for lower, kind, bond in covers
-                     if lower in node_set)
+                     if lower.key in node_keys)
     return DCP(setup, nodes, edges)
 
 

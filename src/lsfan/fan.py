@@ -7,7 +7,8 @@ local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership
 tests one bit of the reach of the node above (lspath.bonded_below, memoized
 per poset in DCP.reach), enumeration is lspath.chain_lattice_points over
-the same reach table, and neither lists maximal chains.  Every function
+the same reach table, counting is that search with its completions
+memoized per state, and none lists maximal chains.  Every function
 taking a DCP takes and returns a fan vector as its key: the sorted tuple of
 its (node number, numerator over DCP.big_l, the lcm of the bonds) pairs.
 vector_key and fan_vector convert to and from {DCPNode: Fraction}, the form
@@ -29,7 +30,7 @@ from math import gcd
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
 from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
-                     integral_sum, numerators)
+                     integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
@@ -40,6 +41,7 @@ __all__ = [
     "fan_degree",
     "in_ls_plus",
     "enumerate_fan_degree",
+    "count_fan_degree",
     "decompose",
     "weight",
     "theta_d",
@@ -112,12 +114,49 @@ def enumerate_fan_degree(dcp: DCP, d) -> list[FanKey]:
     underline.  Every vector is met exactly once, on the path of its own
     support, whose node numbers increase down the support.
     """
+    d, spend = _degree_spend(dcp, d)
+    return list(chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach))
+
+
+def _degree_spend(dcp: DCP, d):
+    """(d as a checked degree tuple, the coordinates each node spends)."""
     setup = dcp.setup
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    spend = [[j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes]
-    return list(chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach))
+    return d, [[j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes]
+
+
+def count_fan_degree(dcp: DCP, d) -> int:
+    """len(enumerate_fan_degree(dcp, d)) without listing: the search of
+    chain_lattice_points, memoizing the number of completions per state
+    (last node, running sum mod big_l, remaining degree), which fixes every
+    later step (transfer-matrix counting, Stanley, EC I, 4.7)."""
+    d, spend = _degree_spend(dcp, d)
+    covers, big_l, reach, memo = dcp.covers_down, dcp.big_l, dcp.reach, {}
+
+    def completions(mask, cum, rest):
+        if not any(rest):
+            return int(cum == 0)
+        count = 0
+        while mask:
+            node = (mask & -mask).bit_length() - 1
+            mask ^= 1 << node
+            for c in range(1, min(rest[j] for j in spend[node]) + 1):
+                s = (cum + c) % big_l
+                below = bonded_below(covers, node, big_l // gcd(s, big_l), reach) ^ 1 << node
+                if s and not below:
+                    continue
+                left = list(rest)
+                for j in spend[node]:
+                    left[j] -= c
+                state = node, s, tuple(left)
+                if state not in memo:
+                    memo[state] = completions(below, s, left)
+                count += memo[state]
+        return count
+
+    return completions(bonded_below(covers, 0, 1, reach), 0, [x * big_l for x in d])
 
 
 def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
@@ -159,8 +198,10 @@ def decompose(dcp: DCP, key: FanKey | None) -> list[FanVector]:
 
 def weight(setup: Setup, vec: FanVector):
     """wt(a) = sum of a_{(theta,I)} * theta(lambda_I), exact and integral."""
+    group = setup.group
     return _integral_sum(
-        vec, lambda n: n.theta.rep.act(setup.lambda_of[n.iset]), setup.group.rank, "weight"
+        vec, lambda n: shape_covers(group, setup.lambda_of[n.iset]).image(n.theta.rep.index),
+        group.rank, "weight",
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .dcp import DCP, DCPNode, UnderlineW
+from .dcp import DCP, UnderlineW
 from .lspath import LSPath
 from .tableaux import LSTableau
 from .weyl import Coset, WeylGroup
@@ -93,13 +93,13 @@ def tableau_to_json(group: WeylGroup, tableau: LSTableau) -> dict:
     return data
 
 
-def dcp_node_ids(dcp: DCP) -> dict[DCPNode, int]:
-    """The canonical node numbering of a poset; compute it once per poset
-    and pass it to fan_vector_to_json."""
+def dcp_node_ids(dcp: DCP) -> dict[int, int]:
+    """The canonical node numbering of a poset, keyed by DCPNode.key; compute
+    it once per poset and pass it to fan_vector_to_json."""
     ordered = sorted(
         dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.index)
     )
-    return {n: i for i, n in enumerate(ordered)}
+    return {n.key: i for i, n in enumerate(ordered)}
 
 
 def dcp_to_json(dcp: DCP) -> dict:
@@ -107,17 +107,17 @@ def dcp_to_json(dcp: DCP) -> dict:
     ids = dcp_node_ids(dcp)
     nodes = [
         {
-            "id": ids[n],
+            "id": ids[n.key],
             "theta": word_of(group, n.theta.rep),
             "I": sorted(n.iset),
             "rank": n.rank,
         }
-        for n in sorted(ids, key=ids.get)
+        for n in sorted(dcp.nodes, key=lambda n: ids[n.key])
     ]
     edges = [
         {
-            "from": ids[u],
-            "to": ids[l],
+            "from": ids[u.key],
+            "to": ids[l.key],
             "type": kind,
             "bond": bond,
         }
@@ -132,11 +132,11 @@ def dcp_to_json(dcp: DCP) -> dict:
     }
 
 
-def fan_vector_to_json(ids: dict[DCPNode, int], vec) -> list[dict]:
+def fan_vector_to_json(ids: dict[int, int], vec) -> list[dict]:
     """Non-zero coefficients of a fan vector by node id; `ids` is the
     dcp_node_ids numbering of its poset."""
     items = [
-        {"node_id": ids[n], "coeff": _frac_str(c)} for n, c in vec.items() if c != 0
+        {"node_id": ids[n.key], "coeff": _frac_str(c)} for n, c in vec.items() if c != 0
     ]
     items.sort(key=lambda d: d["node_id"])
     return items
@@ -168,15 +168,15 @@ def dcp_to_dot(dcp: DCP) -> str:
     group = dcp.setup.group
     ids = dcp_node_ids(dcp)
     lines = ["digraph dcp {"]
-    for n in sorted(ids, key=ids.get):
+    for n in sorted(dcp.nodes, key=lambda n: ids[n.key]):
         word = "".join(map(str, group.reduced_word(n.theta.rep))) or "e"
         label = f"{word}|{{{','.join(map(str, sorted(n.iset)))}}}"
-        lines.append(f'  n{ids[n]} [label="{_dot_escape(label)}"];')
+        lines.append(f'  n{ids[n.key]} [label="{_dot_escape(label)}"];')
     for u, l, kind, bond in dcp.edges:
         attrs = f'label="{bond}"' if bond != 1 else ""
         style = ' style=dashed' if kind == "shrinkI" else ""
         attr_str = f" [{attrs}{style}]" if attrs or style else ""
-        lines.append(f"  n{ids[u]} -> n{ids[l]}{attr_str};")
+        lines.append(f"  n{ids[u.key]} -> n{ids[l.key]}{attr_str};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .rootdata import InvariantError
-from .weyl import Coset, WeylElt, WeylGroup
+from .weyl import Coset, WeylGroup
 
 __all__ = [
     "LSPath",
@@ -84,8 +84,8 @@ class BondedCovers(dict):
     """The int-keyed coset poset W/W_nu of a shape nu: the rep index of a
     coset -> its (lower rep index, root index, bond) covers, each entry
     filled on first use.  It also keeps the stabilizer parabolic of nu, the
-    image w(nu) per rep index w, each computed once, and the memo `reach`
-    of bonded_below.  `endpoints` memoizes endpoint per path.
+    image w(nu) per element index w, each computed once, and the memo
+    `reach` of bonded_below.  `endpoints` memoizes endpoint per path.
 
     The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
     the positive root beta with s_beta min(phi) = min(theta).  `bond` is the
@@ -100,23 +100,31 @@ class BondedCovers(dict):
         self.group = group
         self.nu = tuple(nu)
         self.parabolic = group.stabilizer_parabolic(self.nu)
-        self.images, self.reach, self.endpoints = {}, {}, {}
+        self.images, self.reach, self.endpoints = {group.identity.index: self.nu}, {}, {}
 
-    def image(self, w: WeylElt):
-        """w(nu), computed once per element."""
-        if w.index not in self.images:
-            self.images[w.index] = w.act(self.nu)
-        return self.images[w.index]
+    def image(self, x: int):
+        """w(nu) for the element w of index x, computed once per element
+        without a matrix: for the lowest left descent i of w, w = s_i y with
+        y shorter, and w(nu) = y(nu) - <y(nu), alpha_i^vee> alpha_i."""
+        img = self.images.get(x)
+        if img is None:
+            group = self.group
+            i = (group._left_desc[x] & -group._left_desc[x]).bit_length() - 1
+            below = self.image(group._left[x][i])
+            img = tuple(v - below[i] * row[i] for v, row in zip(below, group.datum.cartan))
+            self.images[x] = img
+        return img
 
-    def bond(self, lower: WeylElt, root: int) -> int:
-        """|<lower(nu), beta^vee>| for the positive root beta at `root`."""
+    def bond(self, lower: int, root: int) -> int:
+        """|<lower(nu), beta^vee>| for the element index `lower` and the
+        positive root beta at `root`."""
         datum = self.group.datum
         return abs(datum.pairing(self.image(lower), datum.positive_coroots[root]))
 
     def __missing__(self, x: int):
         coset = Coset(self.group.elements()[x], self.parabolic)
         self[x] = [
-            (lower.rep.index, idx, self.bond(lower.rep, idx))
+            (lower.rep.index, idx, self.bond(lower.rep.index, idx))
             for lower, idx in self.group.covers_down(coset)
         ]
         return self[x]
@@ -324,7 +332,7 @@ def endpoint(path: LSPath, group: WeylGroup):
     end = covers.endpoints.get(path)
     if end is None:
         steps, den = column_steps(path)
-        vectors = [covers.image(c.rep) for c in path.cosets]
+        vectors = [covers.image(c.rep.index) for c in path.cosets]
         end = integral_sum(steps, vectors, den, len(path.shape), "endpoint")
         covers.endpoints[path] = end
     return end

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .dcp import (
     DCP,
@@ -40,6 +41,7 @@ __all__ = [
     "is_standard",
     "is_weakly_standard",
     "enumerate_standard",
+    "walk_standard",
     "YoungTableau",
     "is_semistandard",
     "young_setup",
@@ -203,7 +205,16 @@ def is_weakly_standard(setup: Setup, tableau: LSTableau) -> bool:
 
 
 def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
-    """All standard tableaux of degree d, in canonical order.
+    """All standard tableaux of degree d, in canonical order: the list of
+    walk_standard's tableaux."""
+    return [t for t, _ in walk_standard(setup, d, dcp)]
+
+
+def walk_standard(setup: Setup, d, dcp: DCP | None = None, endpoints: bool = False):
+    """Yield (tableau, end point) for each standard tableau of degree d, in
+    canonical order, by a depth-first walk that keeps no list of tableaux;
+    the end point is None unless `endpoints`, and is then carried down the
+    walk as a running sum of the columns' end points.
 
     Requires the index poset to be standard for tau, so that standardness is
     decided column by column while extending the maximal defining chain.
@@ -213,9 +224,10 @@ def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
     if not is_tau_standard(setup, dcp):
         raise TableauError("the index poset is not standard for tau")
     shapes = shape_for_degree(setup, d)
-    if not shapes:
-        return [LSTableau((), ())]
     group = setup.group
+    if not shapes:
+        yield LSTableau((), ()), (0,) * group.rank if endpoints else None
+        return
 
     candidates: dict[frozenset, list[LSPath]] = {}
     for s in set(shapes):
@@ -223,23 +235,29 @@ def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
         candidates[s] = sorted(
             paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts)
         )
-
-    results, next_lifts = [], dcp.next_lifts
-
-    def extend(k, current_lift, acc):
-        if k == len(shapes):
-            results.append(LSTableau(tuple(acc), shapes))
-            return
-        for path in candidates[shapes[k]]:
-            key = (current_lift.key, path)
-            if key not in next_lifts:
-                lifts = greedy_max_lifts(group, current_lift, path.cosets)
-                next_lifts[key] = lifts and lifts[-1]
-            if next_lifts[key] is not None:
-                extend(k + 1, next_lifts[key], acc + [path])
-
-    extend(0, setup.tau, [])
-    return results
+    # one stack entry per level: the lift and end point of the columns so
+    # far, the columns, and the iterator over the candidates for the next
+    next_lifts, last = dcp.next_lifts, len(shapes) - 1
+    stack = [(setup.tau, (0,) * group.rank, (), iter(candidates[shapes[0]]))]
+    while stack:
+        above, end_above, cols, paths = stack[-1]
+        for path in paths:
+            key = (above.key, path)
+            lift = next_lifts.get(key, False)
+            if lift is False:
+                lift = greedy_max_lifts(group, above, path.cosets)
+                lift = next_lifts[key] = lift and lift[-1]
+            if lift is None:
+                continue
+            end = tuple(map(add, end_above, endpoint(path, group))) if endpoints else None
+            if len(cols) == last:
+                yield LSTableau(cols + (path,), shapes), end
+            else:
+                below = iter(candidates[shapes[len(cols) + 1]])
+                stack.append((lift, end, cols + (path,), below))
+                break
+        else:
+            stack.pop()
 
 
 # -- type A Young-tableaux ----------------------------------------------------

@@ -552,7 +552,7 @@ def lower_covers(setup, node):
     theta_p = group.pi(theta, p_i)
     bonds = shape_covers(group, setup.lambda_of[iset])
     covers.extend(
-        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep, root))
+        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep.index, root))
         for phi, root in group.covers_down(theta)
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )

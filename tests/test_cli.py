@@ -212,7 +212,9 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_theta_bijection_check_reports_each_failure(capsys, monkeypatch):
+    count_fan_degree = cli.count_fan_degree
     enumerate_fan_degree = cli.enumerate_fan_degree
+    walk_standard = cli.walk_standard
     argv = ("verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),
             "--degree", "1,1")
 
@@ -221,19 +223,37 @@ def test_theta_bijection_check_reports_each_failure(capsys, monkeypatch):
         assert code == 1
         return json.loads(out)["checks"][2]["detail"]
 
-    # a fan vector that no tableau hits, then a tableau image that is no
-    # enumerated fan vector
-    extra = lambda dcp, d: (
-        enumerate_fan_degree(dcp, d) + [vector_key(dcp, {dcp.top: 7})]
-    )
-    monkeypatch.setattr(cli, "enumerate_fan_degree", extra)
+    # with the round trip, onto is read off the counts: a fan vector that no
+    # tableau hits, then a tableau image that is no counted fan vector, then
+    # a tableau that the stream leaves out
+    monkeypatch.setattr(cli, "count_fan_degree", lambda dcp, d: count_fan_degree(dcp, d) + 1)
     assert bijection_detail() == {"onto": False, "round_trip": True}
-    short = lambda dcp, d: enumerate_fan_degree(dcp, d)[1:]
-    monkeypatch.setattr(cli, "enumerate_fan_degree", short)
+    monkeypatch.setattr(cli, "count_fan_degree", lambda dcp, d: count_fan_degree(dcp, d) - 1)
     assert bijection_detail() == {"onto": False, "round_trip": True}
-    monkeypatch.setattr(cli, "enumerate_fan_degree", enumerate_fan_degree)
+    monkeypatch.setattr(cli, "count_fan_degree", count_fan_degree)
+    monkeypatch.setattr(cli, "walk_standard", lambda *a, **k: iter(list(walk_standard(*a, **k))[1:]))
+    assert bijection_detail() == {"onto": False, "round_trip": True}
+    monkeypatch.setattr(cli, "walk_standard", walk_standard)
+    # without it, onto compares the image set with the listed fan vectors
     monkeypatch.setattr(cli, "theta_d_inverse", lambda dcp, vec: None)
     assert bijection_detail() == {"onto": True, "round_trip": False}
+    short = lambda dcp, d: enumerate_fan_degree(dcp, d)[1:]
+    monkeypatch.setattr(cli, "enumerate_fan_degree", short)
+    assert bijection_detail() == {"onto": False, "round_trip": False}
+
+
+def test_malformed_list_flags_name_the_flag(capsys):
+    # int()'s own message named neither the flag nor the field
+    good = {"--lambda": "1,0;0,1", "--iposet": "1;1,2", "--tau": "2,1", "--degree": "1,1"}
+    for flag, value in (("--lambda", "1,x"), ("--lambda", "1,0;;0,y"),
+                        ("--iposet", "foo"), ("--iposet", "1;1,2.5"),
+                        ("--tau", "1,b"), ("--tau", ""),
+                        ("--degree", "1,x"), ("--degree", "1,,1")):
+        flags = {**good, flag: value}
+        code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2",
+                             *(x for item in flags.items() for x in item))
+        assert code == 2 and out == "" and err.startswith("error:"), (flag, value)
+        assert len(err.splitlines()) == 1 and flag in err and "int()" not in err, err
 
 
 def test_conjecture_mixed_chain(capsys):

@@ -1,6 +1,8 @@
 """Source checks: invariants in the library are named errors, never `assert`,
-so that `python -O` cannot drop them; and every JSON document leaves through
-lsfan.io.dumps, so the library calls no json.dump or json.dumps."""
+so that `python -O` cannot drop them; every JSON document leaves through
+lsfan.io.dumps, so the library calls no json.dump or json.dumps; and weight
+images come from the per-shape tables, so no module but weyl calls the
+matrix product WeylElt.act."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,17 @@ def test_no_json_dump_in_library(path):
             and any(a.name in {"dump", "dumps"} for a in node.names))
     )
     assert not offenders, f"{path.name}: json.dump or json.dumps at lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_matrix_action_outside_weyl(path):
+    if path.name == "weyl.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "act"
+    )
+    assert not offenders, f"{path.name}: .act( at lines {offenders}"
