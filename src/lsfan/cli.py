@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import suppress
 from functools import cache
 from itertools import product
 
@@ -255,31 +256,31 @@ def _check(name: str, degree, ok: bool, detail: dict) -> dict:
 
 
 def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
-    group = setup.group
     dcp = build_dcp_inductive(setup)
     checks = []
     for d in degrees:
-        mu = tuple(
-            sum(d[i] * setup.lambdas[i][j] for i in range(setup.m))
-            for j in range(group.rank)
-        )
-        char = demazure_character(group, mu, setup.tau)
+        char = demazure_character(setup.group, setup.weight(d), setup.tau)
         dim = sum(char.values())
         # one streamed pass: each tableau's end point and theta round trip
         tableaux, round_trip, endpoints = 0, True, Counter()
         for t, end in walk_standard(setup, d, dcp, endpoints=True):
             tableaux += 1
             endpoints[end] += 1
-            if theta_d_inverse(dcp, theta_d(dcp, t)) != t:
-                round_trip = False
+            with suppress(ValueError):  # raised, say, for a vector outside the fan
+                if theta_d_inverse(dcp, theta_d(dcp, t)) == t:
+                    continue
+            round_trip = False
         vectors = count_fan_degree(dcp, d)
         # onto: theta_d^-1 takes fan members only, so with the round trip
         # the images are distinct fan vectors, and onto is equal counts;
-        # otherwise compare the image set with the listed fan vectors
-        if round_trip:
-            onto = tableaux == vectors
-        else:
-            images = {theta_d(dcp, t) for t, _ in walk_standard(setup, d, dcp)}
+        # otherwise compare the image set, less the tableaux whose theta_d
+        # raises, with the listed fan vectors
+        onto = tableaux == vectors
+        if not round_trip:
+            images = set()
+            for t, _ in walk_standard(setup, d, dcp):
+                with suppress(ValueError):
+                    images.add(theta_d(dcp, t))
             onto = images == set(enumerate_fan_degree(dcp, d))
         detail = {"tableaux": tableaux, "fan_vectors": vectors, "demazure_dimension": dim}
         checks += [
@@ -351,7 +352,6 @@ def _add_common(sub):
     sub.add_argument("--iposet", help="'chain', 'powerset', or sets '1;1,2;1,2,3'")
     sub.add_argument("--size-guard", dest="size_guard", type=_flag_bound)
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=["json", "dot"], default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,6 +381,8 @@ def _parser() -> _Parser:
         subs[name] = sub = commands.add_parser(name, help=text)
         _add_common(sub)
         sub.set_defaults(func=func)
+        if name in ("dcp", "underline-w"):
+            sub.add_argument("--format", choices=["json", "dot"], default="json")
     subs["enumerate"].add_argument("--degree", help="degree vector 'd1,...,dm'")
     sub = subs["verify"]
     sub.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")

@@ -184,9 +184,7 @@ class Setup:
                 raise ValueError(f"weight {lam} is not dominant")
         self.iposet = iposet
         self.m = iposet.m
-        self.total_weight = tuple(
-            sum(l[j] for l in self.lambdas) for j in range(group.rank)
-        )
+        self.total_weight = self.weight((1,) * self.m)
         self.q: Parabolic = group.stabilizer_parabolic(self.total_weight)
         if isinstance(tau, WeylElt):
             tau = group.coset(tau, self.q)
@@ -221,6 +219,11 @@ class Setup:
         )
         if not self.q <= self.q_tau:
             raise InvariantError("Q is not contained in the descent parabolic of tau")
+
+    def weight(self, d) -> tuple[int, ...]:
+        """The weight sum of d_i lambda_i of a degree d."""
+        return tuple(sum(x * lam[j] for x, lam in zip(d, self.lambdas))
+                     for j in range(self.group.rank))
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
@@ -324,7 +327,7 @@ class DCP:
     lcm of the bonds, is the one denominator of its fan vectors.  It keeps the
     theta round trip's memos: `theta_columns`, (path, I) -> that column's (node
     number, numerator) terms, and `part_columns`, a part's key -> (path, I);
-    and `next_lifts`, (lift key, path) -> greedy_max_lifts' last lift or None.
+    and `next_columns`, the tableau walk's steps per (I, lift key), columns per I.
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -339,7 +342,7 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self.reach, self.theta_columns, self.part_columns, self.next_lifts = {}, {}, {}, {}
+        self.reach, self.theta_columns, self.part_columns, self.next_columns = {}, {}, {}, {}
 
     def length(self) -> int:
         return self.top.rank

@@ -6,11 +6,11 @@ bond-weighted partial-sum integrality along that chain.  The condition is
 local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership
 tests one bit of the reach of the node above (lspath.bonded_below, memoized
-per poset in DCP.reach), enumeration is lspath.chain_lattice_points over
-the same reach table, counting is that search with its completions
-memoized per state, and none lists maximal chains.  Every function
-taking a DCP takes and returns a fan vector as its key: the sorted tuple of
-its (node number, numerator over DCP.big_l, the lcm of the bonds) pairs.
+per poset in DCP.reach), enumeration and counting read the step table of
+lspath.lattice_steps over the same reach, and none lists maximal chains.
+Every function taking a DCP takes and returns a fan vector as its key: the
+sorted tuple of its (node number, numerator over DCP.big_l, the lcm of the
+bonds) pairs.
 vector_key and fan_vector convert to and from {DCPNode: Fraction}, the form
 of weights, degrees and the JSON.  Fan vectors of a fixed degree biject with
 the standard tableaux of that degree; theta_d and its inverse work column
@@ -30,7 +30,7 @@ from math import gcd
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
 from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
-                     integral_sum, numerators, shape_covers)
+                     count_lattice_points, integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
 from .tableaux import LSTableau, make_tableau
 
@@ -128,35 +128,10 @@ def _degree_spend(dcp: DCP, d):
 
 
 def count_fan_degree(dcp: DCP, d) -> int:
-    """len(enumerate_fan_degree(dcp, d)) without listing: the search of
-    chain_lattice_points, memoizing the number of completions per state
-    (last node, running sum mod big_l, remaining degree), which fixes every
-    later step (transfer-matrix counting, Stanley, EC I, 4.7)."""
+    """len(enumerate_fan_degree(dcp, d)) without listing: the
+    lspath.count_lattice_points of the same walk."""
     d, spend = _degree_spend(dcp, d)
-    covers, big_l, reach, memo = dcp.covers_down, dcp.big_l, dcp.reach, {}
-
-    def completions(mask, cum, rest):
-        if not any(rest):
-            return int(cum == 0)
-        count = 0
-        while mask:
-            node = (mask & -mask).bit_length() - 1
-            mask ^= 1 << node
-            for c in range(1, min(rest[j] for j in spend[node]) + 1):
-                s = (cum + c) % big_l
-                below = bonded_below(covers, node, big_l // gcd(s, big_l), reach) ^ 1 << node
-                if s and not below:
-                    continue
-                left = list(rest)
-                for j in spend[node]:
-                    left[j] -= c
-                state = node, s, tuple(left)
-                if state not in memo:
-                    memo[state] = completions(below, s, left)
-                count += memo[state]
-        return count
-
-    return completions(bonded_below(covers, 0, 1, reach), 0, [x * big_l for x in d])
+    return count_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach)
 
 
 def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
@@ -278,15 +253,8 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
             f"of degree {n}; need total degree at least {n}"
         )
 
-    def hilbert(dvec):
-        mu = tuple(
-            sum(dvec[i] * setup.lambdas[i][j] for i in range(m))
-            for j in range(setup.group.rank)
-        )
-        return weyl_dimension(setup.group.datum, mu)
-
     points = _monomials(m, max_total_degree)
-    table = {pt: hilbert(pt) for pt in points}
+    table = {pt: weyl_dimension(setup.group.datum, setup.weight(pt)) for pt in points}
     # pass s along axis i takes s-th differences; reversed lex order runs
     # down each line along the axis, so each subtraction reads the pass s - 1
     # value below it

@@ -5,10 +5,10 @@ rational cut points, subject to the chain-integrality condition: consecutive
 cosets must be joined by a saturated chain of covering relations whose pairing
 with the cut point is integral at every step.  bonded_below, the reach of a
 node at a denominator memoized per poset, is the one home of this local
-condition: validation reads certificates off the reach, and paths are built
-by chain_lattice_points, the walk over it that also enumerates fan vectors,
-yielding (node, numerator) pairs on int-keyed covers (representative indices
-here, node numbers on a DCP) and listing no maximal chain.  Sums are integer
+condition: validation reads certificates off the reach, and the walk over
+it has one transition table, lattice_steps, on int-keyed covers (rep
+indices here, node numbers on a DCP), which chain_lattice_points lists
+(paths, fan vectors) and count_lattice_points counts.  Sums are integer
 numerators over one denominator; Fractions are built only for returned
 values.  An LSPath compares and hashes by one key made at construction, so
 paths key the per-job memos of end points and theta columns cheaply.
@@ -34,7 +34,9 @@ __all__ = [
     "initial_direction",
     "theta_single",
     "theta_single_inverse",
+    "lattice_steps",
     "chain_lattice_points",
+    "count_lattice_points",
     "bonded_chain",
     "bonded_below",
     "maximal_bonded_chains",
@@ -247,45 +249,69 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     return True, certificate
 
 
-def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
-    """Every lattice point of degree `degree` on the chains of a graded
-    poset, once each, by a depth-first search over support chains from
-    `top`; each is yielded as the tuple of its (node, numerator over
-    big_l) pairs in top-down support order.
-
-    covers_down maps a node id to its (lower, label, bond) covers.  A
-    node's coefficient counts against the coordinates spend[node] of
-    `degree`, and the search stops when all are spent.  Sums are integers
-    over big_l, the poset's denominator, a multiple of its bonds.  The next
-    support node is one in the reach (bonded_below, with the memo) of the
-    last at the running sum, in ascending id; a coefficient whose sum is
-    not integral must leave a non-empty reach below the node, and the last
-    sum must be integral.
-    """
-    vec = {}
-
-    def place(reach, total, rest):
-        if not any(rest):
-            if total % big_l == 0:
-                yield tuple(vec.items())
-            return
-        while reach:
-            node = (reach & -reach).bit_length() - 1
-            reach ^= 1 << node
+def lattice_steps(covers_down, top, degree, spend, big_l, memo):
+    """The one home of the step rule of the lattice-point walk below `top`:
+    (start, steps), steps mapping each state reached from start to its
+    ((node, numerator), next state) steps in walk order.  A state is (the
+    reach below the last support node, which fixes all later steps, or of
+    `top` at the start; the sum mod big_l; the remaining degree), sums being
+    over big_l, a multiple of the bonds of covers_down, the (lower, label,
+    bond) covers per node id.  The next node is one in the reach, in
+    ascending id, whose coefficient counts against the coordinates
+    spend[node]; the reach below it is read at the new sum (bonded_below,
+    with the memo).  A step spending the whole degree ends at None if its
+    sum is integral, any other must leave a non-empty reach, and the start
+    of degree 0 is None."""
+    rest = tuple(x * big_l for x in degree)
+    start = (bonded_below(covers_down, top, 1, memo), 0, rest) if any(rest) else None
+    steps, todo = {}, [start] if start else []
+    while todo:
+        reach, cum, rest = state = todo.pop()
+        if state in steps:
+            continue
+        steps[state] = out = []
+        for node in set_bits(reach):
             for c in range(1, min(rest[j] for j in spend[node]) + 1):
-                cum = total + c
-                below = bonded_below(covers_down, node, big_l // gcd(cum, big_l), memo)
-                below ^= 1 << node
-                if cum % big_l and not below:
+                s = (cum + c) % big_l
+                below = bonded_below(covers_down, node, big_l // gcd(s, big_l), memo) ^ 1 << node
+                if s and not below:
                     continue
-                vec[node] = c
                 left = list(rest)
                 for j in spend[node]:
                     left[j] -= c
-                yield from place(below, cum, left)
-                del vec[node]
+                if not any(left):
+                    if not s:
+                        out.append(((node, c), None))
+                elif below:
+                    nxt = below, s, tuple(left)
+                    out.append(((node, c), nxt))
+                    todo.append(nxt)
+    return start, steps
 
-    yield from place(bonded_below(covers_down, top, 1, memo), 0, [x * big_l for x in degree])
+
+def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
+    """Every lattice point of degree `degree` below `top`, once each, by a
+    depth-first walk over the lattice_steps table: the tuple of its (node,
+    numerator over big_l) pairs in top-down support order."""
+    start, steps = lattice_steps(covers_down, top, degree, spend, big_l, memo)
+    stack = [(start, ())]
+    while stack:
+        state, point = stack.pop()
+        if state is None:
+            yield point
+        else:
+            stack.extend((nxt, point + (pair,)) for pair, nxt in reversed(steps[state]))
+
+
+def count_lattice_points(covers_down, top, degree, spend, big_l, memo) -> int:
+    """len(list(chain_lattice_points(...))) without listing: the completions
+    of each lattice_steps state, in order of the remaining degree, which
+    every step lowers (transfer-matrix counting, Stanley, EC I, 4.7)."""
+    start, steps = lattice_steps(covers_down, top, degree, spend, big_l, memo)
+    counts = {None: 1}
+    for state in sorted(steps, key=lambda state: sum(state[2])):
+        counts[state] = sum(counts[nxt] for _, nxt in steps[state])
+    return counts[start]
 
 
 def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:

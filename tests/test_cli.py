@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import lsfan.weyl
-from lsfan import DCP, DCPNode, cli, vector_key
+from lsfan import DCP, DCPNode, FanError, cli, vector_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -240,6 +240,53 @@ def test_theta_bijection_check_reports_each_failure(capsys, monkeypatch):
     short = lambda dcp, d: enumerate_fan_degree(dcp, d)[1:]
     monkeypatch.setattr(cli, "enumerate_fan_degree", short)
     assert bijection_detail() == {"onto": False, "round_trip": False}
+
+
+def test_a_raising_theta_round_trip_is_a_failed_check(capsys, monkeypatch):
+    # theta_d^-1 raises for a vector outside the fan; that is a failed round
+    # trip (exit 1, with the JSON), not bad input (exit 2)
+    theta_d = cli.theta_d
+    argv = ("verify", "--type", "B", "--rank", "3", "--lambda", "1,0,0;0,1,0;0,0,1",
+            "--tau", "w0", "--iposet", "chain", "--degree", "0,1,1")
+
+    def off_by_one(dcp, t):
+        (k, c), *rest = theta_d(dcp, t)
+        return ((k, c + 1), *rest)
+
+    monkeypatch.setattr(cli, "theta_d", off_by_one)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "FAILED theta_bijection" in err
+    checks = json.loads(out)["checks"]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    assert checks[2]["detail"] == {"onto": False, "round_trip": False}
+
+    # the set comparison skips a tableau whose theta_d raises, so one fan
+    # vector goes unhit
+    first = []
+
+    def raises_on_the_first(dcp, t):
+        first[:] = first or [t]
+        if t == first[0]:
+            raise FanError("no image")
+        return theta_d(dcp, t)
+
+    monkeypatch.setattr(cli, "theta_d", raises_on_the_first)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["checks"][2]["detail"] == {"onto": False, "round_trip": False}
+
+
+def test_format_is_a_flag_of_the_poset_commands_only(capsys):
+    job = ("--job", str(FIXTURES / "a3_young_chain_w0.json"))
+    for command, extra in (("check", ()), ("enumerate", ("--degree", "1,0,0")),
+                           ("verify", ("--degree", "1,0,0")), ("conjecture", ())):
+        assert run(capsys, command, *job, *extra)[0] == 0, command
+        code, out, err = run(capsys, command, *job, *extra, "--format", "dot")
+        assert code == 2 and out == "", command
+        assert err == "error: unrecognized arguments: --format dot\n", command
+    for command in ("dcp", "underline-w"):
+        code, out, _ = run(capsys, command, *job, "--format", "dot")
+        assert code == 0 and out.startswith("digraph"), command
 
 
 def test_malformed_list_flags_name_the_flag(capsys):

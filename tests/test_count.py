@@ -1,13 +1,16 @@
 """Exhaustive verify without lists: fan vectors counted by memoized
 completions, tableaux streamed from the enumeration walk.
 
-count_fan_degree runs the search of chain_lattice_points with one memo per
-search state, so the two share the bond rule only through bonded_below; the
-count equals the length of the enumeration on every job fixture and on
-random degrees, which pins the two loops together.  walk_standard is the
-walk behind enumerate_standard; it yields the same tableaux in the same
-order, with end points equal to tableau_endpoint.  A tracemalloc bound pins
-that verify holds no list of tableaux, fan vectors or images.
+lspath.lattice_steps is the one transition table of the lattice-point walk:
+chain_lattice_points lists by walking it and count_lattice_points counts
+its completions, so count_fan_degree and enumerate_fan_degree read one step
+rule.  The count equals the length of the listing on every job fixture, on
+random degrees and on shape posets with bonds above 1.  walk_standard is
+the walk behind enumerate_standard, over the memoized steps of
+next_columns; it yields the same tableaux in the same order, with end
+points equal to tableau_endpoint, and each step list equals the sorted
+columns lifted one by one.  A tracemalloc bound pins that verify holds no
+list of tableaux, fan vectors or images.
 """
 
 import io
@@ -32,10 +35,14 @@ from lsfan import (
     is_tau_standard,
     make_group,
     powerset_iposet,
+    shape_for_degree,
     tableau_endpoint,
     walk_standard,
 )
+from lsfan.dcp import greedy_max_lifts
 from lsfan.demazure import weyl_dimension
+from lsfan.lspath import ShapePoset, chain_lattice_points, count_lattice_points, enumerate_ls_paths
+from lsfan.tableaux import next_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 JOB_FIXTURES = sorted(
@@ -87,6 +94,63 @@ def test_count_on_random_degrees(name, entries):
     mu = tuple(sum(x * lam[j] for x, lam in zip(d, setup.lambdas))
                for j in range(setup.group.rank))
     assert setup.is_w0_instance() and count == weyl_dimension(setup.group.datum, mu), d
+
+
+@pytest.mark.parametrize("dynkin, rank, nu", [
+    ("G", 2, (1, 0)), ("G", 2, (0, 1)), ("G", 2, (1, 1)),
+    ("B", 3, (1, 0, 0)), ("B", 3, (0, 1, 0)), ("B", 3, (1, 0, 1)),
+])
+def test_count_is_the_listing_length_on_shape_posets(dynkin, rank, nu):
+    # big_l is 2 to 60 on these shapes, so non-integral sums and the reach
+    # at denominators above 1 are walked; the count of degree d is also the
+    # number of LS-paths of shape d*nu, the Weyl dimension
+    group = make_group(dynkin, rank)
+    poset = ShapePoset(group, nu, group.coset(group.longest, group.stabilizer_parabolic(nu)))
+    assert poset.big_l > 1
+    covers, top = poset.covers_down, poset.top.rep.index
+    spend = dict.fromkeys((c.rep.index for c in poset.nodes), (0,))
+    for d in range(4):
+        walk = (covers, top, (d,), spend, poset.big_l, covers.reach)
+        points = list(chain_lattice_points(*walk))
+        assert count_lattice_points(*walk) == len(points) == len(set(points)), d
+        mu = tuple(d * x for x in nu)
+        assert len(points) == weyl_dimension(group.datum, mu), d
+
+
+def canonical(paths):
+    return sorted(paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts))
+
+
+@pytest.mark.parametrize("name", JOB_FIXTURES)
+def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
+    # the walk's memo holds exactly the (I, lift) states reached from tau,
+    # and each step list is the slice's sorted columns, lifted one by one
+    setup, _ = instance(name)
+    dcp = build_dcp_inductive(setup)
+    if not is_tau_standard(setup, dcp):
+        return
+    group, degrees = setup.group, small_degrees(setup.m)
+    for d in degrees:
+        for _ in walk_standard(setup, d, dcp):
+            pass
+    walked = {key for key in dcp.next_columns if isinstance(key, tuple)}
+    visited = set()
+    for d in degrees:
+        lifts = {setup.tau.key: setup.tau}
+        for s in shape_for_degree(setup, d):
+            columns = canonical(enumerate_ls_paths(group, setup.lambda_of[s], setup.tau, 1))
+            below = {}
+            for lift in lifts.values():
+                visited.add((s, lift.key))
+                brute = []
+                for path in columns:
+                    chain = greedy_max_lifts(group, lift, path.cosets)
+                    if chain is not None:
+                        brute.append((path, chain[-1]))
+                assert next_columns(dcp, s, lift) == brute, (d, s)
+                below.update((x.key, x) for _, x in brute)
+            lifts = below
+    assert visited == walked
 
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)
