@@ -18,7 +18,6 @@ from itertools import product
 
 from . import io as lsio
 from .dcp import (
-    DCP,
     InvariantError,
     Setup,
     build_dcp_direct_w0,
@@ -26,7 +25,6 @@ from .dcp import (
     build_index_poset,
     chain_iposet,
     powerset_iposet,
-    tau_standardness_report,
     UnderlineW,
 )
 from .demazure import demazure_character
@@ -96,12 +94,13 @@ def _load_job(args) -> dict:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ValueError(f"job file {args.job} does not hold a JSON object")
-    for key in ("type", "rank", "size_guard", "lambdas", "tau", "iposet", "degree",
-                "max_total_degree"):
-        value = getattr(args, key, None)
-        if value is not None:
-            job[key] = value
-    return job
+    flags = {key: value for key in ("type", "rank", "size_guard", "lambdas", "tau",
+                                     "iposet", "degree", "max_total_degree")
+             if (value := getattr(args, key, None)) is not None}
+    if flags.keys() & {"degree", "max_total_degree"}:  # one flag replaces both entries
+        job.pop("degree", None)
+        job.pop("max_total_degree", None)
+    return job | flags
 
 
 def _setup_from_job(job: dict) -> Setup:
@@ -183,7 +182,7 @@ def cmd_underline_w(args, job: dict, setup: Setup) -> int:
 
 
 def cmd_check(args, job: dict, setup: Setup) -> int:
-    report = tau_standardness_report(setup)
+    report = build_dcp_inductive(setup).standardness
     group = setup.group
     data = {
         "tau_standard": report.standard,
@@ -222,7 +221,7 @@ def cmd_enumerate(args, job: dict, setup: Setup) -> int:
     if len(degrees) != 1:
         raise ValueError("enumerate needs exactly one --degree")
     dcp = build_dcp_inductive(setup)
-    tableaux = enumerate_standard(setup, degrees[0], dcp)
+    tableaux = enumerate_standard(dcp, degrees[0])
     group = setup.group
     ids = lsio.dcp_node_ids(dcp)
     data = {
@@ -263,7 +262,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
         dim = sum(char.values())
         # one streamed pass: each tableau's end point and theta round trip
         tableaux, round_trip, endpoints = 0, True, Counter()
-        for t, end in walk_standard(setup, d, dcp, endpoints=True):
+        for t, end in walk_standard(dcp, d, endpoints=True):
             tableaux += 1
             endpoints[end] += 1
             with suppress(ValueError):  # raised, say, for a vector outside the fan
@@ -278,7 +277,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
         onto = tableaux == vectors
         if not round_trip:
             images = set()
-            for t, _ in walk_standard(setup, d, dcp):
+            for t, _ in walk_standard(dcp, d):
                 with suppress(ValueError):
                     images.add(theta_d(dcp, t))
             onto = images == set(enumerate_fan_degree(dcp, d))
@@ -290,7 +289,7 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
                    {"round_trip": round_trip, "onto": onto}),
         ]
     if conjecture_bound is not None:
-        report = multidegree_conjecture_check(setup, dcp, conjecture_bound)
+        report = multidegree_conjecture_check(dcp, conjecture_bound)
         checks.append(_check("multidegree_conjecture", None, report["agree"],
                              _sides_by_degree(report)))
     return checks
@@ -325,7 +324,7 @@ def cmd_verify(args, job: dict, setup: Setup) -> int:
 def cmd_conjecture(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     bound = _int(job, "max_total_degree", setup.tau.rank)
-    report = multidegree_conjecture_check(setup, dcp, bound)
+    report = multidegree_conjecture_check(dcp, bound)
     data = {
         "dimension": report["dimension"],
         **_sides_by_degree(report),
@@ -384,15 +383,15 @@ def _parser() -> _Parser:
         if name in ("dcp", "underline-w"):
             sub.add_argument("--format", choices=["json", "dot"], default="json")
     subs["enumerate"].add_argument("--degree", help="degree vector 'd1,...,dm'")
-    sub = subs["verify"]
-    sub.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
-    sub.add_argument(
+    degrees = subs["verify"].add_mutually_exclusive_group()
+    degrees.add_argument("--degree", help="degree grid 'd1,...,dm[;...]'")
+    degrees.add_argument(
         "--max-total-degree",
         dest="max_total_degree",
         type=_flag_bound,
         help="use all degrees of total degree up to this bound",
     )
-    sub.add_argument(
+    subs["verify"].add_argument(
         "--conjecture",
         type=_flag_bound,
         help="also run the multidegree comparison with this fit bound",

@@ -15,8 +15,8 @@ key with the bit mask of I, so the two builds compare node by node on
 (theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then I,
 then element index) and keeps its covers, rho lookup and reach memo
 (lspath.bonded_below) as tables over these numbers.  tau-standardness of
-the index poset is decided by injectivity of the slice-projection map rho,
-with the four diagram-level criteria available in the maximal case.
+the index poset is decided once per poset (DCP.standardness), by injectivity
+of the slice-projection map rho and, in the maximal case, the four criteria.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .lspath import ShapePoset, bonded_below, maximal_bonded_chains, set_bits, shape_covers
 from .rootdata import InvariantError
@@ -196,16 +197,10 @@ class Setup:
         self.p_of = {}
         self.q_of = {}
         for s in iposet.sets:
-            lam_i = tuple(
-                sum(self.lambdas[i - 1][j] for i in iposet.underline[s])
-                for j in range(group.rank)
-            )
-            self.lambda_of[s] = lam_i
+            self.lambda_of[s] = lam_i = self.weight(iposet.e_vector(s))
             self.p_of[s] = group.stabilizer_parabolic(lam_i)
-            sum_all = tuple(
-                sum(self.lambdas[i - 1][j] for i in s) for j in range(group.rank)
-            )
-            self.q_of[s] = group.stabilizer_parabolic(sum_all)
+            indicator = [int(i in s) for i in range(1, self.m + 1)]
+            self.q_of[s] = group.stabilizer_parabolic(self.weight(indicator))
         self.p_mask = {s: bitmask(p) for s, p in self.p_of.items()}
         self.q_mask = {s: bitmask(q) for s, q in self.q_of.items()}
 
@@ -222,8 +217,7 @@ class Setup:
 
     def weight(self, d) -> tuple[int, ...]:
         """The weight sum of d_i lambda_i of a degree d."""
-        return tuple(sum(x * lam[j] for x, lam in zip(d, self.lambdas))
-                     for j in range(self.group.rank))
+        return tuple(sum(map(mul, d, column)) for column in zip(*self.lambdas))
 
     def is_w0_instance(self) -> bool:
         return self.tau == self.group.coset(self.group.longest, self.q)
@@ -372,6 +366,11 @@ class DCP:
         return sorted(groups, key=lambda group: _node_key(group[0]))
 
     @cached_property
+    def standardness(self) -> StandardnessReport:
+        """tau_standardness_report of this poset, evaluated once."""
+        return tau_standardness_report(self)
+
+    @cached_property
     def rho_lookup(self) -> dict:
         """rho inverted: (key of a coset in W/W_{P_I}, I) -> node number.
         Raises NotStandardError when rho is not injective."""
@@ -499,16 +498,15 @@ class StandardnessReport:
     criteria_agree: bool | None
 
 
-def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> StandardnessReport:
+def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     """Decide whether the index poset is standard for tau.
 
     The decision is injectivity of rho on the defining chain poset.  For
     tau = w0 W_Q the four criterion values are also evaluated per member and
     covering chain, and their mutual agreement is recorded.
     """
+    setup = dcp.setup
     group = setup.group
-    if dcp is None:
-        dcp = build_dcp_inductive(setup)
     images = dcp.rho_table
     collisions = dcp.rho_collisions()
     standard = not collisions
@@ -541,8 +539,8 @@ def tau_standardness_report(setup: Setup, dcp: DCP | None = None) -> Standardnes
     return StandardnessReport(standard, collisions, criteria, agree)
 
 
-def is_tau_standard(setup: Setup, dcp: DCP | None = None) -> bool:
-    return tau_standardness_report(setup, dcp).standard
+def is_tau_standard(dcp: DCP) -> bool:
+    return dcp.standardness.standard
 
 
 def _criterion_min_max(group, setup, p_i, q_i, q_r) -> bool:

@@ -32,7 +32,7 @@ from .demazure import weyl_dimension
 from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
                      count_lattice_points, integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
-from .tableaux import LSTableau, make_tableau
+from .tableaux import LSTableau
 
 __all__ = [
     "FanError",
@@ -206,8 +206,9 @@ def theta_d(dcp: DCP, tableau: LSTableau) -> FanKey:
 
 def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
     """Tableau of a fan vector, via the unique degree-one decomposition; a
-    part's nodes lie in one slice with distinct rho images.  The column of
-    each distinct part is built and validated once, in dcp.part_columns."""
+    part's nodes lie in one slice with distinct rho images.  Each distinct
+    part's column is built and validated once, in dcp.part_columns, and
+    _parts makes the slices a chain, so the tableau needs no other check."""
     setup, memo, images = dcp.setup, dcp.part_columns, dcp.rho_images
     columns, shapes = [], []
     for part in _parts(dcp, key):
@@ -219,7 +220,7 @@ def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
             memo[part] = column
         columns.append(column[0])
         shapes.append(column[1])
-    return make_tableau(setup, columns, shapes)
+    return LSTableau(tuple(columns), tuple(shapes))
 
 
 # -- multidegrees ---------------------------------------------------------------
@@ -275,7 +276,7 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
     return {k: table[k] for k in points if sum(k) == n}
 
 
-def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
+def multidegree_conjecture_check(dcp: DCP, max_total_degree: int):
     """Compare bond-weighted chain counts against the Hilbert multidegrees.
 
     For a totally ordered index poset, each maximal chain of the poset is
@@ -284,6 +285,7 @@ def multidegree_conjecture_check(setup: Setup, dcp: DCP, max_total_degree: int):
     nodes, the right side takes the Hilbert multidegrees.  Returns a report
     dict; agreement is reported, not asserted.
     """
+    setup = dcp.setup
     iposet = setup.iposet
     chain_sets = sorted(iposet.sets, key=len)
     for a, b in zip(chain_sets, chain_sets[1:]):

@@ -18,7 +18,6 @@ from operator import add
 from .dcp import (
     DCP,
     Setup,
-    build_dcp_inductive,
     greedy_max_lifts,
     is_tau_standard,
     max_defining_chain,
@@ -206,10 +205,10 @@ def is_weakly_standard(setup: Setup, tableau: LSTableau) -> bool:
     return True
 
 
-def enumerate_standard(setup: Setup, d, dcp: DCP | None = None):
+def enumerate_standard(dcp: DCP, d):
     """All standard tableaux of degree d, in canonical order: the list of
     walk_standard's tableaux."""
-    return [t for t, _ in walk_standard(setup, d, dcp)]
+    return [t for t, _ in walk_standard(dcp, d)]
 
 
 def next_columns(dcp: DCP, s, lift: Coset):
@@ -231,7 +230,7 @@ def next_columns(dcp: DCP, s, lift: Coset):
     return memo[key]
 
 
-def walk_standard(setup: Setup, d, dcp: DCP | None = None, endpoints: bool = False):
+def walk_standard(dcp: DCP, d, endpoints: bool = False):
     """Yield (tableau, end point) for each standard tableau of degree d, in
     canonical order, by a depth-first walk over next_columns that keeps no
     list of tableaux; the end point is None unless `endpoints`, and is then
@@ -240,12 +239,12 @@ def walk_standard(setup: Setup, d, dcp: DCP | None = None, endpoints: bool = Fal
     benchmark's job_max_s 3-10 % higher (4 of 4 pairs, 2-core host).
 
     Requires the index poset to be standard for tau, so that standardness is
-    decided column by column while extending the maximal defining chain.
+    decided column by column while extending the maximal defining chain;
+    the poset's one report (DCP.standardness) says whether it is.
     """
-    if dcp is None:
-        dcp = build_dcp_inductive(setup)
-    if not is_tau_standard(setup, dcp):
+    if not is_tau_standard(dcp):
         raise TableauError("the index poset is not standard for tau")
+    setup = dcp.setup
     shapes = shape_for_degree(setup, d)
     group = setup.group
     # one stack entry per prefix still to walk: its end point, its columns

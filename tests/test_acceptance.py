@@ -252,7 +252,7 @@ def test_criterion_4_tau_3412_classification(a3):
                 continue
             n_valid += 1
             setup = Setup(a3, lambdas, tau, iposet)
-            if is_tau_standard(setup):
+            if is_tau_standard(build_dcp_inductive(setup)):
                 standard_posets.append(
                     {tuple(sorted(s)) for s in iposet.sets}
                 )
@@ -274,7 +274,7 @@ def test_criterion_5_criteria_equivalence(request):
     checked = 0
     for name, lambdas, kind in EQUIVALENCE_GRID:
         setup = grid_setup(request, name, lambdas, kind)
-        result = tau_standardness_report(setup)
+        result = tau_standardness_report(build_dcp_inductive(setup))
         assert result.criteria is not None and result.criteria_agree
         by_set = {}
         for (s, _), values in result.criteria.items():
@@ -367,7 +367,7 @@ def counting_data(request):
         dcp = build_dcp_inductive(setup)
         per_degree = {}
         for d in degrees_up_to(setup.m, 3):
-            tableaux = enumerate_standard(setup, d, dcp)
+            tableaux = enumerate_standard(dcp, d)
             vectors = enumerate_fan_degree(dcp, d)
             per_degree[d] = (tableaux, vectors)
         data.append((setup, dcp, per_degree))
@@ -491,7 +491,7 @@ def test_criterion_11_multidegree_conjecture(a3):
     start = time.monotonic()
     setup = load_setup("a3_mixed_chain_w0.json", a3)
     dcp = build_dcp_inductive(setup)
-    result = multidegree_conjecture_check(setup, dcp, 6)
+    result = multidegree_conjecture_check(dcp, 6)
     assert result["agree"], result
     assert result["mismatches"] == []
     assert sum(result["left"].values()) > 0

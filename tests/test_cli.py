@@ -430,6 +430,12 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
         assert len(err.splitlines()) == 1 and text in err, argv
+    # both degree flags at once, in either order
+    for flags in (("--degree", "1,1", "--max-total-degree", "2"),
+                  ("--max-total-degree", "2", "--degree", "1,1")):
+        code, out, err = run(capsys, "verify", "--job", young, *flags)
+        assert code == 2 and out == "" and err.startswith("error:"), flags
+        assert len(err.splitlines()) == 1 and "--degree" in err, flags
     # a negative degree entry that reaches the degree check is named
     code, out, err = run(capsys, "verify", "--job", young, "--degree=-1,1")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -440,6 +446,43 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         "--degree", "1,1", "--conjecture", "+3",
     )
     assert code == 0 and '"multidegree_conjecture"' in out
+
+
+def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):
+    base = json.loads((FIXTURES / "a2_young_chain_w0.json").read_text())
+    job = tmp_path / "degrees.json"
+
+    def degrees(entries, *flags):
+        job.write_text(json.dumps({**base, **entries}))
+        code, out, _ = run(capsys, "verify", "--job", str(job), *flags)
+        assert code == 0
+        return [c["degree"] for c in json.loads(out)["checks"] if c["check"] == "counting"]
+
+    grid = [[0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
+    assert degrees({"degree": [1, 0]}, "--max-total-degree", "2") == grid
+    assert degrees({"max_total_degree": 2}, "--degree", "0,1") == [[0, 1]]
+    both = {"degree": [1, 0], "max_total_degree": 1}
+    assert degrees(both, "--max-total-degree", "2") == grid
+    assert degrees(both, "--degree", "0,1") == [[0, 1]]
+
+
+def test_verify_evaluates_one_standardness_report_per_job(capsys, monkeypatch):
+    import lsfan.dcp
+
+    report, reports = lsfan.dcp.tau_standardness_report, []
+    monkeypatch.setattr(lsfan.dcp, "tau_standardness_report",
+                        lambda *args: reports.append(args) or report(*args))
+    argv = ("verify", "--job", str(FIXTURES / "a3_young_chain_w0.json"),
+            "--max-total-degree", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["checks"]) == 3 * 9
+    assert len(reports) == 1
+    # the one report still evaluates the criteria: a flipped one fails the job
+    flip = lsfan.dcp._criterion_dynkin
+    monkeypatch.setattr(lsfan.dcp, "_criterion_dynkin", lambda *a: not flip(*a))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: standardness criteria disagree")
 
 
 def test_size_guard_rejects_a_large_rank_before_building_anything(

@@ -127,11 +127,11 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
     # and each step list is the slice's sorted columns, lifted one by one
     setup, _ = instance(name)
     dcp = build_dcp_inductive(setup)
-    if not is_tau_standard(setup, dcp):
+    if not is_tau_standard(dcp):
         return
     group, degrees = setup.group, small_degrees(setup.m)
     for d in degrees:
-        for _ in walk_standard(setup, d, dcp):
+        for _ in walk_standard(dcp, d):
             pass
     walked = {key for key in dcp.next_columns if isinstance(key, tuple)}
     visited = set()
@@ -156,13 +156,13 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
 @pytest.mark.parametrize("name", JOB_FIXTURES)
 def test_walk_is_the_enumeration_in_order_with_end_points(name):
     setup, dcp = instance(name)
-    if not is_tau_standard(setup, dcp):
+    if not is_tau_standard(dcp):
         return
     for d in small_degrees(setup.m):
-        walked = list(walk_standard(setup, d, dcp, endpoints=True))
-        assert [t for t, _ in walked] == enumerate_standard(setup, d, dcp), d
+        walked = list(walk_standard(dcp, d, endpoints=True))
+        assert [t for t, _ in walked] == enumerate_standard(dcp, d), d
         assert [e for _, e in walked] == [tableau_endpoint(setup, t) for t, _ in walked]
-        assert {e for _, e in walk_standard(setup, d, dcp)} == {None}
+        assert {e for _, e in walk_standard(dcp, d)} == {None}
 
 
 def test_verify_memory_does_not_grow_with_the_output():

@@ -648,7 +648,7 @@ def test_rho_not_injective_on_tau312_instance(a2):
     assert len({rho(setup, n) for n in dcp.nodes}) == 5
     with pytest.raises(ValueError):
         rho_inverse(dcp, *rho(setup, dcp.top))
-    report = tau_standardness_report(setup, dcp)
+    report = tau_standardness_report(dcp)
     assert not report.standard
     assert report.collisions
 
@@ -671,7 +671,7 @@ def test_criteria_disagreement_is_an_invariant_error(a3, monkeypatch):
     monkeypatch.setattr(lsfan.dcp, "_criterion_dynkin", lambda *a: not flip(*a))
     setup = Setup(a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], a3.longest, chain_iposet(3))
     with pytest.raises(InvariantError):
-        tau_standardness_report(setup)
+        tau_standardness_report(build_dcp_inductive(setup))
     assert not issubclass(InvariantError, ValueError)
 
 
@@ -681,7 +681,7 @@ def test_rho_inverse_closed_form_matches_search(a3):
         a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], a3.longest, chain_iposet(3)
     )
     dcp = build_dcp_inductive(setup)
-    assert is_tau_standard(setup, dcp)
+    assert is_tau_standard(dcp)
     assert len(dcp.nodes) == 14  # 4 + 6 + 4 across the three slices
     for node in dcp.nodes:
         image = rho(setup, node)
@@ -698,19 +698,19 @@ def test_powerset_always_tau_standard(a2, a3):
             if tau.rank < 2:
                 continue
             setup = Setup(group, lambdas, tau, powerset_iposet(len(lambdas)))
-            assert is_tau_standard(setup)
+            assert is_tau_standard(build_dcp_inductive(setup))
 
 
 def test_fundamental_weight_chain_is_standard_in_type_a(a3):
     # increasing column lengths ordered against the chain: (w3, w2, w1)
     setup = Setup(a3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], a3.longest, chain_iposet(3))
-    assert is_tau_standard(setup)
+    assert is_tau_standard(build_dcp_inductive(setup))
 
 
 def test_criteria_agree_across_w0_grid(request):
     for name, lambdas, kind in GRID[:14]:
         setup = grid_setup(request, name, lambdas, kind)
-        report = tau_standardness_report(setup)
+        report = tau_standardness_report(build_dcp_inductive(setup))
         assert report.criteria is not None
         assert report.criteria_agree
         # chain independence of (ii)-(iv)
@@ -729,13 +729,13 @@ def test_dtype_fallback_poset_is_standard(d4):
         [fs(1), fs(2), fs(1, 2), fs(1, 2, 3), fs(1, 2, 3, 4)], 4
     )
     setup = Setup(d4, lambdas, d4.longest, ip)
-    assert is_tau_standard(setup)
+    assert is_tau_standard(build_dcp_inductive(setup))
 
 
 def test_dtype_totally_ordered_is_not_standard(d4):
     lambdas = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)]
     setup = Setup(d4, lambdas, d4.longest, chain_iposet(4))
-    assert not is_tau_standard(setup)
+    assert not is_tau_standard(build_dcp_inductive(setup))
 
 
 # -- totally ordered standard posets ---------------------------------------------------

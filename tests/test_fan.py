@@ -316,7 +316,7 @@ def test_weight_of_top_unit_vector(a2):
 def test_weight_matches_tableau_endpoints(b2):
     setup, dcp = chain_instance(b2, [(1, 0), (0, 1)])
     for d in [(1, 0), (1, 1), (2, 1)]:
-        for t in enumerate_standard(setup, d, dcp):
+        for t in enumerate_standard(dcp, d):
             vec = fan_vector(dcp, theta_d(dcp, t))
             assert weight(setup, vec) == tableau_endpoint(setup, t)
 
@@ -340,7 +340,7 @@ def test_theta_bijection_on_mixed_instances(a2, a3, b2):
         dcp = build_dcp_inductive(setup)
         degrees = [d for d in product(range(3), repeat=setup.m) if 0 < sum(d) <= 2]
         for d in degrees:
-            tabs = enumerate_standard(setup, d, dcp)
+            tabs = enumerate_standard(dcp, d)
             vecs = enumerate_fan_degree(dcp, d)
             assert len(tabs) == len(vecs)
             for t in tabs:
@@ -358,7 +358,7 @@ def test_degenerate_weight_sequences(a2):
         setup = Setup(a2, lambdas, a2.longest, chain_iposet(2))
         dcp = build_dcp_inductive(setup)
         for d in [(1, 0), (0, 2), (1, 1), (2, 1)]:
-            tabs = enumerate_standard(setup, d, dcp)
+            tabs = enumerate_standard(dcp, d)
             vecs = enumerate_fan_degree(dcp, d)
             dim = demazure_dimension(a2, degree_mu(d), setup.tau)
             assert len(tabs) == len(vecs) == dim, (lambdas, d)
@@ -402,7 +402,7 @@ def test_branching_posets_with_higher_bonds(a3, d4):
     dcp = build_dcp_inductive(setup)
     assert {b for _, _, _, b in dcp.edges} == {1, 2, 3}
     vecs = enumerate_fan_degree(dcp, (1, 1, 1))
-    tabs = enumerate_standard(setup, (1, 1, 1), dcp)
+    tabs = enumerate_standard(dcp, (1, 1, 1))
     assert len(vecs) == len(tabs) == demazure_dimension(a3, (1, 1, 1), setup.tau)
     for t in tabs[:16]:
         assert theta_d_inverse(dcp, theta_d(dcp, t)) == t
@@ -425,7 +425,7 @@ def test_branching_posets_with_higher_bonds(a3, d4):
             sum(d[i] * setup4.lambdas[i][j] for i in range(4)) for j in range(4)
         )
         vecs = enumerate_fan_degree(dcp4, d)
-        tabs = enumerate_standard(setup4, d, dcp4)
+        tabs = enumerate_standard(dcp4, d)
         dim = demazure_dimension(d4, mu, setup4.tau)
         assert len(vecs) == len(tabs) == dim
 
@@ -436,7 +436,7 @@ def test_branching_posets_with_higher_bonds(a3, d4):
 def test_b2_quadric_degree_is_two(b2):
     # single weight omega_1: the 3-dim quadric has degree 2
     setup, dcp = chain_instance(b2, [(1, 0)])
-    report = multidegree_conjecture_check(setup, dcp, 3)
+    report = multidegree_conjecture_check(dcp, 3)
     assert report["dimension"] == 3
     assert report["left"] == {(3,): 2}
     assert report["agree"]
@@ -444,7 +444,7 @@ def test_b2_quadric_degree_is_two(b2):
 
 def test_a2_flag_variety_multidegrees(a2):
     setup, dcp = chain_instance(a2, [(1, 0), (0, 1)])
-    report = multidegree_conjecture_check(setup, dcp, 3)
+    report = multidegree_conjecture_check(dcp, 3)
     assert report["dimension"] == 3
     assert report["agree"]
     assert report["left"] == {(1, 2): 1, (2, 1): 1}
@@ -452,7 +452,7 @@ def test_a2_flag_variety_multidegrees(a2):
 
 def test_mixed_chain_conjecture_agreement(a3):
     setup, dcp = chain_instance(a3, [(1, 0, 0), (0, 0, 1), (0, 1, 0)])
-    report = multidegree_conjecture_check(setup, dcp, 6)
+    report = multidegree_conjecture_check(dcp, 6)
     assert report["agree"]
     assert all(v >= 0 for v in report["right"].values())
 
@@ -464,7 +464,7 @@ def test_degenerate_point_instance():
     setup = Setup(group, [(0,)], group.longest, chain_iposet(1))
     dcp = build_dcp_inductive(setup)
     assert len(dcp.nodes) == 1
-    report = multidegree_conjecture_check(setup, dcp, 0)
+    report = multidegree_conjecture_check(dcp, 0)
     assert report["dimension"] == 0
     assert report["left"] == {(0,): 1}
     assert report["agree"]
@@ -528,7 +528,7 @@ def test_conjecture_needs_totally_ordered_iposet(a2):
     setup = Setup(a2, [(1, 0), (0, 1)], a2.longest, powerset_iposet(2))
     dcp = build_dcp_inductive(setup)
     with pytest.raises(FanError):
-        multidegree_conjecture_check(setup, dcp, 3)
+        multidegree_conjecture_check(dcp, 3)
 
 
 def reference_solve(matrix, rhs):
@@ -737,7 +737,7 @@ def test_conjecture_left_side_matches_the_chain_reference(name):
         for b in bonds:
             prod *= b
         left[tuple(k)] = left.get(tuple(k), 0) + prod
-    report = multidegree_conjecture_check(setup, dcp, setup.tau.rank)
+    report = multidegree_conjecture_check(dcp, setup.tau.rank)
     assert report["left"] == {k: left.get(k, 0) for k in report["left"]}
     assert set(left) <= set(report["left"])
 

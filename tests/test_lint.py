@@ -2,7 +2,9 @@
 so that `python -O` cannot drop them; every JSON document leaves through
 lsfan.io.dumps, so the library calls no json.dump or json.dumps; and weight
 images come from the per-shape tables, so no module but weyl calls the
-matrix product WeylElt.act."""
+matrix product WeylElt.act.  A job's defining chain poset is its one
+handle: only the command line builds one, so no other module calls
+build_dcp_inductive."""
 
 import ast
 from pathlib import Path
@@ -50,3 +52,18 @@ def test_no_matrix_action_outside_weyl(path):
         and node.func.attr == "act"
     )
     assert not offenders, f"{path.name}: .act( at lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_the_cli_builds_a_dcp(path):
+    if path.name == "cli.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "build_dcp_inductive" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+    )
+    assert not offenders, f"{path.name}: build_dcp_inductive( at lines {offenders}"

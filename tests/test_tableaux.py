@@ -194,7 +194,7 @@ def test_shape_for_degree_uniqueness_small_total(a2, a3):
 
 def test_degree_sums_shape_vectors(a2):
     setup = Setup(a2, [(0, 1), (1, 0)], a2.longest, chain_iposet(2))
-    tabs = enumerate_standard(setup, (2, 1))
+    tabs = enumerate_standard(build_dcp_inductive(setup), (2, 1))
     for t in tabs:
         assert degree(setup, t) == (2, 1)
 
@@ -213,7 +213,7 @@ def test_make_tableau_validates(a2):
 
 def test_degree_zero_gives_empty_tableau(a2):
     setup = Setup(a2, [(1, 0), (0, 1)], a2.longest, chain_iposet(2))
-    tabs = enumerate_standard(setup, (0, 0))
+    tabs = enumerate_standard(build_dcp_inductive(setup), (0, 0))
     assert tabs == [LSTableau((), ())]
 
 
@@ -236,7 +236,7 @@ def test_enumeration_counts_against_oracle(a2, b2):
             mu = tuple(
                 d[0] * a + d[1] * b for a, b in zip(lambdas[0], lambdas[1])
             )
-            tabs = enumerate_standard(setup, d, dcp)
+            tabs = enumerate_standard(dcp, d)
             assert len(tabs) == demazure_dimension(group, mu, setup.tau), (d,)
             counts = Counter(tableau_endpoint(setup, t) for t in tabs)
             assert dict(counts) == demazure_character(group, mu, setup.tau)
@@ -246,7 +246,7 @@ def test_enumeration_rejects_non_standard_iposet(a2):
     tau = a2.from_word(one_line_to_word((3, 1, 2)))
     setup = Setup(a2, [(0, 1), (1, 0)], tau, chain_iposet(2))
     with pytest.raises(TableauError):
-        enumerate_standard(setup, (1, 1))
+        enumerate_standard(build_dcp_inductive(setup), (1, 1))
 
 
 def all_typed_tableaux(setup, d):

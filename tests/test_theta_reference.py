@@ -78,8 +78,7 @@ def vectors(name, d):
 
 @lru_cache(maxsize=None)
 def tableaux(name, d):
-    setup, dcp, _ = instance(name)
-    return enumerate_standard(setup, d, dcp)
+    return enumerate_standard(instance(name)[1], d)
 
 
 NAMES = ["b2_chain", "g2_chain", "a3_powerset", "a3_tau3412_branched", "c3_powerset"]

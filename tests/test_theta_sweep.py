@@ -66,9 +66,9 @@ def instances(draw):
 def test_theta_round_trip_on_random_chain_instances(case):
     setup, d = case
     dcp = build_dcp_inductive(setup)
-    assume(is_tau_standard(setup, dcp))
+    assume(is_tau_standard(dcp))
     images = set()
-    for t in enumerate_standard(setup, d, dcp):
+    for t in enumerate_standard(dcp, d):
         key = theta_d(dcp, t)
         assert theta_d_inverse(dcp, key) == t
         assert fan_vector(dcp, key) == ref.theta_d(dcp, t)
