@@ -126,16 +126,16 @@ def _setup_from_job(job: dict) -> Setup:
 
 
 def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
-    degrees = []
-    raw = job.get("degree")
-    if isinstance(raw, list) and not (raw and isinstance(raw[0], list)):
-        degrees.append(_ints(raw, "--degree vector"))
-    elif raw is not None:
-        degrees.extend(_int_lists(raw, "--degree vector"))
-    if job.get("max_total_degree") is not None and not degrees:
+    raw, bound = job.get("degree"), job.get("max_total_degree")
+    if raw is not None and bound is not None:
+        raise ValueError("job entry 'max_total_degree' not allowed with entry 'degree'")
+    if bound is not None:
         bound = _bound(_int(job, "max_total_degree"), "max_total_degree")
-        grid = product(range(bound + 1), repeat=m)
-        degrees = [d for d in grid if 0 < sum(d) <= bound]
+        degrees = [d for d in product(range(bound + 1), repeat=m) if 0 < sum(d) <= bound]
+    elif isinstance(raw, list) and not (raw and isinstance(raw[0], list)):
+        degrees = [_ints(raw, "--degree vector")]
+    else:
+        degrees = [] if raw is None else _int_lists(raw, "--degree vector")
     for d in degrees:
         if len(d) != m:
             raise ValueError(f"degree {d} does not match the weight count {m}")

@@ -2,19 +2,18 @@
 parabolic quotients, extremal lifts and Deodhar lifts.
 
 An element is an index into tables built once per group.  The elements are
-numbered 0..|W|-1 in ascending order of their integer matrices on
-omega-coordinates; per element the group keeps its length, its products
-with each simple reflection on either side, its descent sets, its inverse
-and one reduced word.  Products, descents, cosets and Bruhat comparisons
-are table lookups.  The matrix is kept only for `act` on weights, where
-s_i(lam) = lam - <lam, alpha_i^vee> alpha_i.  All cosets are kept as their
-unique minimal-length representative, and a coset is keyed by one int that
-packs its representative's index with the bit mask of its parabolic.
+numbered 0..|W|-1 in the order of their integer matrices on omega-coordinates,
+each packed into one int of signed 8-bit digits that orders as the rows do; per
+element the group keeps its length, its products with each simple reflection on
+either side, its descent sets, its inverse and one reduced word.  Products,
+descents, cosets and Bruhat comparisons are table lookups; the matrix is
+decoded only for `act`.  A coset is kept as its minimal representative, keyed
+by one int packing that index with its parabolic's bit mask; its lower covers
+delete one letter of the representative's reduced word.
 
-The tables come from one breadth-first pass that keys each element w by
-w^-1(rho), packed into one int.  The key's signs are the right descents of
-w, so only ascents are multiplied out; the inverse of w is the element
-keyed by w(rho), the row sums of its matrix.
+One breadth-first pass builds the tables: it keys w by w^-1(rho) packed into
+one int, whose signs are the right descents of w, multiplies out ascents only,
+on n column ints, and keys the inverse of w by w(rho), the matrix's row sums.
 """
 
 from __future__ import annotations
@@ -50,21 +49,27 @@ class LiftError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class WeylElt:
-    """Group element: its index in the group's tables, its integer matrix on
-    omega-coordinates (for `act`) and its length.  Compared by index."""
+    """Group element: its table index, its integer matrix on omega-coordinates
+    packed into one int, its length and the group's rank.  Compared by index."""
 
     index: int
-    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
+    packed: int = field(compare=False)
     length: int = field(compare=False)
+    rank: int = field(compare=False)
 
     def __hash__(self):
         return self.index
 
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows; entry (r, c) is the signed 8-bit digit at bit 8(n(n-1-r) + n-1-c)."""
+        n = self.rank
+        data = (self.packed + int.from_bytes(b"\x80" * n * n, "big")).to_bytes(n * n, "big")
+        return tuple(tuple(b - 128 for b in data[r:r + n]) for r in range(0, n * n, n))
+
     def act(self, weight):
         """Apply to a weight in omega-coordinates (ints or Fractions)."""
-        return tuple(
-            sum(row[j] * weight[j] for j in range(len(weight))) for row in self.matrix
-        )
+        return tuple(sum(a * x for a, x in zip(row, weight)) for row in self.matrix)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -124,28 +129,28 @@ class WeylGroup:
 
         # Breadth first from the identity by right multiplication, so in
         # length order.  w is keyed by v = w^-1(rho), rho = (1, ..., 1) in
-        # omega-coordinates, with v[k] + 128 in bits 8k..8k+7.  v[i] is the
-        # height of the coroot w(alpha_i^vee), negative iff i is a right
+        # omega-coordinates, with v[k] + 128 in the 8 bits at 8n(n-1-k).  v[i]
+        # is the height of the coroot w(alpha_i^vee), negative iff i is a right
         # descent, so only ascents are multiplied out: (w s_i)^-1(rho) =
         # v - v[i] alpha_i, alpha_i being column i of the Cartan matrix.
         if max(map(sum, datum.positive_coroots)) > 127:
             raise InvariantError(f"W({datum.dynkin_type}_{n}) has a coroot too high "
                                  "for the 8-bit digits of its element keys")
-        shifts = range(0, 8 * n, 8)
+        shifts = range(8 * n * (n - 1), -1, -8 * n)
 
         def pack(v):
             return sum((x + 128) << s for x, s in zip(v, shifts))
 
         alphas = [tuple(row[i] for row in datum.cartan) for i in range(n)]
         steps = [sum(a << s for a, s in zip(alpha, shifts)) for alpha in alphas]
-        # Matrices are kept as columns until all are found.  Column i of
-        # w s_i is -w(e_i) - sum alpha_i[k] w(e_k) over the Dynkin neighbours
-        # k of i; the other columns are those of w.
-        nbrs = [[(k, a) for k, a in enumerate(alpha) if a and k != i]
-                for i, alpha in enumerate(alphas)]
+        # Matrices are kept as n column ints until all are found.  Column i of w s_i
+        # is -w(e_i) - sum alpha_i[k] w(e_k) over the Dynkin neighbours k of i, each
+        # w(e_k) shifted onto column i's digits; the other columns are those of w.
+        nbrs = [[(k, a, 8 * max(k - i, 0), 8 * max(i - k, 0)) for k, a in enumerate(alpha)
+                 if a and k != i] for i, alpha in enumerate(alphas)]
         keys = [pack((1,) * n)]
         seen = {keys[0]: 0}
-        mats = [tuple(tuple(int(r == c) for r in range(n)) for c in range(n))]
+        mats = [tuple(1 << 8 * (n + 1) * (n - 1 - c) for c in range(n))]
         bfs_right, bfs_desc, bfs_words = [[0] * n], [], []
         for w, v in enumerate(keys):  # keys grows while it is walked
             row, cols, mask = bfs_right[w], mats[w], 0
@@ -160,10 +165,10 @@ class WeylGroup:
                     x = seen[u] = len(keys)
                     keys.append(u)
                     bfs_right.append([0] * n)
-                    col = [-c for c in cols[i]]
-                    for k, a in nbrs[i]:
-                        col = [c - a * d for c, d in zip(col, cols[k])]
-                    mats.append(cols[:i] + (tuple(col),) + cols[i + 1:])
+                    col = -cols[i]
+                    for k, a, up, down in nbrs[i]:
+                        col -= a * (cols[k] << up >> down)
+                    mats.append(cols[:i] + (col,) + cols[i + 1:])
                 row[i] = x
                 bfs_right[x][i] = w  # a descent slot, filled from the shorter side
             bfs_desc.append(mask)
@@ -173,15 +178,12 @@ class WeylGroup:
         if len(keys) != order:
             raise InvariantError(f"generated {len(keys)} elements, expected {order}")
 
-        # rows replace columns; inverses by lookup; renumbering in matrix order
-        bfs_inv = []
-        for w, cols in enumerate(mats):
-            rows = mats[w] = tuple(zip(*cols))
-            bfs_inv.append(seen[pack(map(sum, rows))])
+        # w^-1 is keyed by w(rho), the row sums: the columns shifted onto the key digits
+        bias, downs = pack((0,) * n), range(8 * n - 8, -1, -8)
+        bfs_inv = [seen[bias + sum(map(int.__rshift__, cols, downs))] for cols in mats]
+        mats = list(map(sum, mats))
         by_matrix = sorted(range(order), key=mats.__getitem__)
-        new = [0] * order
-        for k, w in enumerate(by_matrix):
-            new[w] = k
+        new = sorted(range(order), key=by_matrix.__getitem__)  # the inverse permutation
         self._words = list(map(bfs_words.__getitem__, by_matrix))
         self.lengths = lengths = list(map(len, self._words))
         self._right = right = [tuple(map(new.__getitem__, bfs_right[w])) for w in by_matrix]
@@ -190,7 +192,7 @@ class WeylGroup:
         self._right_desc = right_desc = list(map(bfs_desc.__getitem__, by_matrix))
         self._left_desc = list(map(right_desc.__getitem__, inv))
         self._elts = tuple(map(WeylElt, range(order), map(mats.__getitem__, by_matrix),
-                               lengths))
+                               lengths, [n] * order))
         self.identity = self._elts[new[0]]
         self.longest = self._elts[new[-1]]  # the only element of the top length
 
@@ -412,15 +414,23 @@ class WeylGroup:
 
     def covers_down(self, c: Coset) -> list[tuple[Coset, int]]:
         """Cosets covered by c, each with the index of the positive root beta
-        satisfying s_beta min(lower) = min(upper)."""
+        satisfying s_beta min(lower) = min(upper).  By strong exchange these are the
+        deletions of one letter j from the reduced word of min(c) that have length
+        l - 1 and are P-minimal, with s_beta = p s_j p^-1 for the prefix p before j."""
         cached = self._covers_cache.get(c.key)
         if cached is not None:
             return cached
-        result = []
-        for idx in range(len(self._reflections)):
-            v = self.mult(self._reflections[idx], c.rep)
-            if v.length == c.rep.length - 1 and self.is_q_minimal(v, c.parabolic):
-                result.append((Coset(v, c.parabolic), idx))
+        right, word, mask = self._right, self._words[c.rep.index], bitmask(c.parabolic)
+        result, prefix, top = [], self.identity.index, len(word) - 1
+        for j, letter in enumerate(word):
+            v = prefix
+            for i in word[j + 1:]:
+                v = right[v][i - 1]
+            prefix = t = right[prefix][letter - 1]
+            if self.lengths[v] == top and not self._right_desc[v] & mask:
+                for i in reversed(word[:j]):
+                    t = right[t][i - 1]
+                result.append((Coset(self._elts[v], c.parabolic), self._root_of[t]))
         result.sort(key=lambda t: t[0].rep.index)
         self._covers_cache[c.key] = result
         return result

@@ -29,6 +29,11 @@ ascents and reads descents off signs.  The helper after them is the build
 it replaced, which computed every product, compared lengths, sorted the
 reduced words by length and folded each reversed word for the inverse.
 
+The library reads the covers of a coset off the reduced word of its
+representative, one deleted letter at a time.  The helper after the group
+build is the loop it replaced, which multiplied each positive root's
+reflection into the representative.
+
 The library runs the DCP cover rule and the direct construction's node
 test on element indices and bit masks.  The last helpers are the versions
 they replaced, which ask the group about Coset objects and parabolics
@@ -52,7 +57,7 @@ from lsfan.lspath import (
 )
 from lsfan.rootdata import InvariantError
 from lsfan.tableaux import make_tableau
-from lsfan.weyl import _lowest
+from lsfan.weyl import Coset, _lowest
 
 
 def index_poset_maximal_chains(iposet):
@@ -536,6 +541,19 @@ def reference_group_tables(datum):
         "_reflections": reflections,
         "_root_of": {s: idx for idx, s in enumerate(reflections)},
     }
+
+
+def reflection_covers(group, c):
+    """covers_down(c) by the earlier loop: s_beta min(c) for every positive
+    root beta, kept where it has length one less and is P-minimal, by rep
+    index, each with the index of beta."""
+    result = []
+    for idx in range(len(group.datum.positive_roots)):
+        v = group.mult(group.reflection(idx), c.rep)
+        if v.length == c.rep.length - 1 and group.is_q_minimal(v, c.parabolic):
+            result.append((Coset(v, c.parabolic), idx))
+    result.sort(key=lambda t: t[0].rep.index)
+    return result
 
 
 def lower_covers(setup, node):

@@ -436,6 +436,11 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--job", young, *flags)
         assert code == 2 and out == "" and err.startswith("error:"), flags
         assert len(err.splitlines()) == 1 and "--degree" in err, flags
+    # a job file that holds both degree entries, as the flag pair above
+    job.write_text(json.dumps({**base, "degree": [1, 0], "max_total_degree": 2}))
+    code, out, err = run(capsys, "verify", "--job", str(job))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "'degree'" in err and "'max_total_degree'" in err
     # a negative degree entry that reaches the degree check is named
     code, out, err = run(capsys, "verify", "--job", young, "--degree=-1,1")
     assert code == 2 and out == "" and err.startswith("error:")

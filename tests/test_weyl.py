@@ -17,7 +17,7 @@ from lsfan import (
 import lsfan.weyl
 from lsfan.rootdata import checked_group_order
 
-from chain_reference import covering_relations, reference_group_tables
+from chain_reference import covering_relations, reference_group_tables, reflection_covers
 
 ALL = frozenset()
 
@@ -104,6 +104,23 @@ def test_tables_match_the_reference_build(kind, rank):
         assert tables[name] == table, name
 
 
+@pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
+def test_packed_matrices_decode_and_sort_as_the_reference_rows(kind, rank):
+    datum = build_root_datum(kind, rank)
+    group = WeylGroup(datum, size_guard=1920)
+    rows = [matrix for _, matrix, _ in reference_group_tables(datum)["elements"]]
+    assert [w.matrix for w in group.elements()] == rows
+    # entry (r, c) is the signed 8-bit digit at bit 8(n(n-1-r) + n-1-c)
+    n = rank
+    assert [w.packed for w in group.elements()] == [
+        sum(x << 8 * (n * (n - 1 - r) + n - 1 - c)
+            for r, row in enumerate(matrix) for c, x in enumerate(row))
+        for matrix in rows
+    ]
+    by_packed = sorted(group.elements(), key=lambda w: w.packed)
+    assert [w.index for w in by_packed] == list(range(len(group)))
+
+
 def test_longest_element_length_equals_root_count(a3, b2, d4):
     for group in (a3, b2, d4):
         assert group.longest.length == len(group.datum.positive_roots)
@@ -184,9 +201,9 @@ def test_f4_covering_root_matches_a_scan_over_the_reflections(f4):
 
 def test_elements_compare_and_hash_by_index(a3):
     w = a3.longest
-    twin = WeylElt(w.index, (), -1)
+    twin = WeylElt(w.index, 0, -1, 0)
     assert twin == w and hash(twin) == hash(w)
-    assert WeylElt(w.index + 1, w.matrix, w.length) != w
+    assert WeylElt(w.index + 1, w.packed, w.length, w.rank) != w
 
 
 # -- Bruhat order -----------------------------------------------------------------
@@ -425,6 +442,26 @@ def test_covers_are_computed_once_per_coset(b2):
         for c in b2.all_cosets(p):
             first = b2.covers_down(c)
             assert b2.covers_down(b2.coset(c.rep, p)) is first
+
+
+COVER_GROUPS = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+                ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("kind,rank", COVER_GROUPS)
+def test_covers_by_deletion_are_the_reflection_covers(kind, rank):
+    group = make_group(kind, rank)
+    simple = group.datum.simple_indices
+    for k in range(len(simple) + 1):
+        for p in combinations(simple, k):
+            for c in group.all_cosets(frozenset(p)):
+                assert group.covers_down(c) == reflection_covers(group, c), (p, c.rep.index)
+
+
+@pytest.mark.parametrize("p", [ALL, frozenset({2, 3})])
+def test_f4_covers_by_deletion_are_the_reflection_covers(f4, p):
+    for c in f4.all_cosets(p):
+        assert f4.covers_down(c) == reflection_covers(f4, c), c.rep.index
 
 
 def test_covering_roots_are_reflection_witnesses(b2):
