@@ -69,7 +69,7 @@ class WeylElt:
 
     def act(self, weight):
         """Apply to a weight in omega-coordinates (ints or Fractions)."""
-        return tuple(sum(a * x for a, x in zip(row, weight)) for row in self.matrix)
+        return tuple(sum(a * x for a, x in zip(row, weight, strict=True)) for row in self.matrix)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
