@@ -69,8 +69,6 @@ from .tableaux import (
     is_weakly_standard,
     ls_from_yt,
     make_tableau,
-    max_defining_chain_of,
-    min_defining_chain_of,
     shape_for_degree,
     tableau_endpoint,
     walk_standard,

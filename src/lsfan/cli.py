@@ -20,10 +20,10 @@ from . import io as lsio
 from .dcp import (
     InvariantError,
     Setup,
-    build_dcp_direct_w0,
     build_dcp_inductive,
     build_index_poset,
     chain_iposet,
+    direct_nodes,
     powerset_iposet,
     UnderlineW,
 )
@@ -111,6 +111,8 @@ def _setup_from_job(job: dict) -> Setup:
         raise ValueError(f"type {job['type']!r} is not a string")
     group = make_group(job["type"], _int(job, "rank"), _int(job, "size_guard", 1152))
     lambdas = _int_lists(job["lambdas"], "--lambda weight")
+    if not lambdas:
+        raise ValueError("--lambda needs at least one weight")
     m = len(lambdas)
     iposet = job["iposet"]
     if iposet == "chain":
@@ -155,9 +157,9 @@ def _emit(args, text: str) -> None:
 def cmd_dcp(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
     if setup.is_w0_instance():
-        direct = build_dcp_direct_w0(setup, dcp)  # reads the covers found above
-        # node numbers by key and covers by number: the nodes and edges, on ints
-        if (direct.position, direct.covers_down) != (dcp.position, dcp.covers_down):
+        # both builds take their covers from the one cover rule, so they
+        # agree iff the direct node test selects the inductive nodes
+        if sorted(n.key for n in direct_nodes(setup)) != sorted(dcp.position):
             raise InvariantError("the inductive and the direct constructions differ")
     data = lsio.dcp_to_json(dcp)
     if args.format == "dot":

@@ -8,15 +8,15 @@ of the index poset, or step theta down one cover of W/W_Q that stays visible
 in W/W_{P_I}; it reads element indices and bit masks only.  The inductive
 build (any tau) walks this rule down from (tau, [m]) and records nodes and
 edges in one pass; the direct build (tau maximal) finds its nodes by
-minimality/maximality conditions of its own and keeps the rule's covers
-between them, taken from the inductive build when given it, so that a job
-runs the rule once per node.  A node carries one int key, packing theta's
-key with the bit mask of I, so the two builds compare node by node on
-(theta, I).  A built poset numbers its nodes 0..N-1 top down (rank, then I,
-then element index) and keeps its covers, rho lookup and reach memo
-(lspath.bonded_below) as tables over these numbers.  tau-standardness of
-the index poset is decided once per poset (DCP.standardness), by injectivity
-of the slice-projection map rho and, in the maximal case, the four criteria.
+minimality/maximality conditions of its own (direct_nodes) and keeps the
+rule's covers between them, so the two builds agree iff their nodes do.  A
+node carries one int key, packing theta's key with the bit mask of I, so
+the two node sets compare key by key on (theta, I).  A built poset numbers
+its nodes 0..N-1 top down (rank, then I, then element index) and keeps its
+covers, rho lookup and reach memo (lspath.bonded_below) as tables over
+these numbers.  tau-standardness of the index poset is decided once per
+poset (DCP.standardness), by injectivity of the slice-projection map rho
+and, in the maximal case, the four criteria.
 """
 
 from __future__ import annotations
@@ -45,12 +45,13 @@ __all__ = [
     "DCP",
     "build_dcp_inductive",
     "build_dcp_direct_w0",
+    "direct_nodes",
     "rho",
     "StandardnessReport",
     "is_tau_standard",
     "tau_standardness_report",
     "totally_ordered_exists",
-    "greedy_max_lifts",
+    "greedy_lifts",
     "max_defining_chain",
     "min_defining_chain",
     "defining_chain_extremes",
@@ -362,8 +363,7 @@ class DCP:
     def rho_collisions(self) -> list:
         """Groups of nodes sharing one rho image, ordered by their first node;
         empty iff the index poset is standard for tau."""
-        groups = (v for v in self.rho_table.values() if len(v) > 1)
-        return sorted(groups, key=lambda group: _node_key(group[0]))
+        return [v for v in self.rho_table.values() if len(v) > 1]
 
     @cached_property
     def standardness(self) -> StandardnessReport:
@@ -438,26 +438,19 @@ def build_dcp_inductive(setup: Setup) -> DCP:
     return DCP(setup, nodes, edges)
 
 
-def build_dcp_direct_w0(setup: Setup, known: DCP | None = None) -> DCP:
-    """Direct construction for tau = w0 W_Q: the nodes of _direct_nodes and
-    the cover rule's covers between them.  A node of `known`, the inductive
-    build of the same setup, which keeps every cover the rule gives, takes
-    its covers from there; the rule runs only for the other nodes."""
+def build_dcp_direct_w0(setup: Setup) -> DCP:
+    """Direct construction for tau = w0 W_Q: the nodes of direct_nodes and
+    the cover rule's covers between them."""
     if not setup.is_w0_instance():
         raise ValueError("direct construction requires tau = w0 W_Q")
-    nodes = _direct_nodes(setup)
+    nodes = direct_nodes(setup)
     node_keys = {n.key for n in nodes}
-    edges = []
-    for node in nodes:
-        k = known.position.get(node.key) if known is not None else None
-        covers = (_lower_covers(setup, node) if k is None else
-                  [(known.nodes[j], kind, bond) for j, kind, bond in known.covers_down[k]])
-        edges.extend((node, lower, kind, bond) for lower, kind, bond in covers
-                     if lower.key in node_keys)
+    edges = [(node, lower, kind, bond) for node in nodes
+             for lower, kind, bond in _lower_covers(setup, node) if lower.key in node_keys]
     return DCP(setup, nodes, edges)
 
 
-def _direct_nodes(setup: Setup) -> list:
+def direct_nodes(setup: Setup) -> list:
     """The node test of the direct build: (theta, I) with theta Q_I-minimal
     and maximal over W/W_{Q^r} for the upper parabolic Q^r of some covering
     chain from I to [m], i.e. the maximal representative of theta has every
@@ -608,14 +601,15 @@ def totally_ordered_exists(datum, lambdas):
 # -- defining chains ------------------------------------------------------------
 
 
-def greedy_max_lifts(group: WeylGroup, start: Coset, cosets):
-    """Lift each coset in turn to the unique maximal Deodhar lift below the
-    previous lift, beginning below `start`; the lifts, or None as soon as
-    one does not exist."""
+def greedy_lifts(lift, start: Coset, cosets):
+    """Lift each coset in turn by `lift`, a Deodhar lift of the group
+    (WeylGroup.deodhar_max_lift or deodhar_min_lift), against the previous
+    lift, beginning at `start`; the lifts, or None as soon as one does not
+    exist."""
     lifts = []
     for coset in cosets:
         try:
-            start = group.deodhar_max_lift(start, coset)
+            start = lift(start, coset)
         except LiftError:
             return None
         lifts.append(start)
@@ -625,21 +619,17 @@ def greedy_max_lifts(group: WeylGroup, start: Coset, cosets):
 def max_defining_chain(setup: Setup, wchain):
     """Unique maximal defining chain of a weakly decreasing chain of pairs
     (theta in W/W_{P_I}, I), listed from the top; None if none exists."""
-    return greedy_max_lifts(setup.group, setup.tau, [theta for theta, _ in wchain])
+    return greedy_lifts(setup.group.deodhar_max_lift, setup.tau, [theta for theta, _ in wchain])
 
 
 def min_defining_chain(setup: Setup, wchain):
-    """Unique minimal defining chain, or None; wchain is listed from the top."""
+    """Unique minimal defining chain, or None; wchain is listed from the top.
+    Lifted minimally from the bottom, above the identity coset of W/W_Q."""
     group = setup.group
-    lifts = []
-    for theta, _ in reversed(wchain):
-        if not lifts:
-            lifts.append(group.min_lift(theta, setup.q))
-            continue
-        try:
-            lifts.append(group.deodhar_min_lift(lifts[-1], theta))
-        except LiftError:
-            return None
+    lifts = greedy_lifts(group.deodhar_min_lift, group.coset(group.identity, setup.q),
+                         [theta for theta, _ in reversed(wchain)])
+    if lifts is None:
+        return None
     lifts.reverse()
     if lifts and not group.coset_leq(lifts[0], setup.tau):
         return None

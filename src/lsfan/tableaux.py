@@ -18,10 +18,9 @@ from operator import add
 from .dcp import (
     DCP,
     Setup,
-    greedy_max_lifts,
+    greedy_lifts,
     is_tau_standard,
     max_defining_chain,
-    min_defining_chain,
 )
 from .lspath import LSPath, enumerate_ls_paths, endpoint
 from .weyl import Coset, WeylGroup, one_line_to_word, word_to_one_line
@@ -36,8 +35,6 @@ __all__ = [
     "tableau_endpoint",
     "shape_for_degree",
     "flatten",
-    "max_defining_chain_of",
-    "min_defining_chain_of",
     "is_standard",
     "is_weakly_standard",
     "enumerate_standard",
@@ -170,17 +167,6 @@ def flatten(tableau: LSTableau):
     return out
 
 
-def max_defining_chain_of(setup: Setup, tableau: LSTableau):
-    """Unique maximal defining chain (one W/W_Q coset per flattened entry),
-    or None when the tableau is not standard."""
-    return max_defining_chain(setup, flatten(tableau))
-
-
-def min_defining_chain_of(setup: Setup, tableau: LSTableau):
-    """Unique minimal defining chain, or None when the tableau is not standard."""
-    return min_defining_chain(setup, flatten(tableau))
-
-
 def is_standard(setup: Setup, tableau: LSTableau):
     """(True, maximal defining chain) or (False, None).
 
@@ -188,10 +174,8 @@ def is_standard(setup: Setup, tableau: LSTableau):
     decreasing and bounded by tau; it is found greedily through unique maximal
     Deodhar lifts, starting from tau.
     """
-    lifts = max_defining_chain_of(setup, tableau)
-    if lifts is None:
-        return False, None
-    return True, lifts
+    lifts = max_defining_chain(setup, flatten(tableau))
+    return lifts is not None, lifts
 
 
 def is_weakly_standard(setup: Setup, tableau: LSTableau) -> bool:
@@ -213,7 +197,7 @@ def enumerate_standard(dcp: DCP, d):
 
 def next_columns(dcp: DCP, s, lift: Coset):
     """The tableau walk's steps from the lift `lift` into slice s: (column,
-    greedy_max_lifts' last lift) for each degree-one LS-path of shape
+    greedy_lifts' last maximal lift) for each degree-one LS-path of shape
     lambda_s below tau that lifts below `lift`, in canonical order (rep
     indices, then cut points); memoized per (s, lift key) in
     dcp.next_columns, which keeps each slice's paths under s."""
@@ -225,7 +209,7 @@ def next_columns(dcp: DCP, s, lift: Coset):
     if key not in memo:
         memo[key] = [
             (path, lifts[-1]) for path in memo[s]
-            if (lifts := greedy_max_lifts(setup.group, lift, path.cosets))
+            if (lifts := greedy_lifts(setup.group.deodhar_max_lift, lift, path.cosets))
         ]
     return memo[key]
 

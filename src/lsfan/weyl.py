@@ -206,7 +206,6 @@ class WeylGroup:
 
         self._bruhat_cache: dict[int, bool] = {}
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
-        self._coset_cache: dict[Parabolic, list[Coset]] = {}
         self._covers_cache: dict[int, list[tuple[Coset, int]]] = {}  # by coset key
         self._fiber_cache: dict[tuple, list[Coset]] = {}
         self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
@@ -324,13 +323,9 @@ class WeylGroup:
 
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:
         parabolic = frozenset(parabolic)
-        cached = self._coset_cache.get(parabolic)
-        if cached is None:
-            reps = [w for w in self._elts if self.is_q_minimal(w, parabolic)]
-            reps.sort(key=lambda w: (w.length, w.index))
-            cached = [Coset(w, parabolic) for w in reps]
-            self._coset_cache[parabolic] = cached
-        return cached
+        reps = [w for w in self._elts if self.is_q_minimal(w, parabolic)]
+        reps.sort(key=lambda w: (w.length, w.index))
+        return [Coset(w, parabolic) for w in reps]
 
     def max_rep(self, c: Coset) -> WeylElt:
         """The maximal-length representative of the coset."""
@@ -390,7 +385,7 @@ class WeylGroup:
         """Unique maximal lift of phi (in W/W_P') to theta_bar's quotient
         that is <= theta_bar.  Requires pi(theta_bar) >= phi."""
         if not self.coset_leq(phi, self.pi(theta_bar, phi.parabolic)):
-            raise LiftError("no lift below the given bound exists")
+            raise LiftError("no Deodhar lift within the given bound exists")
         candidates = [
             c
             for c in self.coset_fiber(phi, theta_bar.parabolic)
@@ -400,15 +395,16 @@ class WeylGroup:
 
     def deodhar_min_lift(self, phi_bar: Coset, theta: Coset) -> Coset:
         """Unique minimal lift of theta (in W/W_P') to phi_bar's quotient
-        that is >= phi_bar.  Requires theta >= pi(phi_bar)."""
-        if not self.coset_leq(self.pi(phi_bar, theta.parabolic), theta):
-            raise LiftError("no lift above the given bound exists")
-        candidates = [
-            c
-            for c in self.coset_fiber(theta, phi_bar.parabolic)
-            if self.coset_leq(phi_bar, c)
-        ]
-        return min(candidates, key=lambda c: c.rank)
+        that is >= phi_bar.  Requires theta >= pi(phi_bar).  The mirror of
+        the maximal lift of theta's mirror below phi_bar's mirror."""
+        mirror = self.mirror
+        return mirror(self.deodhar_max_lift(mirror(phi_bar), mirror(theta)))
+
+    def mirror(self, c: Coset) -> Coset:
+        """The coset of w0 min(c) in c's quotient.  Left multiplication by w0
+        reverses Bruhat order on every W/W_P and commutes with the
+        projections (Bjorner-Brenti, Prop. 2.3.4 and section 2.5)."""
+        return self.coset(self.mult(self.longest, c.rep), c.parabolic)
 
     # -- covering relations ------------------------------------------------------
 

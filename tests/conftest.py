@@ -29,5 +29,10 @@ def c3():
 
 
 @pytest.fixture(scope="session")
+def g2():
+    return make_group("G", 2)
+
+
+@pytest.fixture(scope="session")
 def d4():
     return make_group("D", 4)

@@ -28,13 +28,14 @@ from lsfan import (
     enumerate_fan_degree,
     enumerate_ssyt,
     enumerate_standard,
+    flatten,
     free_tableau,
     is_semistandard,
     is_standard,
     is_tau_standard,
     is_weakly_standard,
     ls_from_yt,
-    min_defining_chain_of,
+    min_defining_chain,
     multidegree_conjecture_check,
     one_line_to_word,
     powerset_iposet,
@@ -310,7 +311,7 @@ def test_criterion_6_standardness_fixtures(a3):
     for sub, expected in zip(subs, data["subtableau_min_chains"]):
         ok, _ = is_standard(setup, sub)
         assert ok
-        chain = min_defining_chain_of(setup, sub)
+        chain = min_defining_chain(setup, flatten(sub))
         assert [list(one_line(a3, c)) for c in chain] == expected
     report(
         6,

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import lsfan.weyl
-from lsfan import DCP, DCPNode, FanError, cli, vector_key
+from lsfan import DCPNode, FanError, cli, vector_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -351,6 +351,21 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         "--lambda", "1,0,0", "--tau", "w0", "--iposet", "chain",
     )
     assert code == 2 and err.startswith("error:")
+    # no weight at all, on the command line or in a job file
+    for weights in ("", ";"):
+        code, out, err = run(
+            capsys, "dcp", "--type", "A", "--rank", "2",
+            "--lambda", weights, "--tau", "w0", "--iposet", "chain",
+        )
+        assert code == 2 and out == "", weights
+        assert err == "error: --lambda needs at least one weight\n", weights
+    job = tmp_path / "no_weights.json"
+    job.write_text(json.dumps(
+        {"type": "A", "rank": 2, "lambdas": [], "tau": "w0", "iposet": "chain"}
+    ))
+    code, out, err = run(capsys, "dcp", "--job", str(job))
+    assert code == 2 and out == ""
+    assert err == "error: --lambda needs at least one weight\n"
     # an index poset that is neither a string nor a list of lists
     job = tmp_path / "bad_iposet.json"
     job.write_text(json.dumps(
@@ -509,10 +524,10 @@ def test_size_guard_rejects_a_large_rank_before_building_anything(
 
 
 def test_inductive_direct_mismatch_exits_one(capsys, monkeypatch):
-    def top_only(setup, known=None):
-        return DCP(setup, [DCPNode(setup.tau, setup.iposet.full)], [])
+    def top_only(setup):
+        return [DCPNode(setup.tau, setup.iposet.full)]
 
-    monkeypatch.setattr(cli, "build_dcp_direct_w0", top_only)
+    monkeypatch.setattr(cli, "direct_nodes", top_only)
     code, out, err = run(
         capsys, "dcp", "--job", str(FIXTURES / "a2_young_chain_w0.json")
     )

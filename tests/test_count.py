@@ -39,7 +39,7 @@ from lsfan import (
     tableau_endpoint,
     walk_standard,
 )
-from lsfan.dcp import greedy_max_lifts
+from lsfan.dcp import greedy_lifts
 from lsfan.demazure import weyl_dimension
 from lsfan.lspath import ShapePoset, chain_lattice_points, count_lattice_points, enumerate_ls_paths
 from lsfan.tableaux import next_columns
@@ -144,7 +144,7 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
                 visited.add((s, lift.key))
                 brute = []
                 for path in columns:
-                    chain = greedy_max_lifts(group, lift, path.cosets)
+                    chain = greedy_lifts(group.deodhar_max_lift, lift, path.cosets)
                     if chain is not None:
                         brute.append((path, chain[-1]))
                 assert next_columns(dcp, s, lift) == brute, (d, s)

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from lsfan import (
-    DCP,
     Coset,
     DCPNode,
     IndexPosetError,
@@ -511,28 +510,23 @@ def test_dcp_nodes_compare_by_theta_and_index_set(a3):
 
 
 def test_direct_dcp_with_one_theta_swapped_exits_one(capsys, monkeypatch):
-    # same node count and the swapped node in the same position: only
-    # comparing (theta, I), not positions, tells the two posets apart
-    def swapped(setup, known=None):
-        real = build_dcp_direct_w0(setup, known)
-        group, present = setup.group, set(real.nodes)
-        for old in real.nodes[1:]:
+    # same node count and the same index sets: only comparing (theta, I)
+    # tells the two node sets apart
+    node_test = lsfan.dcp.direct_nodes
+
+    def swapped(setup):
+        nodes = node_test(setup)
+        group, present = setup.group, set(nodes)
+        for k, old in enumerate(nodes[1:], 1):
             for c in group.all_cosets(setup.q):
                 new = DCPNode(c, old.iset)
                 if (c.rank == old.theta.rank and new not in present
                         and group.is_q_minimal(c.rep, setup.q_of[old.iset])):
-                    swap = {old: new}
-                    dcp = DCP(
-                        setup,
-                        [swap.get(n, n) for n in real.nodes],
-                        [(swap.get(u, u), swap.get(l, l), kind, bond)
-                         for u, l, kind, bond in real.edges],
-                    )
-                    if dcp.position[new.key] == real.position[old.key]:
-                        return dcp
+                    nodes[k] = new
+                    return nodes
         raise AssertionError("no coset to swap in")
 
-    monkeypatch.setattr(cli, "build_dcp_direct_w0", swapped)
+    monkeypatch.setattr(cli, "direct_nodes", swapped)
     job = str(Path(__file__).parent / "fixtures" / "a3_mixed_chain_w0.json")
     assert cli.main(["dcp", "--job", job]) == 1
     captured = capsys.readouterr()
@@ -555,28 +549,21 @@ def test_cover_rule_matches_the_object_reference(name):
 
 
 @pytest.mark.parametrize("name", [n for n, job in RULE_JOBS.items() if job["tau"] == "w0"])
-def test_direct_build_matches_the_object_reference_and_reads_known_covers(
-        name, monkeypatch):
+def test_direct_build_matches_the_object_reference_and_reads_known_covers(name):
+    # the direct build runs the cover rule on its own nodes, and the covers
+    # it keeps are exactly those the inductive build knows
     setup = cli._setup_from_job(RULE_JOBS[name])
-    nodes = lsfan.dcp._direct_nodes(setup)
+    nodes = lsfan.dcp.direct_nodes(setup)
     assert [n.key for n in nodes] == [n.key for n in direct_nodes(setup)]
-    inductive = build_dcp_inductive(setup)
-    fresh = build_dcp_direct_w0(setup)
-    rule, calls = lsfan.dcp._lower_covers, []
-    monkeypatch.setattr(lsfan.dcp, "_lower_covers",
-                        lambda setup, node: calls.append(node) or rule(setup, node))
-    reused = build_dcp_direct_w0(setup, inductive)
-    assert calls == []  # every direct node was reached by the inductive build
-    assert (reused.nodes, reused.edges) == (fresh.nodes, fresh.edges)
-    assert (reused.nodes, reused.edges) == (inductive.nodes, inductive.edges)
+    inductive, direct = build_dcp_inductive(setup), build_dcp_direct_w0(setup)
+    assert (direct.nodes, direct.edges) == (inductive.nodes, inductive.edges)
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_direct_node_test_off_by_one_node_exits_one(capsys, monkeypatch, change):
-    # the direct build reads the inductive build's covers, but its nodes
-    # come from its own node test, so the two-build check still sees a
-    # node too few, or one too many, for which the rule runs
-    node_test = lsfan.dcp._direct_nodes
+    # the two-build check compares the direct node test with the inductive
+    # nodes, so it sees a node too few, or one too many
+    node_test = lsfan.dcp.direct_nodes
 
     def off_by_one(setup):
         nodes = node_test(setup)
@@ -589,7 +576,7 @@ def test_direct_node_test_off_by_one_node_exits_one(capsys, monkeypatch, change)
                               if (node := DCPNode(c, s)) not in present))
         return nodes
 
-    monkeypatch.setattr(lsfan.dcp, "_direct_nodes", off_by_one)
+    monkeypatch.setattr(cli, "direct_nodes", off_by_one)
     assert cli.main(["dcp", "--job", str(FIXTURES / "b3_chain.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,9 @@ lsfan.io.dumps, so the library calls no json.dump or json.dumps; and weight
 images come from the per-shape tables, so no module but weyl calls the
 matrix product WeylElt.act.  A job's defining chain poset is its one
 handle: only the command line builds one, so no other module calls
-build_dcp_inductive."""
+build_dcp_inductive.  The minimal Deodhar lift is the w0 mirror of the
+maximal one, so WeylGroup.deodhar_max_lift is the one caller of
+coset_fiber."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,22 @@ def test_only_the_cli_builds_a_dcp(path):
                                       getattr(node.func, "attr", None))
     )
     assert not offenders, f"{path.name}: build_dcp_inductive( at lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_the_maximal_deodhar_lift_scans_a_fiber(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {
+        id(node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "WeylGroup"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "deodhar_max_lift"
+        for node in ast.walk(fn)
+    }
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in allowed
+        and "coset_fiber" in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))
+    )
+    assert not offenders, f"{path.name}: coset_fiber( at lines {offenders}"

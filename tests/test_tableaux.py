@@ -26,8 +26,8 @@ from lsfan import (
     is_weakly_standard,
     ls_from_yt,
     make_tableau,
-    max_defining_chain_of,
-    min_defining_chain_of,
+    max_defining_chain,
+    min_defining_chain,
     one_line_to_word,
     powerset_iposet,
     shape_for_degree,
@@ -83,11 +83,11 @@ def test_sl4_subtableaux_defining_chains(a3):
     # minimal defining chains, cross-checked by brute force below; note that
     # 1324 (a digit transposition of 1342) is not comparable with 1243, so
     # (1342, 1243) is the only minimal chain for the first pair
-    assert [one_line(a3, c) for c in min_defining_chain_of(setup, first)] == [
+    assert [one_line(a3, c) for c in min_defining_chain(setup, flatten(first))] == [
         (1, 3, 4, 2),
         (1, 2, 4, 3),
     ]
-    assert [one_line(a3, c) for c in min_defining_chain_of(setup, second)] == [
+    assert [one_line(a3, c) for c in min_defining_chain(setup, flatten(second))] == [
         (4, 1, 2, 3),
         (3, 1, 2, 4),
     ]
@@ -108,8 +108,8 @@ def test_greedy_chains_bound_all_brute_force_chains(a3):
         free_tableau([straight(a3, (2, 4)), straight(a3, (2,))]),
     ]
     for t in tableaux:
-        upper = max_defining_chain_of(setup, t)
-        lower = min_defining_chain_of(setup, t)
+        upper = max_defining_chain(setup, flatten(t))
+        lower = min_defining_chain(setup, flatten(t))
         entries = flatten(t)
         fibers = [
             [

@@ -331,7 +331,7 @@ def deodhar_brute(group, theta_bar, phi, want_max):
     return extremes[0]
 
 
-@pytest.mark.parametrize("fixture_name", ["a2", "a3", "b2"])
+@pytest.mark.parametrize("fixture_name", ["a2", "a3", "b2", "b3", "g2"])
 def test_deodhar_lifts_match_brute_force(fixture_name, request):
     group = request.getfixturevalue(fixture_name)
     for q, qp in parabolic_pairs(group):
