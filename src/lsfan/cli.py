@@ -161,16 +161,12 @@ def cmd_dcp(args, job: dict, setup: Setup) -> int:
         # agree iff the direct node test selects the inductive nodes
         if sorted(n.key for n in direct_nodes(setup)) != sorted(dcp.position):
             raise InvariantError("the inductive and the direct constructions differ")
-    data = lsio.dcp_to_json(dcp)
     if args.format == "dot":
         _emit(args, lsio.dcp_to_dot(dcp))
     else:
-        _emit(args, lsio.dumps(data))
-    bonds = "all bonds 1" if data["all_bonds_one"] else "bonds > 1 present"
-    print(
-        f"dcp: {len(data['nodes'])} nodes, {len(data['edges'])} edges, {bonds}",
-        file=sys.stderr,
-    )
+        _emit(args, lsio.dumps(lsio.dcp_to_json(dcp)))
+    bonds = "all bonds 1" if dcp.big_l == 1 else "bonds > 1 present"
+    print(f"dcp: {len(dcp.nodes)} nodes, {len(dcp.edges)} edges, {bonds}", file=sys.stderr)
     return 0
 
 
@@ -325,7 +321,7 @@ def cmd_verify(args, job: dict, setup: Setup) -> int:
 
 def cmd_conjecture(args, job: dict, setup: Setup) -> int:
     dcp = build_dcp_inductive(setup)
-    bound = _int(job, "max_total_degree", setup.tau.rank)
+    bound = _bound(_int(job, "max_total_degree", setup.tau.rank), "max_total_degree")
     report = multidegree_conjecture_check(dcp, bound)
     data = {
         "dimension": report["dimension"],

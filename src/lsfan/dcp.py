@@ -4,8 +4,8 @@ An instance is fixed by a sequence of dominant weights, a bounding coset tau
 in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
 of [m].  One cover rule gives the lower covers of a node (theta, I) of the
 defining chain poset, each with its type and bond: shrink I through a cover
-of the index poset, or step theta down one cover of W/W_Q that stays visible
-in W/W_{P_I}; it reads element indices and bit masks only.  The inductive
+of the index poset, or step theta down one cover of W/W_Q with non-zero bond
+for lambda_I; it reads indices, bit masks and bonds per root.  The inductive
 build (any tau) walks this rule down from (tau, [m]) and records nodes and
 edges in one pass; the direct build (tau maximal) finds its nodes by
 minimality/maximality conditions of its own (direct_nodes) and keeps the
@@ -169,8 +169,8 @@ class Setup:
     """One instance: group, weight sequence, bounding coset and index poset.
 
     Precomputes the parabolic subgroups attached to the index poset: P_I and
-    Q_I per member and their bit masks, the maximal parabolic over which tau
-    stays maximal, and the upper parabolic of each covering chain.  Bonds
+    Q_I per member, the bit masks of the Q_I, the maximal parabolic over which
+    tau stays maximal, and the upper parabolic of each covering chain.  Bonds
     for lambda_I come from lspath.shape_covers, one table per weight.
     """
 
@@ -202,7 +202,6 @@ class Setup:
             self.p_of[s] = group.stabilizer_parabolic(lam_i)
             indicator = [int(i in s) for i in range(1, self.m + 1)]
             self.q_of[s] = group.stabilizer_parabolic(self.weight(indicator))
-        self.p_mask = {s: bitmask(p) for s, p in self.p_of.items()}
         self.q_mask = {s: bitmask(q) for s, q in self.q_of.items()}
 
         # largest parabolic over Q for which tau is maximal: the right descent
@@ -397,24 +396,25 @@ def _lower_covers(setup: Setup, node: DCPNode):
     """The cover rule: the (lower, kind, bond) covers of a node (theta, I).
 
     shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
-    sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal
-    and pi_{P_I}(phi) != pi_{P_I}(theta), with the bond of lambda_I.  Both
-    tests read element indices, right-descent masks and parabolic masks.
+    sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal,
+    with bond <lambda_I, gamma^vee> != 0 for the cover's inversion root gamma.
+    That bond is non-zero iff pi_{P_I}(phi) != pi_{P_I}(theta): min(phi)
+    s_gamma = min(theta), and s_gamma lies in W_{P_I}, the stabilizer of
+    lambda_I, iff it fixes lambda_I.  Both tests read right-descent masks,
+    parabolic masks and the bond per root of lambda_I.
     """
-    group, desc = setup.group, setup.group._right_desc
+    desc = setup.group._right_desc
     theta, iset = node.theta, node.iset
     covers = [
         (DCPNode(theta, j), "shrinkI", 1)
         for j in setup.iposet.covers_down[iset]
         if not desc[theta.rep.index] & setup.q_mask[j]
     ]
-    p_i, q_i = setup.p_mask[iset], setup.q_mask[iset]
-    theta_p = group._min_rep(theta.rep.index, p_i)
-    bonds = shape_covers(group, setup.lambda_of[iset])
+    q_i, pairs = setup.q_mask[iset], shape_covers(setup.group, setup.lambda_of[iset]).pairs
     covers.extend(
-        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep.index, root))
-        for phi, root in group.covers_down(theta)
-        if not desc[phi.rep.index] & q_i and group._min_rep(phi.rep.index, p_i) != theta_p
+        (DCPNode(phi, iset), "sameI", pairs[root])
+        for phi, root in setup.group.covers_down(theta)
+        if pairs[root] and not desc[phi.rep.index] & q_i
     )
     return covers
 

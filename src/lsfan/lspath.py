@@ -89,10 +89,12 @@ class BondedCovers(dict):
     image w(nu) per element index w, each computed once, and the memo
     `reach` of bonded_below.  `endpoints` memoizes endpoint per path.
 
-    The bond of a covering relation theta > phi is |<phi(nu), beta^vee>| for
-    the positive root beta with s_beta min(phi) = min(theta).  `bond` is the
-    one place bonds are computed: LS-paths of shape nu use it on W/W_nu, the
-    defining chain poset on W/W_Q with Q inside the stabilizer of nu.
+    The bond of a covering relation theta > phi is <phi(nu), beta^vee> for
+    the positive root beta with s_beta min(phi) = min(theta).  As beta =
+    min(phi)(gamma) for the cover's inversion root gamma (min(phi) s_gamma =
+    min(theta)), it is <nu, gamma^vee>: `pairs` holds it per positive root,
+    read by LS-paths of shape nu on W/W_nu and by the defining chain poset
+    on W/W_Q with Q inside the stabilizer of nu.
     """
 
     def __init__(self, group: WeylGroup, nu):
@@ -102,6 +104,8 @@ class BondedCovers(dict):
         self.group = group
         self.nu = tuple(nu)
         self.parabolic = group.stabilizer_parabolic(self.nu)
+        datum = group.datum
+        self.pairs = tuple(datum.pairing(self.nu, c) for c in datum.positive_coroots)
         self.images, self.reach, self.endpoints = {group.identity.index: self.nu}, {}, {}
 
     def image(self, x: int):
@@ -117,18 +121,10 @@ class BondedCovers(dict):
             self.images[x] = img
         return img
 
-    def bond(self, lower: int, root: int) -> int:
-        """|<lower(nu), beta^vee>| for the element index `lower` and the
-        positive root beta at `root`."""
-        datum = self.group.datum
-        return abs(datum.pairing(self.image(lower), datum.positive_coroots[root]))
-
     def __missing__(self, x: int):
         coset = Coset(self.group.elements()[x], self.parabolic)
-        self[x] = [
-            (lower.rep.index, idx, self.bond(lower.rep.index, idx))
-            for lower, idx in self.group.covers_down(coset)
-        ]
+        self[x] = [(lower.rep.index, root, self.pairs[root])
+                   for lower, root in self.group.covers_down(coset)]
         return self[x]
 
 

@@ -9,7 +9,8 @@ either side, its descent sets, its inverse and one reduced word.  Products,
 descents, cosets and Bruhat comparisons are table lookups; the matrix is
 decoded only for `act`.  A coset is kept as its minimal representative, keyed
 by one int packing that index with its parabolic's bit mask; its lower covers
-delete one letter of the representative's reduced word.
+delete one letter of the representative's reduced word, each labelled by its
+inversion root gamma, with min(lower) s_gamma = min(upper).
 
 One breadth-first pass builds the tables: it keys w by w^-1(rho) packed into
 one int, whose signs are the right descents of w, multiplies out ascents only,
@@ -409,10 +410,10 @@ class WeylGroup:
     # -- covering relations ------------------------------------------------------
 
     def covers_down(self, c: Coset) -> list[tuple[Coset, int]]:
-        """Cosets covered by c, each with the index of the positive root beta
-        satisfying s_beta min(lower) = min(upper).  By strong exchange these are the
-        deletions of one letter j from the reduced word of min(c) that have length
-        l - 1 and are P-minimal, with s_beta = p s_j p^-1 for the prefix p before j."""
+        """Cosets covered by c, each with the index of its inversion root gamma:
+        the positive root with min(lower) s_gamma = min(upper).  By strong exchange
+        these are the deletions of one letter j from the reduced word of min(c) that
+        have length l - 1 and are P-minimal; s_gamma = min(lower)^-1 min(upper)."""
         cached = self._covers_cache.get(c.key)
         if cached is not None:
             return cached
@@ -422,9 +423,10 @@ class WeylGroup:
             v = prefix
             for i in word[j + 1:]:
                 v = right[v][i - 1]
-            prefix = t = right[prefix][letter - 1]
+            prefix = right[prefix][letter - 1]
             if self.lengths[v] == top and not self._right_desc[v] & mask:
-                for i in reversed(word[:j]):
+                t = self._inv[v]
+                for i in word:
                     t = right[t][i - 1]
                 result.append((Coset(self._elts[v], c.parabolic), self._root_of[t]))
         result.sort(key=lambda t: t[0].rep.index)

@@ -52,7 +52,6 @@ from lsfan.lspath import (
     PathError,
     ShapePoset,
     maximal_bonded_chains,
-    shape_covers,
     validate_ls_path,
 )
 from lsfan.rootdata import InvariantError
@@ -451,7 +450,7 @@ def underline_w_matrices(setup):
 
 def covering_relations(group, parabolic, tau):
     """All covering pairs theta > phi in W/W_P with theta <= tau, labelled by
-    the index of the positive root beta with s_beta min(phi) = min(theta)."""
+    the index of the inversion root gamma with min(phi) s_gamma = min(theta)."""
     parabolic = frozenset(parabolic)
     top = group.pi(tau, parabolic)
     result = []
@@ -544,12 +543,12 @@ def reference_group_tables(datum):
 
 
 def reflection_covers(group, c):
-    """covers_down(c) by the earlier loop: s_beta min(c) for every positive
-    root beta, kept where it has length one less and is P-minimal, by rep
-    index, each with the index of beta."""
+    """covers_down(c) by a scan over the reflections: min(c) s_gamma for
+    every positive root gamma, kept where it has length one less and is
+    P-minimal, by rep index, each with the index of gamma."""
     result = []
     for idx in range(len(group.datum.positive_roots)):
-        v = group.mult(group.reflection(idx), c.rep)
+        v = group.mult(c.rep, group.reflection(idx))
         if v.length == c.rep.length - 1 and group.is_q_minimal(v, c.parabolic):
             result.append((Coset(v, c.parabolic), idx))
     result.sort(key=lambda t: t[0].rep.index)
@@ -558,7 +557,10 @@ def reflection_covers(group, c):
 
 def lower_covers(setup, node):
     """The cover rule on objects: the (lower, kind, bond) covers of a node
-    (theta, I), shrinkI covers first, then sameI covers in covers_down order."""
+    (theta, I), shrinkI covers first, then sameI covers in covers_down order.
+    A sameI cover is kept by projecting both cosets to W/W_{P_I}, and its
+    bond |<phi(lambda_I), beta^vee>| pairs the matrix image of lambda_I
+    with the covering root beta, s_beta min(phi) = min(theta)."""
     group = setup.group
     theta, iset = node.theta, node.iset
     covers = [
@@ -568,10 +570,11 @@ def lower_covers(setup, node):
     ]
     p_i, q_i = setup.p_of[iset], setup.q_of[iset]
     theta_p = group.pi(theta, p_i)
-    bonds = shape_covers(group, setup.lambda_of[iset])
+    datum, lam = group.datum, setup.lambda_of[iset]
     covers.extend(
-        (DCPNode(phi, iset), "sameI", bonds.bond(phi.rep.index, root))
-        for phi, root in group.covers_down(theta)
+        (DCPNode(phi, iset), "sameI", abs(datum.pairing(
+            phi.rep.act(lam), datum.positive_coroots[group.covering_root(theta, phi)])))
+        for phi, _ in group.covers_down(theta)
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )
     return covers

@@ -66,6 +66,20 @@ def test_dot_output(capsys):
     assert out.count("->") == 6
 
 
+def test_dot_output_builds_no_json_document(capsys, monkeypatch):
+    # the stderr summary is read off the poset, not off its JSON document
+    def no_document(dcp):
+        raise AssertionError("dcp --format dot built the JSON document")
+
+    monkeypatch.setattr(cli.lsio, "dcp_to_json", no_document)
+    for name, summary in [("a2_tau312_chain", "6 nodes, 6 edges, all bonds 1"),
+                          ("g2_chain", "bonds > 1 present")]:
+        code, out, err = run(capsys, "dcp", "--job", str(FIXTURES / f"{name}.json"),
+                             "--format", "dot")
+        assert code == 0 and out.startswith("digraph dcp {"), name
+        assert err.startswith("dcp: ") and err.rstrip().endswith(summary), name
+
+
 def test_underline_w_young_chain_instances(capsys):
     # the classical one-column-tableau posets: 6 nodes for A2, 14 for A3
     code, out, _ = run(
@@ -396,6 +410,12 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         code, _, err = run(capsys, command, "--job", str(job))
         assert code == 2 and err.startswith("error:"), entry
         assert len(err.splitlines()) == 1, entry
+    # a negative degree bound in the job file is named, by conjecture as by verify
+    job.write_text(json.dumps({**base, "max_total_degree": -1}))
+    for command in ("verify", "conjecture"):
+        code, out, err = run(capsys, command, "--job", str(job))
+        assert code == 2 and out == "" and err.startswith("error:"), command
+        assert len(err.splitlines()) == 1 and "max_total_degree" in err, command
     job.write_text(json.dumps([base]))
     code, _, err = run(capsys, "dcp", "--job", str(job))
     assert code == 2 and err.startswith("error:")

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsfan import (
     Coset,
@@ -22,6 +25,7 @@ from lsfan import (
     chain_iposet,
     defining_chain_extremes,
     is_tau_standard,
+    make_group,
     make_tableau,
     max_defining_chain,
     min_defining_chain,
@@ -544,6 +548,32 @@ def test_cover_rule_matches_the_object_reference(name):
     setup = cli._setup_from_job(RULE_JOBS[name])
     dcp = build_dcp_inductive(setup)
     for node in dcp.nodes:
+        expected = cover_keys(lower_covers(setup, node))
+        assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node
+
+
+SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+
+@cache
+def sweep_group(kind, rank):
+    return make_group(kind, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cover_rule_matches_the_object_reference_on_random_setups(data):
+    # weights with zero entries give P_I larger than Q, so some covers of
+    # W/W_Q have bond 0 for lambda_I and must be dropped
+    kind, rank = data.draw(st.sampled_from(SWEEP_GROUPS))
+    group = sweep_group(kind, rank)
+    weight = st.tuples(*[st.integers(0, 2)] * rank)
+    lambdas = data.draw(st.lists(weight, min_size=1, max_size=3))
+    word = data.draw(st.none() | st.lists(st.integers(1, rank), max_size=8))
+    tau = group.longest if word is None else group.from_word(word)
+    iposet = data.draw(st.sampled_from([chain_iposet, powerset_iposet]))(len(lambdas))
+    setup = Setup(group, lambdas, tau, iposet)
+    for node in build_dcp_inductive(setup).nodes:
         expected = cover_keys(lower_covers(setup, node))
         assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node
 

@@ -6,7 +6,9 @@ matrix product WeylElt.act.  A job's defining chain poset is its one
 handle: only the command line builds one, so no other module calls
 build_dcp_inductive.  The minimal Deodhar lift is the w0 mirror of the
 maximal one, so WeylGroup.deodhar_max_lift is the one caller of
-coset_fiber."""
+coset_fiber.  The cover rule reads bonds off inversion roots, so
+dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset and
+pair no weight image."""
 
 import ast
 from pathlib import Path
@@ -88,3 +90,23 @@ def test_only_the_maximal_deodhar_lift_scans_a_fiber(path):
                               getattr(node.func, "attr", None))
     )
     assert not offenders, f"{path.name}: coset_fiber( at lines {offenders}"
+
+
+SRC = SOURCES[0].parent
+COVER_RULE = [("dcp.py", None, "_lower_covers"), ("lspath.py", "BondedCovers", "__missing__")]
+
+
+@pytest.mark.parametrize("module,cls,name", COVER_RULE, ids=[f for *_, f in COVER_RULE])
+def test_the_cover_rule_reads_int_tables_only(module, cls, name):
+    tree = ast.parse((SRC / module).read_text())
+    if cls is not None:
+        tree = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"image", "pairing", "_min_rep", "pi", "act"}
+    )
+    assert not offenders, f"{module}: {name} projects or pairs at lines {offenders}"

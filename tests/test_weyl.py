@@ -192,11 +192,17 @@ def test_f4_covering_root_matches_a_scan_over_the_reflections(f4):
     p = frozenset({2, 3})
     for upper in f4.all_cosets(p):
         for lower, idx in f4.covers_down(upper):
-            scanned = [
+            # covers_down labels by the right root, covering_root gives the left one
+            right = [
+                k for k in roots
+                if mat_mult(lower.rep.matrix, f4.reflection(k).matrix) == upper.rep.matrix
+            ]
+            left = [
                 k for k in roots
                 if mat_mult(f4.reflection(k).matrix, lower.rep.matrix) == upper.rep.matrix
             ]
-            assert scanned == [idx] == [f4.covering_root(upper, lower)]
+            assert right == [idx]
+            assert left == [f4.covering_root(upper, lower)]
 
 
 def test_elements_compare_and_hash_by_index(a3):
@@ -409,8 +415,8 @@ def test_covering_relations_below_312(a2):
     tau = a2.coset(perm_elt(a2, (3, 1, 2)), ALL)
     edges = covering_relations(a2, ALL, tau)
     assert len(edges) == 4
-    for upper, lower, beta_idx in edges:
-        assert a2.mult(a2.reflection(beta_idx), lower.rep) == upper.rep
+    for upper, lower, gamma_idx in edges:
+        assert a2.mult(lower.rep, a2.reflection(gamma_idx)) == upper.rep
 
 
 def test_covering_relations_chain_in_p1_quotient(a3):
@@ -467,7 +473,7 @@ def test_f4_covers_by_deletion_are_the_reflection_covers(f4, p):
 def test_covering_roots_are_reflection_witnesses(b2):
     for c in b2.all_cosets(frozenset({1})):
         for lower, idx in b2.covers_down(c):
-            assert b2.mult(b2.reflection(idx), lower.rep) == c.rep
+            assert b2.mult(lower.rep, b2.reflection(idx)) == c.rep
 
 
 def test_a2_interval_below_312(a2):
