@@ -237,9 +237,11 @@ class UnderlineW:
     """The poset of pairs (theta, I), theta in the shape poset of lambda_I
     below tau (lspath.ShapePoset), members in index-poset order.
 
-    Node a generates node b != a when I_b is in I_a and the minimal lift of
-    theta_b lies below the maximal lift of theta_a in W/W_Q; the partial
-    order is the transitive hull, which in general is strictly larger.
+    Node a generates node b != a when I_b is in I_a and min(theta_b) <=
+    max(theta_a) in W: min(theta_b) lies in W^Q, and projection to W^Q
+    preserves Bruhat order (Bjorner-Brenti, Prop. 2.5.1), so this says the
+    minimal lift of theta_b lies below the maximal lift of theta_a in W/W_Q.
+    The partial order is the transitive hull, in general strictly larger.
     `_gen` and `_hull` hold one int row per node: bit b of row a is set iff
     node a is above node b."""
 
@@ -252,12 +254,11 @@ class UnderlineW:
             for c in ShapePoset(group, setup.lambda_of[s], setup.tau).nodes
         ]
         self._index = {node: k for k, node in enumerate(self.nodes)}
-        max_q = [group.max_lift(c, setup.q) for c, _ in self.nodes]
-        min_q = [group.min_lift(c, setup.q) for c, _ in self.nodes]
+        tops = [group.max_rep(c) for c, _ in self.nodes]
         self._gen = [
-            sum(1 << b for b, (_, sb) in enumerate(self.nodes)
-                if b != a and sb <= sa and group.coset_leq(min_q[b], max_q[a]))
-            for a, (_, sa) in enumerate(self.nodes)
+            sum(1 << b for b, (cb, sb) in enumerate(self.nodes)
+                if b != a and sb <= sa and group.bruhat_leq(cb.rep, top))
+            for a, ((_, sa), top) in enumerate(zip(self.nodes, tops))
         ]
         self._hull = hull = self._gen[:]
         for k in range(len(hull)):  # Warshall, one row at a time

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .dcp import (
     DCP,
@@ -23,6 +23,7 @@ from .dcp import (
     max_defining_chain,
 )
 from .lspath import LSPath, enumerate_ls_paths, endpoint
+from .rootdata import InvariantError
 from .weyl import Coset, WeylGroup, one_line_to_word, word_to_one_line
 
 __all__ = [
@@ -54,7 +55,7 @@ class TableauError(ValueError):
 
 
 class ShapeError(ValueError):
-    """No weakly decreasing shape sequence realizes the requested degree."""
+    """The requested degree is not a degree vector of the index poset."""
 
 
 @dataclass(frozen=True)
@@ -111,42 +112,31 @@ def tableau_endpoint(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
 
 
 def shape_for_degree(setup: Setup, d) -> tuple[frozenset, ...]:
-    """The weakly decreasing shape sequence of total degree d.
+    """The weakly decreasing shape sequence of total degree d: while the rest
+    of d is non-zero, append the smallest member I holding its support S and
+    subtract e_I.
 
-    Follows the top-down recursion: take the largest admissible member with
-    maximal multiplicity, then solve the remaining degree below it.  Raises
-    ShapeError when no sequence exists.
+    The sequence exists and is unique.  The members run by size, and [m]
+    holds S, so I exists.  underline(I) lies in S: for i in underline(I) - S,
+    the member I - {i} covered by I holds S and is smaller.  A member J
+    holding S with underline(J) in S equals I: each holds the other's
+    underline, so by the closure condition each holds the other.  So every
+    sequence of degree d starts with I, and its rest is the sequence of
+    d - e_I, whose first member lies in I by the closure condition, as its
+    underline lies in S.
     """
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise ShapeError(f"{d} is not a degree vector of length {setup.m}")
-    iposet = setup.iposet
-
-    def rec(rest, upper):
-        if all(x == 0 for x in rest):
-            return ()
-        support = {i + 1 for i, x in enumerate(rest) if x > 0}
-        candidates = [
-            s
-            for s in iposet.sets
-            if (upper is None or s <= upper)
-            and support <= s
-            and all(rest[i - 1] >= 1 for i in iposet.underline[s])
-        ]
-        candidates.sort(key=lambda s: (len(s), tuple(sorted(s))), reverse=True)
-        for s in candidates:
-            e = iposet.e_vector(s)
-            t_max = min(rest[i - 1] for i in iposet.underline[s])
-            for t in range(t_max, 0, -1):
-                sub = rec(tuple(x - t * y for x, y in zip(rest, e)), s)
-                if sub is not None:
-                    return (s,) * t + sub
-        return None
-
-    result = rec(d, None)
-    if result is None:
-        raise ShapeError(f"no weakly decreasing shape sequence has degree {d}")
-    return result
+    iposet, shapes = setup.iposet, []
+    while any(d):
+        support = {i + 1 for i, x in enumerate(d) if x}
+        s = next(s for s in iposet.sets if support <= s)
+        if not iposet.underline[s] <= support:
+            raise InvariantError(f"underline({set(s)}) leaves the support of {d}")
+        shapes.append(s)
+        d = tuple(map(sub, d, iposet.e_vector(s)))
+    return tuple(shapes)
 
 
 def flatten(tableau: LSTableau):

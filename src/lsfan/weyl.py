@@ -384,8 +384,10 @@ class WeylGroup:
 
     def deodhar_max_lift(self, theta_bar: Coset, phi: Coset) -> Coset:
         """Unique maximal lift of phi (in W/W_P') to theta_bar's quotient
-        that is <= theta_bar.  Requires pi(theta_bar) >= phi."""
-        if not self.coset_leq(phi, self.pi(theta_bar, phi.parabolic)):
+        that is <= theta_bar.  Requires pi(theta_bar) >= phi, read in W as
+        min(theta_bar) >= min(phi): projection to W^{P'} preserves Bruhat
+        order and fixes min(phi) (Bjorner-Brenti, Prop. 2.5.1)."""
+        if not self.bruhat_leq(phi.rep, theta_bar.rep):
             raise LiftError("no Deodhar lift within the given bound exists")
         candidates = [
             c

@@ -480,6 +480,15 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--job", young, "--degree=-1,1")
     assert code == 2 and out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1 and "negative entry -1" in err
+    # enumerate with no degree at all
+    code, out, err = run(capsys, "enumerate", "--job", young)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "--degree" in err
+    # a weight with a negative entry, which only a job file can pass
+    job.write_text(json.dumps({**base, "lambdas": [[1, 0], [-1, 1]]}))
+    code, out, err = run(capsys, "dcp", "--job", str(job))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "not dominant" in err
     # any bound that int() parses is accepted, a sign included
     code, out, _ = run(
         capsys, "verify", "--job", str(FIXTURES / "a2_young_chain_w0.json"),

@@ -258,6 +258,19 @@ def test_underline_w_matches_the_bool_matrix_reference(path):
     assert uw.generating_is_transitive == (gen == hull)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_underline_w_matches_the_bool_matrix_reference_on_random_setups(data):
+    # UnderlineW compares min(theta_b) with max(theta_a) in W, the reference
+    # their lifts in W/W_Q
+    setup = draw_setup(data)
+    uw = UnderlineW(setup)
+    nodes, gen, hull, _ = underline_w_matrices(setup)
+    assert uw.nodes == nodes
+    assert uw._gen == [sum(1 << b for b, x in enumerate(row) if x) for row in gen]
+    assert uw._hull == [sum(1 << b for b, x in enumerate(row) if x) for row in hull]
+
+
 # -- defining chain posets ------------------------------------------------------------
 
 
@@ -560,11 +573,9 @@ def sweep_group(kind, rank):
     return make_group(kind, rank)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_cover_rule_matches_the_object_reference_on_random_setups(data):
-    # weights with zero entries give P_I larger than Q, so some covers of
-    # W/W_Q have bond 0 for lambda_I and must be dropped
+def draw_setup(data):
+    """A random setup: a group of SWEEP_GROUPS, 1-3 weights with entries in
+    {0, 1, 2}, tau = w0 or a word of length <= 8, a chain or powerset poset."""
     kind, rank = data.draw(st.sampled_from(SWEEP_GROUPS))
     group = sweep_group(kind, rank)
     weight = st.tuples(*[st.integers(0, 2)] * rank)
@@ -572,7 +583,15 @@ def test_cover_rule_matches_the_object_reference_on_random_setups(data):
     word = data.draw(st.none() | st.lists(st.integers(1, rank), max_size=8))
     tau = group.longest if word is None else group.from_word(word)
     iposet = data.draw(st.sampled_from([chain_iposet, powerset_iposet]))(len(lambdas))
-    setup = Setup(group, lambdas, tau, iposet)
+    return Setup(group, lambdas, tau, iposet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cover_rule_matches_the_object_reference_on_random_setups(data):
+    # weights with zero entries give P_I larger than Q, so some covers of
+    # W/W_Q have bond 0 for lambda_I and must be dropped
+    setup = draw_setup(data)
     for node in build_dcp_inductive(setup).nodes:
         expected = cover_keys(lower_covers(setup, node))
         assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node

@@ -8,7 +8,11 @@ build_dcp_inductive.  The minimal Deodhar lift is the w0 mirror of the
 maximal one, so WeylGroup.deodhar_max_lift is the one caller of
 coset_fiber.  The cover rule reads bonds off inversion roots, so
 dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset and
-pair no weight image."""
+pair no weight image.  Projection to minimal representatives preserves
+Bruhat order, so UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
+representatives in W and project or lift no coset; the closure condition
+fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
+off without a nested search."""
 
 import ast
 from pathlib import Path
@@ -110,3 +114,37 @@ def test_the_cover_rule_reads_int_tables_only(module, cls, name):
         & {"image", "pairing", "_min_rep", "pi", "act"}
     )
     assert not offenders, f"{module}: {name} projects or pairs at lines {offenders}"
+
+
+def _function(module, cls, name):
+    """The definition of `name` in `module`, inside class `cls` if one is given."""
+    body = ast.parse((SRC / module).read_text()).body
+    if cls is not None:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    (fn,) = [n for n in body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+IN_W = [("dcp.py", "UnderlineW", "__init__"), ("weyl.py", "WeylGroup", "deodhar_max_lift")]
+
+
+@pytest.mark.parametrize("module,cls,name", IN_W, ids=[f"{c}.{f}" for _, c, f in IN_W])
+def test_bruhat_comparisons_read_representatives_in_w(module, cls, name):
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(_function(module, cls, name))
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"pi", "min_lift", "max_lift"}
+    )
+    assert not offenders, f"{module}: {name} projects or lifts at lines {offenders}"
+
+
+def test_shape_for_degree_defines_no_nested_function():
+    fn = _function("tableaux.py", None, "shape_for_degree")
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(fn)
+        if node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+    assert not offenders, f"tableaux.py: shape_for_degree defines functions at lines {offenders}"

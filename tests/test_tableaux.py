@@ -1,10 +1,14 @@
+import json
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from operator import add
+from pathlib import Path
 
 import pytest
 
 from lsfan import (
+    IndexPosetError,
     LSPath,
     LSTableau,
     Setup,
@@ -12,6 +16,7 @@ from lsfan import (
     TableauError,
     YoungTableau,
     build_dcp_inductive,
+    build_index_poset,
     chain_iposet,
     degree,
     demazure_character,
@@ -37,8 +42,10 @@ from lsfan import (
     young_setup,
     yt_from_ls,
 )
+from lsfan import cli
 
 ONE = Fraction(1)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fs(*xs):
@@ -190,6 +197,61 @@ def test_shape_for_degree_uniqueness_small_total(a2, a3):
             for d, seqs in by_degree.items():
                 assert len(seqs) == 1, (d, seqs)
                 assert shape_for_degree(setup, d) == next(iter(seqs))
+
+
+def valid_index_posets(m):
+    """Every family of subsets of [m] holding [m] that IndexPoset accepts."""
+    full = frozenset(range(1, m + 1))
+    proper = [frozenset(c) for k in range(1, m) for c in combinations(sorted(full), k)]
+    posets = []
+    for chosen in product((False, True), repeat=len(proper)):
+        try:
+            posets.append(build_index_poset([s for s, x in zip(proper, chosen) if x] + [full], m))
+        except IndexPosetError:
+            pass
+    return posets
+
+
+def assert_one_sequence_per_degree(setup):
+    """Every d in {0,1,2}^m has exactly one weakly decreasing member sequence,
+    found by brute force, and shape_for_degree returns it."""
+    iposet, found = setup.iposet, {}
+
+    def extend(seq, d):
+        found.setdefault(d, []).append(tuple(seq))
+        for s in iposet.sets:
+            more = tuple(map(add, d, iposet.e_vector(s)))
+            if (not seq or s <= seq[-1]) and max(more) <= 2:
+                extend(seq + [s], more)
+
+    extend([], (0,) * setup.m)
+    for d in product(range(3), repeat=setup.m):
+        assert found.get(d) == [shape_for_degree(setup, d)], (iposet.sets, d)
+
+
+def test_shape_for_degree_is_the_one_sequence_on_every_small_index_poset(a3):
+    # every valid index poset on m <= 3: 1 + 3 + 22 of them
+    counts = {}
+    for m in (1, 2, 3):
+        weights = [a3.datum.fundamental_weight(k) for k in range(1, m + 1)]
+        posets = valid_index_posets(m)
+        counts[m] = len(posets)
+        for iposet in posets:
+            assert_one_sequence_per_degree(Setup(a3, weights, a3.longest, iposet))
+    assert counts == {1: 1, 2: 3, 3: 22}
+
+
+@pytest.mark.parametrize(
+    "name", ["branched_index_poset_m4", "a3_tau3412_branched", "d4_flag_branched"]
+)
+def test_shape_for_degree_is_the_one_sequence_on_the_branched_fixtures(d4, name):
+    job = json.loads((FIXTURES / f"{name}.json").read_text())
+    if "lambdas" in job:
+        setup = cli._setup_from_job(job)
+    else:
+        weights = [d4.datum.fundamental_weight(k) for k in range(1, 5)]
+        setup = Setup(d4, weights, d4.longest, build_index_poset(job["sets"], job["m"]))
+    assert_one_sequence_per_degree(setup)
 
 
 def test_degree_sums_shape_vectors(a2):

@@ -6,6 +6,7 @@ import pytest
 from lsfan import (
     GroupSizeError,
     InvariantError,
+    LiftError,
     RootDatumError,
     WeylElt,
     WeylGroup,
@@ -352,9 +353,15 @@ def test_deodhar_lifts_match_brute_force(fixture_name, request):
                 if group.coset_leq(phi, theta):
                     expected = deodhar_brute(group, theta_bar, phi, want_max=True)
                     assert group.deodhar_max_lift(theta_bar, phi) == expected
+                else:
+                    with pytest.raises(LiftError):
+                        group.deodhar_max_lift(theta_bar, phi)
                 if group.coset_leq(theta, phi):
                     expected = deodhar_brute(group, theta_bar, phi, want_max=False)
                     assert group.deodhar_min_lift(theta_bar, phi) == expected
+                else:
+                    with pytest.raises(LiftError):
+                        group.deodhar_min_lift(theta_bar, phi)
 
 
 def test_lift_and_projection_parabolic_mismatch_rejected(a3):
