@@ -63,19 +63,20 @@ def _int(job: dict, key: str, default=None) -> int:
 
 
 def _bound(value, what: str) -> int:
-    """A degree bound: a non-negative int; raises ValueError for anything else."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    """A degree bound: an int that range(bound + 1) takes; ValueError for anything else."""
+    if type(value) is not int or not 0 <= value < sys.maxsize:
+        raise ValueError(f"{what} {value!r} is not an integer in 0..{sys.maxsize - 1}")
     return value
 
 
 def _flag_bound(value: str) -> int:
     """The type of a bound flag (a rank, a size guard or a degree bound): a
-    string that int() parses to a non-negative int."""
+    string that int() parses to a bound that `_bound` takes."""
     try:
         return _bound(int(value), "bound")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer") from None
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not an integer in 0..{sys.maxsize - 1}") from None
 
 
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:

@@ -6,11 +6,12 @@ numbered 0..|W|-1 in the order of their integer matrices on omega-coordinates,
 each packed into one int of signed 8-bit digits that orders as the rows do; per
 element the group keeps its length, its products with each simple reflection on
 either side, its descent sets, its inverse and one reduced word.  Products,
-descents, cosets and Bruhat comparisons are table lookups; the matrix is
-decoded only for `act`.  A coset is kept as its minimal representative, keyed
-by one int packing that index with its parabolic's bit mask; its lower covers
-delete one letter of the representative's reduced word, each labelled by its
-inversion root gamma, with min(lower) s_gamma = min(upper).
+descents and cosets are table lookups; Bruhat comparisons and Deodhar lifts are
+one recursion on the tables, down the left descents of the upper bound.  The
+matrix is decoded only for `act`.  A coset is kept as its minimal
+representative, keyed by one int packing that index with its parabolic's bit
+mask; its lower covers delete one letter of the representative's reduced word,
+each labelled by its inversion root gamma, with min(lower) s_gamma = min(upper).
 
 One breadth-first pass builds the tables: it keys w by w^-1(rho) packed into
 one int, whose signs are the right descents of w, multiplies out ascents only,
@@ -19,6 +20,7 @@ on n column ints, and keys the inverse of w by w(rho), the matrix's row sums.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -120,7 +122,7 @@ class WeylGroup:
     The constructor rejects groups larger than `size_guard` (default 1152,
     the order of W(F4)).  All elements and their tables are materialized up
     front, `lengths` among them (by element index, the rank table of the
-    coset posets); Bruhat comparisons are memoized.
+    coset posets); Bruhat comparisons and Deodhar lifts are memoized.
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
@@ -205,10 +207,9 @@ class WeylGroup:
             self._reflections.append(self._elts[new[seen[key]]])
         self._root_of = {s.index: idx for idx, s in enumerate(self._reflections)}
 
-        self._bruhat_cache: dict[int, bool] = {}
+        self._lifts: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
         self._covers_cache: dict[int, list[tuple[Coset, int]]] = {}  # by coset key
-        self._fiber_cache: dict[tuple, list[Coset]] = {}
         self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
 
     # -- basic group operations -------------------------------------------
@@ -257,29 +258,6 @@ class WeylGroup:
 
     def has_left_descent(self, w: WeylElt, i: int) -> bool:
         return bool(self._left_desc[w.index] >> (i - 1) & 1)
-
-    # -- Bruhat order -------------------------------------------------------
-
-    def bruhat_leq(self, u: WeylElt, v: WeylElt) -> bool:
-        """u <= v in Bruhat order, by the recursive descent criterion."""
-        return self._leq(u.index, v.index)
-
-    def _leq(self, u: int, v: int) -> bool:
-        length = self.lengths
-        if length[u] > length[v]:
-            return False
-        if u == v:
-            return True
-        key = u * len(length) + v
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        i = _lowest(self._left_desc[v])
-        su = self._left[u][i]
-        sv = self._left[v][i]
-        result = self._leq(su, sv) if length[su] < length[u] else self._leq(u, sv)
-        self._bruhat_cache[key] = result
-        return result
 
     # -- parabolic subgroups ------------------------------------------------
 
@@ -359,18 +337,13 @@ class WeylGroup:
         return self.coset(self.max_rep(c), smaller)
 
     def coset_fiber(self, c: Coset, smaller: Parabolic) -> list[Coset]:
-        """All preimages of the coset under W/W_P -> W/W_P'."""
+        """All preimages of the coset under W/W_P -> W/W_P', by rank."""
         smaller = frozenset(smaller)
         if not smaller <= c.parabolic:
             raise ValueError("lift target must be contained in the source parabolic")
-        key = (c.key, smaller)
-        cached = self._fiber_cache.get(key)
-        if cached is None:
-            fiber = {self.coset(self.mult(c.rep, u), smaller)
-                     for u in self.parabolic_elements(c.parabolic)}
-            cached = sorted(fiber, key=lambda x: (x.rank, x.rep.index))
-            self._fiber_cache[key] = cached
-        return cached
+        fiber = {self.coset(self.mult(c.rep, u), smaller)
+                 for u in self.parabolic_elements(c.parabolic)}
+        return sorted(fiber, key=lambda x: (x.rank, x.rep.index))
 
     def is_lift_minimal(self, c: Coset, larger: Parabolic) -> bool:
         """True iff c is the minimal element of its fiber over W/W_P'."""
@@ -380,21 +353,46 @@ class WeylGroup:
         """True iff c is the maximal element of its fiber over W/W_P'."""
         return self.max_lift(self.pi(c, larger), c.parabolic) == c
 
-    # -- Deodhar lifts ---------------------------------------------------------
+    # -- Bruhat order and Deodhar lifts ---------------------------------------
+
+    def bruhat_leq(self, u: WeylElt, v: WeylElt) -> bool:
+        """u <= v in Bruhat order: with P = P' empty, u's one lift lies below v."""
+        return self._lift(v.index, u.index, 0, 0) >= 0
+
+    def _lift(self, t: int, f: int, p: int, pp: int) -> int:
+        """L(t, f): the largest x <= t in f W_P' cap W^P, or -1 if there is none
+        (and s(-1) = -1), for t in W^P, f in W^P' and P <= P' (masks p, pp).
+        Let s be the lowest left descent of t and x' = L(st, min(f, sf)).  By
+        the lifting property (Bjorner-Brenti, Prop. 2.2.7): if sf < f,
+        L(t, f) = sx', which is longer and in W^P; if sf > f lies in another
+        coset, L(t, f) = x'; if sf lies in f W_P', s permutes it and L(t, f) is
+        sx' when that is longer and in W^P, else x'."""
+        length = self.lengths
+        if length[f] >= length[t]:
+            return t if f == t else -1
+        memo, key = self._lifts[p, pp], t * len(length) + f
+        if (x := memo.get(key)) is not None:
+            return x
+        i = _lowest(self._left_desc[t])
+        sf = self._left[f][i]
+        down = length[sf] < length[f]
+        x = self._lift(self._left[t][i], sf if down else f, p, pp)
+        if x >= 0 and (down or self._right_desc[sf] & pp):  # sx lies in f W_P'
+            sx = self._left[x][i]
+            x = sx if length[sx] > length[x] and not self._right_desc[sx] & p else x
+        memo[key] = x
+        return x
 
     def deodhar_max_lift(self, theta_bar: Coset, phi: Coset) -> Coset:
-        """Unique maximal lift of phi (in W/W_P') to theta_bar's quotient
-        that is <= theta_bar.  Requires pi(theta_bar) >= phi, read in W as
-        min(theta_bar) >= min(phi): projection to W^{P'} preserves Bruhat
-        order and fixes min(phi) (Bjorner-Brenti, Prop. 2.5.1)."""
-        if not self.bruhat_leq(phi.rep, theta_bar.rep):
+        """Unique maximal lift of phi (in W/W_P') to theta_bar's quotient that is
+        <= theta_bar, by `_lift`; LiftError unless pi(theta_bar) >= phi (Deodhar, 1977)."""
+        if not theta_bar.parabolic <= phi.parabolic:
+            raise ValueError("lift target must be contained in the source parabolic")
+        x = self._lift(theta_bar.rep.index, phi.rep.index,
+                       bitmask(theta_bar.parabolic), bitmask(phi.parabolic))
+        if x < 0:
             raise LiftError("no Deodhar lift within the given bound exists")
-        candidates = [
-            c
-            for c in self.coset_fiber(phi, theta_bar.parabolic)
-            if self.coset_leq(c, theta_bar)
-        ]
-        return max(candidates, key=lambda c: c.rank)
+        return Coset(self._elts[x], theta_bar.parabolic)
 
     def deodhar_min_lift(self, phi_bar: Coset, theta: Coset) -> Coset:
         """Unique minimal lift of theta (in W/W_P') to phi_bar's quotient

@@ -495,6 +495,29 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         "--degree", "1,1", "--conjecture", "+3",
     )
     assert code == 0 and '"multidegree_conjecture"' in out
+    # a degree bound too large for range(bound + 1), by flag or job entry
+    huge = "99999999999999999999"
+    job.write_text(json.dumps({**base, "max_total_degree": int(huge)}))
+    for argv, text in [
+        (("verify", "--job", young, "--max-total-degree", huge), "--max-total-degree"),
+        (("verify", "--job", young, "--degree", "1,1", "--conjecture", huge), "--conjecture"),
+        (("conjecture", "--job", young, "--max-total-degree", huge), "--max-total-degree"),
+        (("verify", "--job", str(job)), "max_total_degree"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert len(err.splitlines()) == 1 and text in err, argv
+    # raise lines of the job reader, the index poset and the conjecture
+    job.write_text(json.dumps({key: value for key, value in base.items() if key != "type"}))
+    for argv, text in [
+        (("dcp", "--job", str(job)), "error: job is missing 'type'\n"),
+        (("dcp", "--type", "A", "--rank", "2", "--lambda", "1,0;0,1", "--tau", "w0",
+          "--iposet", "1;3;1,2"), "error: {3} is not a non-empty subset of [2]\n"),
+        (("conjecture", "--job", young, "--tau", "1"),
+         "error: multidegrees via the dimension formula need tau = w0\n"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == text, argv
 
 
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):

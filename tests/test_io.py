@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsfan.io import dumps
+from lsfan.io import coset_to_json, dumps
+from lsfan.weyl import make_group
 
 # any code point but a lone surrogate, with quotes, backslashes, control
 # characters and non-ASCII ones drawn often
@@ -67,3 +68,9 @@ def test_dumps_keeps_empty_containers_and_int_lists():
 def test_dumps_rejects_other_types_and_keys(x):
     with pytest.raises(TypeError):
         dumps(x)
+
+
+def test_coset_to_json_gives_the_word_and_the_sorted_parabolic():
+    a3 = make_group("A", 3)
+    c = a3.coset(a3.from_word((1, 2, 3)), frozenset({3, 1}))  # s1 s2 s3 W_{1,3} = s1 s2 W_{1,3}
+    assert coset_to_json(a3, c) == {"word": [1, 2], "parabolic": [1, 3]}

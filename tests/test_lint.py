@@ -4,9 +4,10 @@ lsfan.io.dumps, so the library calls no json.dump or json.dumps; and weight
 images come from the per-shape tables, so no module but weyl calls the
 matrix product WeylElt.act.  A job's defining chain poset is its one
 handle: only the command line builds one, so no other module calls
-build_dcp_inductive.  The minimal Deodhar lift is the w0 mirror of the
-maximal one, so WeylGroup.deodhar_max_lift is the one caller of
-coset_fiber.  The cover rule reads bonds off inversion roots, so
+build_dcp_inductive.  Bruhat order and the maximal Deodhar lift are one
+descent recursion, WeylGroup._lift, so no library function calls coset_fiber
+and deodhar_max_lift compares no cosets; the minimal lift is the w0 mirror
+of the maximal one.  The cover rule reads bonds off inversion roots, so
 dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset and
 pair no weight image.  Projection to minimal representatives preserves
 Bruhat order, so UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
@@ -79,17 +80,12 @@ def test_only_the_cli_builds_a_dcp(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_the_maximal_deodhar_lift_scans_a_fiber(path):
+    # named when deodhar_max_lift was the last fiber scan; now no function is one
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = {
-        id(node)
-        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "WeylGroup"
-        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "deodhar_max_lift"
-        for node in ast.walk(fn)
-    }
     offenders = sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and id(node) not in allowed
+        if isinstance(node, ast.Call)
         and "coset_fiber" in (getattr(node.func, "id", None),
                               getattr(node.func, "attr", None))
     )
@@ -148,3 +144,15 @@ def test_shape_for_degree_defines_no_nested_function():
         if node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
     )
     assert not offenders, f"tableaux.py: shape_for_degree defines functions at lines {offenders}"
+
+
+def _called(fn) -> set:
+    """The names that `fn` calls, as plain names or attributes."""
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_bruhat_order_and_the_maximal_deodhar_lift_are_one_recursion():
+    lift = _called(_function("weyl.py", "WeylGroup", "deodhar_max_lift"))
+    assert not lift & {"coset_fiber", "coset_leq", "bruhat_leq"}, sorted(lift)
+    assert "_lift" in lift and "_lift" in _called(_function("weyl.py", "WeylGroup", "bruhat_leq"))

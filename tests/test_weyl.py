@@ -348,11 +348,17 @@ def test_deodhar_lifts_match_brute_force(fixture_name, request):
         lower_cosets = group.all_cosets(q)
         for phi in upper_cosets:
             lifts_of_phi = [c for c in lower_cosets if group.pi(c, qp) == phi]
+            fiber = group.coset_fiber(phi, q)
+            assert fiber == lifts_of_phi
             for theta_bar in lower_cosets:
                 theta = group.pi(theta_bar, qp)
                 if group.coset_leq(phi, theta):
                     expected = deodhar_brute(group, theta_bar, phi, want_max=True)
                     assert group.deodhar_max_lift(theta_bar, phi) == expected
+                    # the definition by a scan of the fiber, as a reference
+                    scan = max((c for c in fiber if group.coset_leq(c, theta_bar)),
+                               key=lambda c: c.rank)
+                    assert scan == expected
                 else:
                     with pytest.raises(LiftError):
                         group.deodhar_max_lift(theta_bar, phi)
@@ -372,6 +378,10 @@ def test_lift_and_projection_parabolic_mismatch_rejected(a3):
         a3.min_lift(c, frozenset({1, 3}))
     with pytest.raises(ValueError):
         a3.max_lift(c, frozenset({1, 3}))
+    with pytest.raises(ValueError):
+        a3.coset_fiber(c, frozenset({1, 3}))
+    with pytest.raises(ValueError, match="contained"):
+        a3.deodhar_max_lift(a3.coset(a3.identity, frozenset({1, 3})), c)
 
 
 def test_deodhar_precondition_violated_rejected(a3):
