@@ -15,10 +15,12 @@ vector_key and fan_vector convert to and from {DCPNode: Fraction}, the form
 of weights, degrees and the JSON.  Fan vectors of a fixed degree biject with
 the standard tableaux of that degree; theta_d and its inverse work column
 by column, through per-DCP memos of each column's terms and of each
-degree-one part's column.  The multidegree checker compares bond products
-summed over maximal chains, by dynamic programming over the poset, against
-the Hilbert multidegrees, read off as forward differences of the dimension
-oracle on the simplex grid.
+degree-one part's column.  The inverse checks membership by one in_ls_plus
+call, then splits the key into its degree-one parts in one pass that counts
+the room left in the current part.  The multidegree checker compares bond
+products summed over maximal chains, by dynamic programming over the poset,
+against the Hilbert multidegrees, read off as forward differences of the
+dimension oracle on the simplex grid.
 """
 
 from __future__ import annotations
@@ -94,14 +96,18 @@ def fan_vector(dcp: DCP, key: FanKey) -> FanVector:
 
 def in_ls_plus(dcp: DCP, key: FanKey | None) -> bool:
     """Membership in the fan of a key (None, vector_key's answer for a
-    vector without one, is no member): integral in total, and each support
-    node in the reach (lspath.bonded_below) of the one above it (of the
-    top, for the first) at the denominator of the running sum."""
+    vector without one, is no member): non-negative, integral in total, and
+    each support node in the reach (lspath.bonded_below) of the one above it
+    (of the top, for the first) at the denominator of the running sum."""
     if key is None:
         return False
-    covers, big_l, upper, cum = dcp.covers_down, dcp.big_l, 0, 0
+    big_l, memo, upper, cum = dcp.big_l, dcp.reach, 0, 0
     for k, c in key:
-        if not bonded_below(covers, upper, big_l // gcd(cum, big_l), dcp.reach) >> k & 1:
+        den = big_l // gcd(cum, big_l)
+        reach = memo.get((upper, den))
+        if reach is None:
+            reach = bonded_below(dcp.covers_down, upper, den, memo)
+        if c < 0 or not reach >> k & 1:
             return False
         upper, cum = k, cum + c
     return cum % big_l == 0
@@ -135,26 +141,30 @@ def count_fan_degree(dcp: DCP, d) -> int:
 
 
 def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
-    """decompose on keys: the key of each part."""
+    """decompose on keys: the key of each part.  After one in_ls_plus call,
+    one pass down the key keeps `room`, the numerators the current part
+    still takes, and opens a part when a coefficient does not fit."""
     if not in_ls_plus(dcp, key):
         raise FanError("vector is not a member of the fan")
     big_l, nodes = dcp.big_l, dcp.nodes
-    parts, cum, iset = [], 0, None
-    for k, remaining in key:
+    parts, part, room, iset = [], None, 0, None
+    for k, c in key:
         if nodes[k].iset != iset:
-            if cum % big_l:
-                at = Fraction(cum, big_l)
+            if room:
+                at = Fraction(len(parts) * big_l - room, big_l)
                 raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
             if iset is not None and not nodes[k].iset < iset:
                 raise InvariantError("slice index sets of a fan member are not a chain")
             iset = nodes[k].iset
-        while remaining:
-            if cum == len(parts) * big_l:
-                parts.append([])
-            take = min(remaining, len(parts) * big_l - cum)
-            parts[-1].append((k, take))
-            cum += take
-            remaining -= take
+        while c > room:
+            if room:
+                part.append((k, room))
+                c -= room
+            parts.append(part := [])
+            room = big_l
+        if c:
+            part.append((k, c))
+            room -= c
     return [tuple(part) for part in parts]
 
 
@@ -188,6 +198,7 @@ def theta_d(dcp: DCP, tableau: LSTableau) -> FanKey:
     if tableau.shapes is None:
         raise FanError("theta_d needs a tableau typed by the index poset")
     memo, big_l, nums = dcp.theta_columns, dcp.big_l, {}
+    get = nums.get
     for path, s in zip(tableau.columns, tableau.shapes):
         terms = memo.get((path, s))
         if terms is None:
@@ -200,13 +211,13 @@ def theta_d(dcp: DCP, tableau: LSTableau) -> FanKey:
                 terms.append((inverse[coset.key, s], step * (big_l // den)))
             memo[path, s] = terms
         for k, c in terms:
-            nums[k] = nums.get(k, 0) + c
+            nums[k] = get(k, 0) + c
     return tuple(sorted(nums.items()))
 
 
 def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
-    """Tableau of a fan vector, via the unique degree-one decomposition; a
-    part's nodes lie in one slice with distinct rho images.  Each distinct
+    """Tableau of a fan vector, via _parts (one in_ls_plus call, one pass);
+    a part's nodes lie in one slice with distinct rho images.  Each distinct
     part's column is built and validated once, in dcp.part_columns, and
     _parts makes the slices a chain, so the tableau needs no other check."""
     setup, memo, images = dcp.setup, dcp.part_columns, dcp.rho_images

@@ -10,8 +10,9 @@ it has one transition table, lattice_steps, on int-keyed covers (rep
 indices here, node numbers on a DCP), which chain_lattice_points lists
 (paths, fan vectors) and count_lattice_points counts.  Sums are integer
 numerators over one denominator; Fractions are built only for returned
-values.  An LSPath compares and hashes by one key made at construction, so
-paths key the per-job memos of end points and theta columns cheaply.
+values.  An LSPath compares by one key made at construction and hashes by
+that key's hash, computed once with it, so paths key the per-job memos of
+end points and theta columns cheaply.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ class LSPath:
     `cosets[0]` is the largest coset (the initial direction) and `cuts[k]` is
     the cut point attached to `cosets[k]`, so cuts increase along the tuple
     and end in 1.  `key` holds the shape, the coset keys and the cut points'
-    (numerator, denominator) pairs, made at construction; equality and
-    hashing read it alone.
+    (numerator, denominator) pairs, made at construction; equality reads it
+    alone, and the hash is hash(key), computed once with it.
     """
 
     shape: tuple[int, ...]
     cosets: tuple[Coset, ...]
     cuts: tuple[Fraction, ...]
     key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.cosets) != len(self.cuts) or not self.cosets:
@@ -69,13 +71,15 @@ class LSPath:
         if self.cuts[-1] != 1:
             raise PathError("final cut point must be 1")
         cuts = tuple((a.numerator, a.denominator) for a in self.cuts)
-        object.__setattr__(self, "key", (self.shape, tuple(c.key for c in self.cosets), cuts))
+        key = self.shape, tuple(c.key for c in self.cosets), cuts
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         return self.key == other.key if isinstance(other, LSPath) else NotImplemented
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
 
 def initial_direction(path: LSPath) -> Coset:

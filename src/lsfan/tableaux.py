@@ -58,7 +58,7 @@ class ShapeError(ValueError):
     """The requested degree is not a degree vector of the index poset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LSTableau:
     """Sequence of LS-paths.  `shapes` records the weakly decreasing chain in
     the index poset when the tableau is typed by one; free tableaux (arbitrary
@@ -220,7 +220,7 @@ def walk_standard(dcp: DCP, d, endpoints: bool = False):
         raise TableauError("the index poset is not standard for tau")
     setup = dcp.setup
     shapes = shape_for_degree(setup, d)
-    group = setup.group
+    group, ends = setup.group, {}  # ends: each column's end point, read once
     # one stack entry per prefix still to walk: its end point, its columns
     # and its lift; a prefix's steps are pushed in reverse, to pop in order
     stack = [((0,) * group.rank if endpoints else None, (), setup.tau)]
@@ -230,7 +230,9 @@ def walk_standard(dcp: DCP, d, endpoints: bool = False):
             yield LSTableau(cols, shapes), end
             continue
         for path, below in reversed(next_columns(dcp, shapes[len(cols)], lift)):
-            more = tuple(map(add, end, endpoint(path, group))) if endpoints else None
+            if endpoints and path not in ends:
+                ends[path] = endpoint(path, group)
+            more = tuple(map(add, end, ends[path])) if endpoints else None
             stack.append((more, cols + (path,), below))
 
 

@@ -357,26 +357,27 @@ class WeylGroup:
 
     def bruhat_leq(self, u: WeylElt, v: WeylElt) -> bool:
         """u <= v in Bruhat order: with P = P' empty, u's one lift lies below v."""
-        return self._lift(v.index, u.index, 0, 0) >= 0
+        return self._lift(v.index, u.index, 0, 0, self._lifts[0, 0]) >= 0
 
-    def _lift(self, t: int, f: int, p: int, pp: int) -> int:
+    def _lift(self, t: int, f: int, p: int, pp: int, memo: dict) -> int:
         """L(t, f): the largest x <= t in f W_P' cap W^P, or -1 if there is none
         (and s(-1) = -1), for t in W^P, f in W^P' and P <= P' (masks p, pp).
         Let s be the lowest left descent of t and x' = L(st, min(f, sf)).  By
         the lifting property (Bjorner-Brenti, Prop. 2.2.7): if sf < f,
         L(t, f) = sx', which is longer and in W^P; if sf > f lies in another
         coset, L(t, f) = x'; if sf lies in f W_P', s permutes it and L(t, f) is
-        sx' when that is longer and in W^P, else x'."""
+        sx' when that is longer and in W^P, else x'.  `memo` is self._lifts[p, pp],
+        fetched once by the caller."""
         length = self.lengths
         if length[f] >= length[t]:
             return t if f == t else -1
-        memo, key = self._lifts[p, pp], t * len(length) + f
+        key = t * len(length) + f
         if (x := memo.get(key)) is not None:
             return x
         i = _lowest(self._left_desc[t])
         sf = self._left[f][i]
         down = length[sf] < length[f]
-        x = self._lift(self._left[t][i], sf if down else f, p, pp)
+        x = self._lift(self._left[t][i], sf if down else f, p, pp, memo)
         if x >= 0 and (down or self._right_desc[sf] & pp):  # sx lies in f W_P'
             sx = self._left[x][i]
             x = sx if length[sx] > length[x] and not self._right_desc[sx] & p else x
@@ -388,8 +389,8 @@ class WeylGroup:
         <= theta_bar, by `_lift`; LiftError unless pi(theta_bar) >= phi (Deodhar, 1977)."""
         if not theta_bar.parabolic <= phi.parabolic:
             raise ValueError("lift target must be contained in the source parabolic")
-        x = self._lift(theta_bar.rep.index, phi.rep.index,
-                       bitmask(theta_bar.parabolic), bitmask(phi.parabolic))
+        p, pp = bitmask(theta_bar.parabolic), bitmask(phi.parabolic)
+        x = self._lift(theta_bar.rep.index, phi.rep.index, p, pp, self._lifts[p, pp])
         if x < 0:
             raise LiftError("no Deodhar lift within the given bound exists")
         return Coset(self._elts[x], theta_bar.parabolic)

@@ -9,7 +9,10 @@ integer numerator over one denominator.  The last helpers are the earlier
 versions of that round trip and of `endpoint`, which sum `Fraction`s
 directly; they are kept as they were, apart from their type annotations
 and from reading the poset's covers and rho lookup, which the library keys
-by node number, through node_covers and dcp.nodes.
+by node number, through node_covers and dcp.nodes.  Among them, decompose_key
+is the integer split of fan._parts as it was before the split kept a count
+of the room left in the current part: the loop recomputes each part's end
+from the number of parts.
 
 The library reads the Hilbert multidegrees off forward differences on the
 simplex grid.  The monomial-basis fit it replaced, a fraction-free (Bareiss)
@@ -46,6 +49,7 @@ from math import factorial, prod
 
 from lsfan.dcp import DCPNode, rho
 from lsfan.demazure import weyl_dimension
+import lsfan.fan
 from lsfan.fan import FanError, _monomials
 from lsfan.lspath import (
     LSPath,
@@ -237,6 +241,32 @@ def decompose(dcp, vec):
             cum += take
             remaining -= take
     return parts
+
+
+def decompose_key(dcp, key):
+    """decompose on int keys, the earlier fan._parts: the key of each part.
+    Membership is read through lsfan.fan.in_ls_plus, so a test that patches
+    it reaches the invariant checks of both splits."""
+    if not lsfan.fan.in_ls_plus(dcp, key):
+        raise FanError("vector is not a member of the fan")
+    big_l, nodes = dcp.big_l, dcp.nodes
+    parts, cum, iset = [], 0, None
+    for k, remaining in key:
+        if nodes[k].iset != iset:
+            if cum % big_l:
+                at = Fraction(cum, big_l)
+                raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
+            if iset is not None and not nodes[k].iset < iset:
+                raise InvariantError("slice index sets of a fan member are not a chain")
+            iset = nodes[k].iset
+        while remaining:
+            if cum == len(parts) * big_l:
+                parts.append([])
+            take = min(remaining, len(parts) * big_l - cum)
+            parts[-1].append((k, take))
+            cum += take
+            remaining -= take
+    return [tuple(part) for part in parts]
 
 
 def theta_single(path, d):

@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import lsfan.fan
 from lsfan import (
     FanError,
+    InvariantError,
     Setup,
     build_dcp_inductive,
     build_index_poset,
@@ -24,6 +27,7 @@ from lsfan import (
     fan_vector,
     hilbert_multidegrees,
     in_ls_plus,
+    is_tau_standard,
     make_group,
     multidegree_conjecture_check,
     one_line_to_word,
@@ -33,6 +37,7 @@ from lsfan import (
     theta_d_inverse,
     theta_single,
     vector_key,
+    walk_standard,
     weight,
 )
 from lsfan.fan import _monomials
@@ -40,6 +45,7 @@ from lsfan.fan import _monomials
 from chain_reference import (
     canonical_vector,
     chain_lattice_points,
+    decompose_key,
     ls_lattice_member,
     monomial_fit_multidegrees,
     power,
@@ -293,10 +299,58 @@ def test_decomposition_unique_by_brute_force(a2):
 def test_decompose_rejects_non_members(a2):
     setup, dcp = chain_instance(a2, [(1, 0), (0, 1)])
     node = dcp.top
-    with pytest.raises(FanError):
-        decompose(dcp, vector_key(dcp, {node: Fraction(-1)}))
-    with pytest.raises(FanError):
-        decompose(dcp, vector_key(dcp, {node: Fraction(1, 7)}))
+    keys = [vector_key(dcp, {node: Fraction(-1)}), vector_key(dcp, {node: Fraction(1, 7)})]
+    # keys with a negative numerator pass every reach and sum test
+    keys += [((0, -1), (1, 2)), ((0, 1), (1, -1), (2, 1))]
+    for key in keys:
+        assert not in_ls_plus(dcp, key)
+        for split in (decompose, lsfan.fan._parts, decompose_key):
+            with pytest.raises(FanError):
+                split(dcp, key)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+JOB_FIXTURES = sorted(
+    p.stem for p in FIXTURES.glob("*.json") if "lambdas" in json.loads(p.read_text())
+)
+NOT_TAU_STANDARD = {"a2_tau312_chain", "a3_mixed_chain_w0"}
+
+
+def split_outcome(split, dcp, key):
+    """What a split gives on a key: its parts, or its error's type and text."""
+    try:
+        return split(dcp, key)
+    except (FanError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", JOB_FIXTURES)
+def test_the_one_pass_split_gives_the_reference_parts(name, monkeypatch):
+    # _parts keeps a count of the room left in the current part; the
+    # reference is the loop it replaced, which recomputed each part's end.
+    # Every walked tableau of total degree <= 2, then random keys with the
+    # membership check patched out, so that both splits reach their
+    # invariant checks on keys that are not fan members
+    setup = cli._setup_from_job(json.loads((FIXTURES / f"{name}.json").read_text()))
+    dcp = build_dcp_inductive(setup)
+    assert is_tau_standard(dcp) == (name not in NOT_TAU_STANDARD)
+    keys = [theta_d(dcp, t) for d in product(range(3), repeat=setup.m) if sum(d) <= 2
+            for t, _ in walk_standard(dcp, d)] if is_tau_standard(dcp) else []
+    for key in keys:
+        assert lsfan.fan._parts(dcp, key) == decompose_key(dcp, key), key
+
+    monkeypatch.setattr(lsfan.fan, "in_ls_plus", lambda dcp, key: True)
+    rng, big_l, errors = random.Random(name), dcp.big_l, set()
+    for _ in range(300):
+        nodes = sorted(rng.sample(range(len(dcp.nodes)), rng.randint(1, 4)))
+        key = tuple((k, rng.randint(0, 2 * big_l)) for k in nodes)
+        outcome = split_outcome(lsfan.fan._parts, dcp, key)
+        assert outcome == split_outcome(decompose_key, dcp, key), key
+        if isinstance(outcome, tuple):
+            errors.add(outcome[1])
+    assert "slice index sets of a fan member are not a chain" in errors
+    # a slice can end at a non-integral sum only over a denominator
+    assert any("ends at" in e for e in errors) == (big_l > 1)
 
 
 # -- weights --------------------------------------------------------------------------

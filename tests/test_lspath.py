@@ -63,6 +63,22 @@ def test_path_key_agrees_with_fieldwise_comparison(b2):
     assert paths[0] != fields(paths[0])
 
 
+@pytest.mark.parametrize("name", ["a3", "g2"])
+def test_the_hash_made_at_construction_is_the_hash_of_the_key(name, request):
+    # LSPath computes hash(key) once, in __post_init__; a path rebuilt field
+    # by field must hash alike, compare equal and find the original's entry
+    group = request.getfixturevalue(name)
+    rank = group.rank
+    shapes = [tuple(int(i == j) for i in range(rank)) for j in range(rank)] + [(1,) * rank]
+    paths = [p for nu in shapes for d in (1, 2)
+             for p in enumerate_ls_paths(group, nu, top_coset(group, nu), d)]
+    assert len(paths) > 100
+    for p in paths:
+        q = LSPath(tuple(p.shape), tuple(p.cosets), tuple(p.cuts))
+        assert hash(p) == hash(p.key) == hash(q) == hash(q.key)
+        assert p is not q and p == q and {p: name}[q] == name
+
+
 def test_paths_that_differ_in_shape_or_one_cut_are_unequal(b2):
     nu = (1, 0)
     path = next(

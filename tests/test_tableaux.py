@@ -304,6 +304,20 @@ def test_enumeration_counts_against_oracle(a2, b2):
             assert dict(counts) == demazure_character(group, mu, setup.tau)
 
 
+def test_slotted_tableaux_rebuilt_field_by_field_compare_and_hash_alike():
+    # LSTableau is a slotted frozen dataclass: a tableau rebuilt from fresh
+    # columns must equal the walked one, hash alike and find its dict entry
+    job = json.loads((FIXTURES / "g2_chain.json").read_text())
+    dcp = build_dcp_inductive(cli._setup_from_job(job))
+    tabs = enumerate_standard(dcp, (1, 1)) + enumerate_standard(dcp, (2, 0))
+    assert len(tabs) > 50 and not hasattr(tabs[0], "__dict__")
+    for t in tabs:
+        columns = tuple(LSPath(p.shape, tuple(p.cosets), tuple(p.cuts)) for p in t.columns)
+        u = LSTableau(columns, tuple(frozenset(s) for s in t.shapes))
+        assert u is not t and u == t and hash(u) == hash(t) and {t: 1}[u] == 1
+    assert len(set(tabs)) == len(tabs)
+
+
 def test_enumeration_rejects_non_standard_iposet(a2):
     tau = a2.from_word(one_line_to_word((3, 1, 2)))
     setup = Setup(a2, [(0, 1), (1, 0)], tau, chain_iposet(2))
