@@ -14,7 +14,6 @@ import sys
 from collections import Counter
 from contextlib import suppress
 from functools import cache
-from itertools import product
 
 from . import io as lsio
 from .dcp import (
@@ -30,6 +29,7 @@ from .dcp import (
 from .demazure import demazure_character
 from .fan import (
     count_fan_degree,
+    degree_grid,
     enumerate_fan_degree,
     fan_vector,
     multidegree_conjecture_check,
@@ -134,7 +134,7 @@ def _degrees_from_job(job: dict, m: int) -> list[tuple[int, ...]]:
         raise ValueError("job entry 'max_total_degree' not allowed with entry 'degree'")
     if bound is not None:
         bound = _bound(_int(job, "max_total_degree"), "max_total_degree")
-        degrees = [d for d in product(range(bound + 1), repeat=m) if 0 < sum(d) <= bound]
+        degrees = degree_grid(m, bound)[1:]  # all but the zero degree, the first
     elif isinstance(raw, list) and not (raw and isinstance(raw[0], list)):
         degrees = [_ints(raw, "--degree vector")]
     else:

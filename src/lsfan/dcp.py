@@ -5,8 +5,9 @@ in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
 of [m].  One cover rule gives the lower covers of a node (theta, I) of the
 defining chain poset, each with its type and bond: shrink I through a cover
 of the index poset, or step theta down one cover of W/W_Q with non-zero bond
-for lambda_I; it reads indices, bit masks and bonds per root.  The inductive
-build (any tau) walks this rule down from (tau, [m]) and records nodes and
+for lambda_I; it reads indices, bit masks and bonds per root and returns
+each cover's node key with its fields.  The inductive build (any tau) walks
+this rule down from (tau, [m]) and records nodes, one object per key, and
 edges in one pass; the direct build (tau maximal) finds its nodes by
 minimality/maximality conditions of its own (direct_nodes) and keeps the
 rule's covers between them, so the two builds agree iff their nodes do.  A
@@ -327,9 +328,12 @@ class DCP:
 
     def __init__(self, setup: Setup, nodes, edges):
         self.setup = setup
-        self.nodes = sorted(nodes, key=_node_key)
+        order = {s: k for k, s in enumerate(setup.iposet.sets)}  # the _set_key order
+        self.nodes = sorted(nodes, key=lambda n: (-n.theta.rep.length - len(n.iset),
+                                                  order[n.iset], n.theta.rep.index))
         self.position = position = {n.key: k for k, n in enumerate(self.nodes)}
-        self.edges = sorted(edges, key=lambda e: (position[e[0].key], position[e[1].key]))
+        size = len(self.nodes)
+        self.edges = sorted(edges, key=lambda e: position[e[0].key] * size + position[e[1].key])
         self.covers_down = [[] for _ in self.nodes]
         for upper, lower, kind, bond in self.edges:
             self.covers_down[position[upper.key]].append((position[lower.key], kind, bond))
@@ -389,12 +393,10 @@ class DCP:
         return reach >> self.position[a.key] & 1 == 1
 
 
-def _node_key(n: DCPNode):
-    return (-n.rank, _set_key(n.iset), n.theta.rep.index)
-
-
 def _lower_covers(setup: Setup, node: DCPNode):
-    """The cover rule: the (lower, kind, bond) covers of a node (theta, I).
+    """The cover rule: the lower covers of a node (theta, I), as (key, theta',
+    I', kind, bond) tuples with the key of the node (theta', I'), so that a
+    build makes one DCPNode per key it meets.
 
     shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
     sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal,
@@ -407,13 +409,14 @@ def _lower_covers(setup: Setup, node: DCPNode):
     desc = setup.group._right_desc
     theta, iset = node.theta, node.iset
     covers = [
-        (DCPNode(theta, j), "shrinkI", 1)
+        (pair_key(theta.key, bitmask(j)), theta, j, "shrinkI", 1)
         for j in setup.iposet.covers_down[iset]
         if not desc[theta.rep.index] & setup.q_mask[j]
     ]
     q_i, pairs = setup.q_mask[iset], shape_covers(setup.group, setup.lambda_of[iset]).pairs
+    i_mask = bitmask(iset)
     covers.extend(
-        (DCPNode(phi, iset), "sameI", pairs[root])
+        (pair_key(phi.key, i_mask), phi, iset, "sameI", pairs[root])
         for phi, root in setup.group.covers_down(theta)
         if pairs[root] and not desc[phi.rep.index] & q_i
     )
@@ -424,16 +427,19 @@ def build_dcp_inductive(setup: Setup) -> DCP:
     """Rank-by-rank construction, valid for every bounding coset tau.
 
     Walks the cover rule down from (tau, [m]), one rank at a time: every
-    lower cover of a node is a node, and its edge is recorded as it is met.
+    lower cover of a node is a node, made once per key on the rank below,
+    and its edge is recorded as it is met.
     """
     level = [DCPNode(setup.tau, setup.iposet.full)]
     nodes, edges = list(level), []
     while level:
         below = {}  # by node key
         for node in level:
-            for lower, kind, bond in _lower_covers(setup, node):
+            for key, theta, iset, kind, bond in _lower_covers(setup, node):
+                lower = below.get(key)
+                if lower is None:
+                    lower = below[key] = DCPNode(theta, iset)
                 edges.append((node, lower, kind, bond))
-                below.setdefault(lower.key, lower)
         level = list(below.values())
         nodes.extend(level)
     return DCP(setup, nodes, edges)
@@ -445,9 +451,9 @@ def build_dcp_direct_w0(setup: Setup) -> DCP:
     if not setup.is_w0_instance():
         raise ValueError("direct construction requires tau = w0 W_Q")
     nodes = direct_nodes(setup)
-    node_keys = {n.key for n in nodes}
-    edges = [(node, lower, kind, bond) for node in nodes
-             for lower, kind, bond in _lower_covers(setup, node) if lower.key in node_keys]
+    by_key = {n.key: n for n in nodes}
+    edges = [(node, by_key[key], kind, bond) for node in nodes
+             for key, _, _, kind, bond in _lower_covers(setup, node) if key in by_key]
     return DCP(setup, nodes, edges)
 
 

@@ -26,8 +26,7 @@ dimension oracle on the simplex grid.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from math import comb, gcd
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
@@ -38,6 +37,7 @@ from .tableaux import LSTableau
 
 __all__ = [
     "FanError",
+    "degree_grid",
     "vector_key",
     "fan_vector",
     "fan_degree",
@@ -237,9 +237,20 @@ def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
 # -- multidegrees ---------------------------------------------------------------
 
 
-def _monomials(m, n):
-    """Exponent tuples in m variables of total degree <= n, lexicographic."""
-    return [e for e in product(range(n + 1), repeat=m) if sum(e) <= n]
+GRID_LIMIT = 10**6  # points of a degree grid, a constant like the group-size guard
+
+
+def degree_grid(m, n):
+    """Exponent tuples in m variables of total degree <= n, lexicographic: the
+    simplex walked one coordinate at a time.  Raises ValueError, naming
+    max_total_degree, when there are more than GRID_LIMIT of them."""
+    if comb(n + m, m) > GRID_LIMIT:
+        raise ValueError(f"max_total_degree {n} gives more than {GRID_LIMIT} "
+                         f"grid points in {m} variables")
+    points = [()]
+    for _ in range(m):
+        points = [p + (x,) for p in points for x in range(n + 1 - sum(p))]
+    return points
 
 
 def hilbert_multidegrees(setup: Setup, max_total_degree: int):
@@ -265,7 +276,7 @@ def hilbert_multidegrees(setup: Setup, max_total_degree: int):
             f"of degree {n}; need total degree at least {n}"
         )
 
-    points = _monomials(m, max_total_degree)
+    points = degree_grid(m, max_total_degree)
     table = {pt: weyl_dimension(setup.group.datum, setup.weight(pt)) for pt in points}
     # pass s along axis i takes s-th differences; reversed lex order runs
     # down each line along the axis, so each subtraction reads the pass s - 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 __all__ = [
     "RootDatum",
@@ -146,14 +147,11 @@ class RootDatum:
 
     def root_omega_coords(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Omega-coordinates of a root given in simple-root coordinates."""
-        return tuple(
-            sum(self.cartan[i][j] * root[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return tuple(sum(map(mul, row, root)) for row in self.cartan)
 
     def pairing(self, weight: tuple[int, ...], coroot: tuple[int, ...]) -> int:
         """<weight, coroot> for a weight in omega-coordinates."""
-        return sum(w * c for w, c in zip(weight, coroot))
+        return sum(map(mul, weight, coroot))
 
     def fundamental_weight(self, i: int) -> tuple[int, ...]:
         """Omega-coordinates of omega_i (1-based i)."""
@@ -185,44 +183,29 @@ class RootDatum:
 
 
 def _generate_root_coroot_pairs(cartan, rank):
-    """All positive (root, coroot) pairs, closed under simple reflections.
-
-    Reflections act on root coordinates via the Cartan matrix and on coroot
-    coordinates via its transpose; the assignment beta -> beta^vee is
-    equivariant, so generating pairs keeps them matched.
+    """All positive (root, coroot) pairs, from the simple ones by raising simple
+    reflections only.  s_i raises beta iff m = <beta, alpha_i^vee> < 0 (row i of
+    the Cartan matrix), and every positive root is reached from a simple root
+    that way.  It adds -m alpha_i to beta and -<alpha_i, beta^vee> alpha_i^vee
+    (column i) to the coroot; the assignment beta -> beta^vee is equivariant,
+    so generating pairs keeps them matched.
     """
-    simple_pairs = [
-        (
-            tuple(1 if j == i else 0 for j in range(rank)),
-            tuple(1 if j == i else 0 for j in range(rank)),
-        )
-        for i in range(rank)
-    ]
-
-    def reflect(i, pair):
-        root, coroot = pair
-        m = sum(cartan[i][j] * root[j] for j in range(rank))
-        mv = sum(cartan[j][i] * coroot[j] for j in range(rank))
-        new_root = tuple(r - (m if j == i else 0) for j, r in enumerate(root))
-        new_coroot = tuple(c - (mv if j == i else 0) for j, c in enumerate(coroot))
-        return new_root, new_coroot
-
+    columns = tuple(zip(*cartan))
+    units = [(0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank)]
+    frontier = dict(zip(units, units))  # root -> coroot
     positive = {}
-    frontier = dict(zip((p[0] for p in simple_pairs), simple_pairs))
     while frontier:
         positive.update(frontier)
-        new_frontier = {}
-        for pair in frontier.values():
-            for i in range(rank):
-                root, coroot = reflect(i, pair)
-                if all(x >= 0 for x in root) and root not in positive:
-                    new_frontier[root] = (root, coroot)
-        frontier = new_frontier
+        raised = {}
+        for root, coroot in frontier.items():
+            for i, (row, column) in enumerate(zip(cartan, columns)):
+                m = sum(map(mul, row, root))
+                if m < 0 and (up := root[:i] + (root[i] - m,) + root[i + 1:]) not in positive:
+                    mv = sum(map(mul, column, coroot))
+                    raised[up] = coroot[:i] + (coroot[i] - mv,) + coroot[i + 1:]
+        frontier = raised
     ordered = sorted(positive)
-    return (
-        tuple(ordered),
-        tuple(positive[r][1] for r in ordered),
-    )
+    return tuple(ordered), tuple(map(positive.__getitem__, ordered))
 
 
 def build_root_datum(dynkin_type: str, rank: int) -> RootDatum:

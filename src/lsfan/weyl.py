@@ -14,8 +14,11 @@ mask; its lower covers delete one letter of the representative's reduced word,
 each labelled by its inversion root gamma, with min(lower) s_gamma = min(upper).
 
 One breadth-first pass builds the tables: it keys w by w^-1(rho) packed into
-one int, whose signs are the right descents of w, multiplies out ascents only,
-on n column ints, and keys the inverse of w by w(rho), the matrix's row sums.
+one int, whose signs are the right descents of w, reads one precomputed tuple
+per generator, multiplies out ascents only, on n column ints, takes the reduced
+word through the first right descent it meets, and keys the inverse of w by
+w(rho), the matrix's row sums.  One linear pass inverts the renumbering to the
+matrix order, and the elements are filled in through their slots.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ class WeylGroup:
     """A fully enumerated Weyl group for one root datum.
 
     The constructor rejects groups larger than `size_guard` (default 1152,
-    the order of W(F4)).  All elements and their tables are materialized up
-    front, `lengths` among them (by element index, the rank table of the
-    coset posets); Bruhat comparisons and Deodhar lifts are memoized.
+    the order of W(F4)).  One breadth-first pass materializes all elements
+    and their tables, `lengths` among them (by element index, the rank table
+    of the coset posets); Bruhat comparisons and Deodhar lifts are memoized.
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
@@ -144,23 +147,28 @@ class WeylGroup:
         def pack(v):
             return sum((x + 128) << s for x, s in zip(v, shifts))
 
-        alphas = [tuple(row[i] for row in datum.cartan) for i in range(n)]
-        steps = [sum(a << s for a, s in zip(alpha, shifts)) for alpha in alphas]
         # Matrices are kept as n column ints until all are found.  Column i of w s_i
         # is -w(e_i) - sum alpha_i[k] w(e_k) over the Dynkin neighbours k of i, each
         # w(e_k) shifted onto column i's digits; the other columns are those of w.
-        nbrs = [[(k, a, 8 * max(k - i, 0), 8 * max(i - k, 0)) for k, a in enumerate(alpha)
-                 if a and k != i] for i, alpha in enumerate(alphas)]
+        # Per generator i the loop reads (i, shift, alpha_i packed, bit, neighbours, letter).
+        gens = []
+        for i, shift in enumerate(shifts):
+            alpha = [row[i] for row in datum.cartan]
+            nbrs = [(k, a, 8 * max(k - i, 0), 8 * max(i - k, 0)) for k, a in enumerate(alpha)
+                    if a and k != i]
+            gens.append((i, shift, pack(alpha) - pack((0,) * n), 1 << i, nbrs, (i + 1,)))
         keys = [pack((1,) * n)]
         seen = {keys[0]: 0}
         mats = [tuple(1 << 8 * (n + 1) * (n - 1 - c) for c in range(n))]
         bfs_right, bfs_desc, bfs_words = [[0] * n], [], []
         for w, v in enumerate(keys):  # keys grows while it is walked
-            row, cols, mask = bfs_right[w], mats[w], 0
-            for i, (shift, step) in enumerate(zip(shifts, steps)):
+            row, cols, mask, word = bfs_right[w], mats[w], 0, ()
+            for i, shift, step, bit, nbrs, letter in gens:
                 vi = (v >> shift & 255) - 128
                 if vi < 0:
-                    mask |= 1 << i
+                    mask |= bit
+                    if not word:  # a reduced word ends in the smallest right descent
+                        word = bfs_words[row[i]] + letter
                     continue
                 u = v - vi * step
                 x = seen.get(u)
@@ -169,15 +177,13 @@ class WeylGroup:
                     keys.append(u)
                     bfs_right.append([0] * n)
                     col = -cols[i]
-                    for k, a, up, down in nbrs[i]:
+                    for k, a, up, down in nbrs:
                         col -= a * (cols[k] << up >> down)
                     mats.append(cols[:i] + (col,) + cols[i + 1:])
                 row[i] = x
                 bfs_right[x][i] = w  # a descent slot, filled from the shorter side
             bfs_desc.append(mask)
-            # a reduced word ends in the smallest right descent
-            i = _lowest(mask)
-            bfs_words.append(bfs_words[row[i]] + (i + 1,) if mask else ())
+            bfs_words.append(word)
         if len(keys) != order:
             raise InvariantError(f"generated {len(keys)} elements, expected {order}")
 
@@ -186,7 +192,9 @@ class WeylGroup:
         bfs_inv = [seen[bias + sum(map(int.__rshift__, cols, downs))] for cols in mats]
         mats = list(map(sum, mats))
         by_matrix = sorted(range(order), key=mats.__getitem__)
-        new = sorted(range(order), key=by_matrix.__getitem__)  # the inverse permutation
+        new = [0] * order  # the inverse permutation
+        for k, w in enumerate(by_matrix):
+            new[w] = k
         self._words = list(map(bfs_words.__getitem__, by_matrix))
         self.lengths = lengths = list(map(len, self._words))
         self._right = right = [tuple(map(new.__getitem__, bfs_right[w])) for w in by_matrix]
@@ -194,8 +202,11 @@ class WeylGroup:
         self._left = [tuple(map(inv.__getitem__, right[x])) for x in inv]
         self._right_desc = right_desc = list(map(bfs_desc.__getitem__, by_matrix))
         self._left_desc = list(map(right_desc.__getitem__, inv))
-        self._elts = tuple(map(WeylElt, range(order), map(mats.__getitem__, by_matrix),
-                               lengths, [n] * order))
+        # the slot descriptors fill the fields without the frozen dataclass __init__
+        self._elts = elts = tuple(map(object.__new__, [WeylElt] * order))
+        for name, values in (("index", range(order)), ("length", lengths), ("rank", [n] * order),
+                             ("packed", map(mats.__getitem__, by_matrix))):
+            list(map(getattr(WeylElt, name).__set__, elts, values))
         self.identity = self._elts[new[0]]
         self.longest = self._elts[new[-1]]  # the only element of the top length
 
@@ -274,8 +285,12 @@ class WeylGroup:
         return result
 
     def longest_in_parabolic(self, parabolic: Parabolic) -> WeylElt:
-        """The longest element of W_P, the last of `parabolic_elements`."""
-        return self.parabolic_elements(parabolic)[-1]
+        """The longest element of W_P, the one with no right ascent in P: reached
+        from the identity by multiplying out such ascents while there is one."""
+        mask, x = bitmask(frozenset(parabolic)), self.identity.index
+        while ascents := mask & ~self._right_desc[x]:
+            x = self._right[x][_lowest(ascents)]
+        return self._elts[x]
 
     def is_q_minimal(self, w: WeylElt, parabolic: Parabolic) -> bool:
         """True iff w has no right descent inside the parabolic."""
@@ -419,7 +434,7 @@ class WeylGroup:
         if cached is not None:
             return cached
         right, word, mask = self._right, self._words[c.rep.index], bitmask(c.parabolic)
-        result, prefix, top = [], self.identity.index, len(word) - 1
+        pairs, prefix, top = [], self.identity.index, len(word) - 1
         for j, letter in enumerate(word):
             v = prefix
             for i in word[j + 1:]:
@@ -429,9 +444,10 @@ class WeylGroup:
                 t = self._inv[v]
                 for i in word:
                     t = right[t][i - 1]
-                result.append((Coset(self._elts[v], c.parabolic), self._root_of[t]))
-        result.sort(key=lambda t: t[0].rep.index)
-        self._covers_cache[c.key] = result
+                pairs.append((v, self._root_of[t]))
+        pairs.sort()
+        self._covers_cache[c.key] = result = [(Coset(self._elts[v], c.parabolic), root)
+                                              for v, root in pairs]
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:

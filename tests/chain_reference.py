@@ -38,9 +38,14 @@ build is the loop it replaced, which multiplied each positive root's
 reflection into the representative.
 
 The library runs the DCP cover rule and the direct construction's node
-test on element indices and bit masks.  The last helpers are the versions
-they replaced, which ask the group about Coset objects and parabolics
-given as sets: is_q_minimal, pi and is_lift_maximal.
+test on element indices and bit masks, and makes a node once per key.  The
+next helpers are the versions they replaced, which ask the group about
+Coset objects and parabolics given as sets: is_q_minimal, pi and
+is_lift_maximal, and make a node for every cover.
+
+The library generates the positive roots by raising simple reflections
+only.  The last helper is the generator it replaced, which applied every
+simple reflection and kept the images with non-negative coordinates.
 """
 
 from fractions import Fraction
@@ -50,7 +55,7 @@ from math import factorial, prod
 from lsfan.dcp import DCPNode, rho
 from lsfan.demazure import weyl_dimension
 import lsfan.fan
-from lsfan.fan import FanError, _monomials
+from lsfan.fan import FanError, degree_grid
 from lsfan.lspath import (
     LSPath,
     PathError,
@@ -409,10 +414,10 @@ def monomial_fit_multidegrees(setup, max_total_degree):
         )
         return weyl_dimension(setup.group.datum, mu)
 
-    monomials = _monomials(m, n)
+    monomials = degree_grid(m, n)
     matrix = [[power(pt, mono) for mono in monomials] for pt in monomials]
     coeffs = solve_exact(matrix, [hilbert(pt) for pt in monomials])
-    for pt in _monomials(m, max_total_degree):
+    for pt in degree_grid(m, max_total_degree):
         value = sum(c * power(pt, mono) for mono, c in zip(monomials, coeffs))
         if value != hilbert(pt):
             return None
@@ -610,6 +615,26 @@ def lower_covers(setup, node):
     return covers
 
 
+def build_dcp_per_cover(setup):
+    """The inductive build on the object cover rule, which makes a DCPNode
+    for every cover it returns: the nodes and the edges, sorted as DCP
+    sorts them (top down by rank, then index set, then element index)."""
+    level = [DCPNode(setup.tau, setup.iposet.full)]
+    nodes, edges = list(level), []
+    while level:
+        below = {}
+        for node in level:
+            for lower, kind, bond in lower_covers(setup, node):
+                edges.append((node, lower, kind, bond))
+                below.setdefault(lower.key, lower)
+        level = list(below.values())
+        nodes.extend(level)
+    nodes.sort(key=lambda n: (-n.rank, len(n.iset), sorted(n.iset), n.theta.rep.index))
+    position = {n.key: k for k, n in enumerate(nodes)}
+    edges.sort(key=lambda e: (position[e[0].key], position[e[1].key]))
+    return nodes, edges
+
+
 def direct_nodes(setup):
     """The node test of the direct construction for tau = w0 W_Q, on
     objects: theta Q_I-minimal and lift-maximal over the upper parabolic of
@@ -625,3 +650,44 @@ def direct_nodes(setup):
             if any(group.is_lift_maximal(c, qr) for qr in uppers):
                 nodes.append(DCPNode(c, s))
     return nodes
+
+
+def _generate_root_coroot_pairs(cartan, rank):
+    """All positive (root, coroot) pairs, closed under simple reflections.
+
+    Reflections act on root coordinates via the Cartan matrix and on coroot
+    coordinates via its transpose; the assignment beta -> beta^vee is
+    equivariant, so generating pairs keeps them matched.
+    """
+    simple_pairs = [
+        (
+            tuple(1 if j == i else 0 for j in range(rank)),
+            tuple(1 if j == i else 0 for j in range(rank)),
+        )
+        for i in range(rank)
+    ]
+
+    def reflect(i, pair):
+        root, coroot = pair
+        m = sum(cartan[i][j] * root[j] for j in range(rank))
+        mv = sum(cartan[j][i] * coroot[j] for j in range(rank))
+        new_root = tuple(r - (m if j == i else 0) for j, r in enumerate(root))
+        new_coroot = tuple(c - (mv if j == i else 0) for j, c in enumerate(coroot))
+        return new_root, new_coroot
+
+    positive = {}
+    frontier = dict(zip((p[0] for p in simple_pairs), simple_pairs))
+    while frontier:
+        positive.update(frontier)
+        new_frontier = {}
+        for pair in frontier.values():
+            for i in range(rank):
+                root, coroot = reflect(i, pair)
+                if all(x >= 0 for x in root) and root not in positive:
+                    new_frontier[root] = (root, coroot)
+        frontier = new_frontier
+    ordered = sorted(positive)
+    return (
+        tuple(ordered),
+        tuple(positive[r][1] for r in ordered),
+    )

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import lsfan.weyl
@@ -518,6 +519,18 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err == text, argv
+
+
+def test_a_degree_bound_past_the_grid_limit_exits_two_at_once(capsys):
+    # C(1000002, 2) points would not fit in memory; the bound is refused
+    # before a single one is listed
+    young = str(FIXTURES / "a2_young_chain_w0.json")
+    for command in ("verify", "conjecture"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--job", young, "--max-total-degree", "1000000")
+        assert time.perf_counter() - start < 1, command
+        assert code == 2 and out == "" and err.startswith("error:"), command
+        assert len(err.splitlines()) == 1 and "max_total_degree" in err, command
 
 
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):

@@ -44,6 +44,7 @@ import lsfan.dcp
 from lsfan import cli
 
 from chain_reference import (
+    build_dcp_per_cover,
     direct_nodes,
     index_poset_maximal_chains,
     lower_covers,
@@ -556,13 +557,36 @@ def cover_keys(covers):
     return [(lower.key, kind, bond) for lower, kind, bond in covers]
 
 
+def rule_covers(setup, node):
+    """The cover rule's (key, theta, I, kind, bond) covers as (lower, kind,
+    bond) triples, each key checked against the node (theta, I)."""
+    covers = [(DCPNode(theta, iset), key, kind, bond)
+              for key, theta, iset, kind, bond in lsfan.dcp._lower_covers(setup, node)]
+    assert [lower.key for lower, key, _, _ in covers] == [key for _, key, _, _ in covers]
+    return [(lower, kind, bond) for lower, _, kind, bond in covers]
+
+
 @pytest.mark.parametrize("name", RULE_JOBS)
 def test_cover_rule_matches_the_object_reference(name):
     setup = cli._setup_from_job(RULE_JOBS[name])
     dcp = build_dcp_inductive(setup)
     for node in dcp.nodes:
         expected = cover_keys(lower_covers(setup, node))
-        assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node
+        assert cover_keys(rule_covers(setup, node)) == expected, node
+
+
+@pytest.mark.parametrize("name", RULE_JOBS)
+def test_inductive_build_makes_one_node_object_per_key(name):
+    setup = cli._setup_from_job(RULE_JOBS[name])
+    dcp = build_dcp_inductive(setup)
+    node_of = {n.key: n for n in dcp.nodes}
+    assert len(node_of) == len(dcp.nodes)
+    assert all(node_of[upper.key] is upper and node_of[lower.key] is lower
+               for upper, lower, _, _ in dcp.edges)
+    nodes, edges = build_dcp_per_cover(setup)
+    assert [n.key for n in dcp.nodes] == [n.key for n in nodes]
+    assert [(u.key, v.key, kind, bond) for u, v, kind, bond in dcp.edges] == [
+        (u.key, v.key, kind, bond) for u, v, kind, bond in edges]
 
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -594,7 +618,7 @@ def test_cover_rule_matches_the_object_reference_on_random_setups(data):
     setup = draw_setup(data)
     for node in build_dcp_inductive(setup).nodes:
         expected = cover_keys(lower_covers(setup, node))
-        assert cover_keys(lsfan.dcp._lower_covers(setup, node)) == expected, node
+        assert cover_keys(rule_covers(setup, node)) == expected, node
 
 
 @pytest.mark.parametrize("name", [n for n, job in RULE_JOBS.items() if job["tau"] == "w0"])

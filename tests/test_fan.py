@@ -40,7 +40,7 @@ from lsfan import (
     walk_standard,
     weight,
 )
-from lsfan.fan import _monomials
+from lsfan.fan import degree_grid
 
 from chain_reference import (
     canonical_vector,
@@ -602,12 +602,24 @@ def reference_solve(matrix, rhs):
     return [a[r][n] for r in range(n)]
 
 
+def test_degree_grid_walks_the_simplex_in_lexicographic_order(monkeypatch):
+    for m in range(5):
+        for n in range(5):
+            expected = [e for e in product(range(n + 1), repeat=m) if sum(e) <= n]
+            assert degree_grid(m, n) == expected, (m, n)
+    # C(n + m, m) points, compared with the limit before any is listed
+    monkeypatch.setattr(lsfan.fan, "GRID_LIMIT", 10)
+    assert len(degree_grid(2, 3)) == 10
+    with pytest.raises(ValueError, match="max_total_degree 4 gives more than 10 grid points"):
+        degree_grid(2, 4)
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 6), (4, 4)])
 def test_fraction_free_solver_matches_the_fraction_reference(m, n):
     """The Hilbert-fit systems (simplex points against monomials), with
     random right-hand sides, in the given row order and shuffled so that
     pivoting swaps rows."""
-    monomials = _monomials(m, n)
+    monomials = degree_grid(m, n)
     matrix = [[power(pt, mono) for mono in monomials] for pt in monomials]
     rng = random.Random(f"{m},{n}")
     rhs = [rng.randint(-10**6, 10**6) for _ in monomials]

@@ -2,6 +2,8 @@ import pytest
 
 from lsfan import RootDatumError, build_root_datum, weyl_group_order
 
+from chain_reference import _generate_root_coroot_pairs
+
 POSITIVE_ROOT_COUNTS = [
     ("A", 1, 1),
     ("A", 3, 6),
@@ -23,6 +25,17 @@ def test_positive_root_counts(dynkin_type, rank, count):
     datum = build_root_datum(dynkin_type, rank)
     assert len(datum.positive_roots) == count
     assert len(datum.positive_coroots) == count
+
+
+@pytest.mark.parametrize(
+    "dynkin_type,rank",
+    [(t, r) for t, r, _ in POSITIVE_ROOT_COUNTS] + [("A", 5), ("B", 4), ("C", 4), ("D", 5)],
+)
+def test_raising_reflections_generate_the_reference_roots_in_order(dynkin_type, rank):
+    datum = build_root_datum(dynkin_type, rank)
+    roots, coroots = _generate_root_coroot_pairs(datum.cartan, rank)
+    assert datum.positive_roots == roots
+    assert datum.positive_coroots == coroots
 
 
 def test_a3_has_six_positive_roots():

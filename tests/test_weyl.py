@@ -106,6 +106,17 @@ def test_tables_match_the_reference_build(kind, rank):
 
 
 @pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
+def test_longest_in_parabolic_is_the_last_element_of_the_scan(kind, rank):
+    group = WeylGroup(build_root_datum(kind, rank), size_guard=1920)
+    for k in range(rank + 1):
+        for subset in combinations(group.datum.simple_indices, k):
+            p = frozenset(subset)
+            longest = group.longest_in_parabolic(p)
+            assert longest == group.parabolic_elements(p)[-1]
+            assert all(group.has_right_descent(longest, i) for i in p)
+
+
+@pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
 def test_packed_matrices_decode_and_sort_as_the_reference_rows(kind, rank):
     datum = build_root_datum(kind, rank)
     group = WeylGroup(datum, size_guard=1920)
