@@ -560,10 +560,12 @@ def cover_keys(covers):
 def rule_covers(setup, node):
     """The cover rule's (key, theta, I, kind, bond) covers as (lower, kind,
     bond) triples, each key checked against the node (theta, I)."""
-    covers = [(DCPNode(theta, iset), key, kind, bond)
-              for key, theta, iset, kind, bond in lsfan.dcp._lower_covers(setup, node)]
-    assert [lower.key for lower, key, _, _ in covers] == [key for _, key, _, _ in covers]
-    return [(lower, kind, bond) for lower, _, kind, bond in covers]
+    covers = []
+    for key, theta, iset, kind, bond in lsfan.dcp._lower_covers(setup, node):
+        lower = DCPNode(theta, iset)
+        assert lower.key == key, (node, lower)
+        covers.append((lower, kind, bond))
+    return covers
 
 
 @pytest.mark.parametrize("name", RULE_JOBS)
