@@ -89,12 +89,16 @@ class IndexPoset:
         self.full = full
 
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
+        self._covers_up: dict[frozenset, list] = {s: [] for s in self.sets}  # in sets order
         for s in self.sets:
             below = [t for t in self.sets if t < s]
             covers = [
                 t for t in below if not any(t < u < s for u in below)
             ]
             self.covers_down[s] = tuple(sorted(covers, key=_set_key))
+            for t in covers:
+                self._covers_up[t].append(s)
+        self._chains_to_top: dict[frozenset, list] = {self.full: [(self.full,)]}
 
         minimal = [s for s in self.sets if not self.covers_down[s]]
         for s in minimal:
@@ -132,15 +136,12 @@ class IndexPoset:
         return tuple(1 if i in u else 0 for i in range(1, self.m + 1))
 
     def covering_chains_to_top(self, s: frozenset):
-        """All chains s = I_r < ... < I_m = [m] of covering relations."""
-        if s == self.full:
-            return [(s,)]
-        chains = []
-        for t in self.sets:
-            if s in self.covers_down[t]:
-                for chain in self.covering_chains_to_top(t):
-                    chains.append((s,) + chain)
-        return chains
+        """All chains s = I_r < ... < I_m = [m] of covering relations, listed
+        once per member and walked up the covers in member order."""
+        if s not in self._chains_to_top:
+            self._chains_to_top[s] = [(s,) + chain for t in self._covers_up[s]
+                                      for chain in self.covering_chains_to_top(t)]
+        return list(self._chains_to_top[s])
 
 
 def _set_key(s: frozenset):
@@ -225,10 +226,7 @@ class Setup:
 
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
-        result = set(self.q_tau)
-        for j in chain:
-            result &= self.p_of[j]
-        return frozenset(result)
+        return self.q_tau.intersection(*map(self.p_of.__getitem__, chain))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +437,8 @@ def build_dcp_inductive(setup: Setup) -> DCP:
                 lower = below.get(key)
                 if lower is None:
                     lower = below[key] = DCPNode(theta, iset)
+                    if lower.rank != node.rank - 1:  # so that a level shares one rank
+                        raise InvariantError(f"cover {lower} of {node} does not drop the rank")
                 edges.append((node, lower, kind, bond))
         level = list(below.values())
         nodes.extend(level)
@@ -467,8 +467,8 @@ def direct_nodes(setup: Setup) -> list:
               for c in group.all_cosets(setup.q)]
     nodes = []
     for s in setup.iposet.sets:
-        uppers = [bitmask(setup.q_upper_chain(chain))
-                  for chain in setup.iposet.covering_chains_to_top(s)]
+        uppers = {bitmask(setup.q_upper_chain(chain))
+                  for chain in setup.iposet.covering_chains_to_top(s)}
         nodes.extend(DCPNode(c, s) for c, low, top in cosets
                      if not low & setup.q_mask[s] and any(top & u == u for u in uppers))
     return nodes
@@ -502,8 +502,9 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     """Decide whether the index poset is standard for tau.
 
     The decision is injectivity of rho on the defining chain poset.  For
-    tau = w0 W_Q the four criterion values are also evaluated per member and
-    covering chain, and their mutual agreement is recorded.
+    tau = w0 W_Q the four criterion values are also listed per member and
+    covering chain, evaluated once per member and upper parabolic Q^r, and
+    their mutual agreement is recorded.
     """
     setup = dcp.setup
     group = setup.group
@@ -520,17 +521,17 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
             q_i = setup.q_of[s]
             id_coset = group.coset(group.identity, p_i)
             crit_i = len(images.get((id_coset, s), ())) == 1
+            by_q_r = {}  # criteria (ii)-(iv) read only (P_I, Q_I, Q^r)
             for chain in setup.iposet.covering_chains_to_top(s):
                 q_r = setup.q_upper_chain(chain)
-                crit_ii = _criterion_min_max(group, setup, p_i, q_i, q_r)
-                crit_iii = _criterion_subgroup(group, setup, p_i, q_i, q_r)
-                crit_iv = _criterion_dynkin(group.datum, p_i, q_i, q_r)
-                criteria[(s, chain)] = {
-                    "i": crit_i,
-                    "ii": crit_ii,
-                    "iii": crit_iii,
-                    "iv": crit_iv,
-                }
+                if q_r not in by_q_r:
+                    by_q_r[q_r] = {
+                        "i": crit_i,
+                        "ii": _criterion_min_max(group, setup, p_i, q_i, q_r),
+                        "iii": _criterion_subgroup(group, setup, p_i, q_i, q_r),
+                        "iv": _criterion_dynkin(group.datum, p_i, q_i, q_r),
+                    }
+                criteria[(s, chain)] = dict(by_q_r[q_r])
         agree = all(len(set(v.values())) == 1 for v in criteria.values())
         if not agree:
             raise InvariantError(f"standardness criteria disagree: {criteria}")

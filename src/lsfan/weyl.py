@@ -288,7 +288,10 @@ class WeylGroup:
         """The longest element of W_P, the one with no right ascent in P: reached
         from the identity by multiplying out such ascents while there is one."""
         mask, x = bitmask(frozenset(parabolic)), self.identity.index
+        steps = self.longest.length  # each step adds one to the length
         while ascents := mask & ~self._right_desc[x]:
+            if (steps := steps - 1) < 0:
+                raise InvariantError("an ascent step of longest_in_parabolic keeps the length")
             x = self._right[x][_lowest(ascents)]
         return self._elts[x]
 
@@ -311,8 +314,11 @@ class WeylGroup:
 
     def _min_rep(self, x: int, mask: int) -> int:
         """The minimal representative of x W_P, P given by its bit mask."""
-        while self._right_desc[x] & mask:
-            x = self._right[x][_lowest(self._right_desc[x] & mask)]
+        steps = self.lengths[x]  # each step drops the length by one
+        while descents := self._right_desc[x] & mask:
+            if (steps := steps - 1) < 0:
+                raise InvariantError("a descent step of _min_rep keeps the length")
+            x = self._right[x][_lowest(descents)]
         return x
 
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:

@@ -1,56 +1,46 @@
-"""Brute-force and Fraction references for the library's chain work.
+"""References for the library, one per property.  Each entry: property
+(library code) -> reference -> tests.
 
-The library builds LS-paths and fan vectors one support node at a time and
-lists no chain.  The first helpers decide the same questions chain by chain,
-as the definitions read, for the tests to compare against.
-
-The library also carries every coefficient of the theta round trip as an
-integer numerator over one denominator.  The last helpers are the earlier
-versions of that round trip and of `endpoint`, which sum `Fraction`s
-directly; they are kept as they were, apart from their type annotations
-and from reading the poset's covers and rho lookup, which the library keys
-by node number, through node_covers and dcp.nodes.  Among them, decompose_key
-is the integer split of fan._parts as it was before the split kept a count
-of the room left in the current part: the loop recomputes each part's end
-from the number of parts.
-
-The library reads the Hilbert multidegrees off forward differences on the
-simplex grid.  The monomial-basis fit it replaced, a fraction-free (Bareiss)
-solve checked at every grid point, is the reference for it after them.
-
-The library reads a Bruhat interval below a coset off the reach table of
-its shape, and builds the coset-pair poset on int bit rows.  The scan of all
-cosets and the bool-matrix build with its triple-loop hull and cover test
-that they replaced are the references for them after the fit.
-
-The next helpers are queries with no caller in the library: the covering
-pairs of a bounded quotient and two inverses of the slice map rho, one by
-table lookup and one in closed form for the maximal tau.
-
-The library builds a Weyl group's tables in one pass that visits only
-ascents and reads descents off signs.  The helper after them is the build
-it replaced, which computed every product, compared lengths, sorted the
-reduced words by length and folded each reversed word for the inverse.
-
-The library reads the covers of a coset off the reduced word of its
-representative, one deleted letter at a time.  The helper after the group
-build is the loop it replaced, which multiplied each positive root's
-reflection into the representative.
-
-The library runs the DCP cover rule and the direct construction's node
-test on element indices and bit masks, and makes a node once per key.  The
-next helpers are the versions they replaced, which ask the group about
-Coset objects and parabolics given as sets: is_q_minimal, pi and
-is_lift_maximal, and make a node for every cover.
-
-The library generates the positive roots by raising simple reflections
-only.  The last helper is the generator it replaced, which applied every
-simple reflection and kept the images with non-negative coordinates.
+- Fan membership on one maximal chain -> ls_lattice_member -> test_fan's
+  lattice tests and its reference_member.
+- Bond-constrained lattice points on a chain -> chain_lattice_points ->
+  reference_ls_paths, and test_fan's reference_fan_degree.
+- LS-paths of a shape below tau (lspath.enumerate_ls_paths) ->
+  reference_ls_paths, lattice points chain by chain ->
+  test_lspath::test_enumeration_matches_the_chain_reference.
+- A bonded walk between two cosets (lspath.bonded_chain, validate_ls_path)
+  -> bonded_chain -> test_lspath::test_bonded_below_matches_bonded_chain.
+- The theta round trip (fan.in_ls_plus, decompose, theta_d, theta_d_inverse;
+  lspath.theta_single, theta_single_inverse, endpoint) -> the same names
+  here, summing Fractions -> test_theta_reference, test_theta_sweep.
+- The split of a key into parts (fan._parts), keys with zero numerators and
+  patched membership included -> decompose_key, on int keys ->
+  test_fan::test_the_one_pass_split_gives_the_reference_parts.
+- Hilbert multidegrees (fan.hilbert_multidegrees) ->
+  monomial_fit_multidegrees, a fraction-free solve (solve_exact) checked at
+  every grid point -> test_fan::test_multidegrees_match_the_monomial_fit;
+  solve_exact itself -> test_fan's Gauss-Jordan reference_solve.
+- The Bruhat interval below a coset (lspath.ShapePoset) -> interval_scan ->
+  test_lspath::test_shape_poset_nodes_are_the_interval_scan.
+- The coset-pair poset (dcp.UnderlineW) -> underline_w_matrices, bool
+  matrices -> test_dcp::test_underline_w_matches_the_bool_matrix_reference*.
+- The covers of a bounded quotient, a query with no library caller ->
+  covering_relations -> test_weyl::test_covering_relations_*.
+- rho inverted for tau = w0 (DCP.rho_lookup) -> rho_inverse_w0, in closed
+  form -> test_dcp::test_rho_inverse_closed_form_matches_search.
+- The Weyl group tables (WeylGroup.__init__) -> reference_group_tables, the
+  earlier build -> test_weyl::test_tables_match_the_reference_build,
+  test_weyl::test_packed_matrices_decode_and_sort_as_the_reference_rows.
+- The covers of a coset (WeylGroup.covers_down) -> reflection_covers, a scan
+  over the reflections -> test_weyl::test_*covers_by_deletion_are_the_reflection_covers.
+- The DCP cover rule (dcp._lower_covers) -> lower_covers, on objects ->
+  test_dcp::test_cover_rule_matches_the_object_reference*,
+  test_dcp::test_inductive_build_makes_one_node_object_per_key.
 """
 
 from fractions import Fraction
-from functools import reduce
-from math import factorial, prod
+from functools import cache, lru_cache, reduce
+from math import factorial, lcm, prod
 
 from lsfan.dcp import DCPNode, rho
 from lsfan.demazure import weyl_dimension
@@ -66,29 +56,6 @@ from lsfan.lspath import (
 from lsfan.rootdata import InvariantError
 from lsfan.tableaux import make_tableau
 from lsfan.weyl import Coset, _lowest
-
-
-def index_poset_maximal_chains(iposet):
-    """All maximal chains of an index poset, listed from the full set
-    downwards."""
-    chains = []
-
-    def descend(s, acc):
-        covers = iposet.covers_down[s]
-        if not covers:
-            chains.append(tuple(acc))
-            return
-        for t in covers:
-            descend(t, acc + [t])
-
-    descend(iposet.full, [iposet.full])
-    return chains
-
-
-def canonical_vector(vec):
-    """Hashable canonical form of a {node: coefficient} vector: the frozenset
-    of its non-zero pairs, so it needs no node order of its own."""
-    return frozenset((n, c) for n, c in vec.items() if c != 0)
 
 
 def ls_lattice_member(vec, chain_nodes, chain_bonds) -> bool:
@@ -109,8 +76,10 @@ def ls_lattice_member(vec, chain_nodes, chain_bonds) -> bool:
     return cum.denominator == 1
 
 
-def chain_lattice_points(bonds, total: int):
-    """Yield coefficient tuples on a chain of len(bonds)+1 nodes (top first).
+@cache
+def chain_lattice_points(bonds: tuple, total: int) -> tuple:
+    """The coefficient tuples on a chain of len(bonds)+1 nodes (top first),
+    listed once per (bonds, total).
 
     Coefficients are non-negative rationals summing to `total` such that for
     every edge the bond times the partial sum above the edge is an integer.
@@ -133,7 +102,7 @@ def chain_lattice_points(bonds, total: int):
             yield from rec(k + 1, t)
             t += step
 
-    yield from rec(0, Fraction(0))
+    return tuple(rec(0, Fraction(0)))
 
 
 def reference_ls_paths(group, nu, tau, d):
@@ -161,6 +130,7 @@ def reference_ls_paths(group, nu, tau, d):
 # -- the theta round trip and endpoint in Fraction arithmetic -----------------
 
 
+@lru_cache(maxsize=16)
 def node_covers(dcp):
     """The covers of a defining chain poset keyed by node, from its edges."""
     covers = {n: [] for n in dcp.nodes}
@@ -207,7 +177,7 @@ def in_ls_plus(dcp, vec) -> bool:
     """Membership in the fan: non-negative, integral in total, and each
     support node reached from the one above it (from the top, for the
     first) by a bonded walk at the running sum."""
-    if any(Fraction(c) < 0 for c in vec.values()):
+    if any(c < 0 for c in vec.values()):
         return False
     upper, cum, covers = dcp.top, Fraction(0), node_covers(dcp)
     for node in _support(vec):
@@ -417,9 +387,10 @@ def monomial_fit_multidegrees(setup, max_total_degree):
     monomials = degree_grid(m, n)
     matrix = [[power(pt, mono) for mono in monomials] for pt in monomials]
     coeffs = solve_exact(matrix, [hilbert(pt) for pt in monomials])
+    den = lcm(*(c.denominator for c in coeffs))  # the check runs on int numerators
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
     for pt in degree_grid(m, max_total_degree):
-        value = sum(c * power(pt, mono) for mono, c in zip(monomials, coeffs))
-        if value != hilbert(pt):
+        if sum(c * power(pt, mono) for mono, c in zip(monomials, nums)) != den * hilbert(pt):
             return None
     return {
         mono: c * prod(map(factorial, mono))
@@ -496,11 +467,6 @@ def covering_relations(group, parabolic, tau):
             result.append((upper, lower, beta_idx))
     result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
     return result
-
-
-def rho_inverse(dcp, theta, iset):
-    """Preimage of (theta, I) under rho; requires rho to be injective."""
-    return dcp.nodes[dcp.rho_lookup[(theta.key, frozenset(iset))]]
 
 
 def rho_inverse_w0(setup, theta, iset):
@@ -613,81 +579,3 @@ def lower_covers(setup, node):
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )
     return covers
-
-
-def build_dcp_per_cover(setup):
-    """The inductive build on the object cover rule, which makes a DCPNode
-    for every cover it returns: the nodes and the edges, sorted as DCP
-    sorts them (top down by rank, then index set, then element index)."""
-    level = [DCPNode(setup.tau, setup.iposet.full)]
-    nodes, edges = list(level), []
-    while level:
-        below = {}
-        for node in level:
-            for lower, kind, bond in lower_covers(setup, node):
-                edges.append((node, lower, kind, bond))
-                below.setdefault(lower.key, lower)
-        level = list(below.values())
-        nodes.extend(level)
-    nodes.sort(key=lambda n: (-n.rank, len(n.iset), sorted(n.iset), n.theta.rep.index))
-    position = {n.key: k for k, n in enumerate(nodes)}
-    edges.sort(key=lambda e: (position[e[0].key], position[e[1].key]))
-    return nodes, edges
-
-
-def direct_nodes(setup):
-    """The node test of the direct construction for tau = w0 W_Q, on
-    objects: theta Q_I-minimal and lift-maximal over the upper parabolic of
-    some covering chain from I to [m]."""
-    group = setup.group
-    nodes = []
-    for s in setup.iposet.sets:
-        uppers = [setup.q_upper_chain(chain)
-                  for chain in setup.iposet.covering_chains_to_top(s)]
-        for c in group.all_cosets(setup.q):
-            if not group.is_q_minimal(c.rep, setup.q_of[s]):
-                continue
-            if any(group.is_lift_maximal(c, qr) for qr in uppers):
-                nodes.append(DCPNode(c, s))
-    return nodes
-
-
-def _generate_root_coroot_pairs(cartan, rank):
-    """All positive (root, coroot) pairs, closed under simple reflections.
-
-    Reflections act on root coordinates via the Cartan matrix and on coroot
-    coordinates via its transpose; the assignment beta -> beta^vee is
-    equivariant, so generating pairs keeps them matched.
-    """
-    simple_pairs = [
-        (
-            tuple(1 if j == i else 0 for j in range(rank)),
-            tuple(1 if j == i else 0 for j in range(rank)),
-        )
-        for i in range(rank)
-    ]
-
-    def reflect(i, pair):
-        root, coroot = pair
-        m = sum(cartan[i][j] * root[j] for j in range(rank))
-        mv = sum(cartan[j][i] * coroot[j] for j in range(rank))
-        new_root = tuple(r - (m if j == i else 0) for j, r in enumerate(root))
-        new_coroot = tuple(c - (mv if j == i else 0) for j, c in enumerate(coroot))
-        return new_root, new_coroot
-
-    positive = {}
-    frontier = dict(zip((p[0] for p in simple_pairs), simple_pairs))
-    while frontier:
-        positive.update(frontier)
-        new_frontier = {}
-        for pair in frontier.values():
-            for i in range(rank):
-                root, coroot = reflect(i, pair)
-                if all(x >= 0 for x in root) and root not in positive:
-                    new_frontier[root] = (root, coroot)
-        frontier = new_frontier
-    ordered = sorted(positive)
-    return (
-        tuple(ordered),
-        tuple(positive[r][1] for r in ordered),
-    )

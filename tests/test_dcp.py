@@ -44,11 +44,7 @@ import lsfan.dcp
 from lsfan import cli
 
 from chain_reference import (
-    build_dcp_per_cover,
-    direct_nodes,
-    index_poset_maximal_chains,
     lower_covers,
-    rho_inverse,
     rho_inverse_w0,
     underline_w_matrices,
 )
@@ -126,13 +122,54 @@ def test_iposet_closure_condition_rejected():
     assert "closure" in str(err.value)
 
 
+def chains_by_rescan(iposet, s):
+    """The covering chains from s up to [m], by a recursion that rescans
+    every member for the covers of each step."""
+    if s == iposet.full:
+        return [(s,)]
+    return [(s,) + chain for t in iposet.sets if s in iposet.covers_down[t]
+            for chain in chains_by_rescan(iposet, t)]
+
+
 def test_maximal_chains_of_index_poset():
     ip = build_index_poset([fs(1), fs(2), fs(1, 2)], 2)
     chains = {
-        tuple(tuple(sorted(s)) for s in chain)
-        for chain in index_poset_maximal_chains(ip)
+        tuple(tuple(sorted(s)) for s in reversed(chain))
+        for s in ip.sets for chain in chains_by_rescan(ip, s) if len(s) == 1
     }
     assert chains == {((1, 2), (1,)), ((1, 2), (2,))}
+
+
+BRANCHED_POSETS = [job["iposet"] for job in RULE_JOBS.values()
+                   if isinstance(job["iposet"], list)]
+BRANCHED_POSETS.append(json.loads((FIXTURES / "branched_index_poset_m4.json").read_text())["sets"])
+
+
+@pytest.mark.parametrize("sets", [None] + BRANCHED_POSETS)
+def test_covering_chains_match_the_rescan_in_order(sets):
+    ip = powerset_iposet(5) if sets is None else build_index_poset(
+        [frozenset(s) for s in sets], max(map(max, sets)))
+    for s in ip.sets:
+        expected = chains_by_rescan(ip, s)
+        assert ip.covering_chains_to_top(s) == expected, s
+        assert ip.covering_chains_to_top(s) == expected, s  # the memo, read again
+
+
+def test_criteria_run_once_per_member_and_upper_parabolic(a3, monkeypatch):
+    names, calls = ("_criterion_min_max", "_criterion_subgroup", "_criterion_dynkin"), []
+    for name in names:
+        monkeypatch.setattr(lsfan.dcp, name, lambda *a, name=name, run=getattr(lsfan.dcp, name):
+                            calls.append(name) or run(*a))
+    a1 = make_group("A", 1)
+    for setup in (Setup(a1, [(1,)] * 5, a1.longest, powerset_iposet(5)),
+                  Setup(a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], a3.longest, powerset_iposet(3))):
+        calls.clear()
+        report = tau_standardness_report(build_dcp_inductive(setup))
+        pairs = {(s, chain) for s in setup.iposet.sets
+                 for chain in chains_by_rescan(setup.iposet, s)}
+        distinct = {(s, setup.q_upper_chain(chain)) for s, chain in pairs}
+        assert set(report.criteria) == pairs and len(distinct) < len(pairs)
+        assert sorted(calls) == sorted(names * len(distinct))
 
 
 # -- setup ------------------------------------------------------------------------
@@ -585,10 +622,17 @@ def test_inductive_build_makes_one_node_object_per_key(name):
     assert len(node_of) == len(dcp.nodes)
     assert all(node_of[upper.key] is upper and node_of[lower.key] is lower
                for upper, lower, _, _ in dcp.edges)
-    nodes, edges = build_dcp_per_cover(setup)
-    assert [n.key for n in dcp.nodes] == [n.key for n in nodes]
-    assert [(u.key, v.key, kind, bond) for u, v, kind, bond in dcp.edges] == [
-        (u.key, v.key, kind, bond) for u, v, kind, bond in edges]
+    # the reference: the nodes top down by rank, then index set, then element
+    # index; the object rule's covers of each, sorted by the two positions;
+    # and every node but the top is a lower cover
+    nodes = sorted(dcp.nodes, key=lambda n: (-n.rank, len(n.iset), sorted(n.iset),
+                                             n.theta.rep.index))
+    assert nodes[0] == dcp.top and [n.key for n in nodes] == [n.key for n in dcp.nodes]
+    at = {n.key: k for k, n in enumerate(nodes)}.__getitem__
+    edges = sorted(((at(u.key), at(v.key)), kind, bond)
+                   for u in nodes for v, kind, bond in lower_covers(setup, u))
+    assert {lower for (_, lower), _, _ in edges} == set(range(1, len(nodes)))
+    assert [((at(u.key), at(v.key)), kind, bond) for u, v, kind, bond in dcp.edges] == edges
 
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -625,11 +669,9 @@ def test_cover_rule_matches_the_object_reference_on_random_setups(data):
 
 @pytest.mark.parametrize("name", [n for n, job in RULE_JOBS.items() if job["tau"] == "w0"])
 def test_direct_build_matches_the_object_reference_and_reads_known_covers(name):
-    # the direct build runs the cover rule on its own nodes, and the covers
-    # it keeps are exactly those the inductive build knows
+    # the direct build runs the cover rule on the nodes of its own node test,
+    # and both must be exactly those the inductive build knows
     setup = cli._setup_from_job(RULE_JOBS[name])
-    nodes = lsfan.dcp.direct_nodes(setup)
-    assert [n.key for n in nodes] == [n.key for n in direct_nodes(setup)]
     inductive, direct = build_dcp_inductive(setup), build_dcp_direct_w0(setup)
     assert (direct.nodes, direct.edges) == (inductive.nodes, inductive.edges)
 
@@ -656,6 +698,20 @@ def test_direct_node_test_off_by_one_node_exits_one(capsys, monkeypatch, change)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the inductive and the direct constructions differ\n"
+
+
+def test_a_cover_that_keeps_the_rank_exits_one_at_once(capsys, monkeypatch):
+    # shrinkI covers that keep I: each is the node itself, which the walk
+    # used to meet on every level, growing without end
+    rule = lsfan.dcp._lower_covers
+    monkeypatch.setattr(lsfan.dcp, "_lower_covers", lambda setup, node: [
+        (node.key, node.theta, node.iset, "shrinkI", 1) if cover[3] == "shrinkI" else cover
+        for cover in rule(setup, node)])
+    assert cli.main(["dcp", "--job", str(FIXTURES / "a2_tau312_chain.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "does not drop the rank" in captured.err
 
 
 # -- bonds ------------------------------------------------------------------------
@@ -709,7 +765,7 @@ def test_rho_not_injective_on_tau312_instance(a2):
     assert len(dcp.nodes) == 6
     assert len({rho(setup, n) for n in dcp.nodes}) == 5
     with pytest.raises(ValueError):
-        rho_inverse(dcp, *rho(setup, dcp.top))
+        dcp.rho_lookup
     report = tau_standardness_report(dcp)
     assert not report.standard
     assert report.collisions
@@ -747,7 +803,7 @@ def test_rho_inverse_closed_form_matches_search(a3):
     assert len(dcp.nodes) == 14  # 4 + 6 + 4 across the three slices
     for node in dcp.nodes:
         image = rho(setup, node)
-        assert rho_inverse(dcp, *image) == node
+        assert dcp.nodes[dcp.rho_lookup[image[0].key, image[1]]] == node
         assert rho_inverse_w0(setup, *image) == node
 
 

@@ -13,7 +13,8 @@ pair no weight image.  Projection to minimal representatives preserves
 Bruhat order, so UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
 representatives in W and project or lift no coset; the closure condition
 fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
-off without a nested search."""
+off without a nested search.  Every hypothesis sweep in tests/ names
+max_examples <= 300 and deadline=None, so tier-1 keeps a known size."""
 
 import ast
 from pathlib import Path
@@ -156,3 +157,21 @@ def test_bruhat_order_and_the_maximal_deodhar_lift_are_one_recursion():
     lift = _called(_function("weyl.py", "WeylGroup", "deodhar_max_lift"))
     assert not lift & {"coset_fiber", "coset_leq", "bruhat_leq"}, sorted(lift)
     assert "_lift" in lift and "_lift" in _called(_function("weyl.py", "WeylGroup", "bruhat_leq"))
+
+
+def test_hypothesis_sweeps_bound_their_examples():
+    # every sweep carries @settings naming max_examples <= 300 and
+    # deadline=None: a known share of tier-1, and no failure from timing
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for fn in ast.walk(ast.parse(text)) if "hypothesis" in text else ():
+            calls = {getattr(d.func, "id", None) or getattr(d.func, "attr", None): d
+                     for d in getattr(fn, "decorator_list", ()) if isinstance(d, ast.Call)}
+            if calls.keys() & {"given", "settings"}:
+                named = {k.arg: getattr(k.value, "value", k.value)
+                         for k in getattr(calls.get("settings"), "keywords", ())}
+                bound = named.get("max_examples")
+                if not (type(bound) is int and bound <= 300 and named.get("deadline", 0) is None):
+                    offenders.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert not offenders, f"sweeps without a bound: {offenders}"

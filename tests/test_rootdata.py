@@ -2,8 +2,6 @@ import pytest
 
 from lsfan import RootDatumError, build_root_datum, weyl_group_order
 
-from chain_reference import _generate_root_coroot_pairs
-
 POSITIVE_ROOT_COUNTS = [
     ("A", 1, 1),
     ("A", 3, 6),
@@ -32,10 +30,24 @@ def test_positive_root_counts(dynkin_type, rank, count):
     [(t, r) for t, r, _ in POSITIVE_ROOT_COUNTS] + [("A", 5), ("B", 4), ("C", 4), ("D", 5)],
 )
 def test_raising_reflections_generate_the_reference_roots_in_order(dynkin_type, rank):
+    # the reference is the definition: a sorted set of non-zero, non-negative
+    # vectors that holds the simple roots and is closed under each simple
+    # reflection (but for s_i alpha_i = -alpha_i) is the set of positive roots,
+    # since a non-root's orbit would reach the negative cone through w0; s_i
+    # sends the coroot of beta to that of s_i beta (Cartan column i)
     datum = build_root_datum(dynkin_type, rank)
-    roots, coroots = _generate_root_coroot_pairs(datum.cartan, rank)
-    assert datum.positive_roots == roots
-    assert datum.positive_coroots == coroots
+    roots, cartan = datum.positive_roots, datum.cartan
+    assert list(roots) == sorted(set(roots)) and all(min(r) >= 0 < max(r) for r in roots)
+    coroot_of = dict(zip(roots, datum.positive_coroots))
+    for i in range(rank):
+        simple = tuple(int(j == i) for j in range(rank))
+        assert coroot_of[simple] == simple
+        for root, coroot in coroot_of.items():
+            if root != simple:
+                m = sum(cartan[i][j] * root[j] for j in range(rank))
+                mv = sum(cartan[j][i] * coroot[j] for j in range(rank))
+                image = root[:i] + (root[i] - m,) + root[i + 1:]
+                assert coroot_of[image] == coroot[:i] + (coroot[i] - mv,) + coroot[i + 1:]
 
 
 def test_a3_has_six_positive_roots():
