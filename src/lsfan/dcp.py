@@ -13,7 +13,7 @@ minimality/maximality conditions of its own (direct_nodes) and keeps the
 rule's covers between them, so the two builds agree iff their nodes do.  A
 node carries one int key, packing theta's key with the bit mask of I, so
 the two node sets compare key by key on (theta, I).  A built poset numbers
-its nodes 0..N-1 top down (rank, then I, then element index) and keeps its
+its nodes 0..N-1 top down (rank, then I, then element matrix) and keeps its
 covers, rho lookup and reach memo (lspath.bonded_below) as tables over
 these numbers.  tau-standardness of the index poset is decided once per
 poset (DCP.standardness), by injectivity of the slice-projection map rho
@@ -143,6 +143,15 @@ class IndexPoset:
                                       for chain in self.covering_chains_to_top(t)]
         return list(self._chains_to_top[s])
 
+    def covering_chain_count(self) -> int:
+        """The number of (member, covering chain to the top) pairs, counted
+        without listing a chain: a member has one chain per chain of each of
+        its upper covers, and the top has one."""
+        count = {}
+        for s in reversed(self.sets):  # upper covers come first
+            count[s] = sum(map(count.__getitem__, self._covers_up[s])) or 1
+        return sum(count.values())
+
 
 def _set_key(s: frozenset):
     return (len(s), tuple(sorted(s)))
@@ -240,6 +249,10 @@ class UnderlineW:
     max(theta_a) in W: min(theta_b) lies in W^Q, and projection to W^Q
     preserves Bruhat order (Bjorner-Brenti, Prop. 2.5.1), so this says the
     minimal lift of theta_b lies below the maximal lift of theta_a in W/W_Q.
+    By the same proposition, as min(theta_b) is minimal in its coset of the
+    slice's quotient W/W_P, it says theta_b lies below the coset of
+    max(theta_a) in W/W_P: row a is read off that coset's reach
+    (lspath.bonded_below at denominator 1) in each slice under I_a.
     The partial order is the transitive hull, in general strictly larger.
     `_gen` and `_hull` hold one int row per node: bit b of row a is set iff
     node a is above node b."""
@@ -247,18 +260,22 @@ class UnderlineW:
     def __init__(self, setup: Setup):
         self.setup = setup
         group = setup.group
-        self.nodes = [
-            (c, s)
-            for s in setup.iposet.sets
-            for c in ShapePoset(group, setup.lambda_of[s], setup.tau).nodes
-        ]
+        self.nodes, slices = [], []
+        for s in setup.iposet.sets:
+            poset = ShapePoset(group, setup.lambda_of[s], setup.tau)
+            covers, first = poset.covers_down, len(self.nodes)
+            bits = [(c.rep.index, 1 << b) for b, c in enumerate(poset.nodes, first)]
+            slices.append((s, covers, bitmask(covers.parabolic), bits))
+            self.nodes.extend((c, s) for c in poset.nodes)
         self._index = {node: k for k, node in enumerate(self.nodes)}
-        tops = [group.max_rep(c) for c, _ in self.nodes]
-        self._gen = [
-            sum(1 << b for b, (cb, sb) in enumerate(self.nodes)
-                if b != a and sb <= sa and group.bruhat_leq(cb.rep, top))
-            for a, ((_, sa), top) in enumerate(zip(self.nodes, tops))
-        ]
+        self._gen = []
+        for a, (c, sa) in enumerate(self.nodes):
+            top, row = group.max_rep(c).index, 0
+            for s, covers, mask, bits in slices:
+                if s <= sa:
+                    reach = bonded_below(covers, group._min_rep(top, mask), 1, covers.reach)
+                    row |= sum(bit for x, bit in bits if reach >> x & 1)
+            self._gen.append(row & ~(1 << a))
         self._hull = hull = self._gen[:]
         for k in range(len(hull)):  # Warshall, one row at a time
             for i, row in enumerate(hull):
@@ -314,7 +331,7 @@ class DCP:
     """The defining chain poset: graded, with typed, bond-labelled covers.
 
     The nodes are numbered 0..N-1 in `nodes` order, top down by rank, then
-    by index set and element index, so the top is 0; `position` maps a
+    by index set and element matrix, so the top is 0; `position` maps a
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
     is a table over these numbers, and so are `reach`, the memo of
     lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
@@ -328,7 +345,7 @@ class DCP:
         self.setup = setup
         order = {s: k for k, s in enumerate(setup.iposet.sets)}  # the _set_key order
         self.nodes = sorted(nodes, key=lambda n: (-n.theta.rep.length - len(n.iset),
-                                                  order[n.iset], n.theta.rep.index))
+                                                  order[n.iset], n.theta.rep.packed))
         self.position = position = {n.key: k for k, n in enumerate(self.nodes)}
         size = len(self.nodes)
         self.edges = sorted(edges, key=lambda e: position[e[0].key] * size + position[e[1].key])
@@ -490,6 +507,9 @@ def rho_map(dcp: DCP):
     return images
 
 
+CHAIN_LIMIT = 10**5  # (member, chain) entries of a report, a constant like fan.GRID_LIMIT
+
+
 @dataclass
 class StandardnessReport:
     standard: bool
@@ -504,7 +524,8 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     The decision is injectivity of rho on the defining chain poset.  For
     tau = w0 W_Q the four criterion values are also listed per member and
     covering chain, evaluated once per member and upper parabolic Q^r, and
-    their mutual agreement is recorded.
+    their mutual agreement is recorded; ValueError, before any is listed, if
+    there are more than CHAIN_LIMIT covering chains.
     """
     setup = dcp.setup
     group = setup.group
@@ -515,6 +536,10 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     criteria = None
     agree = None
     if setup.is_w0_instance():
+        chains = setup.iposet.covering_chain_count()
+        if chains > CHAIN_LIMIT:
+            raise ValueError(f"the index poset has {chains} covering chains, more than "
+                             f"the {CHAIN_LIMIT} whose criteria a report lists")
         criteria = {}
         for s in setup.iposet.sets:
             p_i = setup.p_of[s]

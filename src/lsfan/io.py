@@ -2,7 +2,7 @@
 
 Group elements are serialized as reduced words (1-based simple reflection
 indices); rationals as "num/den" strings.  Node ordering is canonical (rank,
-then index set, then element index, which follows the element's matrix) so
+then index set, then the element's matrix, never its breadth-first index) so
 identical inputs produce byte-identical output.
 """
 
@@ -97,7 +97,7 @@ def dcp_node_ids(dcp: DCP) -> dict[int, int]:
     """The canonical node numbering of a poset, keyed by DCPNode.key; compute
     it once per poset and pass it to fan_vector_to_json."""
     ordered = sorted(
-        dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.index)
+        dcp.nodes, key=lambda n: (n.rank, tuple(sorted(n.iset)), n.theta.rep.packed)
     )
     return {n.key: i for i, n in enumerate(ordered)}
 

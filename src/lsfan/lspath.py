@@ -126,7 +126,7 @@ class BondedCovers(dict):
         return img
 
     def __missing__(self, x: int):
-        coset = Coset(self.group.elements()[x], self.parabolic)
+        coset = Coset(self.group.element(x), self.parabolic)
         self[x] = [(lower.rep.index, root, self.pairs[root])
                    for lower, root in self.group.covers_down(coset)]
         return self[x]
@@ -144,7 +144,7 @@ class ShapePoset:
     """The coset poset {sigma <= tau} in W/W_nu with bond-labelled covers.
 
     `nodes` and `top` are cosets; `covers_down`, the shape's BondedCovers,
-    is keyed by their rep indices.  The nodes, by (length, rep index), are
+    is keyed by their rep indices.  The nodes, by length and matrix, are
     the reach of the top at denominator 1 (Bruhat order on W/W_nu is the
     closure of its covers).  big_l, the lcm of the bonds below the top, is
     the one denominator of its lattice points."""
@@ -153,9 +153,9 @@ class ShapePoset:
         self.covers_down = covers = shape_covers(group, nu)
         self.top = group.pi(tau, covers.parabolic)
         reach = bonded_below(covers, self.top.rep.index, 1, covers.reach)
-        ids = sorted(set_bits(reach), key=lambda x: (group.lengths[x], x))
-        self.nodes = [Coset(group.elements()[x], covers.parabolic) for x in ids]
-        self.big_l = lcm(1, *(bond for x in ids for *_, bond in covers[x]))
+        reps = sorted(map(group.element, set_bits(reach)), key=lambda w: (w.length, w.packed))
+        self.nodes = [Coset(w, covers.parabolic) for w in reps]
+        self.big_l = lcm(1, *(bond for w in reps for *_, bond in covers[w.index]))
 
 
 def set_bits(mask: int):
@@ -238,14 +238,15 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     """
     covers = shape_covers(group, path.shape)
     _structure_check(group, covers.parabolic, path)
-    elements, certificate = group.elements(), {}
+    certificate = {}
     for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
         witness = bonded_chain(
             covers, upper.rep.index, lower.rep.index, cut.denominator, covers.reach
         )
         if witness is None:
             return False, None
-        certificate[(upper, lower)] = [Coset(elements[x], covers.parabolic) for x in witness]
+        certificate[(upper, lower)] = [Coset(group.element(x), covers.parabolic)
+                                       for x in witness]
     return True, certificate
 
 

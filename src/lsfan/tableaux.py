@@ -189,12 +189,12 @@ def next_columns(dcp: DCP, s, lift: Coset):
     """The tableau walk's steps from the lift `lift` into slice s: (column,
     greedy_lifts' last maximal lift) for each degree-one LS-path of shape
     lambda_s below tau that lifts below `lift`, in canonical order (rep
-    indices, then cut points); memoized per (s, lift key) in
+    matrices, then cut points); memoized per (s, lift key) in
     dcp.next_columns, which keeps each slice's paths under s."""
     memo, setup = dcp.next_columns, dcp.setup
     if s not in memo:
         paths = enumerate_ls_paths(setup.group, setup.lambda_of[s], setup.tau, 1)
-        memo[s] = sorted(paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts))
+        memo[s] = sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
     key = s, lift.key
     if key not in memo:
         memo[key] = [

@@ -2,23 +2,27 @@
 parabolic quotients, extremal lifts and Deodhar lifts.
 
 An element is an index into tables built once per group.  The elements are
-numbered 0..|W|-1 in the order of their integer matrices on omega-coordinates,
-each packed into one int of signed 8-bit digits that orders as the rows do; per
-element the group keeps its length, its products with each simple reflection on
-either side, its descent sets, its inverse and one reduced word.  Products,
-descents and cosets are table lookups; Bruhat comparisons and Deodhar lifts are
-one recursion on the tables, down the left descents of the upper bound.  The
-matrix is decoded only for `act`.  A coset is kept as its minimal
-representative, keyed by one int packing that index with its parabolic's bit
-mask; its lower covers delete one letter of the representative's reduced word,
-each labelled by its inversion root gamma, with min(lower) s_gamma = min(upper).
+numbered 0..|W|-1 breadth first from the identity by right multiplication,
+so in length order: the identity is 0 and w0 is |W|-1.  Per element the
+group keeps its length, its products with each simple reflection on either
+side, its descent sets, its inverse and one reduced word.  Products,
+descents and cosets are table lookups; Bruhat comparisons and Deodhar lifts
+are one recursion on the tables, down the left descents of the upper bound.
+A coset is kept as its minimal representative, keyed by one int packing that
+index with its parabolic's bit mask; its lower covers delete one letter of
+the representative's reduced word, each labelled by its inversion root
+gamma, with min(lower) s_gamma = min(upper).
 
-One breadth-first pass builds the tables: it keys w by w^-1(rho) packed into
-one int, whose signs are the right descents of w, reads one precomputed tuple
-per generator, multiplies out ascents only, on n column ints, takes the reduced
-word through the first right descent it meets, and keys the inverse of w by
-w(rho), the matrix's row sums.  One linear pass inverts the renumbering to the
-matrix order, and the elements are filled in through their slots.
+The breadth-first pass multiplies no matrix: it keys w by w^-1(rho) packed
+into one int, whose signs are the right descents of w, reads one
+precomputed tuple per generator, steps along ascents only, and takes the
+reduced word through the smallest right descent.  The left products and
+inverses follow in the same order, from the last letter i of the word of
+x = u s_i: s_j x = (s_j u) s_i and x^-1 = s_i u^-1.  A WeylElt, with its
+integer matrix on omega-coordinates packed into one int of signed 8-bit
+digits that orders as the rows do, is made on first use; its matrix
+columns are memoized along the last letter.  The index order is not the
+matrix order, so whatever is sorted for output sorts by `packed`.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class LiftError(ValueError):
 @dataclass(frozen=True, slots=True)
 class WeylElt:
     """Group element: its table index, its integer matrix on omega-coordinates
-    packed into one int, its length and the group's rank.  Compared by index."""
+    packed into one int, its length and the group's rank.  Compared by index;
+    output is sorted by `packed`, the matrix order."""
 
     index: int
     packed: int = field(compare=False)
@@ -123,9 +128,10 @@ class WeylGroup:
     """A fully enumerated Weyl group for one root datum.
 
     The constructor rejects groups larger than `size_guard` (default 1152,
-    the order of W(F4)).  One breadth-first pass materializes all elements
-    and their tables, `lengths` among them (by element index, the rank table
-    of the coset posets); Bruhat comparisons and Deodhar lifts are memoized.
+    the order of W(F4)).  One breadth-first pass builds the tables, `lengths`
+    among them (by element index, the rank table of the coset posets); the
+    elements themselves are made on first use (`element`).  Bruhat
+    comparisons and Deodhar lifts are memoized.
     """
 
     def __init__(self, datum: RootDatum, size_guard: int = 1152):
@@ -137,7 +143,7 @@ class WeylGroup:
         # length order.  w is keyed by v = w^-1(rho), rho = (1, ..., 1) in
         # omega-coordinates, with v[k] + 128 in the 8 bits at 8n(n-1-k).  v[i]
         # is the height of the coroot w(alpha_i^vee), negative iff i is a right
-        # descent, so only ascents are multiplied out: (w s_i)^-1(rho) =
+        # descent, so only ascents are stepped along: (w s_i)^-1(rho) =
         # v - v[i] alpha_i, alpha_i being column i of the Cartan matrix.
         if max(map(sum, datum.positive_coroots)) > 127:
             raise InvariantError(f"W({datum.dynkin_type}_{n}) has a coroot too high "
@@ -147,76 +153,64 @@ class WeylGroup:
         def pack(v):
             return sum((x + 128) << s for x, s in zip(v, shifts))
 
-        # Matrices are kept as n column ints until all are found.  Column i of w s_i
-        # is -w(e_i) - sum alpha_i[k] w(e_k) over the Dynkin neighbours k of i, each
-        # w(e_k) shifted onto column i's digits; the other columns are those of w.
-        # Per generator i the loop reads (i, shift, alpha_i packed, bit, neighbours, letter).
-        gens = []
-        for i, shift in enumerate(shifts):
-            alpha = [row[i] for row in datum.cartan]
-            nbrs = [(k, a, 8 * max(k - i, 0), 8 * max(i - k, 0)) for k, a in enumerate(alpha)
-                    if a and k != i]
-            gens.append((i, shift, pack(alpha) - pack((0,) * n), 1 << i, nbrs, (i + 1,)))
+        # per generator i the loop reads (i, shift, alpha_i packed, bit, letter)
+        gens = [(i, shift, pack([row[i] for row in datum.cartan]) - pack((0,) * n),
+                 1 << i, (i + 1,)) for i, shift in enumerate(shifts)]
         keys = [pack((1,) * n)]
         seen = {keys[0]: 0}
-        mats = [tuple(1 << 8 * (n + 1) * (n - 1 - c) for c in range(n))]
-        bfs_right, bfs_desc, bfs_words = [[0] * n], [], []
+        right, right_desc, words = [[0] * n], [], []
         for w, v in enumerate(keys):  # keys grows while it is walked
-            row, cols, mask, word = bfs_right[w], mats[w], 0, ()
-            for i, shift, step, bit, nbrs, letter in gens:
+            row, mask, word = right[w], 0, ()
+            for i, shift, step, bit, letter in gens:
                 vi = (v >> shift & 255) - 128
                 if vi < 0:
                     mask |= bit
                     if not word:  # a reduced word ends in the smallest right descent
-                        word = bfs_words[row[i]] + letter
+                        word = words[row[i]] + letter
                     continue
                 u = v - vi * step
                 x = seen.get(u)
                 if x is None:
                     x = seen[u] = len(keys)
                     keys.append(u)
-                    bfs_right.append([0] * n)
-                    col = -cols[i]
-                    for k, a, up, down in nbrs:
-                        col -= a * (cols[k] << up >> down)
-                    mats.append(cols[:i] + (col,) + cols[i + 1:])
+                    right.append([0] * n)
                 row[i] = x
-                bfs_right[x][i] = w  # a descent slot, filled from the shorter side
-            bfs_desc.append(mask)
-            bfs_words.append(word)
+                right[x][i] = w  # a descent slot, filled from the shorter side
+            right_desc.append(mask)
+            words.append(word)
         if len(keys) != order:
             raise InvariantError(f"generated {len(keys)} elements, expected {order}")
 
-        # w^-1 is keyed by w(rho), the row sums: the columns shifted onto the key digits
-        bias, downs = pack((0,) * n), range(8 * n - 8, -1, -8)
-        bfs_inv = [seen[bias + sum(map(int.__rshift__, cols, downs))] for cols in mats]
-        mats = list(map(sum, mats))
-        by_matrix = sorted(range(order), key=mats.__getitem__)
-        new = [0] * order  # the inverse permutation
-        for k, w in enumerate(by_matrix):
-            new[w] = k
-        self._words = list(map(bfs_words.__getitem__, by_matrix))
-        self.lengths = lengths = list(map(len, self._words))
-        self._right = right = [tuple(map(new.__getitem__, bfs_right[w])) for w in by_matrix]
-        self._inv = inv = [new[bfs_inv[w]] for w in by_matrix]
-        self._left = [tuple(map(inv.__getitem__, right[x])) for x in inv]
-        self._right_desc = right_desc = list(map(bfs_desc.__getitem__, by_matrix))
+        # x = u s_i for the last letter i of x's word, u and u^-1 coming first
+        left, inv = [tuple(right[0])], [0]
+        for word, row in zip(words[1:], right[1:]):
+            i = word[-1] - 1
+            u = row[i]
+            left.append(tuple([right[y][i] for y in left[u]]))  # s_j x = (s_j u) s_i
+            inv.append(left[inv[u]][i])  # x^-1 = s_i u^-1
+        self._words = words
+        self.lengths = list(map(len, words))
+        self._right = list(map(tuple, right))
+        self._left, self._inv = left, inv
+        self._right_desc = right_desc
         self._left_desc = list(map(right_desc.__getitem__, inv))
-        # the slot descriptors fill the fields without the frozen dataclass __init__
-        self._elts = elts = tuple(map(object.__new__, [WeylElt] * order))
-        for name, values in (("index", range(order)), ("length", lengths), ("rank", [n] * order),
-                             ("packed", map(mats.__getitem__, by_matrix))):
-            list(map(getattr(WeylElt, name).__set__, elts, values))
-        self.identity = self._elts[new[0]]
-        self.longest = self._elts[new[-1]]  # the only element of the top length
 
-        # reflection per positive root beta, found by
+        # Matrices are n column ints, made on first use.  Column i of u s_i is
+        # -u(e_i) - sum alpha_i[k] u(e_k) over the Dynkin neighbours k of i, each
+        # u(e_k) shifted onto column i's digits; the other columns are those of u.
+        self._neighbours = [[(k, a, 8 * max(k - i, 0), 8 * max(i - k, 0))
+                             for k, a in enumerate(row[i] for row in datum.cartan)
+                             if a and k != i] for i in range(n)]
+        self._columns_of = {0: tuple(1 << 8 * (n + 1) * (n - 1 - c) for c in range(n))}
+        self._elts: list[WeylElt | None] = [None] * order
+        self.identity = self.element(0)
+        self.longest = self.element(order - 1)  # the only element of the top length
+
+        # reflection index per positive root beta, found by
         # s_beta(rho) = rho - <rho, beta^vee> beta, and the root of each
-        self._reflections = []
-        for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-            key = pack(1 - sum(coroot) * x for x in datum.root_omega_coords(root))
-            self._reflections.append(self._elts[new[seen[key]]])
-        self._root_of = {s.index: idx for idx, s in enumerate(self._reflections)}
+        self._reflections = [seen[pack(1 - sum(coroot) * x for x in datum.root_omega_coords(root))]
+                             for root, coroot in zip(datum.positive_roots, datum.positive_coroots)]
+        self._root_of = {x: idx for idx, x in enumerate(self._reflections)}
 
         self._lifts: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
@@ -225,39 +219,62 @@ class WeylGroup:
 
     # -- basic group operations -------------------------------------------
 
-    def elements(self):
-        return self._elts
+    def element(self, x: int) -> WeylElt:
+        """The element of index x, made on first use."""
+        return self._elts[x] or self._make(x)
+
+    def _make(self, x: int) -> WeylElt:
+        """Make the element of index x: its matrix columns come from those of
+        x s_i for its last letter i, down to the nearest memoized ones."""
+        memo, steps = self._columns_of, []
+        cols = memo.get(x)
+        while cols is None:
+            i = self._words[x][-1] - 1
+            steps.append((x, i))
+            x = self._right[x][i]
+            cols = memo.get(x)
+        for x, i in reversed(steps):
+            col = -cols[i]
+            for k, a, up, down in self._neighbours[i]:
+                col -= a * (cols[k] << up >> down)
+            cols = memo[x] = cols[:i] + (col,) + cols[i + 1:]
+        elt = self._elts[x] = WeylElt(x, sum(cols), self.lengths[x], self.rank)
+        return elt
+
+    def elements(self) -> tuple[WeylElt, ...]:
+        """Every element, by index; this makes them all."""
+        return tuple(map(self.element, range(len(self))))
 
     def __len__(self):
         return len(self._elts)
 
     def simple_reflection(self, i: int) -> WeylElt:
         """s_i for a 1-based Bourbaki index."""
-        return self._elts[self._right[self.identity.index][i - 1]]
+        return self.element(self._right[0][i - 1])
 
     def reflection(self, root_index: int) -> WeylElt:
         """s_beta for the positive root at `root_index`."""
-        return self._reflections[root_index]
+        return self.element(self._reflections[root_index])
 
     def mult(self, u: WeylElt, v: WeylElt) -> WeylElt:
         """u v, by multiplying u by the letters of a reduced word of v."""
         x, right = u.index, self._right
         for i in self._words[v.index]:
             x = right[x][i - 1]
-        return self._elts[x]
+        return self.element(x)
 
     def inverse(self, w: WeylElt) -> WeylElt:
-        return self._elts[self._inv[w.index]]
+        return self.element(self._inv[w.index])
 
     def from_word(self, word) -> WeylElt:
         """The product of the simple reflections of a (not necessarily
         reduced) word; letters are 1-based indices in 1..rank."""
-        x = self.identity.index
+        x = 0
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"word letter {i} is not in 1..{self.rank}")
             x = self._right[x][i - 1]
-        return self._elts[x]
+        return self.element(x)
 
     def reduced_word(self, w: WeylElt) -> tuple[int, ...]:
         """A reduced word for w (1-based indices); its last letter is the
@@ -273,27 +290,28 @@ class WeylGroup:
     # -- parabolic subgroups ------------------------------------------------
 
     def parabolic_elements(self, parabolic: Parabolic) -> tuple[WeylElt, ...]:
-        """All elements of the standard parabolic subgroup W_P."""
+        """All elements of the standard parabolic subgroup W_P, by length and matrix."""
         parabolic = frozenset(parabolic)
         cached = self._parabolic_cache.get(parabolic)
         if cached is not None:
             return cached
         # w lies in W_P iff some (every) reduced word of w has letters in P
-        members = [w for w in self._elts if parabolic.issuperset(self._words[w.index])]
-        result = tuple(sorted(members, key=lambda w: (w.length, w.index)))
+        members = [self.element(x) for x, word in enumerate(self._words)
+                   if parabolic.issuperset(word)]
+        result = tuple(sorted(members, key=lambda w: (w.length, w.packed)))
         self._parabolic_cache[parabolic] = result
         return result
 
     def longest_in_parabolic(self, parabolic: Parabolic) -> WeylElt:
         """The longest element of W_P, the one with no right ascent in P: reached
         from the identity by multiplying out such ascents while there is one."""
-        mask, x = bitmask(frozenset(parabolic)), self.identity.index
+        mask, x = bitmask(frozenset(parabolic)), 0
         steps = self.longest.length  # each step adds one to the length
         while ascents := mask & ~self._right_desc[x]:
             if (steps := steps - 1) < 0:
                 raise InvariantError("an ascent step of longest_in_parabolic keeps the length")
             x = self._right[x][_lowest(ascents)]
-        return self._elts[x]
+        return self.element(x)
 
     def is_q_minimal(self, w: WeylElt, parabolic: Parabolic) -> bool:
         """True iff w has no right descent inside the parabolic."""
@@ -310,7 +328,7 @@ class WeylGroup:
     def coset(self, w: WeylElt, parabolic: Parabolic) -> Coset:
         """The coset w W_P, reduced to its minimal representative."""
         parabolic = frozenset(parabolic)
-        return Coset(self._elts[self._min_rep(w.index, bitmask(parabolic))], parabolic)
+        return Coset(self.element(self._min_rep(w.index, bitmask(parabolic))), parabolic)
 
     def _min_rep(self, x: int, mask: int) -> int:
         """The minimal representative of x W_P, P given by its bit mask."""
@@ -322,9 +340,11 @@ class WeylGroup:
         return x
 
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:
+        """The cosets of W/W_P, by rank and matrix."""
         parabolic = frozenset(parabolic)
-        reps = [w for w in self._elts if self.is_q_minimal(w, parabolic)]
-        reps.sort(key=lambda w: (w.length, w.index))
+        mask = bitmask(parabolic)
+        reps = [self.element(x) for x, desc in enumerate(self._right_desc) if not desc & mask]
+        reps.sort(key=lambda w: (w.length, w.packed))
         return [Coset(w, parabolic) for w in reps]
 
     def max_rep(self, c: Coset) -> WeylElt:
@@ -364,7 +384,7 @@ class WeylGroup:
             raise ValueError("lift target must be contained in the source parabolic")
         fiber = {self.coset(self.mult(c.rep, u), smaller)
                  for u in self.parabolic_elements(c.parabolic)}
-        return sorted(fiber, key=lambda x: (x.rank, x.rep.index))
+        return sorted(fiber, key=lambda x: (x.rank, x.rep.packed))
 
     def is_lift_minimal(self, c: Coset, larger: Parabolic) -> bool:
         """True iff c is the minimal element of its fiber over W/W_P'."""
@@ -414,7 +434,7 @@ class WeylGroup:
         x = self._lift(theta_bar.rep.index, phi.rep.index, p, pp, self._lifts[p, pp])
         if x < 0:
             raise LiftError("no Deodhar lift within the given bound exists")
-        return Coset(self._elts[x], theta_bar.parabolic)
+        return Coset(self.element(x), theta_bar.parabolic)
 
     def deodhar_min_lift(self, phi_bar: Coset, theta: Coset) -> Coset:
         """Unique minimal lift of theta (in W/W_P') to phi_bar's quotient
@@ -435,12 +455,13 @@ class WeylGroup:
         """Cosets covered by c, each with the index of its inversion root gamma:
         the positive root with min(lower) s_gamma = min(upper).  By strong exchange
         these are the deletions of one letter j from the reduced word of min(c) that
-        have length l - 1 and are P-minimal; s_gamma = min(lower)^-1 min(upper)."""
+        have length l - 1 and are P-minimal; s_gamma = min(lower)^-1 min(upper).
+        Listed by the matrix of min(lower)."""
         cached = self._covers_cache.get(c.key)
         if cached is not None:
             return cached
         right, word, mask = self._right, self._words[c.rep.index], bitmask(c.parabolic)
-        pairs, prefix, top = [], self.identity.index, len(word) - 1
+        pairs, prefix, top = [], 0, len(word) - 1
         for j, letter in enumerate(word):
             v = prefix
             for i in word[j + 1:]:
@@ -450,10 +471,11 @@ class WeylGroup:
                 t = self._inv[v]
                 for i in word:
                     t = right[t][i - 1]
-                pairs.append((v, self._root_of[t]))
-        pairs.sort()
-        self._covers_cache[c.key] = result = [(Coset(self._elts[v], c.parabolic), root)
-                                              for v, root in pairs]
+                v = self.element(v)
+                pairs.append((v.packed, v, self._root_of[t]))
+        pairs.sort()  # by matrix: distinct elements have distinct matrices
+        self._covers_cache[c.key] = result = [(Coset(v, c.parabolic), root)
+                                              for _, v, root in pairs]
         return result
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:
@@ -506,7 +528,7 @@ class WeylGroup:
                 and self.coset_leq(phi_bar, c)
                 and self.coset_leq(c, theta)
             ]
-            phi = min(candidates, key=lambda c: (c.rank, c.rep.index))
+            phi = min(candidates, key=lambda c: (c.rank, c.rep.packed))
 
 
 def make_group(dynkin_type: str, rank: int, size_guard: int = 1152) -> WeylGroup:

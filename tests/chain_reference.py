@@ -29,8 +29,9 @@
 - rho inverted for tau = w0 (DCP.rho_lookup) -> rho_inverse_w0, in closed
   form -> test_dcp::test_rho_inverse_closed_form_matches_search.
 - The Weyl group tables (WeylGroup.__init__) -> reference_group_tables, the
-  earlier build -> test_weyl::test_tables_match_the_reference_build,
-  test_weyl::test_packed_matrices_decode_and_sort_as_the_reference_rows.
+  earlier build, in matrix order -> test_weyl::test_tables_match_the_reference_build,
+  test_weyl::test_packed_matrices_decode_and_sort_as_the_reference_rows,
+  test_weyl::test_left_products_and_inverses_by_recurrence_are_the_reference_tables.
 - The covers of a coset (WeylGroup.covers_down) -> reflection_covers, a scan
   over the reflections -> test_weyl::test_*covers_by_deletion_are_the_reflection_covers.
 - The DCP cover rule (dcp._lower_covers) -> lower_covers, on objects ->
@@ -417,7 +418,7 @@ def underline_w_matrices(setup):
     for s in setup.iposet.sets:
         for c in interval_scan(group, setup.p_of[s], group.pi(setup.tau, setup.p_of[s])):
             nodes.append((c, s))
-    nodes.sort(key=lambda n: (len(n[1]), tuple(sorted(n[1])), n[0].rank, n[0].rep.index))
+    nodes.sort(key=lambda n: (len(n[1]), tuple(sorted(n[1])), n[0].rank, n[0].rep.packed))
     n = len(nodes)
 
     gen = [[False] * n for _ in range(n)]
@@ -465,7 +466,7 @@ def covering_relations(group, parabolic, tau):
             continue
         for lower, beta_idx in group.covers_down(upper):
             result.append((upper, lower, beta_idx))
-    result.sort(key=lambda t: (t[0].rank, t[0].rep.index, t[1].rep.index))
+    result.sort(key=lambda t: (t[0].rank, t[0].rep.packed, t[1].rep.packed))
     return result
 
 
@@ -481,9 +482,10 @@ def rho_inverse_w0(setup, theta, iset):
 
 
 def reference_group_tables(datum):
-    """Every table of WeylGroup(datum), by the earlier build: a dict from
-    attribute name to value, elements as (index, matrix, length) and the
-    identity, the longest element and the reflections as indices."""
+    """Every table of WeylGroup(datum), by the earlier build, which numbers
+    the elements in the order of their matrices: a dict from attribute name
+    to value, elements as (index, matrix, length) and the identity, the
+    longest element and the reflections as indices."""
     n = datum.rank
     cartan = datum.cartan
     alphas = [tuple(row[i] for row in cartan) for i in range(n)]
@@ -546,13 +548,13 @@ def reference_group_tables(datum):
 def reflection_covers(group, c):
     """covers_down(c) by a scan over the reflections: min(c) s_gamma for
     every positive root gamma, kept where it has length one less and is
-    P-minimal, by rep index, each with the index of gamma."""
+    P-minimal, by rep matrix, each with the index of gamma."""
     result = []
     for idx in range(len(group.datum.positive_roots)):
         v = group.mult(c.rep, group.reflection(idx))
         if v.length == c.rep.length - 1 and group.is_q_minimal(v, c.parabolic):
             result.append((Coset(v, c.parabolic), idx))
-    result.sort(key=lambda t: t[0].rep.index)
+    result.sort(key=lambda t: t[0].rep.packed)
     return result
 
 

@@ -533,6 +533,18 @@ def test_a_degree_bound_past_the_grid_limit_exits_two_at_once(capsys):
         assert len(err.splitlines()) == 1 and "max_total_degree" in err, command
 
 
+def test_a_report_past_the_chain_limit_exits_two_at_once(capsys):
+    # A1 with 9 weights on the powerset has 623,530 covering chains, whose
+    # criteria filled 555 MB of check output; they are counted, not listed
+    argv = ("check", "--type", "A", "--rank", "1", "--lambda", ";".join(["1"] * 9),
+            "--tau", "w0", "--iposet", "powerset")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "623530 covering chains" in err
+
+
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):
     base = json.loads((FIXTURES / "a2_young_chain_w0.json").read_text())
     job = tmp_path / "degrees.json"

@@ -118,7 +118,7 @@ def test_count_is_the_listing_length_on_shape_posets(dynkin, rank, nu):
 
 
 def canonical(paths):
-    return sorted(paths, key=lambda p: ([c.rep.index for c in p.cosets], p.cuts))
+    return sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
 
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)

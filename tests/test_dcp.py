@@ -153,6 +153,8 @@ def test_covering_chains_match_the_rescan_in_order(sets):
         expected = chains_by_rescan(ip, s)
         assert ip.covering_chains_to_top(s) == expected, s
         assert ip.covering_chains_to_top(s) == expected, s  # the memo, read again
+    # the count of a standardness report's entries is the rescan's, unlisted
+    assert ip.covering_chain_count() == sum(len(chains_by_rescan(ip, s)) for s in ip.sets)
 
 
 def test_criteria_run_once_per_member_and_upper_parabolic(a3, monkeypatch):
@@ -623,10 +625,10 @@ def test_inductive_build_makes_one_node_object_per_key(name):
     assert all(node_of[upper.key] is upper and node_of[lower.key] is lower
                for upper, lower, _, _ in dcp.edges)
     # the reference: the nodes top down by rank, then index set, then element
-    # index; the object rule's covers of each, sorted by the two positions;
+    # matrix; the object rule's covers of each, sorted by the two positions;
     # and every node but the top is a lower cover
     nodes = sorted(dcp.nodes, key=lambda n: (-n.rank, len(n.iset), sorted(n.iset),
-                                             n.theta.rep.index))
+                                             n.theta.rep.packed))
     assert nodes[0] == dcp.top and [n.key for n in nodes] == [n.key for n in dcp.nodes]
     at = {n.key: k for k, n in enumerate(nodes)}.__getitem__
     edges = sorted(((at(u.key), at(v.key)), kind, bond)

@@ -13,7 +13,9 @@ pair no weight image.  Projection to minimal representatives preserves
 Bruhat order, so UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
 representatives in W and project or lift no coset; the closure condition
 fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
-off without a nested search.  Every hypothesis sweep in tests/ names
+off without a nested search.  Elements are numbered breadth first, not in
+the order of their matrices, so no sort key in the library (sorted, .sort,
+min, max) reads an element's .index.  Every hypothesis sweep in tests/ names
 max_examples <= 300 and deadline=None, so tier-1 keeps a known size."""
 
 import ast
@@ -91,6 +93,24 @@ def test_only_the_maximal_deodhar_lift_scans_a_fiber(path):
                               getattr(node.func, "attr", None))
     )
     assert not offenders, f"{path.name}: coset_fiber( at lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_sort_key_reads_an_element_index(path):
+    # a key on .index would follow the breadth-first numbering; output is
+    # ordered by .packed, the matrix order
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = sorted(
+        node.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) in {"sorted", "min", "max"}
+             or getattr(call.func, "attr", None) == "sort")
+        for keyword in call.keywords if keyword.arg == "key"
+        for node in ast.walk(keyword.value)
+        if isinstance(node, ast.Attribute) and node.attr == "index"
+    )
+    assert not offenders, f"{path.name}: a sort key reads .index at lines {offenders}"
 
 
 SRC = SOURCES[0].parent

@@ -87,20 +87,40 @@ REFERENCE_TYPES = (
 )
 
 
+@cache
+def reference_build(kind, rank):
+    """The group and the reference tables of one type, built once."""
+    datum = build_root_datum(kind, rank)
+    return WeylGroup(datum, size_guard=1920), reference_group_tables(datum)  # |W(D5)|
+
+
+def relabel(group, key):
+    """Every table of reference_group_tables, read off the group with its
+    elements renumbered in the order of key(x) over the indices x."""
+    old = sorted(range(len(group)), key=key)
+    new = [0] * len(old)
+    for k, x in enumerate(old):
+        new[x] = k
+    renumber = lambda rows: [tuple(new[y] for y in rows[x]) for x in old]
+    tables = {name: [getattr(group, name)[x] for x in old]
+              for name in ("lengths", "_right_desc", "_left_desc", "_words")}
+    tables |= {"_right": renumber(group._right), "_left": renumber(group._left),
+               "_inv": [new[group._inv[x]] for x in old],
+               "_root_of": {new[x]: idx for x, idx in group._root_of.items()}}
+    tables["elements"] = [(new[w.index], w.matrix, w.length)
+                          for w in map(group.elements().__getitem__, old)]
+    tables["identity"] = new[group.identity.index]
+    tables["longest"] = new[group.longest.index]
+    tables["_reflections"] = [new[x] for x in group._reflections]
+    return tables
+
+
 @pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
 def test_tables_match_the_reference_build(kind, rank):
-    datum = build_root_datum(kind, rank)
-    group = WeylGroup(datum, size_guard=1920)  # |W(D5)|
-    expected = reference_group_tables(datum)
-    tables = {
-        name: getattr(group, name)
-        for name in ("lengths", "_right", "_left", "_right_desc", "_left_desc",
-                     "_words", "_inv", "_root_of")
-    }
-    tables["elements"] = [(w.index, w.matrix, w.length) for w in group.elements()]
-    tables["identity"] = group.identity.index
-    tables["longest"] = group.longest.index
-    tables["_reflections"] = [s.index for s in group._reflections]
+    # the reference numbers the elements in matrix order, the group breadth
+    # first: its tables are compared renumbered by their packed matrices
+    group, expected = reference_build(kind, rank)
+    tables = relabel(group, lambda x: group.element(x).packed)
     assert tables.keys() == expected.keys()
     for name, table in expected.items():
         assert tables[name] == table, name
@@ -118,20 +138,54 @@ def test_longest_in_parabolic_is_the_last_element_of_the_scan(kind, rank):
 
 
 @pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
+def test_parabolic_elements_are_the_word_scan_by_length_and_matrix(kind, rank):
+    group, _ = reference_build(kind, rank)
+    for k in range(rank + 1):
+        for p in map(frozenset, combinations(group.datum.simple_indices, k)):
+            members = [w for w in group.elements() if p.issuperset(group.reduced_word(w))]
+            members.sort(key=lambda w: (w.length, w.packed))
+            assert list(group.parabolic_elements(p)) == members, p
+
+
+@pytest.mark.parametrize("kind,rank", REFERENCE_TYPES)
 def test_packed_matrices_decode_and_sort_as_the_reference_rows(kind, rank):
-    datum = build_root_datum(kind, rank)
-    group = WeylGroup(datum, size_guard=1920)
-    rows = [matrix for _, matrix, _ in reference_group_tables(datum)["elements"]]
-    assert [w.matrix for w in group.elements()] == rows
+    # the elements sorted by packed are the reference rows, in matrix order
+    group, expected = reference_build(kind, rank)
+    rows = [matrix for _, matrix, _ in expected["elements"]]
+    by_packed = sorted(group.elements(), key=lambda w: w.packed)
+    assert [w.matrix for w in by_packed] == rows
     # entry (r, c) is the signed 8-bit digit at bit 8(n(n-1-r) + n-1-c)
     n = rank
-    assert [w.packed for w in group.elements()] == [
+    assert [w.packed for w in by_packed] == [
         sum(x << 8 * (n * (n - 1 - r) + n - 1 - c)
             for r, row in enumerate(matrix) for c, x in enumerate(row))
         for matrix in rows
     ]
-    by_packed = sorted(group.elements(), key=lambda w: w.packed)
-    assert [w.index for w in by_packed] == list(range(len(group)))
+    # and the index numbers them breadth first, so by length
+    assert [w.index for w in group.elements()] == list(range(len(group)))
+    assert group.lengths == sorted(group.lengths)
+
+
+@pytest.mark.parametrize("kind,rank", [("F", 4), ("B", 4), ("D", 4)])
+def test_left_products_and_inverses_by_recurrence_are_the_reference_tables(kind, rank):
+    # x = u s_i for the last letter i of x's word: s_j x = (s_j u) s_i and
+    # x^-1 = s_i u^-1; compared with the group renumbered by reduced word,
+    # not by the packed matrices that the table test reads
+    group, expected = reference_build(kind, rank)
+    at = {word: k for k, word in enumerate(expected["_words"])}
+    tables = relabel(group, lambda x: at[group._words[x]])
+    assert tables["_left"] == expected["_left"]
+    assert tables["_inv"] == expected["_inv"]
+
+
+def test_elements_are_made_on_first_use():
+    # the build makes the identity and w0; a coset query, its representative
+    group = make_group("F", 4)
+    rep = group.coset(group.longest, frozenset({2, 3})).rep
+    made = [w for w in group._elts if w is not None]
+    assert made == sorted({group.identity, rep, group.longest}, key=lambda w: w.index)
+    assert len(made) < len(group) == 1152
+    assert len(group.elements()) == 1152 == sum(w is not None for w in group._elts)
 
 
 def test_longest_element_length_equals_root_count(a3, b2, d4):
@@ -193,11 +247,10 @@ def test_tables_match_matrix_products(kind, rank):
             assert group.has_left_descent(u, i + 1) == (su.length < u.length)
 
 
-def test_f4_indices_follow_the_matrix_order(f4):
+def test_f4_packed_order_is_the_matrix_order(f4):
     elements = f4.elements()
-    assert [w.index for w in elements] == list(range(len(f4))) == [
-        w.index for w in sorted(elements, key=lambda w: w.matrix)
-    ]
+    assert [w.index for w in elements] == list(range(len(f4)))
+    assert sorted(elements, key=lambda w: w.packed) == sorted(elements, key=lambda w: w.matrix)
 
 
 def test_f4_covering_root_matches_a_scan_over_the_reflections(f4):
@@ -575,6 +628,15 @@ def test_bruhat_interval_cover_rank_gap_one(a3):
     theta = a3.coset(perm_elt(a3, (2, 1, 3, 4)), ALL)
     phi = a3.coset(a3.identity, ALL)
     assert a3.bruhat_interval_cover(theta, phi, p) == phi
+
+
+def test_bruhat_interval_cover_picks_by_rank_then_matrix(a3):
+    # two covers of theta qualify in each case; the candidates are ordered by
+    # rank, then matrix, never by the breadth-first index
+    p, phi = frozenset({1}), a3.coset(a3.identity, ALL)
+    for word, psi in (((3, 2), (3,)), ((2, 3), (3,)), ((2, 3, 2), (3, 2))):
+        theta = a3.coset(a3.from_word(word), ALL)
+        assert a3.reduced_word(a3.bruhat_interval_cover(theta, phi, p).rep) == psi, word
 
 
 def test_bruhat_interval_cover_postconditions(a3, b2):
