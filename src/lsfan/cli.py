@@ -21,6 +21,7 @@ from .dcp import (
     Setup,
     build_dcp_inductive,
     build_index_poset,
+    chain_criteria,
     chain_iposet,
     direct_nodes,
     powerset_iposet,
@@ -36,7 +37,7 @@ from .fan import (
     theta_d,
     theta_d_inverse,
 )
-from .tableaux import enumerate_standard, walk_standard
+from .tableaux import enumerate_standard, tableau_key, walk_standard
 from .weyl import make_group
 
 
@@ -181,8 +182,8 @@ def cmd_underline_w(args, job: dict, setup: Setup) -> int:
 
 
 def cmd_check(args, job: dict, setup: Setup) -> int:
-    report = build_dcp_inductive(setup).standardness
-    group = setup.group
+    dcp = build_dcp_inductive(setup)
+    report, group = dcp.standardness, setup.group
     data = {
         "tau_standard": report.standard,
         "collisions": [
@@ -204,7 +205,7 @@ def cmd_check(args, job: dict, setup: Setup) -> int:
                 **values,
             }
             for (s, chain), values in sorted(
-                report.criteria.items(),
+                chain_criteria(dcp).items(),
                 key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
             )
         ]
@@ -228,7 +229,7 @@ def cmd_enumerate(args, job: dict, setup: Setup) -> int:
         "count": len(tableaux),
         "tableaux": [lsio.tableau_to_json(group, t) for t in tableaux],
         "fan_vectors": [
-            lsio.fan_vector_to_json(ids, fan_vector(dcp, theta_d(dcp, t)))
+            lsio.fan_vector_to_json(ids, fan_vector(dcp, theta_d(dcp, tableau_key(dcp, t))))
             for t in tableaux
         ],
     }
@@ -259,14 +260,17 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
     for d in degrees:
         char = demazure_character(setup.group, setup.weight(d), setup.tau)
         dim = sum(char.values())
-        # one streamed pass: each tableau's end point and theta round trip
+        # one streamed pass over the tableau keys: each tableau's end point
+        # and theta round trip
         tableaux, round_trip, endpoints = 0, True, Counter()
-        for t, end in walk_standard(dcp, d, endpoints=True):
+        for key, end in walk_standard(dcp, d, endpoints=True):
             tableaux += 1
             endpoints[end] += 1
-            with suppress(ValueError):  # raised, say, for a vector outside the fan
-                if theta_d_inverse(dcp, theta_d(dcp, t)) == t:
+            try:
+                if theta_d_inverse(dcp, theta_d(dcp, key)) == key:
                     continue
+            except ValueError:  # raised, say, for a vector outside the fan
+                pass
             round_trip = False
         vectors = count_fan_degree(dcp, d)
         # onto: theta_d^-1 takes fan members only, so with the round trip
@@ -276,9 +280,9 @@ def _verify_checks(setup: Setup, degrees, conjecture_bound=None):
         onto = tableaux == vectors
         if not round_trip:
             images = set()
-            for t, _ in walk_standard(dcp, d):
+            for key, _ in walk_standard(dcp, d):
                 with suppress(ValueError):
-                    images.add(theta_d(dcp, t))
+                    images.add(theta_d(dcp, key))
             onto = images == set(enumerate_fan_degree(dcp, d))
         detail = {"tableaux": tableaux, "fan_vectors": vectors, "demazure_dimension": dim}
         checks += [

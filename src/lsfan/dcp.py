@@ -43,12 +43,14 @@ __all__ = [
     "Setup",
     "UnderlineW",
     "DCPNode",
+    "ColumnTable",
     "DCP",
     "build_dcp_inductive",
     "build_dcp_direct_w0",
     "direct_nodes",
     "rho",
     "StandardnessReport",
+    "chain_criteria",
     "is_tau_standard",
     "tau_standardness_report",
     "totally_ordered_exists",
@@ -89,7 +91,7 @@ class IndexPoset:
         self.full = full
 
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
-        self._covers_up: dict[frozenset, list] = {s: [] for s in self.sets}  # in sets order
+        self.covers_up: dict[frozenset, list] = {s: [] for s in self.sets}  # in sets order
         for s in self.sets:
             below = [t for t in self.sets if t < s]
             covers = [
@@ -97,7 +99,7 @@ class IndexPoset:
             ]
             self.covers_down[s] = tuple(sorted(covers, key=_set_key))
             for t in covers:
-                self._covers_up[t].append(s)
+                self.covers_up[t].append(s)
         self._chains_to_top: dict[frozenset, list] = {self.full: [(self.full,)]}
 
         minimal = [s for s in self.sets if not self.covers_down[s]]
@@ -139,7 +141,7 @@ class IndexPoset:
         """All chains s = I_r < ... < I_m = [m] of covering relations, listed
         once per member and walked up the covers in member order."""
         if s not in self._chains_to_top:
-            self._chains_to_top[s] = [(s,) + chain for t in self._covers_up[s]
+            self._chains_to_top[s] = [(s,) + chain for t in self.covers_up[s]
                                       for chain in self.covering_chains_to_top(t)]
         return list(self._chains_to_top[s])
 
@@ -149,7 +151,7 @@ class IndexPoset:
         its upper covers, and the top has one."""
         count = {}
         for s in reversed(self.sets):  # upper covers come first
-            count[s] = sum(map(count.__getitem__, self._covers_up[s])) or 1
+            count[s] = sum(map(count.__getitem__, self.covers_up[s])) or 1
         return sum(count.values())
 
 
@@ -181,7 +183,8 @@ class Setup:
 
     Precomputes the parabolic subgroups attached to the index poset: P_I and
     Q_I per member, the bit masks of the Q_I, the maximal parabolic over which
-    tau stays maximal, and the upper parabolic of each covering chain.  Bonds
+    tau stays maximal, and the upper parabolics Q^r of each member's covering
+    chains (upper_parabolics, without listing a chain).  Bonds
     for lambda_I come from lspath.shape_covers, one table per weight.
     """
 
@@ -236,6 +239,19 @@ class Setup:
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
         return self.q_tau.intersection(*map(self.p_of.__getitem__, chain))
+
+    @cached_property
+    def upper_parabolics(self) -> dict:
+        """Member I -> the distinct Q^r of its covering chains to [m], in
+        first-met order, by one pass down the upper covers without listing a
+        chain: Q^r([m]) = q_tau cap P_[m], and the Q^r of I are P_I cap Q^r
+        over the Q^r of each upper cover of I."""
+        iposet, out = self.iposet, {}
+        for s in reversed(iposet.sets):  # upper covers come first
+            p_i, ups = self.p_of[s], iposet.covers_up[s]
+            uppers = (q for t in ups for q in out[t]) if ups else (self.q_tau,)
+            out[s] = tuple(dict.fromkeys(p_i & q for q in uppers))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +343,29 @@ class DCPNode:
         return self.theta.rank + len(self.iset) - 1
 
 
+class ColumnTable(list):
+    """The degree-one columns of one DCP, each an (LS-path, I) pair, numbered
+    0, 1, ... in the order that a tableau walk or theta_d^-1 first meets
+    them; `number` looks a column up by its value.  Per column number it
+    keeps `ends`, the column's end point, and `terms`, its theta (node
+    number, numerator) terms, each None until first read; `parts` maps the
+    key of a degree-one fan vector to the number of its column."""
+
+    def __init__(self):
+        super().__init__()
+        self.number, self.ends, self.terms, self.parts = {}, [], [], {}
+
+    def add(self, column) -> int:
+        """The number of a column, numbering it if it is new."""
+        k = self.number.get(column)
+        if k is None:
+            k = self.number[column] = len(self)
+            self.append(column)
+            self.ends.append(None)
+            self.terms.append(None)
+        return k
+
+
 class DCP:
     """The defining chain poset: graded, with typed, bond-labelled covers.
 
@@ -335,10 +374,10 @@ class DCP:
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
     is a table over these numbers, and so are `reach`, the memo of
     lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
-    lcm of the bonds, is the one denominator of its fan vectors.  It keeps the
-    theta round trip's memos: `theta_columns`, (path, I) -> that column's (node
-    number, numerator) terms, and `part_columns`, a part's key -> (path, I);
-    and `next_columns`, the tableau walk's steps per (I, lift key), columns per I.
+    lcm of the bonds, is the one denominator of its fan vectors.  `columns`
+    numbers the degree-one columns that tableau keys are made of (a
+    ColumnTable), and `next_columns` keeps the tableau walk's steps per (I,
+    lift key), column numbers per I.
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -356,7 +395,7 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self.reach, self.theta_columns, self.part_columns, self.next_columns = {}, {}, {}, {}
+        self.reach, self.columns, self.next_columns = {}, ColumnTable(), {}
 
     def length(self) -> int:
         return self.top.rank
@@ -484,8 +523,7 @@ def direct_nodes(setup: Setup) -> list:
               for c in group.all_cosets(setup.q)]
     nodes = []
     for s in setup.iposet.sets:
-        uppers = {bitmask(setup.q_upper_chain(chain))
-                  for chain in setup.iposet.covering_chains_to_top(s)}
+        uppers = set(map(bitmask, setup.upper_parabolics[s]))
         nodes.extend(DCPNode(c, s) for c, low, top in cosets
                      if not low & setup.q_mask[s] and any(top & u == u for u in uppers))
     return nodes
@@ -507,14 +545,14 @@ def rho_map(dcp: DCP):
     return images
 
 
-CHAIN_LIMIT = 10**5  # (member, chain) entries of a report, a constant like fan.GRID_LIMIT
+CHAIN_LIMIT = 10**5  # (member, chain) entries of chain_criteria, a constant like fan.GRID_LIMIT
 
 
 @dataclass
 class StandardnessReport:
     standard: bool
     collisions: list
-    criteria: dict | None  # (I, chain) -> {'i','ii','iii','iv'} for w0 instances
+    criteria: dict | None  # (I, Q^r) -> {'i','ii','iii','iv'} for w0 instances
     criteria_agree: bool | None
 
 
@@ -522,10 +560,11 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     """Decide whether the index poset is standard for tau.
 
     The decision is injectivity of rho on the defining chain poset.  For
-    tau = w0 W_Q the four criterion values are also listed per member and
-    covering chain, evaluated once per member and upper parabolic Q^r, and
-    their mutual agreement is recorded; ValueError, before any is listed, if
-    there are more than CHAIN_LIMIT covering chains.
+    tau = w0 W_Q the four criterion values are also evaluated once per
+    member I and upper parabolic Q^r of its covering chains
+    (Setup.upper_parabolics), all they read, and two invariants are checked
+    over those keys: the four agree, and criterion (i) holds everywhere iff
+    rho is injective.  chain_criteria lists them per covering chain.
     """
     setup = dcp.setup
     group = setup.group
@@ -536,33 +575,41 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     criteria = None
     agree = None
     if setup.is_w0_instance():
-        chains = setup.iposet.covering_chain_count()
-        if chains > CHAIN_LIMIT:
-            raise ValueError(f"the index poset has {chains} covering chains, more than "
-                             f"the {CHAIN_LIMIT} whose criteria a report lists")
         criteria = {}
         for s in setup.iposet.sets:
             p_i = setup.p_of[s]
             q_i = setup.q_of[s]
             id_coset = group.coset(group.identity, p_i)
             crit_i = len(images.get((id_coset, s), ())) == 1
-            by_q_r = {}  # criteria (ii)-(iv) read only (P_I, Q_I, Q^r)
-            for chain in setup.iposet.covering_chains_to_top(s):
-                q_r = setup.q_upper_chain(chain)
-                if q_r not in by_q_r:
-                    by_q_r[q_r] = {
-                        "i": crit_i,
-                        "ii": _criterion_min_max(group, setup, p_i, q_i, q_r),
-                        "iii": _criterion_subgroup(group, setup, p_i, q_i, q_r),
-                        "iv": _criterion_dynkin(group.datum, p_i, q_i, q_r),
-                    }
-                criteria[(s, chain)] = dict(by_q_r[q_r])
+            for q_r in setup.upper_parabolics[s]:
+                criteria[s, q_r] = {
+                    "i": crit_i,
+                    "ii": _criterion_min_max(group, setup, p_i, q_i, q_r),
+                    "iii": _criterion_subgroup(group, setup, p_i, q_i, q_r),
+                    "iv": _criterion_dynkin(group.datum, p_i, q_i, q_r),
+                }
         agree = all(len(set(v.values())) == 1 for v in criteria.values())
         if not agree:
             raise InvariantError(f"standardness criteria disagree: {criteria}")
         if standard != all(v["i"] for v in criteria.values()):
             raise InvariantError("criterion (i) disagrees with injectivity of rho")
     return StandardnessReport(standard, collisions, criteria, agree)
+
+
+def chain_criteria(dcp: DCP) -> dict:
+    """The criteria of the report per member and covering chain: (I, chain)
+    -> the values of (I, Q^r of the chain), chains listed once per member.
+    ValueError, before any is listed, if there are more than CHAIN_LIMIT
+    covering chains."""
+    setup, report = dcp.setup, dcp.standardness
+    if report.criteria is None:
+        raise ValueError("the criteria are listed for tau = w0 only")
+    chains = setup.iposet.covering_chain_count()
+    if chains > CHAIN_LIMIT:
+        raise ValueError(f"the index poset has {chains} covering chains, more than "
+                         f"the {CHAIN_LIMIT} whose criteria a report lists")
+    return {(s, chain): dict(report.criteria[s, setup.q_upper_chain(chain)])
+            for s in setup.iposet.sets for chain in setup.iposet.covering_chains_to_top(s)}
 
 
 def is_tau_standard(dcp: DCP) -> bool:

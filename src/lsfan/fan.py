@@ -13,11 +13,15 @@ sorted tuple of its (node number, numerator over DCP.big_l, the lcm of the
 bonds) pairs.
 vector_key and fan_vector convert to and from {DCPNode: Fraction}, the form
 of weights, degrees and the JSON.  Fan vectors of a fixed degree biject with
-the standard tableaux of that degree; theta_d and its inverse work column
-by column, through per-DCP memos of each column's terms and of each
-degree-one part's column.  The inverse checks membership by one in_ls_plus
-call, then splits the key into its degree-one parts in one pass that counts
-the room left in the current part.  The multidegree checker compares bond
+the standard tableaux of that degree, and theta_d and its inverse map keys
+to keys: a tableau as its key is the tuple of its column numbers in the
+DCP's ColumnTable (tableaux.tableau_key).  theta_d sums each column's (node
+number, numerator) terms, computed once per column number.  The inverse
+checks membership by one in_ls_plus call, splits the key into its
+degree-one parts in one pass that counts the room left in the current part,
+and maps each part to a column number, building and validating the column
+(lspath.column_of) once per distinct part; so the round trip compares int
+tuples.  The multidegree checker compares bond
 products summed over maximal chains, by dynamic programming over the poset,
 against the Hilbert multidegrees, read off as forward differences of the
 dimension oracle on the simplex grid.
@@ -33,7 +37,6 @@ from .demazure import weyl_dimension
 from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
                      count_lattice_points, integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
-from .tableaux import LSTableau
 
 __all__ = [
     "FanError",
@@ -190,48 +193,52 @@ def weight(setup: Setup, vec: FanVector):
     )
 
 
-def theta_d(dcp: DCP, tableau: LSTableau) -> FanKey:
-    """Key of the fan vector of a standard tableau: the sum of its columns'
-    (node number, numerator) terms, each coset transported into its slice
-    through the rho lookup (NotStandardError when rho is not injective),
-    once per (column, shape) in dcp.theta_columns."""
-    if tableau.shapes is None:
-        raise FanError("theta_d needs a tableau typed by the index poset")
-    memo, big_l, nums = dcp.theta_columns, dcp.big_l, {}
-    get = nums.get
-    for path, s in zip(tableau.columns, tableau.shapes):
-        terms = memo.get((path, s))
+def theta_d(dcp: DCP, key: tuple[int, ...]) -> FanKey:
+    """Fan key of a standard tableau's key (tableaux.tableau_key): the sum of
+    its columns' (node number, numerator) terms, each coset transported into
+    its slice through the rho lookup (NotStandardError when rho is not
+    injective), once per column number in dcp.columns.terms."""
+    columns, nums = dcp.columns, {}
+    memo, get = columns.terms, nums.get
+    for k in key:
+        terms = memo[k]
         if terms is None:
-            (steps, den), inverse, terms = column_steps(path), dcp.rho_lookup, []
-            if big_l % den:
-                raise InvariantError(f"column steps over {den} are not integral over {big_l}")
-            for coset, step in zip(path.cosets, steps):
-                if (coset.key, s) not in inverse:
-                    raise FanError(f"column coset {coset} has no node in slice {set(s)}")
-                terms.append((inverse[coset.key, s], step * (big_l // den)))
-            memo[path, s] = terms
-        for k, c in terms:
-            nums[k] = get(k, 0) + c
+            terms = memo[k] = _column_terms(dcp, *columns[k])
+        for n, c in terms:
+            nums[n] = get(n, 0) + c
     return tuple(sorted(nums.items()))
 
 
-def theta_d_inverse(dcp: DCP, key: FanKey | None) -> LSTableau:
-    """Tableau of a fan vector, via _parts (one in_ls_plus call, one pass);
-    a part's nodes lie in one slice with distinct rho images.  Each distinct
-    part's column is built and validated once, in dcp.part_columns, and
-    _parts makes the slices a chain, so the tableau needs no other check."""
-    setup, memo, images = dcp.setup, dcp.part_columns, dcp.rho_images
-    columns, shapes = [], []
+def _column_terms(dcp: DCP, path, s):
+    """The (node number, numerator over big_l) terms of one column in slice s."""
+    (steps, den), inverse, big_l = column_steps(path), dcp.rho_lookup, dcp.big_l
+    if big_l % den:
+        raise InvariantError(f"column steps over {den} are not integral over {big_l}")
+    terms = []
+    for coset, step in zip(path.cosets, steps):
+        if (coset.key, s) not in inverse:
+            raise FanError(f"column coset {coset} has no node in slice {set(s)}")
+        terms.append((inverse[coset.key, s], step * (big_l // den)))
+    return terms
+
+
+def theta_d_inverse(dcp: DCP, key: FanKey | None) -> tuple[int, ...]:
+    """Tableau key of a fan vector, via _parts (one in_ls_plus call, one
+    pass); a part's nodes lie in one slice with distinct rho images.  Each
+    distinct part's column is built and validated once (lspath.column_of)
+    and numbered in dcp.columns, which keeps the part's number in `parts`;
+    _parts makes the slices a chain, so the key needs no other check."""
+    setup, columns, images = dcp.setup, dcp.columns, dcp.rho_images
+    memo, out = columns.parts, []
     for part in _parts(dcp, key):
-        column = memo.get(part)
-        if column is None:
+        k = memo.get(part)
+        if k is None:
             s = images[part[0][0]][1]
-            terms = [(images[k][0], c) for k, c in part]
-            column = column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s]), s
-            memo[part] = column
-        columns.append(column[0])
-        shapes.append(column[1])
-    return LSTableau(tuple(columns), tuple(shapes))
+            terms = [(images[n][0], c) for n, c in part]
+            path = column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s])
+            k = memo[part] = columns.add((path, s))
+        out.append(k)
+    return tuple(out)
 
 
 # -- multidegrees ---------------------------------------------------------------

@@ -12,7 +12,7 @@ indices here, node numbers on a DCP), which chain_lattice_points lists
 numerators over one denominator; Fractions are built only for returned
 values.  An LSPath compares by one key made at construction and hashes by
 that key's hash, computed once with it, so paths key the per-job memos of
-end points and theta columns cheaply.
+end points and the column numbers of the DCP's ColumnTable cheaply.
 """
 
 from __future__ import annotations

@@ -5,8 +5,16 @@ A tableau is a sequence of LS-paths whose shapes follow a weakly decreasing
 chain in the index poset.  Standardness means the flattened coset sequence
 lifts to a weakly decreasing chain in W/W_Q bounded by tau; the lift is
 computed greedily through unique maximal Deodhar lifts, so the certificate
-returned on success is the maximal defining chain.  walk_standard walks the
-standard tableaux of a degree on the memoized column steps of next_columns.
+returned on success is the maximal defining chain.
+
+On a DCP a typed tableau is its key: the tuple of its columns' numbers in
+the DCP's ColumnTable, where each degree-one column, an (LS-path, I) pair,
+is numbered the first time it is met.  walk_standard walks the keys of the
+standard tableaux of a degree on the memoized (column number, lift) steps
+of next_columns and reads each column's end point by its number; the theta
+round trip of fan takes and returns keys.  tableau_key and ls_tableau
+convert to and from LSTableau, the form of the paper-level functions and
+the JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ __all__ = [
     "is_standard",
     "is_weakly_standard",
     "enumerate_standard",
+    "tableau_key",
+    "ls_tableau",
     "next_columns",
     "walk_standard",
     "YoungTableau",
@@ -179,38 +189,55 @@ def is_weakly_standard(setup: Setup, tableau: LSTableau) -> bool:
     return True
 
 
-def enumerate_standard(dcp: DCP, d):
-    """All standard tableaux of degree d, in canonical order: the list of
-    walk_standard's tableaux."""
-    return [t for t, _ in walk_standard(dcp, d)]
+def enumerate_standard(dcp: DCP, d) -> list[LSTableau]:
+    """All standard tableaux of degree d, in canonical order: walk_standard's
+    keys as tableaux."""
+    return [ls_tableau(dcp, key) for key, _ in walk_standard(dcp, d)]
+
+
+def tableau_key(dcp: DCP, tableau: LSTableau) -> tuple[int, ...]:
+    """The int form of a typed tableau on the DCP: the tuple of its columns'
+    numbers in dcp.columns, numbering the columns not met before."""
+    if tableau.shapes is None:
+        raise TableauError("a tableau key needs a tableau typed by the index poset")
+    return tuple(map(dcp.columns.add, zip(tableau.columns, tableau.shapes)))
+
+
+def ls_tableau(dcp: DCP, key: tuple[int, ...]) -> LSTableau:
+    """The LSTableau of a key; tableau_key inverts it."""
+    columns = [dcp.columns[k] for k in key]
+    return LSTableau(tuple(path for path, _ in columns), tuple(s for _, s in columns))
 
 
 def next_columns(dcp: DCP, s, lift: Coset):
-    """The tableau walk's steps from the lift `lift` into slice s: (column,
-    greedy_lifts' last maximal lift) for each degree-one LS-path of shape
-    lambda_s below tau that lifts below `lift`, in canonical order (rep
+    """The tableau walk's steps from the lift `lift` into slice s: (column
+    number, greedy_lifts' last maximal lift) for each degree-one LS-path of
+    shape lambda_s below tau that lifts below `lift`, in canonical order (rep
     matrices, then cut points); memoized per (s, lift key) in
-    dcp.next_columns, which keeps each slice's paths under s."""
-    memo, setup = dcp.next_columns, dcp.setup
+    dcp.next_columns, which keeps each slice's column numbers under s."""
+    memo, setup, columns = dcp.next_columns, dcp.setup, dcp.columns
     if s not in memo:
         paths = enumerate_ls_paths(setup.group, setup.lambda_of[s], setup.tau, 1)
-        memo[s] = sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
+        paths = sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
+        memo[s] = [columns.add((path, s)) for path in paths]
     key = s, lift.key
     if key not in memo:
         memo[key] = [
-            (path, lifts[-1]) for path in memo[s]
-            if (lifts := greedy_lifts(setup.group.deodhar_max_lift, lift, path.cosets))
+            (k, lifts[-1]) for k in memo[s]
+            if (lifts := greedy_lifts(setup.group.deodhar_max_lift, lift, columns[k][0].cosets))
         ]
     return memo[key]
 
 
 def walk_standard(dcp: DCP, d, endpoints: bool = False):
-    """Yield (tableau, end point) for each standard tableau of degree d, in
+    """Yield (key, end point) for each standard tableau of degree d, in
     canonical order, by a depth-first walk over next_columns that keeps no
-    list of tableaux; the end point is None unless `endpoints`, and is then
-    carried down the walk as a running sum of the columns' end points.
-    Summing end points that `enumerate` never reads made the chain-bound
-    benchmark's job_max_s 3-10 % higher (4 of 4 pairs, 2-core host).
+    list of tableaux; the key is the tuple of the tableau's column numbers
+    (tableau_key).  The end point is None unless `endpoints`, and is then
+    carried down the walk as a running sum of the columns' end points, each
+    read by its column number.  Summing end points that `enumerate` never
+    reads made the chain-bound benchmark's job_max_s 3-10 % higher (4 of 4
+    pairs, 2-core host).
 
     Requires the index poset to be standard for tau, so that standardness is
     decided column by column while extending the maximal defining chain;
@@ -220,20 +247,22 @@ def walk_standard(dcp: DCP, d, endpoints: bool = False):
         raise TableauError("the index poset is not standard for tau")
     setup = dcp.setup
     shapes = shape_for_degree(setup, d)
-    group, ends = setup.group, {}  # ends: each column's end point, read once
-    # one stack entry per prefix still to walk: its end point, its columns
-    # and its lift; a prefix's steps are pushed in reverse, to pop in order
+    group, columns, ends = setup.group, dcp.columns, dcp.columns.ends
+    # one stack entry per prefix still to walk: its end point, its key and
+    # its lift; a prefix's steps are pushed in reverse, to pop in order
     stack = [((0,) * group.rank if endpoints else None, (), setup.tau)]
     while stack:
-        end, cols, lift = stack.pop()
-        if len(cols) == len(shapes):
-            yield LSTableau(cols, shapes), end
+        end, key, lift = stack.pop()
+        if len(key) == len(shapes):
+            yield key, end
             continue
-        for path, below in reversed(next_columns(dcp, shapes[len(cols)], lift)):
-            if endpoints and path not in ends:
-                ends[path] = endpoint(path, group)
-            more = tuple(map(add, end, ends[path])) if endpoints else None
-            stack.append((more, cols + (path,), below))
+        for k, below in reversed(next_columns(dcp, shapes[len(key)], lift)):
+            if endpoints:
+                if ends[k] is None:
+                    ends[k] = endpoint(columns[k][0], group)
+                stack.append((tuple(map(add, end, ends[k])), key + (k,), below))
+            else:
+                stack.append((None, key + (k,), below))
 
 
 # -- type A Young-tableaux ----------------------------------------------------

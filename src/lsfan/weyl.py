@@ -9,9 +9,10 @@ side, its descent sets, its inverse and one reduced word.  Products,
 descents and cosets are table lookups; Bruhat comparisons and Deodhar lifts
 are one recursion on the tables, down the left descents of the upper bound.
 A coset is kept as its minimal representative, keyed by one int packing that
-index with its parabolic's bit mask; its lower covers delete one letter of
-the representative's reduced word, each labelled by its inversion root
-gamma, with min(lower) s_gamma = min(upper).
+index with its parabolic's bit mask; its lower covers come from those of
+the representative shortened by its lowest left descent (the lifting
+property), each labelled by its inversion root gamma, with min(lower)
+s_gamma = min(upper).
 
 The breadth-first pass multiplies no matrix: it keys w by w^-1(rho) packed
 into one int, whose signs are the right descents of w, reads one
@@ -215,6 +216,7 @@ class WeylGroup:
         self._lifts: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
         self._covers_cache: dict[int, list[tuple[Coset, int]]] = {}  # by coset key
+        self._cover_memo: defaultdict[int, dict] = defaultdict(dict)  # mask -> rep -> int pairs
         self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
 
     # -- basic group operations -------------------------------------------
@@ -453,30 +455,42 @@ class WeylGroup:
 
     def covers_down(self, c: Coset) -> list[tuple[Coset, int]]:
         """Cosets covered by c, each with the index of its inversion root gamma:
-        the positive root with min(lower) s_gamma = min(upper).  By strong exchange
-        these are the deletions of one letter j from the reduced word of min(c) that
-        have length l - 1 and are P-minimal; s_gamma = min(lower)^-1 min(upper).
-        Listed by the matrix of min(lower)."""
+        the positive root with min(lower) s_gamma = min(upper).  Listed by the
+        matrix of min(lower), memoized per coset; the elements and cosets are
+        made only for the cosets asked for, from the int pairs of
+        _cover_pairs."""
         cached = self._covers_cache.get(c.key)
         if cached is not None:
             return cached
-        right, word, mask = self._right, self._words[c.rep.index], bitmask(c.parabolic)
-        pairs, prefix, top = [], 0, len(word) - 1
-        for j, letter in enumerate(word):
-            v = prefix
-            for i in word[j + 1:]:
-                v = right[v][i - 1]
-            prefix = right[prefix][letter - 1]
-            if self.lengths[v] == top and not self._right_desc[v] & mask:
-                t = self._inv[v]
-                for i in word:
-                    t = right[t][i - 1]
-                v = self.element(v)
-                pairs.append((v.packed, v, self._root_of[t]))
-        pairs.sort()  # by matrix: distinct elements have distinct matrices
-        self._covers_cache[c.key] = result = [(Coset(v, c.parabolic), root)
-                                              for _, v, root in pairs]
+        elts = sorted(((self.element(y), root)
+                       for y, root in self._cover_pairs(c.rep.index, bitmask(c.parabolic))),
+                      key=lambda pair: pair[0].packed)  # distinct elements have distinct matrices
+        self._covers_cache[c.key] = result = [(Coset(w, c.parabolic), root) for w, root in elts]
         return result
+
+    def _cover_pairs(self, x: int, mask: int) -> list[tuple[int, int]]:
+        """(lower index, root index) of each cover of x in W^P, P given by its
+        bit mask, memoized per mask.  By the lifting property (Bjorner-Brenti,
+        Prop. 2.2.7), with s the lowest left descent of x and u = s x, the
+        covers of x are u, with gamma = u^-1(alpha_s), and s v for each cover
+        v of u with s v > v and s v in W^P, with the root of v."""
+        memo = self._cover_memo[mask]
+        pairs = memo.get(x)
+        if pairs is None:
+            pairs = memo[x] = []
+            if x:
+                left, lengths = self._left, self.lengths
+                i = _lowest(self._left_desc[x])
+                u = left[x][i]
+                t = self._inv[u]
+                for letter in self._words[x]:  # t = u^-1 x, the reflection of gamma
+                    t = self._right[t][letter - 1]
+                pairs.append((u, self._root_of[t]))
+                for v, root in self._cover_pairs(u, mask):
+                    sv = left[v][i]
+                    if lengths[sv] > lengths[v] and not self._right_desc[sv] & mask:
+                        pairs.append((sv, root))
+        return pairs
 
     def covering_root(self, upper: Coset, lower: Coset) -> int:
         """Index of the positive root beta with s_beta min(lower) = min(upper)."""

@@ -25,15 +25,21 @@
 - The coset-pair poset (dcp.UnderlineW) -> underline_w_matrices, bool
   matrices -> test_dcp::test_underline_w_matches_the_bool_matrix_reference*.
 - The covers of a bounded quotient, a query with no library caller ->
-  covering_relations -> test_weyl::test_covering_relations_*.
+  covering_relations -> test_weyl::test_covering_relations_*, and the two
+  interval tests that read the same edges, test_a2_interval_below_312 and
+  test_a3_p1_quotient_is_a_chain.
 - rho inverted for tau = w0 (DCP.rho_lookup) -> rho_inverse_w0, in closed
   form -> test_dcp::test_rho_inverse_closed_form_matches_search.
 - The Weyl group tables (WeylGroup.__init__) -> reference_group_tables, the
   earlier build, in matrix order -> test_weyl::test_tables_match_the_reference_build,
   test_weyl::test_packed_matrices_decode_and_sort_as_the_reference_rows,
   test_weyl::test_left_products_and_inverses_by_recurrence_are_the_reference_tables.
-- The covers of a coset (WeylGroup.covers_down) -> reflection_covers, a scan
-  over the reflections -> test_weyl::test_*covers_by_deletion_are_the_reflection_covers.
+- The covers of a coset (WeylGroup.covers_down, by the lifting property) ->
+  reflection_covers, a scan over the reflections ->
+  test_weyl::test_*covers_by_deletion_are_the_reflection_covers; and
+  covers_by_deletion, the strong-exchange walk over the reduced word that
+  the lifting recursion replaced ->
+  test_weyl::test_*covers_by_lifting_are_the_deletion_covers.
 - The DCP cover rule (dcp._lower_covers) -> lower_covers, on objects ->
   test_dcp::test_cover_rule_matches_the_object_reference*,
   test_dcp::test_inductive_build_makes_one_node_object_per_key.
@@ -554,6 +560,28 @@ def reflection_covers(group, c):
         v = group.mult(c.rep, group.reflection(idx))
         if v.length == c.rep.length - 1 and group.is_q_minimal(v, c.parabolic):
             result.append((Coset(v, c.parabolic), idx))
+    result.sort(key=lambda t: t[0].rep.packed)
+    return result
+
+
+def covers_by_deletion(group, c):
+    """covers_down(c) by strong exchange: delete one letter j from the reduced
+    word of min(c), keep the result v where it has length l - 1 and is
+    P-minimal, labelled by the root of the reflection v^-1 min(c); by rep
+    matrix.  O(l^2) table steps per coset."""
+    right, word = group._right, group._words[c.rep.index]
+    mask = sum(1 << (i - 1) for i in c.parabolic)
+    result, prefix = [], 0
+    for j, letter in enumerate(word):
+        v = prefix
+        for i in word[j + 1:]:
+            v = right[v][i - 1]
+        prefix = right[prefix][letter - 1]
+        if group.lengths[v] == len(word) - 1 and not group._right_desc[v] & mask:
+            t = group._inv[v]
+            for i in word:
+                t = right[t][i - 1]
+            result.append((Coset(group.element(v), c.parabolic), group._root_of[t]))
     result.sort(key=lambda t: t[0].rep.packed)
     return result
 

@@ -19,7 +19,6 @@ from lsfan import (
     IndexPosetError,
     LSPath,
     Setup,
-    build_dcp_direct_w0,
     build_dcp_inductive,
     build_index_poset,
     chain_iposet,
@@ -48,6 +47,8 @@ from lsfan import (
     yt_from_ls,
     young_setup,
 )
+
+from w0_grid import GRID, grid_builds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -178,57 +179,21 @@ def test_criterion_2_a3_mixed_weights_instance(a3):
     report(2, f"18 nodes, 24 edges, all bonds 1, in {elapsed:.3f}s")
 
 
-EQUIVALENCE_GRID = [
-    ("a2", [(1, 0), (0, 1)], "chain"),
-    ("a2", [(0, 1), (1, 0)], "chain"),
-    ("a2", [(1, 1), (1, 0)], "chain"),
-    ("a2", [(1, 0), (0, 1)], "powerset"),
-    ("a3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("a3", [(1, 0, 0), (0, 0, 1), (0, 1, 0)], "chain"),
-    ("a3", [(0, 1, 0), (1, 0, 1)], "powerset"),
-    ("b2", [(1, 0), (0, 1)], "chain"),
-    ("b2", [(0, 1), (1, 0)], "chain"),
-    ("b2", [(1, 0), (0, 1)], "powerset"),
-    ("b3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("b3", [(0, 1, 0), (0, 0, 1)], "powerset"),
-    ("c3", [(1, 0, 0), (0, 1, 0)], "chain"),
-    ("c3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("d4", [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)], "dtype"),
-    ("d4", [(1, 0, 0, 0), (0, 1, 0, 0)], "chain"),
-]
-
-
-def grid_setup(request, name, lambdas, kind):
-    group = request.getfixturevalue(name)
-    m = len(lambdas)
-    if kind == "chain":
-        ip = chain_iposet(m)
-    elif kind == "powerset":
-        ip = powerset_iposet(m)
-    else:
-        ip = build_index_poset(
-            [fs(1), fs(2), fs(1, 2), fs(1, 2, 3), fs(1, 2, 3, 4)], 4
-        )
-    return Setup(group, lambdas, group.longest, ip)
-
-
 def test_criterion_3_procedure_equivalence(request):
     start = time.monotonic()
-    assert len(EQUIVALENCE_GRID) >= 12
-    assert {name for name, _, _ in EQUIVALENCE_GRID} == {
+    assert len(GRID) >= 12
+    assert {name for name, _, _ in GRID} == {
         "a2", "a3", "b2", "b3", "c3", "d4"
     }
-    for name, lambdas, kind in EQUIVALENCE_GRID:
-        setup = grid_setup(request, name, lambdas, kind)
-        ind = build_dcp_inductive(setup)
-        direct = build_dcp_direct_w0(setup)
+    for name, lambdas, kind in GRID:
+        ind, direct = grid_builds(request, name, lambdas, kind)
         assert set(ind.nodes) == set(direct.nodes), (name, lambdas, kind)
         assert set(ind.edges) == set(direct.edges), (name, lambdas, kind)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(
         3,
-        f"inductive and direct constructions agree on {len(EQUIVALENCE_GRID)} "
+        f"inductive and direct constructions agree on {len(GRID)} "
         f"fixtures in {elapsed:.1f}s",
     )
 
@@ -273,9 +238,8 @@ def test_criterion_4_tau_3412_classification(a3):
 
 def test_criterion_5_criteria_equivalence(request):
     checked = 0
-    for name, lambdas, kind in EQUIVALENCE_GRID:
-        setup = grid_setup(request, name, lambdas, kind)
-        result = tau_standardness_report(build_dcp_inductive(setup))
+    for name, lambdas, kind in GRID:
+        result = tau_standardness_report(grid_builds(request, name, lambdas, kind)[0])
         assert result.criteria is not None and result.criteria_agree
         by_set = {}
         for (s, _), values in result.criteria.items():
@@ -286,7 +250,7 @@ def test_criterion_5_criteria_equivalence(request):
             checked += 1
         # chain independence of (ii)-(iv)
         assert all(len(v) == 1 for v in by_set.values())
-    report(5, f"criteria (i)-(iv) agree on {checked} (member, chain) pairs")
+    report(5, f"criteria (i)-(iv) agree on {checked} (member, Q^r) pairs")
 
 
 def test_criterion_6_standardness_fixtures(a3):

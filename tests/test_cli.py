@@ -2,6 +2,7 @@ import json
 import time
 from pathlib import Path
 
+import lsfan.fan
 import lsfan.weyl
 from lsfan import DCPNode, FanError, cli, vector_key
 
@@ -291,6 +292,26 @@ def test_a_raising_theta_round_trip_is_a_failed_check(capsys, monkeypatch):
     assert json.loads(out)["checks"][2]["detail"] == {"onto": False, "round_trip": False}
 
 
+def test_swapped_column_terms_fail_the_round_trip(capsys, monkeypatch):
+    # theta_d reads each column's terms by its number, and theta_d^-1 builds
+    # the column of each part anew: two columns of one slice whose terms are
+    # swapped still map onto the fan, but no tableau comes back.  A theta_d^-1
+    # that returned the number whose terms made the part would pass this
+    column_terms = lsfan.fan._column_terms
+
+    def swapped(dcp, path, s):
+        k = dcp.columns.number[path, s]
+        return column_terms(dcp, *dcp.columns[{0: 1, 1: 0}.get(k, k)])
+
+    monkeypatch.setattr(lsfan.fan, "_column_terms", swapped)
+    code, out, err = run(capsys, "verify", "--job", str(FIXTURES / "b3_chain.json"),
+                         "--degree", "0,0,1")
+    assert code == 1 and "FAILED theta_bijection" in err
+    checks = json.loads(out)["checks"]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    assert checks[2]["detail"] == {"onto": True, "round_trip": False}
+
+
 def test_format_is_a_flag_of_the_poset_commands_only(capsys):
     job = ("--job", str(FIXTURES / "a3_young_chain_w0.json"))
     for command, extra in (("check", ()), ("enumerate", ("--degree", "1,0,0")),
@@ -543,6 +564,25 @@ def test_a_report_past_the_chain_limit_exits_two_at_once(capsys):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1 and "623530 covering chains" in err
+
+
+def test_only_check_lists_criteria_per_chain_and_stops_at_the_limit(capsys, monkeypatch):
+    # verify and enumerate read the criteria keyed by (I, Q^r), which need no
+    # chain listed; check lists them per covering chain, and A1 powerset(3)
+    # has 1 + 3 * 1 + 3 * 2 = 10 (member, chain) pairs
+    import lsfan.dcp
+
+    job = ("--type", "A", "--rank", "1", "--lambda", "1;1;1", "--tau", "w0",
+           "--iposet", "powerset")
+    monkeypatch.setattr(lsfan.dcp, "CHAIN_LIMIT", 9)
+    code, out, err = run(capsys, "verify", *job, "--degree", "1,1,0")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert run(capsys, "enumerate", *job, "--degree", "1,0,0")[0] == 0
+    code, out, err = run(capsys, "check", *job)
+    assert code == 2 and out == "" and "10 covering chains" in err
+    monkeypatch.setattr(lsfan.dcp, "CHAIN_LIMIT", 10)
+    code, out, _ = run(capsys, "check", *job)
+    assert code == 0 and len(json.loads(out)["criteria"]) == 10
 
 
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):

@@ -7,10 +7,12 @@ its completions, so count_fan_degree and enumerate_fan_degree read one step
 rule.  The count equals the length of the listing on every job fixture, on
 random degrees and on shape posets with bonds above 1.  walk_standard is
 the walk behind enumerate_standard, over the memoized steps of
-next_columns; it yields the same tableaux in the same order, with end
-points equal to tableau_endpoint, and each step list equals the sorted
-columns lifted one by one.  A tracemalloc bound pins that verify holds no
-list of tableaux, fan vectors or images.
+next_columns; it yields the keys of the same tableaux in the same order,
+with end points equal to tableau_endpoint, and each step list equals the
+sorted columns lifted one by one.  tableau_key and ls_tableau convert the
+walk's keys and the tableaux both ways.  A tracemalloc bound pins that
+verify holds no list of tableaux, fan vectors or images, and a count of
+LSTableau constructions that it makes none.
 """
 
 import io
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsfan import (
+    LSTableau,
     Setup,
     build_dcp_inductive,
     cli,
@@ -33,10 +36,12 @@ from lsfan import (
     enumerate_fan_degree,
     enumerate_standard,
     is_tau_standard,
+    ls_tableau,
     make_group,
     powerset_iposet,
     shape_for_degree,
     tableau_endpoint,
+    tableau_key,
     walk_standard,
 )
 from lsfan.dcp import greedy_lifts
@@ -146,8 +151,9 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
                 for path in columns:
                     chain = greedy_lifts(group.deodhar_max_lift, lift, path.cosets)
                     if chain is not None:
-                        brute.append((path, chain[-1]))
-                assert next_columns(dcp, s, lift) == brute, (d, s)
+                        brute.append(((path, s), chain[-1]))
+                steps = next_columns(dcp, s, lift)
+                assert [(dcp.columns[k], x) for k, x in steps] == brute, (d, s)
                 below.update((x.key, x) for _, x in brute)
             lifts = below
     assert visited == walked
@@ -159,7 +165,7 @@ def test_walk_is_the_enumeration_in_order_with_end_points(name):
     if not is_tau_standard(dcp):
         return
     for d in small_degrees(setup.m):
-        walked = list(walk_standard(dcp, d, endpoints=True))
+        walked = [(ls_tableau(dcp, key), e) for key, e in walk_standard(dcp, d, endpoints=True)]
         assert [t for t, _ in walked] == enumerate_standard(dcp, d), d
         assert [e for _, e in walked] == [tableau_endpoint(setup, t) for t, _ in walked]
         assert {e for _, e in walk_standard(dcp, d)} == {None}
@@ -179,3 +185,35 @@ def test_verify_memory_does_not_grow_with_the_output():
         tracemalloc.stop()
     assert json.loads(out.getvalue())["checks"][0]["detail"]["tableaux"] == 7392
     assert peak < 3_000_000, peak
+
+
+def test_streamed_verify_makes_no_tableau_object(monkeypatch):
+    # walk_standard yields keys (tuples of column numbers) and the theta
+    # round trip compares them, so verify builds no LSTableau at all
+    made = []
+    init = LSTableau.__init__
+    monkeypatch.setattr(LSTableau, "__init__", lambda t, *a: made.append(None) or init(t, *a))
+    argv = ["verify", "--job", str(FIXTURES / "b3_chain.json"), "--degree", "1,1,1"]
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert json.loads(out.getvalue())["checks"][0]["detail"]["tableaux"] == 512
+    assert not made
+    # the count sees a tableau that is made
+    ls_tableau(instance("b3_chain")[1], ())
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("name", JOB_FIXTURES)
+def test_tableau_keys_and_tableaux_convert_both_ways(name):
+    # every standard tableau of total degree <= 2: the walk's key is the key
+    # of its tableau, and a fresh DCP, on which no walk numbered a column,
+    # numbers the tableau's columns and reads the same tableau back
+    setup, dcp = instance(name)
+    if not is_tau_standard(dcp):
+        return
+    fresh = build_dcp_inductive(setup)
+    for d in small_degrees(setup.m):
+        for key, _ in walk_standard(dcp, d):
+            t = ls_tableau(dcp, key)
+            assert tableau_key(dcp, t) == key
+            assert ls_tableau(fresh, tableau_key(fresh, t)) == t

@@ -22,6 +22,7 @@ from lsfan import (
     build_dcp_inductive,
     build_index_poset,
     build_root_datum,
+    chain_criteria,
     chain_iposet,
     defining_chain_extremes,
     is_tau_standard,
@@ -32,6 +33,7 @@ from lsfan import (
     one_line_to_word,
     powerset_iposet,
     rho,
+    tableau_key,
     tau_standardness_report,
     theta_d,
     totally_ordered_exists,
@@ -48,6 +50,7 @@ from chain_reference import (
     rho_inverse_w0,
     underline_w_matrices,
 )
+from w0_grid import GRID, grid_builds, grid_setup
 
 FIXTURES = Path(__file__).parent / "fixtures"
 JOB_FIXTURES = sorted(
@@ -166,12 +169,40 @@ def test_criteria_run_once_per_member_and_upper_parabolic(a3, monkeypatch):
     for setup in (Setup(a1, [(1,)] * 5, a1.longest, powerset_iposet(5)),
                   Setup(a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], a3.longest, powerset_iposet(3))):
         calls.clear()
-        report = tau_standardness_report(build_dcp_inductive(setup))
+        dcp = build_dcp_inductive(setup)
+        report = tau_standardness_report(dcp)
         pairs = {(s, chain) for s in setup.iposet.sets
                  for chain in chains_by_rescan(setup.iposet, s)}
         distinct = {(s, setup.q_upper_chain(chain)) for s, chain in pairs}
-        assert set(report.criteria) == pairs and len(distinct) < len(pairs)
+        assert set(report.criteria) == distinct and len(distinct) < len(pairs)
         assert sorted(calls) == sorted(names * len(distinct))
+        # the report's values, listed per (member, covering chain)
+        listed = chain_criteria(dcp)
+        assert set(listed) == pairs
+        assert all(v == report.criteria[s, setup.q_upper_chain(c)] for (s, c), v in listed.items())
+
+
+def test_upper_parabolics_are_those_of_the_listed_chains(a3):
+    # the pass down the upper covers gives each member the distinct Q^r of
+    # its covering chains, on every index poset of [3], for w0 and a smaller tau
+    members = [frozenset(c) for k in (1, 2) for c in combinations((1, 2, 3), k)]
+    lambdas = [(1, 0, 0), (0, 1, 0), (1, 0, 0)]
+    taus = (a3.longest, a3.from_word((2, 1, 3, 2)))
+    posets = 0
+    for k in range(len(members) + 1):
+        for sets in combinations(members, k):
+            try:
+                ip = build_index_poset([*sets, fs(1, 2, 3)], 3)
+            except IndexPosetError:
+                continue
+            posets += 1
+            for tau in taus:
+                setup = Setup(a3, lambdas, tau, ip)
+                for s in ip.sets:
+                    listed = {setup.q_upper_chain(c) for c in chains_by_rescan(ip, s)}
+                    assert set(setup.upper_parabolics[s]) == listed, (ip.sets, s)
+                    assert len(setup.upper_parabolics[s]) == len(listed)
+    assert posets == 22
 
 
 # -- setup ------------------------------------------------------------------------
@@ -417,45 +448,9 @@ def test_single_weight_dcp_is_bruhat_interval(b2):
     assert all(n.iset == fs(1) for n in dcp.nodes)
 
 
-GRID = [
-    ("a2", [W1, W2], "chain"),
-    ("a2", [W2, W1], "chain"),
-    ("a2", [W1, W2], "powerset"),
-    ("a2", [W3, W1], "chain"),
-    ("a3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("a3", [(1, 0, 0), (0, 0, 1), (0, 1, 0)], "chain"),
-    ("a3", [(0, 1, 0), (1, 0, 1)], "powerset"),
-    ("b2", [W1, W2], "chain"),
-    ("b2", [W2, W1], "chain"),
-    ("b2", [W1, W2], "powerset"),
-    ("b3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("b3", [(0, 1, 0), (0, 0, 1)], "powerset"),
-    ("c3", [(1, 0, 0), (0, 1, 0)], "chain"),
-    ("c3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], "chain"),
-    ("d4", [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)], "dtype"),
-    ("d4", [(1, 0, 0, 0), (0, 1, 0, 0)], "chain"),
-]
-
-
-def grid_setup(request, name, lambdas, kind):
-    group = request.getfixturevalue(name)
-    m = len(lambdas)
-    if kind == "chain":
-        ip = chain_iposet(m)
-    elif kind == "powerset":
-        ip = powerset_iposet(m)
-    else:  # the branching poset used for D-type flag varieties
-        ip = build_index_poset(
-            [fs(1), fs(2), fs(1, 2), fs(1, 2, 3), fs(1, 2, 3, 4)], 4
-        )
-    return Setup(group, lambdas, group.longest, ip)
-
-
 @pytest.mark.parametrize("name,lambdas,kind", GRID)
 def test_inductive_equals_direct_on_w0_grid(request, name, lambdas, kind):
-    setup = grid_setup(request, name, lambdas, kind)
-    ind = build_dcp_inductive(setup)
-    direct = build_dcp_direct_w0(setup)
+    ind, direct = grid_builds(request, name, lambdas, kind)
     assert set(ind.nodes) == set(direct.nodes)
     assert set(ind.edges) == set(direct.edges)
 
@@ -781,7 +776,7 @@ def test_theta_d_rejects_non_standard_poset(a2):
     column = LSPath(setup.lambda_of[top], (theta,), (Fraction(1),))
     tableau = make_tableau(setup, [column], [top])
     with pytest.raises(NotStandardError):
-        theta_d(dcp, tableau)
+        theta_d(dcp, tableau_key(dcp, tableau))
 
 
 def test_criteria_disagreement_is_an_invariant_error(a3, monkeypatch):

@@ -8,7 +8,8 @@ on every tableau and fan vector of small instances whose bonds reach 2 and
 3, among them the C3 powerset poset with its many bond-2 edges, and on
 perturbed vectors that are not fan members.  The library runs the round
 trip on node numbers and the references on nodes, so the two also check
-the numbering against each other.
+the numbering against each other; the library's tableaux are keys, read
+back as LSTableau through ls_tableau for the comparison.
 """
 
 import json
@@ -33,8 +34,10 @@ from lsfan import (
     enumerate_standard,
     fan_vector,
     in_ls_plus,
+    ls_tableau,
     make_group,
     powerset_iposet,
+    tableau_key,
     theta_d,
     theta_d_inverse,
     theta_single,
@@ -81,6 +84,11 @@ def tableaux(name, d):
     return enumerate_standard(instance(name)[1], d)
 
 
+def tableau_of(dcp, key):
+    """theta_d_inverse as an LSTableau, the form of the reference."""
+    return ls_tableau(dcp, theta_d_inverse(dcp, key))
+
+
 NAMES = ["b2_chain", "g2_chain", "a3_powerset", "a3_tau3412_branched", "c3_powerset"]
 
 
@@ -101,11 +109,11 @@ def test_round_trip_matches_the_fraction_reference(name):
     end, single = cache(ref.endpoint), cache(lambda path: ref.theta_single(path, 2))
     for d in degrees:
         for t in tableaux(name, d):
-            key = theta_d(dcp, t)
+            key = theta_d(dcp, tableau_key(dcp, t))
             vec = fan_vector(dcp, key)
             assert vec == ref.theta_d(dcp, t)
             assert all(type(c) is Fraction for c in vec.values())
-            assert theta_d_inverse(dcp, key) == inverse(key) == t
+            assert tableau_of(dcp, key) == inverse(key) == t
             for path in t.columns:
                 e = endpoint(path, setup.group)
                 assert e == end(path)
@@ -117,7 +125,7 @@ def test_round_trip_matches_the_fraction_reference(name):
             parts = decompose(dcp, key)
             assert parts == ref.decompose(dcp, vec)  # which raises unless ref.in_ls_plus holds
             assert all(type(c) is Fraction for p in parts for c in p.values())
-            assert theta_d_inverse(dcp, key) == inverse(key)
+            assert tableau_of(dcp, key) == inverse(key)
 
 
 # a coefficient as (numerator, denominator); "L" is the lcm of the bonds, so
@@ -167,7 +175,7 @@ def test_perturbed_vectors_match_the_fraction_reference(name, pick, changes, mov
     key = vector_key(dcp, vec)
     assert in_ls_plus(dcp, key) == ref.in_ls_plus(dcp, vec)
     assert outcome(decompose, dcp, key) == outcome(ref.decompose, dcp, vec)
-    assert outcome(theta_d_inverse, dcp, key) == outcome(ref.theta_d_inverse, dcp, vec)
+    assert outcome(tableau_of, dcp, key) == outcome(ref.theta_d_inverse, dcp, vec)
 
 
 @settings(max_examples=300, deadline=None)

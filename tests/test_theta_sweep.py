@@ -24,7 +24,9 @@ from lsfan import (
     enumerate_standard,
     fan_vector,
     is_tau_standard,
+    ls_tableau,
     make_group,
+    tableau_key,
     theta_d,
     theta_d_inverse,
 )
@@ -69,8 +71,8 @@ def test_theta_round_trip_on_random_chain_instances(case):
     assume(is_tau_standard(dcp))
     images = set()
     for t in enumerate_standard(dcp, d):
-        key = theta_d(dcp, t)
-        assert theta_d_inverse(dcp, key) == t
+        key = theta_d(dcp, tableau_key(dcp, t))
+        assert ls_tableau(dcp, theta_d_inverse(dcp, key)) == t
         assert fan_vector(dcp, key) == ref.theta_d(dcp, t)
         images.add(key)
     assert images == set(enumerate_fan_degree(dcp, d))

@@ -19,7 +19,8 @@ from lsfan import (
 import lsfan.weyl
 from lsfan.rootdata import checked_group_order
 
-from chain_reference import covering_relations, reference_group_tables, reflection_covers
+from chain_reference import (covering_relations, covers_by_deletion, reference_group_tables,
+                             reflection_covers)
 
 ALL = frozenset()
 
@@ -489,18 +490,29 @@ def test_covering_relations_of_rank_zero_interval(a2):
     assert covering_relations(a2, frozenset({1}), tau) == []
 
 
+@cache
+def edges_below_312(a2):
+    """The covers of the interval below 312 in W(A2), as (upper, lower,
+    root) triples; test_a2_interval_below_312 reads the same edges."""
+    return covering_relations(a2, ALL, a2.coset(perm_elt(a2, (3, 1, 2)), ALL))
+
+
+@cache
+def edges_of_p1_quotient(a3):
+    """The covers of the quotient W(A3)/W_{2,3} below 4123, as (upper, lower,
+    root) triples; test_a3_p1_quotient_is_a_chain reads the same edges."""
+    return covering_relations(a3, frozenset({2, 3}), a3.coset(perm_elt(a3, (4, 1, 2, 3)), ALL))
+
+
 def test_covering_relations_below_312(a2):
-    tau = a2.coset(perm_elt(a2, (3, 1, 2)), ALL)
-    edges = covering_relations(a2, ALL, tau)
+    edges = edges_below_312(a2)
     assert len(edges) == 4
     for upper, lower, gamma_idx in edges:
         assert a2.mult(lower.rep, a2.reflection(gamma_idx)) == upper.rep
 
 
 def test_covering_relations_chain_in_p1_quotient(a3):
-    p1 = frozenset({2, 3})
-    tau = a3.coset(perm_elt(a3, (4, 1, 2, 3)), ALL)
-    edges = covering_relations(a3, p1, tau)
+    edges = edges_of_p1_quotient(a3)
     got = {(one_line(a3, u.rep)[0], one_line(a3, l.rep)[0]) for u, l, _ in edges}
     assert got == {(4, 3), (3, 2), (2, 1)}
 
@@ -548,6 +560,23 @@ def test_f4_covers_by_deletion_are_the_reflection_covers(f4, p):
         assert f4.covers_down(c) == reflection_covers(f4, c), c.rep.index
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_covers_by_lifting_are_the_deletion_covers(kind, rank):
+    # every coset of every parabolic quotient, lower covers and roots in order
+    group = make_group(kind, rank)
+    simple = group.datum.simple_indices
+    for k in range(len(simple) + 1):
+        for p in combinations(simple, k):
+            for c in group.all_cosets(frozenset(p)):
+                assert group.covers_down(c) == covers_by_deletion(group, c), (p, c.rep.index)
+
+
+def test_f4_covers_by_lifting_are_the_deletion_covers(f4):
+    # the maximal parabolic of type A1 x A2, whose quotient has 96 cosets
+    for c in f4.all_cosets(frozenset({1, 3, 4})):
+        assert f4.covers_down(c) == covers_by_deletion(f4, c), c.rep.index
+
+
 def test_covering_roots_are_reflection_witnesses(b2):
     for c in b2.all_cosets(frozenset({1})):
         for lower, idx in b2.covers_down(c):
@@ -555,14 +584,9 @@ def test_covering_roots_are_reflection_witnesses(b2):
 
 
 def test_a2_interval_below_312(a2):
-    top = a2.coset(perm_elt(a2, (3, 1, 2)), ALL)
-    nodes = [c for c in a2.all_cosets(ALL) if a2.coset_leq(c, top)]
+    nodes = {c for upper, lower, _ in edges_below_312(a2) for c in (upper, lower)}
     assert len(nodes) == 4
-    edges = {
-        (one_line(a2, u.rep), one_line(a2, l.rep))
-        for u in nodes
-        for l, _ in a2.covers_down(u)
-    }
+    edges = {(one_line(a2, u.rep), one_line(a2, l.rep)) for u, l, _ in edges_below_312(a2)}
     assert edges == {
         ((3, 1, 2), (1, 3, 2)),
         ((3, 1, 2), (2, 1, 3)),
@@ -572,15 +596,14 @@ def test_a2_interval_below_312(a2):
 
 
 def test_a3_p1_quotient_is_a_chain(a3):
-    p1 = frozenset({2, 3})
-    top = a3.coset(perm_elt(a3, (4, 1, 2, 3)), p1)
+    top = a3.coset(perm_elt(a3, (4, 1, 2, 3)), frozenset({2, 3}))
+    downs = {}
+    for upper, lower, _ in edges_of_p1_quotient(a3):
+        downs.setdefault(upper, []).append(lower)
     chain = [top]
-    while True:
-        downs = a3.covers_down(chain[-1])
-        if not downs:
-            break
-        assert len(downs) == 1
-        chain.append(downs[0][0])
+    while chain[-1] in downs:
+        assert len(downs[chain[-1]]) == 1
+        chain.append(downs[chain[-1]][0])
     assert [one_line(a3, c.rep)[0] for c in chain] == [4, 3, 2, 1]
 
 
