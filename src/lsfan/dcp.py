@@ -5,12 +5,13 @@ in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
 of [m].  One cover rule gives the lower covers of a node (theta, I) of the
 defining chain poset, each with its type and bond: shrink I through a cover
 of the index poset, or step theta down one cover of W/W_Q with non-zero bond
-for lambda_I; it reads indices, bit masks and bonds per root and returns
-each cover's node key with its fields.  The inductive build (any tau) walks
-this rule down from (tau, [m]) and records nodes, one object per key, and
-edges in one pass; the direct build (tau maximal) finds its nodes by
-minimality/maximality conditions of its own (direct_nodes) and keeps the
-rule's covers between them, so the two builds agree iff their nodes do.  A
+for lambda_I; it reads indices, bit masks, the group's int cover pairs and
+bonds per root, and returns each cover's node key, element index and
+fields.  The inductive build (any tau) walks this rule down from (tau, [m])
+and records nodes, one object and one coset per key, and edges in one
+pass; the direct build (tau maximal) finds its nodes by minimality and
+maximality conditions of its own (direct_nodes) and keeps the rule's
+covers between them, so the two builds agree iff their nodes do.  A
 node carries one int key, packing theta's key with the bit mask of I, so
 the two node sets compare key by key on (theta, I).  A built poset numbers
 its nodes 0..N-1 top down (rank, then I, then element matrix) and keeps its
@@ -100,7 +101,7 @@ class IndexPoset:
             self.covers_down[s] = tuple(sorted(covers, key=_set_key))
             for t in covers:
                 self.covers_up[t].append(s)
-        self._chains_to_top: dict[frozenset, list] = {self.full: [(self.full,)]}
+        self._chains_to_top: dict[frozenset, list] = {}  # filled on first use
 
         minimal = [s for s in self.sets if not self.covers_down[s]]
         for s in minimal:
@@ -138,12 +139,15 @@ class IndexPoset:
         return tuple(1 if i in u else 0 for i in range(1, self.m + 1))
 
     def covering_chains_to_top(self, s: frozenset):
-        """All chains s = I_r < ... < I_m = [m] of covering relations, listed
-        once per member and walked up the covers in member order."""
-        if s not in self._chains_to_top:
-            self._chains_to_top[s] = [(s,) + chain for t in self.covers_up[s]
-                                      for chain in self.covering_chains_to_top(t)]
-        return list(self._chains_to_top[s])
+        """All chains s = I_r < ... < I_m = [m] of covering relations, walked
+        up the covers in member order; the first call lists every member's,
+        in one pass down the members without recursion."""
+        chains = self._chains_to_top
+        if not chains:
+            for t in reversed(self.sets):  # upper covers come first
+                chains[t] = [(t,) + chain for u in self.covers_up[t]
+                             for chain in chains[u]] or [(t,)]
+        return list(chains[s])
 
     def covering_chain_count(self) -> int:
         """The number of (member, covering chain to the top) pairs, counted
@@ -220,12 +224,9 @@ class Setup:
 
         # largest parabolic over Q for which tau is maximal: the right descent
         # set of the maximal-length representative of tau
-        max_rep = group.max_rep(tau)
-        self.q_tau: Parabolic = frozenset(
-            i
-            for i in group.datum.simple_indices
-            if group.has_right_descent(max_rep, i)
-        )
+        top = group._right_desc[group._max_rep(tau.rep.index, bitmask(self.q))]
+        self.q_tau: Parabolic = frozenset(i for i in group.datum.simple_indices
+                                          if top >> (i - 1) & 1)
         if not self.q <= self.q_tau:
             raise InvariantError("Q is not contained in the descent parabolic of tau")
 
@@ -286,7 +287,7 @@ class UnderlineW:
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self._gen = []
         for a, (c, sa) in enumerate(self.nodes):
-            top, row = group.max_rep(c).index, 0
+            top, row = group._max_rep(c.rep.index, bitmask(c.parabolic)), 0
             for s, covers, mask, bits in slices:
                 if s <= sa:
                     reach = bonded_below(covers, group._min_rep(top, mask), 1, covers.reach)
@@ -448,9 +449,9 @@ class DCP:
 
 
 def _lower_covers(setup: Setup, node: DCPNode):
-    """The cover rule: the lower covers of a node (theta, I), as (key, theta',
-    I', kind, bond) tuples with the key of the node (theta', I'), so that a
-    build makes one DCPNode per key it meets.
+    """The cover rule: the lower covers of a node (theta, I), as (key, y, I',
+    kind, bond) tuples with the key of the node (theta', I') and the index y
+    of min(theta'), so that a build makes one DCPNode and coset per key.
 
     shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
     sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal,
@@ -458,21 +459,21 @@ def _lower_covers(setup: Setup, node: DCPNode):
     That bond is non-zero iff pi_{P_I}(phi) != pi_{P_I}(theta): min(phi)
     s_gamma = min(theta), and s_gamma lies in W_{P_I}, the stabilizer of
     lambda_I, iff it fixes lambda_I.  Both tests read right-descent masks,
-    parabolic masks and the bond per root of lambda_I.
+    parabolic masks, the int cover pairs of W/W_Q and the bond per root.
     """
-    desc = setup.group._right_desc
-    theta, iset = node.theta, node.iset
+    group, theta, iset = setup.group, node.theta, node.iset
+    desc, x, mask = group._right_desc, theta.rep.index, bitmask(setup.q)
     covers = [
-        (pair_key(theta.key, bitmask(j)), theta, j, "shrinkI", 1)
+        (pair_key(theta.key, bitmask(j)), x, j, "shrinkI", 1)
         for j in setup.iposet.covers_down[iset]
-        if not desc[theta.rep.index] & setup.q_mask[j]
+        if not desc[x] & setup.q_mask[j]
     ]
-    q_i, pairs = setup.q_mask[iset], shape_covers(setup.group, setup.lambda_of[iset]).pairs
+    q_i, pairs = setup.q_mask[iset], shape_covers(group, setup.lambda_of[iset]).pairs
     i_mask = bitmask(iset)
     covers.extend(
-        (pair_key(phi.key, i_mask), phi, iset, "sameI", pairs[root])
-        for phi, root in setup.group.covers_down(theta)
-        if pairs[root] and not desc[phi.rep.index] & q_i
+        (pair_key(pair_key(y, mask), i_mask), y, iset, "sameI", pairs[root])
+        for y, root in group._cover_pairs(x, mask)
+        if pairs[root] and not desc[y] & q_i
     )
     return covers
 
@@ -482,17 +483,17 @@ def build_dcp_inductive(setup: Setup) -> DCP:
 
     Walks the cover rule down from (tau, [m]), one rank at a time: every
     lower cover of a node is a node, made once per key on the rank below,
-    and its edge is recorded as it is met.
+    with its coset and element, and its edge is recorded as it is met.
     """
     level = [DCPNode(setup.tau, setup.iposet.full)]
     nodes, edges = list(level), []
     while level:
         below = {}  # by node key
         for node in level:
-            for key, theta, iset, kind, bond in _lower_covers(setup, node):
+            for key, y, iset, kind, bond in _lower_covers(setup, node):
                 lower = below.get(key)
                 if lower is None:
-                    lower = below[key] = DCPNode(theta, iset)
+                    lower = below[key] = DCPNode(Coset(setup.group.element(y), setup.q), iset)
                     if lower.rank != node.rank - 1:  # so that a level shares one rank
                         raise InvariantError(f"cover {lower} of {node} does not drop the rank")
                 edges.append((node, lower, kind, bond))
@@ -518,8 +519,8 @@ def direct_nodes(setup: Setup) -> list:
     and maximal over W/W_{Q^r} for the upper parabolic Q^r of some covering
     chain from I to [m], i.e. the maximal representative of theta has every
     simple reflection of Q^r as a right descent."""
-    group, desc = setup.group, setup.group._right_desc
-    cosets = [(c, desc[c.rep.index], desc[group.max_rep(c).index])
+    group, desc, mask = setup.group, setup.group._right_desc, bitmask(setup.q)
+    cosets = [(c, desc[c.rep.index], desc[group._max_rep(c.rep.index, mask)])
               for c in group.all_cosets(setup.q)]
     nodes = []
     for s in setup.iposet.sets:

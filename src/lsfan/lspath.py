@@ -23,7 +23,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .rootdata import InvariantError
-from .weyl import Coset, WeylGroup
+from .weyl import Coset, WeylGroup, bitmask
 
 __all__ = [
     "LSPath",
@@ -89,9 +89,10 @@ def initial_direction(path: LSPath) -> Coset:
 class BondedCovers(dict):
     """The int-keyed coset poset W/W_nu of a shape nu: the rep index of a
     coset -> its (lower rep index, root index, bond) covers, each entry
-    filled on first use.  It also keeps the stabilizer parabolic of nu, the
+    filled on first use from WeylGroup._cover_pairs, making no element or
+    coset.  It also keeps the stabilizer parabolic of nu and its mask, the
     image w(nu) per element index w, each computed once, and the memo
-    `reach` of bonded_below.  `endpoints` memoizes endpoint per path.
+    `reach` of bonded_below.
 
     The bond of a covering relation theta > phi is <phi(nu), beta^vee> for
     the positive root beta with s_beta min(phi) = min(theta).  As beta =
@@ -108,9 +109,10 @@ class BondedCovers(dict):
         self.group = group
         self.nu = tuple(nu)
         self.parabolic = group.stabilizer_parabolic(self.nu)
+        self.mask = bitmask(self.parabolic)
         datum = group.datum
         self.pairs = tuple(datum.pairing(self.nu, c) for c in datum.positive_coroots)
-        self.images, self.reach, self.endpoints = {group.identity.index: self.nu}, {}, {}
+        self.images, self.reach = {group.identity.index: self.nu}, {}
 
     def image(self, x: int):
         """w(nu) for the element w of index x, computed once per element
@@ -126,9 +128,8 @@ class BondedCovers(dict):
         return img
 
     def __missing__(self, x: int):
-        coset = Coset(self.group.element(x), self.parabolic)
-        self[x] = [(lower.rep.index, root, self.pairs[root])
-                   for lower, root in self.group.covers_down(coset)]
+        self[x] = [(y, root, self.pairs[root])
+                   for y, root in self.group._cover_pairs(x, self.mask)]
         return self[x]
 
 
@@ -353,16 +354,12 @@ def endpoint(path: LSPath, group: WeylGroup):
     """End point of the path: sum over segments of (a_j - a_{j+1}) sigma_j(shape).
 
     The images sigma_j(shape) come from the shape's table in shape_covers
-    instead of a matrix product per segment, and the end point is computed
-    once per path, in the table's `endpoints`."""
+    instead of a matrix product per segment; the tableau walk memoizes the
+    end point per column number (dcp.ColumnTable.ends)."""
     covers = shape_covers(group, path.shape)
-    end = covers.endpoints.get(path)
-    if end is None:
-        steps, den = column_steps(path)
-        vectors = [covers.image(c.rep.index) for c in path.cosets]
-        end = integral_sum(steps, vectors, den, len(path.shape), "endpoint")
-        covers.endpoints[path] = end
-    return end
+    steps, den = column_steps(path)
+    vectors = [covers.image(c.rep.index) for c in path.cosets]
+    return integral_sum(steps, vectors, den, len(path.shape), "endpoint")
 
 
 def integral_sum(nums, vectors, den: int, size: int, what: str):

@@ -113,7 +113,7 @@ def degree(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
 
 
 def tableau_endpoint(setup: Setup, tableau: LSTableau) -> tuple[int, ...]:
-    """Sum of the columns' end points, each memoized per path by lspath.endpoint."""
+    """Sum of the columns' end points, by lspath.endpoint."""
     total = (0,) * setup.group.rank
     for path in tableau.columns:
         e = endpoint(path, setup.group)

@@ -9,10 +9,11 @@ side, its descent sets, its inverse and one reduced word.  Products,
 descents and cosets are table lookups; Bruhat comparisons and Deodhar lifts
 are one recursion on the tables, down the left descents of the upper bound.
 A coset is kept as its minimal representative, keyed by one int packing that
-index with its parabolic's bit mask; its lower covers come from those of
-the representative shortened by its lowest left descent (the lifting
-property), each labelled by its inversion root gamma, with min(lower)
-s_gamma = min(upper).
+index with its parabolic's bit mask.  Its lower covers are one int table,
+_cover_pairs: (lower rep index, root index) pairs per parabolic mask, from
+those of the representative shortened by its lowest left descent (the
+lifting property), each labelled by its inversion root gamma, with min(lower)
+s_gamma = min(upper); covers_down is their coset form.
 
 The breadth-first pass multiplies no matrix: it keys w by w^-1(rho) packed
 into one int, whose signs are the right descents of w, reads one
@@ -215,7 +216,6 @@ class WeylGroup:
 
         self._lifts: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
         self._parabolic_cache: dict[Parabolic, tuple[WeylElt, ...]] = {}
-        self._covers_cache: dict[int, list[tuple[Coset, int]]] = {}  # by coset key
         self._cover_memo: defaultdict[int, dict] = defaultdict(dict)  # mask -> rep -> int pairs
         self.bonded_covers: dict = {}  # shape -> lspath.BondedCovers (shape_covers)
 
@@ -305,15 +305,8 @@ class WeylGroup:
         return result
 
     def longest_in_parabolic(self, parabolic: Parabolic) -> WeylElt:
-        """The longest element of W_P, the one with no right ascent in P: reached
-        from the identity by multiplying out such ascents while there is one."""
-        mask, x = bitmask(frozenset(parabolic)), 0
-        steps = self.longest.length  # each step adds one to the length
-        while ascents := mask & ~self._right_desc[x]:
-            if (steps := steps - 1) < 0:
-                raise InvariantError("an ascent step of longest_in_parabolic keeps the length")
-            x = self._right[x][_lowest(ascents)]
-        return self.element(x)
+        """The longest element of W_P, the maximal representative of W_P."""
+        return self.element(self._max_rep(0, bitmask(frozenset(parabolic))))
 
     def is_q_minimal(self, w: WeylElt, parabolic: Parabolic) -> bool:
         """True iff w has no right descent inside the parabolic."""
@@ -341,6 +334,16 @@ class WeylGroup:
             x = self._right[x][_lowest(descents)]
         return x
 
+    def _max_rep(self, x: int, mask: int) -> int:
+        """The maximal representative of x W_P, P given by its bit mask: right
+        ascents in P multiplied out while there is one."""
+        steps = self.lengths[-1] - self.lengths[x]  # each step adds one to the length
+        while ascents := mask & ~self._right_desc[x]:
+            if (steps := steps - 1) < 0:
+                raise InvariantError("an ascent step of _max_rep keeps the length")
+            x = self._right[x][_lowest(ascents)]
+        return x
+
     def all_cosets(self, parabolic: Parabolic) -> list[Coset]:
         """The cosets of W/W_P, by rank and matrix."""
         parabolic = frozenset(parabolic)
@@ -351,7 +354,7 @@ class WeylGroup:
 
     def max_rep(self, c: Coset) -> WeylElt:
         """The maximal-length representative of the coset."""
-        return self.mult(c.rep, self.longest_in_parabolic(c.parabolic))
+        return self.element(self._max_rep(c.rep.index, bitmask(c.parabolic)))
 
     def coset_leq(self, a: Coset, b: Coset) -> bool:
         if a.parabolic != b.parabolic:
@@ -455,18 +458,13 @@ class WeylGroup:
 
     def covers_down(self, c: Coset) -> list[tuple[Coset, int]]:
         """Cosets covered by c, each with the index of its inversion root gamma:
-        the positive root with min(lower) s_gamma = min(upper).  Listed by the
-        matrix of min(lower), memoized per coset; the elements and cosets are
-        made only for the cosets asked for, from the int pairs of
-        _cover_pairs."""
-        cached = self._covers_cache.get(c.key)
-        if cached is not None:
-            return cached
-        elts = sorted(((self.element(y), root)
-                       for y, root in self._cover_pairs(c.rep.index, bitmask(c.parabolic))),
+        the positive root with min(lower) s_gamma = min(upper).  The coset
+        form of _cover_pairs, listed by the matrix of min(lower) and not
+        memoized: the library reads the int pairs."""
+        pairs = self._cover_pairs(c.rep.index, bitmask(c.parabolic))
+        elts = sorted(((self.element(y), root) for y, root in pairs),
                       key=lambda pair: pair[0].packed)  # distinct elements have distinct matrices
-        self._covers_cache[c.key] = result = [(Coset(w, c.parabolic), root) for w, root in elts]
-        return result
+        return [(Coset(w, c.parabolic), root) for w, root in elts]
 
     def _cover_pairs(self, x: int, mask: int) -> list[tuple[int, int]]:
         """(lower index, root index) of each cover of x in W^P, P given by its

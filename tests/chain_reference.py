@@ -34,13 +34,16 @@
   earlier build, in matrix order -> test_weyl::test_tables_match_the_reference_build,
   test_weyl::test_packed_matrices_decode_and_sort_as_the_reference_rows,
   test_weyl::test_left_products_and_inverses_by_recurrence_are_the_reference_tables.
-- The covers of a coset (WeylGroup.covers_down, by the lifting property) ->
+- The covers of a coset (WeylGroup._cover_pairs, the int cover table of a
+  quotient by the lifting property, read as cosets by covers_down) ->
   reflection_covers, a scan over the reflections ->
   test_weyl::test_*covers_by_deletion_are_the_reflection_covers; and
   covers_by_deletion, the strong-exchange walk over the reduced word that
   the lifting recursion replaced ->
   test_weyl::test_*covers_by_lifting_are_the_deletion_covers.
-- The DCP cover rule (dcp._lower_covers) -> lower_covers, on objects ->
+- The DCP cover rule (dcp._lower_covers, on ints, covers in
+  lifting-property order) -> lower_covers, on objects, covers by matrix,
+  the two compared as sorted lists ->
   test_dcp::test_cover_rule_matches_the_object_reference*,
   test_dcp::test_inductive_build_makes_one_node_object_per_key.
 """

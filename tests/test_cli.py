@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -583,6 +584,25 @@ def test_only_check_lists_criteria_per_chain_and_stops_at_the_limit(capsys, monk
     monkeypatch.setattr(lsfan.dcp, "CHAIN_LIMIT", 10)
     code, out, _ = run(capsys, "check", *job)
     assert code == 0 and len(json.loads(out)["criteria"]) == 10
+
+
+def test_check_lists_the_chains_of_a_deep_index_poset_without_recursion(capsys):
+    # covering_chains_to_top lists chains in one pass down the members, with
+    # no frame per member, so under a limit 150 frames above the caller an
+    # index poset of 100 members lists as at the normal limit
+    argv = ("check", "--type", "A", "--rank", "1", "--lambda", ";".join(["1"] * 100),
+            "--tau", "w0", "--iposet", "chain")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        assert run(capsys, *argv) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):

@@ -12,7 +12,9 @@ with end points equal to tableau_endpoint, and each step list equals the
 sorted columns lifted one by one.  tableau_key and ls_tableau convert the
 walk's keys and the tableaux both ways.  A tracemalloc bound pins that
 verify holds no list of tableaux, fan vectors or images, and a count of
-LSTableau constructions that it makes none.
+LSTableau constructions that it makes none.  A count of Coset and element
+constructions pins that the inductive DCP build makes a coset only for a
+node it keeps.
 """
 
 import io
@@ -28,8 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsfan import (
+    Coset,
     LSTableau,
     Setup,
+    WeylGroup,
     build_dcp_inductive,
     cli,
     count_fan_degree,
@@ -201,6 +205,22 @@ def test_streamed_verify_makes_no_tableau_object(monkeypatch):
     # the count sees a tableau that is made
     ls_tableau(instance("b3_chain")[1], ())
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("name", JOB_FIXTURES)
+def test_the_inductive_build_makes_a_coset_per_new_node_only(name, monkeypatch):
+    # the cover rule reads the group's int cover pairs, so the build makes a
+    # coset only for a node it keeps, the top's being tau, and an element
+    # only for a theta of a node; a fresh group has made no other
+    setup = cli._setup_from_job(json.loads((FIXTURES / f"{name}.json").read_text()))
+    cosets, elements = [], []
+    post_init, make = Coset.__post_init__, WeylGroup._make
+    monkeypatch.setattr(Coset, "__post_init__", lambda c: cosets.append(None) or post_init(c))
+    monkeypatch.setattr(WeylGroup, "_make", lambda g, x: elements.append(x) or make(g, x))
+    dcp = build_dcp_inductive(setup)
+    monkeypatch.undo()
+    assert len(cosets) <= len(dcp.nodes) - 1, (len(cosets), len(dcp.nodes))
+    assert len(elements) <= len({n.theta.key for n in dcp.nodes}), len(elements)
 
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)

@@ -588,15 +588,18 @@ def test_direct_dcp_with_one_theta_swapped_exits_one(capsys, monkeypatch):
 
 
 def cover_keys(covers):
-    return [(lower.key, kind, bond) for lower, kind, bond in covers]
+    """The (key, kind, bond) of each cover, sorted: the rule lists the covers
+    of theta in lifting-property order and the reference by matrix, and no
+    output reads that order (the DCP sorts its nodes and edges)."""
+    return sorted((lower.key, kind, bond) for lower, kind, bond in covers)
 
 
 def rule_covers(setup, node):
-    """The cover rule's (key, theta, I, kind, bond) covers as (lower, kind,
-    bond) triples, each key checked against the node (theta, I)."""
+    """The cover rule's (key, y, I, kind, bond) covers as (lower, kind, bond)
+    triples, each key checked against the node (coset of the element y, I)."""
     covers = []
-    for key, theta, iset, kind, bond in lsfan.dcp._lower_covers(setup, node):
-        lower = DCPNode(theta, iset)
+    for key, y, iset, kind, bond in lsfan.dcp._lower_covers(setup, node):
+        lower = DCPNode(Coset(setup.group.element(y), setup.q), iset)
         assert lower.key == key, (node, lower)
         covers.append((lower, kind, bond))
     return covers
@@ -702,7 +705,8 @@ def test_a_cover_that_keeps_the_rank_exits_one_at_once(capsys, monkeypatch):
     # used to meet on every level, growing without end
     rule = lsfan.dcp._lower_covers
     monkeypatch.setattr(lsfan.dcp, "_lower_covers", lambda setup, node: [
-        (node.key, node.theta, node.iset, "shrinkI", 1) if cover[3] == "shrinkI" else cover
+        (node.key, node.theta.rep.index, node.iset, "shrinkI", 1) if cover[3] == "shrinkI"
+        else cover
         for cover in rule(setup, node)])
     assert cli.main(["dcp", "--job", str(FIXTURES / "a2_tau312_chain.json")]) == 1
     captured = capsys.readouterr()

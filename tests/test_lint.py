@@ -8,9 +8,12 @@ build_dcp_inductive.  Bruhat order and the maximal Deodhar lift are one
 descent recursion, WeylGroup._lift, so no library function calls coset_fiber
 and deodhar_max_lift compares no cosets; the minimal lift is the w0 mirror
 of the maximal one.  The cover rule reads bonds off inversion roots, so
-dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset and
-pair no weight image.  Projection to minimal representatives preserves
-Bruhat order, so UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
+dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset,
+pair no weight image and make no element or coset: they read the group's
+int cover pairs.  The DCP set-up reads maximal representatives as ints, so
+Setup.__init__, UnderlineW.__init__ and direct_nodes call no max_rep.
+Projection to minimal representatives preserves Bruhat order, so
+UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
 representatives in W and project or lift no coset; the closure condition
 fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
 off without a nested search.  Elements are numbered breadth first, not in
@@ -131,6 +134,10 @@ def test_the_cover_rule_reads_int_tables_only(module, cls, name):
         & {"image", "pairing", "_min_rep", "pi", "act"}
     )
     assert not offenders, f"{module}: {name} projects or pairs at lines {offenders}"
+    made = sorted(node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                  & {"covers_down", "element", "Coset"})
+    assert not made, f"{module}: {name} makes an element or coset at lines {made}"
 
 
 def _function(module, cls, name):
@@ -177,6 +184,13 @@ def test_bruhat_order_and_the_maximal_deodhar_lift_are_one_recursion():
     lift = _called(_function("weyl.py", "WeylGroup", "deodhar_max_lift"))
     assert not lift & {"coset_fiber", "coset_leq", "bruhat_leq"}, sorted(lift)
     assert "_lift" in lift and "_lift" in _called(_function("weyl.py", "WeylGroup", "bruhat_leq"))
+
+
+@pytest.mark.parametrize("name", ["Setup.__init__", "UnderlineW.__init__", "direct_nodes"])
+def test_maximal_representatives_are_read_as_ints(name):
+    cls, _, fn = name.rpartition(".")
+    called = _called(_function("dcp.py", cls or None, fn))
+    assert "max_rep" not in called and "_max_rep" in called, sorted(called)
 
 
 def test_hypothesis_sweeps_bound_their_examples():

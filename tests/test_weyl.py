@@ -532,12 +532,16 @@ def test_covers_match_rank_gap_definition(a3, b2):
 
 
 def test_covers_are_computed_once_per_coset(b2):
-    # the memo is keyed by the coset's int key, so an equal coset built
-    # anew reads the same entry
+    # the int pairs are memoized per parabolic mask and rep index, so an
+    # equal coset built anew reads the same entry; covers_down, their coset
+    # form, is not memoized
     for p in [frozenset(), frozenset({1})]:
+        mask = lsfan.weyl.bitmask(p)
         for c in b2.all_cosets(p):
-            first = b2.covers_down(c)
-            assert b2.covers_down(b2.coset(c.rep, p)) is first
+            first = b2._cover_pairs(c.rep.index, mask)
+            assert b2._cover_pairs(b2.coset(c.rep, p).rep.index, mask) is first
+            assert sorted(first) == sorted((lower.rep.index, root)
+                                           for lower, root in b2.covers_down(c))
 
 
 COVER_GROUPS = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
