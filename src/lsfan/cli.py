@@ -32,12 +32,11 @@ from .fan import (
     count_fan_degree,
     degree_grid,
     enumerate_fan_degree,
-    fan_vector,
     multidegree_conjecture_check,
     theta_d,
     theta_d_inverse,
 )
-from .tableaux import enumerate_standard, tableau_key, walk_standard
+from .tableaux import walk_standard
 from .weyl import make_group
 
 
@@ -221,17 +220,14 @@ def cmd_enumerate(args, job: dict, setup: Setup) -> int:
     if len(degrees) != 1:
         raise ValueError("enumerate needs exactly one --degree")
     dcp = build_dcp_inductive(setup)
-    tableaux = enumerate_standard(dcp, degrees[0])
-    group = setup.group
-    ids = lsio.dcp_node_ids(dcp)
+    keys = [key for key, _ in walk_standard(dcp, degrees[0])]
+    ids, columns, terms = lsio.dcp_node_ids(dcp), {}, {}
     data = {
         "degree": list(degrees[0]),
-        "count": len(tableaux),
-        "tableaux": [lsio.tableau_to_json(group, t) for t in tableaux],
-        "fan_vectors": [
-            lsio.fan_vector_to_json(ids, fan_vector(dcp, theta_d(dcp, tableau_key(dcp, t))))
-            for t in tableaux
-        ],
+        "count": len(keys),
+        "tableaux": [lsio.tableau_to_json(dcp, key, columns) for key in keys],
+        "fan_vectors": [lsio.fan_vector_to_json(dcp, ids, theta_d(dcp, key), terms)
+                        for key in keys],
     }
     _emit(args, lsio.dumps(data))
     return 0

@@ -168,14 +168,29 @@ def bonded_below(covers_down, node, den, memo):
     """The reach of `node` at `den`, a cut point's denominator: the bit mask
     of the node ids that a walk down the covers whose bond is divisible by
     den reaches from it, `node` included.  covers_down maps a node id to its
-    (lower, label, bond) covers; memo keeps each reach of one poset."""
+    (lower, label, bond) covers; memo keeps each reach of one poset.  A reach
+    not in memo is filled depth first on an explicit stack, a node's after
+    those of its bonded covers, so a deep poset needs no frame per rank."""
     reach = memo.get((node, den))
-    if reach is None:
-        reach = 1 << node
-        for lower, _, bond in covers_down[node]:
+    if reach is not None:
+        return reach
+    # one entry per node whose reach is open: [node, its covers still to
+    # read, the reach so far]; a cover whose reach is not in memo opens above it
+    stack = [[node, iter(covers_down[node]), 1 << node]]
+    while stack:
+        top = stack[-1]
+        for lower, _, bond in top[1]:
             if bond % den == 0:
-                reach |= bonded_below(covers_down, lower, den, memo)
-        memo[(node, den)] = reach
+                reach = memo.get((lower, den))
+                if reach is None:
+                    stack.append([lower, iter(covers_down[lower]), 1 << lower])
+                    break
+                top[2] |= reach
+        else:
+            stack.pop()
+            memo[top[0], den] = reach = top[2]
+            if stack:
+                stack[-1][2] |= reach
     return reach
 
 

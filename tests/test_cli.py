@@ -605,6 +605,27 @@ def test_check_lists_the_chains_of_a_deep_index_poset_without_recursion(capsys):
         sys.setrecursionlimit(limit)
 
 
+def test_verify_walks_the_reach_of_a_deep_chain_without_recursion(capsys):
+    # theta_d^-1 checks fan membership on the reach of the top node
+    # (lspath.bonded_below), filled on an explicit stack with no frame per
+    # rank, so under a limit 150 frames above the caller a DCP of 160 ranks
+    # verifies as at the normal limit
+    m = 160
+    argv = ("verify", "--type", "A", "--rank", "1", "--lambda", ";".join(["1"] * m),
+            "--tau", "w0", "--iposet", "chain", "--degree", ",".join(["1"] + ["0"] * (m - 1)))
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        assert run(capsys, *argv) == expected
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_a_degree_flag_replaces_both_degree_entries_of_the_job(capsys, tmp_path):
     base = json.loads((FIXTURES / "a2_young_chain_w0.json").read_text())
     job = tmp_path / "degrees.json"

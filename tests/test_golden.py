@@ -25,8 +25,11 @@ and `check` cases, the two largest DCPs of the benchmark, were recorded
 while the cover rule still asked the group about cosets and parabolic
 sets, ran twice per node of a maximal-tau `dcp` job, and JSON was written
 by the stdlib encoder; they are given as inline flags, not fixture files,
-which every test that loops over the fixtures would pick up.  A refactor
-must keep every hash.
+which every test that loops over the fixtures would pick up.  The G2
+chain enumerate case at degree (2,1), whose tableaux hold one column twice
+and whose cut points and fan coefficients reach thirds and sixths, was
+recorded while enumerate built a row per column of every tableau and wrote
+its cut points through Fraction.  A refactor must keep every hash.
 """
 
 import hashlib
@@ -104,6 +107,8 @@ GOLDEN = [
      "d8027c4ae7c6b92efe7bf8c4d2d59959da449878232ef9227dc56caa57a21a15"),
     ("enumerate", "g2_chain", ("--degree", "1,1"),
      "ef118c85817ba57af78c1c7c46765ab83d6e5fcf43f7374f2d7b4207fbf998aa"),
+    ("enumerate", "g2_chain", ("--degree", "2,1"),
+     "60472289fe16698d311c0314d51386cd65a98f63915caca6b8d2d462a608ec7b"),
     ("underline-w", "d4_flag_branched", ("--format", "dot"),
      "86606d0c0e7078dd30f2fec926a9b38483a2a63cbb24ab5f37f4f55f69fc39e4"),
     ("dcp", "f4_chain", (),
@@ -117,11 +122,17 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command,job,extra,digest",
-    GOLDEN,
-    ids=[f"{c}-{j}" + ("-dot" if "dot" in e else "") for c, j, e, _ in GOLDEN],
-)
+def case_ids():
+    """command-job, with -dot for DOT output, and the last flag's value
+    when a case of the same command and job comes before it."""
+    ids = []
+    for command, job, extra, _ in GOLDEN:
+        base = f"{command}-{job}" + ("-dot" if "dot" in extra else "")
+        ids.append(base if base not in ids else f"{base}-{extra[-1]}")
+    return ids
+
+
+@pytest.mark.parametrize("command,job,extra,digest", GOLDEN, ids=case_ids())
 def test_stdout_bytes_unchanged(capsys, command, job, extra, digest):
     code = cli.main([command, *job_flags(job), *extra])
     out = capsys.readouterr().out

@@ -1,8 +1,11 @@
 """lsfan.io.dumps writes JSON itself; it must give the bytes of
 json.dumps(x, indent=2, sort_keys=True) + "\\n" for every document it
-accepts and raise TypeError for everything else."""
+accepts, subclasses of its types and objects that a document holds more
+than once included, and raise TypeError for everything else."""
 
+import enum
 import json
+from collections import Counter, OrderedDict, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,10 @@ from hypothesis import strategies as st
 from lsfan.io import coset_to_json, dumps
 from lsfan.weyl import make_group
 
-# any code point but a lone surrogate, with quotes, backslashes, control
-# characters and non-ASCII ones drawn often
-TEXT = st.text(
-    st.characters(exclude_categories=["Cs"]) | st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'),
-    max_size=8,
-)
+# text from a fixed alphabet, one cheap draw per character, that draws
+# quotes, backslashes, control, non-ASCII and astral characters often
+ALPHABET = 'ab "\\/\n\t\r\x00\x1f\x7f\x80\xe9\u20ac\u2028\uffff\U0001f600\U0010ffff'
+TEXT = st.text(st.sampled_from(ALPHABET), max_size=8)
 SCALARS = (
     TEXT
     | st.integers()
@@ -49,6 +50,63 @@ def test_dumps_is_the_stdlib_call_byte_for_byte(x):
 
 def test_dumps_keeps_empty_containers_and_int_lists():
     x = {"a": [], "b": {}, "c": (), "d": [1, -2, 2**70], "e": [True, 1, None], "f": [[]]}
+    assert dumps(x) == stdlib(x)
+
+
+def test_dumps_indents_an_object_held_at_two_depths_for_each():
+    # dumps writes the text of an object that a document holds again once
+    # per depth; each place must keep its own indent
+    shared = [1, [2, "x"], {"k": [3]}]
+    x = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared], "e": [[shared]]}
+    assert dumps(x) == stdlib(x)
+
+
+def test_dumps_writes_a_bool_in_an_int_list_as_a_bool():
+    x = [[1, True, 0, False], (True,), {"a": [0, 1, True], "b": [False]}]
+    assert dumps(x) == stdlib(x)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Text(str):
+    pass
+
+
+Point = namedtuple("Point", "x y")
+
+
+class Fresh(dict):
+    """A dict whose items() makes a new list for each value on each call;
+    the lists die after the dict is written, so that a later list may take
+    the id of one."""
+
+    def items(self):
+        return [(k, [v, [v]]) for k, v in super().items()]
+
+
+class FreshTwice(dict):
+    """As Fresh, with each new list the value of two keys, so that it is
+    written twice before it dies."""
+
+    def items(self):
+        return [(k + end, value) for k, v in super().items()
+                for value in ([v, [v]],) for end in ("", "2")]
+
+
+@pytest.mark.parametrize("x", [
+    OrderedDict([("b", 1), ("a", [2, OrderedDict(z=None, y="s")])]),
+    {"c": Counter("abracadabra"), "n": [Counter(), Counter(x=2)]},
+    {"one": Level.HIGH, "list": [Level.LOW, Level.HIGH], "mixed": [Level.LOW, "a", 3]},
+    {"t": Text("a\"b"), "l": [Text("é"), 1], Text("k"): Text("v")},
+    [Point(1, 2), {"p": Point([1], "y")}],
+    [Fresh(a=k, b=-k) for k in range(20)],
+    [FreshTwice(a=k, b=-k) for k in range(20)],
+], ids=["ordered-dict", "counter", "int-enum", "str-subclass", "namedtuple", "fresh-values",
+        "fresh-values-twice"])
+def test_dumps_writes_subclasses_as_the_stdlib(x):
     assert dumps(x) == stdlib(x)
 
 

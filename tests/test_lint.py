@@ -18,7 +18,8 @@ representatives in W and project or lift no coset; the closure condition
 fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
 off without a nested search.  Elements are numbered breadth first, not in
 the order of their matrices, so no sort key in the library (sorted, .sort,
-min, max) reads an element's .index.  Every hypothesis sweep in tests/ names
+min, max) reads an element's .index.  The JSON writers read numerators, so
+lsfan.io constructs no Fraction.  Every hypothesis sweep in tests/ names
 max_examples <= 300 and deadline=None, so tier-1 keeps a known size."""
 
 import ast
@@ -191,6 +192,18 @@ def test_maximal_representatives_are_read_as_ints(name):
     cls, _, fn = name.rpartition(".")
     called = _called(_function("dcp.py", cls or None, fn))
     assert "max_rep" not in called and "_max_rep" in called, sorted(called)
+
+
+def test_the_writers_make_no_fraction():
+    # a cut point is written off its own numerator and denominator, and a
+    # fan coefficient off its numerator over DCP.big_l
+    offenders = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "io.py").read_text()))
+        if isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert not offenders, f"io.py: Fraction( at lines {offenders}"
 
 
 def test_hypothesis_sweeps_bound_their_examples():

@@ -7,7 +7,9 @@ that verify validates each distinct degree-one part once, in memos that
 one job builds and no later job sees, computes no image w(nu) by a matrix,
 reads a shape's stabilizer from its table and lifts each (lift, column)
 pair of tableau enumeration once; a count of Fraction
-constructions pins the integer arithmetic of the theta round trip."""
+constructions pins the integer arithmetic of the theta round trip.
+enumerate builds each distinct column's row once, and the Fractions it
+makes do not grow with the number of tableaux."""
 
 import importlib.util
 import json
@@ -79,10 +81,8 @@ def test_dcp_edges_come_from_the_one_cover_walk(capsys):
 B3_PARTS = 36
 
 
-def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
-    # the theta round trip and the end points sum integer numerators; only
-    # the values that public functions return are Fractions
-    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+def fractions_made(argv) -> int:
+    """The number of Fractions that one successful command constructs."""
     made = []
     original = Fraction.__dict__["__new__"]
 
@@ -92,12 +92,20 @@ def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
 
     Fraction.__new__ = staticmethod(counted)
     try:
-        assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+        assert lsfan.cli.main(argv) == 0
     finally:
         Fraction.__new__ = original
+    return len(made)
+
+
+def test_verify_builds_few_fractions_and_validates_once_per_column(capsys):
+    # the theta round trip and the end points sum integer numerators; only
+    # the values that public functions return are Fractions
+    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+    made = fractions_made(["verify", "--job", job, "--degree", "1,1,1"])
     tableaux = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["tableaux"]
     assert tableaux == 512
-    assert len(made) <= 4 * tableaux, len(made) / tableaux
+    assert made <= 4 * tableaux, made / tableaux
 
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
@@ -143,3 +151,28 @@ def test_column_memos_stay_within_one_job(capsys):
         assert tracer.calls["validate_ls_path"] == B3_PARTS
         assert tracer.calls["theta_d_inverse"] == 512
         assert tracer.calls["WeylGroup.deodhar_max_lift"] == 407
+
+
+def test_enumerate_builds_each_column_row_once_and_few_fractions(capsys):
+    # enumerate reads its rows off the tableau and fan keys: each distinct
+    # column's row is built once, however many tableaux hold it, and the
+    # Fractions it makes (the cut points of the degree-one LS-paths) do not
+    # grow with the number of tableaux
+    job = str(Path(__file__).parent / "fixtures" / "g2_chain.json")
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert lsfan.cli.main(["enumerate", "--job", job, "--degree", "2,1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    columns = [(json.dumps(c, sort_keys=True), tuple(s))
+               for t in out["tableaux"] for c, s in zip(t["columns"], t["shapes"])]
+    assert len(columns) > 2 * len(set(columns))  # columns repeat
+    assert tracer.calls["path_to_json"] == len(set(columns))
+    assert tracer.calls["tableau_to_json"] == tracer.calls["fan_vector_to_json"] == out["count"]
+
+    def fractions(degree):
+        made = fractions_made(["enumerate", "--job", job, "--degree", degree])
+        return made, json.loads(capsys.readouterr().out)["count"]
+
+    (few, small), (many, large) = fractions("1,1"), fractions("2,2")
+    assert large > 10 * small
+    assert many <= few < small, (few, many)
