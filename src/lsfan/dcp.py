@@ -91,32 +91,26 @@ class IndexPoset:
             raise IndexPosetError(f"the full set [{m}] must be a member")
         self.full = full
 
+        # Covers of s: the members one size below in s.  Graded: each member below
+        # s is on a chain of covers (under[k], bits by number); minimal ones are 1-sets.
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
         self.covers_up: dict[frozenset, list] = {s: [] for s in self.sets}  # in sets order
-        for s in self.sets:
-            below = [t for t in self.sets if t < s]
-            covers = [
-                t for t in below if not any(t < u < s for u in below)
-            ]
-            self.covers_down[s] = tuple(sorted(covers, key=_set_key))
-            for t in covers:
-                self.covers_up[t].append(s)
+        masks, under = list(map(bitmask, self.sets)), []
+        for k, s in enumerate(self.sets):  # by size, so the members below s come first
+            below = [j for j in range(k) if not masks[j] & ~masks[k]]
+            covers, reach = [j for j in below if len(self.sets[j]) == len(s) - 1], 0
+            for j in covers:
+                reach |= under[j] | 1 << j
+                self.covers_up[self.sets[j]].append(s)
+            under.append(reach)
+            self.covers_down[s] = tuple(self.sets[j] for j in covers)
+            if skipped := [self.sets[j] for j in below if not reach >> j & 1]:
+                raise IndexPosetError(f"not graded of length {m - 1}: covering "
+                                      f"{set(skipped[-1])} < {set(s)} skips a cardinality")
+            if not covers and len(s) != 1:
+                raise IndexPosetError(f"not graded of length {m - 1}: minimal member "
+                                      f"{set(s)} is not a singleton")
         self._chains_to_top: dict[frozenset, list] = {}  # filled on first use
-
-        minimal = [s for s in self.sets if not self.covers_down[s]]
-        for s in minimal:
-            if len(s) != 1:
-                raise IndexPosetError(
-                    f"not graded of length {m - 1}: minimal member {set(s)} "
-                    "is not a singleton"
-                )
-        for s in self.sets:
-            for t in self.covers_down[s]:
-                if len(s) != len(t) + 1:
-                    raise IndexPosetError(
-                        f"not graded of length {m - 1}: covering "
-                        f"{set(t)} < {set(s)} skips a cardinality"
-                    )
 
         # a member with covers adds what any cover lacks; a minimal one, itself
         self.underline: dict[frozenset, frozenset] = {
@@ -378,7 +372,7 @@ class DCP:
     lcm of the bonds, is the one denominator of its fan vectors.  `columns`
     numbers the degree-one columns that tableau keys are made of (a
     ColumnTable), and `next_columns` keeps the tableau walk's steps per (I,
-    lift key), column numbers per I.
+    lift index) and, per I, each column's number with its cosets' rep indices.
     """
 
     def __init__(self, setup: Setup, nodes, edges):

@@ -10,11 +10,12 @@ returned on success is the maximal defining chain.
 On a DCP a typed tableau is its key: the tuple of its columns' numbers in
 the DCP's ColumnTable, where each degree-one column, an (LS-path, I) pair,
 is numbered the first time it is met.  walk_standard walks the keys of the
-standard tableaux of a degree on the memoized (column number, lift) steps
-of next_columns and reads each column's end point by its number; the theta
-round trip of fan takes and returns keys.  tableau_key and ls_tableau
-convert to and from LSTableau, the form of the paper-level functions and
-the JSON.
+standard tableaux of a degree on the memoized steps of next_columns, from
+a (slice I, lift) state to a (column number, next lift) step, a lift being
+the rep index of a coset of W/W_Q, lifted by WeylGroup._lift with no Coset
+made; it reads each column's end point by its number.  The theta round
+trip of fan takes and returns keys.  tableau_key and ls_tableau convert to
+and from LSTableau, the form of the paper-level functions and the JSON.
 """
 
 from __future__ import annotations
@@ -23,16 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .dcp import (
-    DCP,
-    Setup,
-    greedy_lifts,
-    is_tau_standard,
-    max_defining_chain,
-)
+from .dcp import DCP, Setup, is_tau_standard, max_defining_chain
 from .lspath import LSPath, enumerate_ls_paths, endpoint
 from .rootdata import InvariantError
-from .weyl import Coset, WeylGroup, one_line_to_word, word_to_one_line
+from .weyl import Coset, WeylGroup, bitmask, one_line_to_word, word_to_one_line
 
 __all__ = [
     "LSTableau",
@@ -209,24 +204,36 @@ def ls_tableau(dcp: DCP, key: tuple[int, ...]) -> LSTableau:
     return LSTableau(tuple(path for path, _ in columns), tuple(s for _, s in columns))
 
 
-def next_columns(dcp: DCP, s, lift: Coset):
-    """The tableau walk's steps from the lift `lift` into slice s: (column
-    number, greedy_lifts' last maximal lift) for each degree-one LS-path of
-    shape lambda_s below tau that lifts below `lift`, in canonical order (rep
-    matrices, then cut points); memoized per (s, lift key) in
-    dcp.next_columns, which keeps each slice's column numbers under s."""
-    memo, setup, columns = dcp.next_columns, dcp.setup, dcp.columns
+def next_columns(dcp: DCP, s, lift: int):
+    """The tableau walk's steps from `lift`, the rep index of a coset of W/W_Q,
+    into slice s: (column number, last maximal lift) for each degree-one
+    LS-path of shape lambda_s below tau whose cosets lift greedily below
+    `lift` by WeylGroup._lift, in canonical order (rep matrices, then cut
+    points).  Memoized per (s, lift) in dcp.next_columns, which keeps under s
+    each column's number with its cosets' rep indices.  A step keeps the
+    lift or shortens it, and at most one step of a state keeps it."""
+    memo, setup = dcp.next_columns, dcp.setup
     if s not in memo:
         paths = enumerate_ls_paths(setup.group, setup.lambda_of[s], setup.tau, 1)
         paths = sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
-        memo[s] = [columns.add((path, s)) for path in paths]
-    key = s, lift.key
-    if key not in memo:
-        memo[key] = [
-            (k, lifts[-1]) for k in memo[s]
-            if (lifts := greedy_lifts(setup.group.deodhar_max_lift, lift, columns[k][0].cosets))
-        ]
-    return memo[key]
+        memo[s] = [(dcp.columns.add((path, s)), [c.rep.index for c in path.cosets])
+                   for path in paths]
+    steps = memo.get((s, lift))
+    if steps is None:
+        group, q, p = setup.group, bitmask(setup.q), bitmask(setup.p_of[s])
+        table, length, steps = group._lifts[q, p], group.lengths, []
+        for k, reps in memo[s]:
+            x = lift
+            for f in reps:
+                if (x := group._lift(x, f, q, p, table)) < 0:
+                    break
+            else:
+                steps.append((k, x))
+        if [x for _, x in steps if length[x] >= length[lift]] not in ([], [lift]):
+            raise InvariantError(f"a step from lift {lift} into {set(s)} neither "
+                                 "shortens it nor is its one kept step")
+        memo[s, lift] = steps
+    return steps
 
 
 def walk_standard(dcp: DCP, d, endpoints: bool = False):
@@ -245,12 +252,11 @@ def walk_standard(dcp: DCP, d, endpoints: bool = False):
     """
     if not is_tau_standard(dcp):
         raise TableauError("the index poset is not standard for tau")
-    setup = dcp.setup
-    shapes = shape_for_degree(setup, d)
+    setup, shapes = dcp.setup, shape_for_degree(dcp.setup, d)
     group, columns, ends = setup.group, dcp.columns, dcp.columns.ends
     # one stack entry per prefix still to walk: its end point, its key and
     # its lift; a prefix's steps are pushed in reverse, to pop in order
-    stack = [((0,) * group.rank if endpoints else None, (), setup.tau)]
+    stack = [((0,) * group.rank if endpoints else None, (), setup.tau.rep.index)]
     while stack:
         end, key, lift = stack.pop()
         if len(key) == len(shapes):

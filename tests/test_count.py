@@ -9,12 +9,13 @@ random degrees and on shape posets with bonds above 1.  walk_standard is
 the walk behind enumerate_standard, over the memoized steps of
 next_columns; it yields the keys of the same tableaux in the same order,
 with end points equal to tableau_endpoint, and each step list equals the
-sorted columns lifted one by one.  tableau_key and ls_tableau convert the
-walk's keys and the tableaux both ways.  A tracemalloc bound pins that
-verify holds no list of tableaux, fan vectors or images, and a count of
-LSTableau constructions that it makes none.  A count of Coset and element
-constructions pins that the inductive DCP build makes a coset only for a
-node it keeps.
+sorted columns lifted one by one through Cosets.  A step that neither
+shortens its lift nor is its state's one kept step raises InvariantError.
+tableau_key and ls_tableau convert the walk's keys and the tableaux both
+ways.  A tracemalloc bound pins that verify holds no list of tableaux, fan
+vectors or images, and a count of LSTableau constructions that it makes
+none.  A count of Coset and element constructions pins that the inductive
+DCP build makes a coset only for a node it keeps.
 """
 
 import io
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from lsfan import (
     Coset,
+    InvariantError,
     LSTableau,
     Setup,
     WeylGroup,
@@ -132,8 +134,9 @@ def canonical(paths):
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)
 def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
-    # the walk's memo holds exactly the (I, lift) states reached from tau,
-    # and each step list is the slice's sorted columns, lifted one by one
+    # the walk's memo holds exactly the (I, lift index) states reached from
+    # tau, and each step list is the slice's sorted columns, lifted one by
+    # one through Coset objects by greedy_lifts over deodhar_max_lift
     setup, _ = instance(name)
     dcp = build_dcp_inductive(setup)
     if not is_tau_standard(dcp):
@@ -150,17 +153,54 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
             columns = canonical(enumerate_ls_paths(group, setup.lambda_of[s], setup.tau, 1))
             below = {}
             for lift in lifts.values():
-                visited.add((s, lift.key))
+                visited.add((s, lift.rep.index))
                 brute = []
                 for path in columns:
                     chain = greedy_lifts(group.deodhar_max_lift, lift, path.cosets)
                     if chain is not None:
-                        brute.append(((path, s), chain[-1]))
-                steps = next_columns(dcp, s, lift)
+                        brute.append(((path, s), chain[-1].rep.index))
+                        below[chain[-1].key] = chain[-1]
+                steps = next_columns(dcp, s, lift.rep.index)
                 assert [(dcp.columns[k], x) for k, x in steps] == brute, (d, s)
-                below.update((x.key, x) for _, x in brute)
             lifts = below
     assert visited == walked
+
+
+def patch_lifts(monkeypatch, group, change):
+    """Make each outermost call of group._lift return change(t, x) for its
+    bound t and its result x; the recursion inside _lift reads the patch
+    too, so the depth keeps its own calls unchanged."""
+    lift, depth = group._lift, [0]
+
+    def patched(t, f, p, pp, memo):
+        depth[0] += 1
+        try:
+            x = lift(t, f, p, pp, memo)
+        finally:
+            depth[0] -= 1
+        return x if depth[0] else change(t, x)
+
+    monkeypatch.setattr(group, "_lift", patched)
+
+
+def test_a_step_that_keeps_the_length_but_not_the_lift_is_an_invariant_error(monkeypatch):
+    # the kept step from tau returns another element of tau's length
+    setup = instance("a3_tau3412_branched")[0]
+    dcp, group = build_dcp_inductive(setup), setup.group
+    twin = {t: next(y for y, n in enumerate(group.lengths) if n == group.lengths[t] and y != t)
+            for t in range(1, len(group) - 1)}
+    patch_lifts(monkeypatch, group, lambda t, x: twin.get(t, x) if x == t else x)
+    with pytest.raises(InvariantError, match="neither shortens"):
+        list(walk_standard(dcp, (1, 1, 1)))
+
+
+def test_two_kept_steps_in_one_state_are_an_invariant_error(monkeypatch):
+    # every column that lifts keeps the lift
+    setup = instance("a3_tau3412_branched")[0]
+    dcp = build_dcp_inductive(setup)
+    patch_lifts(monkeypatch, setup.group, lambda t, x: t if x >= 0 else x)
+    with pytest.raises(InvariantError, match="one kept step"):
+        list(walk_standard(dcp, (1, 1, 1)))
 
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)

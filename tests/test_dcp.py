@@ -125,6 +125,56 @@ def test_iposet_closure_condition_rejected():
     assert "closure" in str(err.value)
 
 
+def all_pairs_covers(sets):
+    """The reference for IndexPoset's validation: the covers of each member
+    by the all-pairs rule (t below s with no member between), or the error
+    kind, "graded" when a minimal member is not a singleton or a cover skips
+    a size, and "closure" when the closure condition fails."""
+    covers = {s: {t for t in sets if t < s and not any(t < u < s for u in sets)} for s in sets}
+    if any(len(s) != 1 for s in sets if not covers[s]) or any(
+            len(s) != len(t) + 1 for s in sets for t in covers[s]):
+        return "graded"
+    underline = {s: frozenset().union(*(s - t for t in covers[s])) or s for s in sets}
+    if any(underline[j] <= i and not j <= i for j in sets for i in sets):
+        return "closure"
+    return covers
+
+
+def test_iposet_with_one_cover_each_way_is_still_not_graded():
+    # every member has a cover one size up and one size down, but {1} lies
+    # under {1,2,3} on no chain of covers
+    sets = [fs(1), fs(2), fs(3), fs(4), fs(1, 4), fs(2, 3), fs(1, 2, 3), fs(1, 2, 4),
+            fs(1, 2, 3, 4)]
+    assert all_pairs_covers(set(sets)) == "graded"
+    with pytest.raises(IndexPosetError, match=r"covering \{1\} < \{1, 2, 3\} skips"):
+        build_index_poset(sets, 4)
+
+
+@st.composite
+def collections(draw):
+    """(m, members) for m = 4 or 5: the full set, and the prefixes of a few
+    orders of [m] (a union of chains, graded) with random members toggled."""
+    m = draw(st.sampled_from((4, 5)))
+    proper = [frozenset(c) for k in range(1, m) for c in combinations(range(1, m + 1), k)]
+    orders = draw(st.lists(st.permutations(range(1, m + 1)), max_size=3))
+    flips = draw(st.sets(st.sampled_from(proper), max_size=draw(st.sampled_from((2, 8, 30)))))
+    chains = {frozenset(order[:k]) for order in orders for k in range(1, m)}
+    return m, (chains ^ flips) | {frozenset(range(1, m + 1))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(collections())
+def test_iposet_covers_and_verdict_match_the_all_pairs_rule(collection):
+    m, sets = collection
+    expected = all_pairs_covers(sets)
+    try:
+        ip = build_index_poset(sets, m)
+    except IndexPosetError as err:
+        assert expected == ("closure" if "closure" in str(err) else "graded"), (sets, err)
+        return
+    assert {s: set(ip.covers_down[s]) for s in ip.sets} == expected
+
+
 def chains_by_rescan(iposet, s):
     """The covering chains from s up to [m], by a recursion that rescans
     every member for the covers of each step."""

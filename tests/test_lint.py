@@ -12,6 +12,9 @@ dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset,
 pair no weight image and make no element or coset: they read the group's
 int cover pairs.  The DCP set-up reads maximal representatives as ints, so
 Setup.__init__, UnderlineW.__init__ and direct_nodes call no max_rep.
+The tableau walk steps on rep indices, so tableaux.next_columns and
+walk_standard call no greedy_lifts or deodhar_max_lift and construct no
+Coset.
 Projection to minimal representatives preserves Bruhat order, so
 UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
 representatives in W and project or lift no coset; the closure condition
@@ -192,6 +195,14 @@ def test_maximal_representatives_are_read_as_ints(name):
     cls, _, fn = name.rpartition(".")
     called = _called(_function("dcp.py", cls or None, fn))
     assert "max_rep" not in called and "_max_rep" in called, sorted(called)
+
+
+@pytest.mark.parametrize("name", ["next_columns", "walk_standard"])
+def test_the_tableau_walk_lifts_on_ints(name):
+    # a lift is a rep index, stepped by WeylGroup._lift: no Coset is made
+    # and no Coset-valued lift is called
+    called = _called(_function("tableaux.py", None, name))
+    assert not called & {"greedy_lifts", "deodhar_max_lift", "Coset"}, sorted(called)
 
 
 def test_the_writers_make_no_fraction():

@@ -5,9 +5,9 @@ call counts also pin how often theta_d and the node numbering run, that no
 command recomputes a covering root that the cover walk already gave, and
 that verify validates each distinct degree-one part once, in memos that
 one job builds and no later job sees, computes no image w(nu) by a matrix,
-reads a shape's stabilizer from its table and lifts each (lift, column)
-pair of tableau enumeration once; a count of Fraction
-constructions pins the integer arithmetic of the theta round trip.
+reads a shape's stabilizer from its table and fills each (slice, lift
+index) state of tableau enumeration once, with no Coset lift; a count of
+Fraction constructions pins the integer arithmetic of the theta round trip.
 enumerate builds each distinct column's row once, and the Fractions it
 makes do not grow with the number of tableaux."""
 
@@ -79,6 +79,8 @@ def test_dcp_edges_come_from_the_one_cover_walk(capsys):
 
 # B3 chain at degree (1,1,1) has 7 + 21 + 8 distinct degree-one parts
 B3_PARTS = 36
+# and its tableau walk fills 33 (slice, lift index) states
+B3_STATES = 33
 
 
 def fractions_made(argv) -> int:
@@ -138,19 +140,25 @@ def test_verify_reads_shape_images_and_stabilizers_from_tables(capsys, monkeypat
     assert tracer.calls["WeylGroup.stabilizer_parabolic"] < 20
 
 
-def test_column_memos_stay_within_one_job(capsys):
+def test_column_memos_stay_within_one_job(capsys, monkeypatch):
     # the memos live on the job's DCP and group, so a second run in the same
-    # process validates every distinct part again, and computes again each
-    # Deodhar lift that the lift memo of tableau enumeration keeps
+    # process validates every distinct part again and fills again each
+    # (slice, lift index) state of the tableau walk, lifting on ints with
+    # no call to the Coset form deodhar_max_lift
     job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
     tracing = load_tracing()
-    for _ in range(2):
+    built, build = [], lsfan.cli.build_dcp_inductive
+    monkeypatch.setattr(lsfan.cli, "build_dcp_inductive",
+                        lambda setup: built.append(build(setup)) or built[-1])
+    for run in range(2):
         with tracing.Tracer() as tracer:
             assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
         capsys.readouterr()
         assert tracer.calls["validate_ls_path"] == B3_PARTS
         assert tracer.calls["theta_d_inverse"] == 512
-        assert tracer.calls["WeylGroup.deodhar_max_lift"] == 407
+        assert tracer.calls["WeylGroup.deodhar_max_lift"] == 0
+        assert len(built) == run + 1
+        assert sum(isinstance(key, tuple) for key in built[-1].next_columns) == B3_STATES
 
 
 def test_enumerate_builds_each_column_row_once_and_few_fractions(capsys):
