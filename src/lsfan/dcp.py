@@ -15,10 +15,11 @@ covers between them, so the two builds agree iff their nodes do.  A
 node carries one int key, packing theta's key with the bit mask of I, so
 the two node sets compare key by key on (theta, I).  A built poset numbers
 its nodes 0..N-1 top down (rank, then I, then element matrix) and keeps its
-covers, rho lookup and reach memo (lspath.bonded_below) as tables over
+covers, rho images and reach memo (lspath.bonded_below) as tables over
 these numbers.  tau-standardness of the index poset is decided once per
 poset (DCP.standardness), by injectivity of the slice-projection map rho
-and, in the maximal case, the four criteria.
+and, in the maximal case, the four criteria; rho, the criteria and the
+direct node test read rep indices and parabolic masks, and make no coset.
 """
 
 from __future__ import annotations
@@ -118,12 +119,11 @@ class IndexPoset:
             for s in self.sets
         }
 
-        for j, i in ((j, i) for j in self.sets for i in self.sets):
-            if self.underline[j] <= i and not j <= i:
-                raise IndexPosetError(
-                    f"closure condition fails: underline({set(j)}) is contained "
-                    f"in {set(i)} but {set(j)} is not"
-                )
+        for j, mj in zip(self.sets, masks):  # closure, on masks: i >= underline(j) holds j
+            uj = bitmask(self.underline[j])
+            if bad := [i for i, mi in zip(self.sets, masks) if not uj & ~mi and mj & ~mi]:
+                raise IndexPosetError(f"closure condition fails: underline({set(j)}) is "
+                                      f"contained in {set(bad[0])} but {set(j)} is not")
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self._set_lookup
@@ -229,7 +229,8 @@ class Setup:
         return tuple(sum(map(mul, d, column)) for column in zip(*self.lambdas))
 
     def is_w0_instance(self) -> bool:
-        return self.tau == self.group.coset(self.group.longest, self.q)
+        group = self.group
+        return self.tau.rep.index == group._min_rep(len(group) - 1, bitmask(self.q))
 
     def q_upper_chain(self, chain) -> Parabolic:
         """Q^r for one covering chain from I up to [m]."""
@@ -266,7 +267,8 @@ class UnderlineW:
     (lspath.bonded_below at denominator 1) in each slice under I_a.
     The partial order is the transitive hull, in general strictly larger.
     `_gen` and `_hull` hold one int row per node: bit b of row a is set iff
-    node a is above node b."""
+    node a is above node b.  Nodes come by slice, then rank, so a row's bits
+    are below it and the hull is one ascending pass over the rows."""
 
     def __init__(self, setup: Setup):
         self.setup = setup
@@ -287,11 +289,13 @@ class UnderlineW:
                     reach = bonded_below(covers, group._min_rep(top, mask), 1, covers.reach)
                     row |= sum(bit for x, bit in bits if reach >> x & 1)
             self._gen.append(row & ~(1 << a))
-        self._hull = hull = self._gen[:]
-        for k in range(len(hull)):  # Warshall, one row at a time
-            for i, row in enumerate(hull):
-                if row >> k & 1:
-                    hull[i] = row | hull[k]
+        self._hull = hull = []
+        for a, row in enumerate(self._gen):  # one ascending pass: a row's bits are below a
+            if row >> a:
+                raise InvariantError(f"node {a} of underline W generates a later node")
+            for b in set_bits(row):
+                row |= hull[b]
+            hull.append(row)
         self.generating_is_transitive = self._gen == hull
 
     def generating_geq(self, a, b) -> bool:
@@ -344,11 +348,12 @@ class ColumnTable(list):
     them; `number` looks a column up by its value.  Per column number it
     keeps `ends`, the column's end point, and `terms`, its theta (node
     number, numerator) terms, each None until first read; `parts` maps the
-    key of a degree-one fan vector to the number of its column."""
+    key of a degree-one fan vector to the number of its column; `slices`,
+    a slice I to its columns' (number, rep indices) in tableau walk order."""
 
     def __init__(self):
         super().__init__()
-        self.number, self.ends, self.terms, self.parts = {}, [], [], {}
+        self.number, self.ends, self.terms, self.parts, self.slices = {}, [], [], {}, {}
 
     def add(self, column) -> int:
         """The number of a column, numbering it if it is new."""
@@ -368,11 +373,12 @@ class DCP:
     by index set and element matrix, so the top is 0; `position` maps a
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
     is a table over these numbers, and so are `reach`, the memo of
-    lspath.bonded_below, the rho lookup and the fan arithmetic.  big_l, the
+    lspath.bonded_below, the int rho images (rep index of pi_{P_I}(theta),
+    I), inverted by rho_lookup, and the fan arithmetic.  big_l, the
     lcm of the bonds, is the one denominator of its fan vectors.  `columns`
     numbers the degree-one columns that tableau keys are made of (a
     ColumnTable), and `next_columns` keeps the tableau walk's steps per (I,
-    lift index) and, per I, each column's number with its cosets' rep indices.
+    lift index).
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -405,18 +411,10 @@ class DCP:
 
     @cached_property
     def rho_images(self) -> list:
-        """node number -> its rho image (pi_{P_I}(theta), I)."""
-        return [rho(self.setup, n) for n in self.nodes]
-
-    @cached_property
-    def rho_table(self) -> dict:
-        """rho_map of this poset."""
-        return rho_map(self)
-
-    def rho_collisions(self) -> list:
-        """Groups of nodes sharing one rho image, ordered by their first node;
-        empty iff the index poset is standard for tau."""
-        return [v for v in self.rho_table.values() if len(v) > 1]
+        """node number -> its rho image (rep index of pi_{P_I}(theta), I)."""
+        setup = self.setup
+        return [(setup.group._min_rep(n.theta.rep.index, bitmask(setup.p_of[n.iset])), n.iset)
+                for n in self.nodes]
 
     @cached_property
     def standardness(self) -> StandardnessReport:
@@ -425,16 +423,15 @@ class DCP:
 
     @cached_property
     def rho_lookup(self) -> dict:
-        """rho inverted: (key of a coset in W/W_{P_I}, I) -> node number.
-        Raises NotStandardError when rho is not injective."""
-        collisions = self.rho_collisions()
-        if collisions:
+        """rho inverted: (rep index of a coset in W/W_{P_I}, I) -> node
+        number.  Raises NotStandardError when rho is not injective."""
+        if collisions := self.standardness.collisions:
             pair = collisions[0]
             raise NotStandardError(
                 f"rho is not injective; the index poset is not standard for "
                 f"tau (collision at {pair[0]} / {pair[1]})"
             )
-        return {(c.key, s): k for k, (c, s) in enumerate(self.rho_images)}
+        return {image: k for k, image in enumerate(self.rho_images)}
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
         """a <= b in the poset order: a is in the reach of b at denominator 1."""
@@ -512,16 +509,18 @@ def direct_nodes(setup: Setup) -> list:
     """The node test of the direct build: (theta, I) with theta Q_I-minimal
     and maximal over W/W_{Q^r} for the upper parabolic Q^r of some covering
     chain from I to [m], i.e. the maximal representative of theta has every
-    simple reflection of Q^r as a right descent."""
+    simple reflection of Q^r as a right descent.  It scans the rep indices
+    of W/W_Q and makes one coset per kept rep."""
     group, desc, mask = setup.group, setup.group._right_desc, bitmask(setup.q)
-    cosets = [(c, desc[c.rep.index], desc[group._max_rep(c.rep.index, mask)])
-              for c in group.all_cosets(setup.q)]
-    nodes = []
+    reps = [(x, low, desc[group._max_rep(x, mask)])
+            for x, low in enumerate(desc) if not low & mask]
+    kept = []
     for s in setup.iposet.sets:
         uppers = set(map(bitmask, setup.upper_parabolics[s]))
-        nodes.extend(DCPNode(c, s) for c, low, top in cosets
-                     if not low & setup.q_mask[s] and any(top & u == u for u in uppers))
-    return nodes
+        kept.extend((x, s) for x, low, top in reps
+                    if not low & setup.q_mask[s] and any(top & u == u for u in uppers))
+    cosets = {x: Coset(group.element(x), setup.q) for x in {x for x, _ in kept}}
+    return [DCPNode(cosets[x], s) for x, s in kept]
 
 
 # -- rho and tau-standardness -------------------------------------------------
@@ -533,7 +532,7 @@ def rho(setup: Setup, node: DCPNode):
 
 
 def rho_map(dcp: DCP):
-    """rho image -> the nodes that have it."""
+    """rho image (rep index, I) -> the nodes that have it."""
     images: dict = {}
     for node, image in zip(dcp.nodes, dcp.rho_images):
         images.setdefault(image, []).append(node)
@@ -552,30 +551,25 @@ class StandardnessReport:
 
 
 def tau_standardness_report(dcp: DCP) -> StandardnessReport:
-    """Decide whether the index poset is standard for tau.
-
-    The decision is injectivity of rho on the defining chain poset.  For
-    tau = w0 W_Q the four criterion values are also evaluated once per
-    member I and upper parabolic Q^r of its covering chains
-    (Setup.upper_parabolics), all they read, and two invariants are checked
-    over those keys: the four agree, and criterion (i) holds everywhere iff
-    rho is injective.  chain_criteria lists them per covering chain.
-    """
-    setup = dcp.setup
-    group = setup.group
-    images = dcp.rho_table
-    collisions = dcp.rho_collisions()
+    """Decide whether the index poset is standard for tau: injectivity of
+    rho, read off one rho_map of the int images DCP.rho_images (a collision
+    is a group of nodes sharing an image, ordered by its first node).  For
+    tau = w0 W_Q the four criteria are also evaluated once per member I and
+    upper parabolic Q^r of its covering chains (Setup.upper_parabolics), on
+    rep indices and parabolic masks, and two invariants are checked over
+    those keys: the four agree, and criterion (i), injectivity at the
+    identity's image (0, I), holds everywhere iff rho is injective.
+    chain_criteria lists them per covering chain."""
+    setup, group = dcp.setup, dcp.setup.group
+    images = rho_map(dcp)
+    collisions = [nodes for nodes in images.values() if len(nodes) > 1]
     standard = not collisions
-
-    criteria = None
-    agree = None
+    criteria = agree = None
     if setup.is_w0_instance():
         criteria = {}
         for s in setup.iposet.sets:
-            p_i = setup.p_of[s]
-            q_i = setup.q_of[s]
-            id_coset = group.coset(group.identity, p_i)
-            crit_i = len(images.get((id_coset, s), ())) == 1
+            p_i, q_i = setup.p_of[s], setup.q_of[s]
+            crit_i = len(images.get((0, s), ())) == 1
             for q_r in setup.upper_parabolics[s]:
                 criteria[s, q_r] = {
                     "i": crit_i,
@@ -612,20 +606,20 @@ def is_tau_standard(dcp: DCP) -> bool:
 
 
 def _criterion_min_max(group, setup, p_i, q_i, q_r) -> bool:
-    id_pi = group.coset(group.identity, p_i)
-    left = group.min_lift(group.max_lift(id_pi, q_i), setup.q)
-    right = group.max_lift(group.min_lift(id_pi, q_r), setup.q)
-    return left == right
+    """(ii) on rep indices: the Q_I-minimal rep of w0(P_I) is the Q-minimal
+    rep of w0(Q^r)."""
+    min_rep, max_rep = group._min_rep, group._max_rep
+    return (min_rep(max_rep(0, bitmask(p_i)), bitmask(q_i))
+            == min_rep(max_rep(0, bitmask(q_r)), bitmask(setup.q)))
 
 
 def _criterion_subgroup(group, setup, p_i, q_i, q_r) -> bool:
-    members_qr = set(group.parabolic_elements(q_r))
-    for w in group.parabolic_elements(p_i):
-        if not group.is_q_minimal(w, q_i):
-            continue
-        if w not in members_qr or not group.is_q_minimal(w, setup.q):
-            return False
-    return True
+    """(iii) in one scan of W: each Q_I-minimal w in W_{P_I} (its reduced
+    word's letters lie in P_I) lies in W_{Q^r} and is Q-minimal."""
+    low, q = bitmask(q_i), bitmask(setup.q)
+    return all(q_r.issuperset(word) and not desc & q
+               for word, desc in zip(group._words, group._right_desc)
+               if not desc & low and p_i.issuperset(word))
 
 
 def _criterion_dynkin(datum, p_i, q_i, q_r) -> bool:

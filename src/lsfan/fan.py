@@ -37,6 +37,7 @@ from .demazure import weyl_dimension
 from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
                      count_lattice_points, integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
+from .weyl import Coset
 
 __all__ = [
     "FanError",
@@ -216,9 +217,9 @@ def _column_terms(dcp: DCP, path, s):
         raise InvariantError(f"column steps over {den} are not integral over {big_l}")
     terms = []
     for coset, step in zip(path.cosets, steps):
-        if (coset.key, s) not in inverse:
+        if (coset.rep.index, s) not in inverse:
             raise FanError(f"column coset {coset} has no node in slice {set(s)}")
-        terms.append((inverse[coset.key, s], step * (big_l // den)))
+        terms.append((inverse[coset.rep.index, s], step * (big_l // den)))
     return terms
 
 
@@ -229,13 +230,13 @@ def theta_d_inverse(dcp: DCP, key: FanKey | None) -> tuple[int, ...]:
     and numbered in dcp.columns, which keeps the part's number in `parts`;
     _parts makes the slices a chain, so the key needs no other check."""
     setup, columns, images = dcp.setup, dcp.columns, dcp.rho_images
-    memo, out = columns.parts, []
+    group, memo, out = setup.group, columns.parts, []
     for part in _parts(dcp, key):
         k = memo.get(part)
         if k is None:
             s = images[part[0][0]][1]
-            terms = [(images[n][0], c) for n, c in part]
-            path = column_of(setup.group, terms, dcp.big_l, setup.lambda_of[s])
+            terms = [(Coset(group.element(images[n][0]), setup.p_of[s]), c) for n, c in part]
+            path = column_of(group, terms, dcp.big_l, setup.lambda_of[s])
             k = memo[part] = columns.add((path, s))
         out.append(k)
     return tuple(out)

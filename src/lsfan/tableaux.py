@@ -209,20 +209,21 @@ def next_columns(dcp: DCP, s, lift: int):
     into slice s: (column number, last maximal lift) for each degree-one
     LS-path of shape lambda_s below tau whose cosets lift greedily below
     `lift` by WeylGroup._lift, in canonical order (rep matrices, then cut
-    points).  Memoized per (s, lift) in dcp.next_columns, which keeps under s
-    each column's number with its cosets' rep indices.  A step keeps the
-    lift or shortens it, and at most one step of a state keeps it."""
-    memo, setup = dcp.next_columns, dcp.setup
-    if s not in memo:
+    points).  Memoized per (s, lift) in dcp.next_columns; the slice's
+    columns, numbered with their cosets' rep indices, are kept in
+    dcp.columns.slices.  A step keeps the lift or shortens it, and at most
+    one step of a state keeps it."""
+    memo, setup, columns = dcp.next_columns, dcp.setup, dcp.columns
+    if s not in columns.slices:
         paths = enumerate_ls_paths(setup.group, setup.lambda_of[s], setup.tau, 1)
         paths = sorted(paths, key=lambda p: ([c.rep.packed for c in p.cosets], p.cuts))
-        memo[s] = [(dcp.columns.add((path, s)), [c.rep.index for c in path.cosets])
-                   for path in paths]
+        columns.slices[s] = [(columns.add((path, s)), [c.rep.index for c in path.cosets])
+                             for path in paths]
     steps = memo.get((s, lift))
     if steps is None:
         group, q, p = setup.group, bitmask(setup.q), bitmask(setup.p_of[s])
         table, length, steps = group._lifts[q, p], group.lengths, []
-        for k, reps in memo[s]:
+        for k, reps in columns.slices[s]:
             x = lift
             for f in reps:
                 if (x := group._lift(x, f, q, p, table)) < 0:

@@ -304,7 +304,7 @@ def theta_d(dcp, tableau):
     vec = {}
     for path, s in zip(tableau.columns, tableau.shapes):
         for coset, c in theta_single(path, 1).items():
-            k = inverse.get((coset.key, s))
+            k = inverse.get((coset.rep.index, s))
             if k is None:
                 raise FanError(f"column coset {coset} has no node in slice {set(s)}")
             node = dcp.nodes[k]

@@ -145,7 +145,7 @@ def test_next_columns_is_the_lifted_columns_at_every_visited_lift(name):
     for d in degrees:
         for _ in walk_standard(dcp, d):
             pass
-    walked = {key for key in dcp.next_columns if isinstance(key, tuple)}
+    walked = set(dcp.next_columns)
     visited = set()
     for d in degrees:
         lifts = {setup.tau.key: setup.tau}
@@ -261,6 +261,43 @@ def test_the_inductive_build_makes_a_coset_per_new_node_only(name, monkeypatch):
     monkeypatch.undo()
     assert len(cosets) <= len(dcp.nodes) - 1, (len(cosets), len(dcp.nodes))
     assert len(elements) <= len({n.theta.key for n in dcp.nodes}), len(elements)
+
+
+D4_FLAG = ("--job", str(FIXTURES / "d4_flag_branched.json"))
+B4_POWERSET = ("--type", "B", "--rank", "4", "--lambda", "1,0,0,0;0,1,0,0;0,0,0,1",
+               "--tau", "w0", "--iposet", "powerset")
+F4_CHAIN = ("--type", "F", "--rank", "4", "--lambda", "1,0,0,0;0,0,0,1",
+            "--tau", "w0", "--iposet", "chain")
+A3_TAU3412 = ("--job", str(FIXTURES / "a3_tau3412_branched.json"))
+
+
+@pytest.mark.parametrize("argv", [("check", *D4_FLAG), ("check", *B4_POWERSET),
+                                  ("check", *A3_TAU3412), ("dcp", *D4_FLAG), ("dcp", *F4_CHAIN)],
+                         ids=["check-d4", "check-b4", "check-a3", "dcp-d4", "dcp-f4"])
+def test_standardness_and_the_direct_node_test_read_rep_indices(argv, monkeypatch):
+    # once the inductive build returns, rho, the four criteria and the w0
+    # test read rep indices and masks, so check makes no Coset and no
+    # element; the direct node test scans rep indices and makes a Coset
+    # only for a rep it keeps, whose element the build already made
+    cosets, elements, built = [], [], []
+    post_init, make, build = Coset.__post_init__, WeylGroup._make, cli.build_dcp_inductive
+
+    def counted_after(setup):
+        built.append(build(setup))
+        cosets.clear(), elements.clear()
+        return built[-1]
+
+    monkeypatch.setattr(Coset, "__post_init__", lambda c: cosets.append(None) or post_init(c))
+    monkeypatch.setattr(WeylGroup, "_make", lambda g, x: elements.append(x) or make(g, x))
+    monkeypatch.setattr(cli, "build_dcp_inductive", counted_after)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    monkeypatch.undo()
+    assert not elements, len(elements)
+    if argv[0] == "check":
+        assert not cosets, len(cosets)
+    else:
+        assert len(cosets) <= len({n.theta.key for n in built[0].nodes}), len(cosets)
 
 
 @pytest.mark.parametrize("name", JOB_FIXTURES)

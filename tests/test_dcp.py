@@ -392,6 +392,14 @@ def test_underline_w_matches_the_bool_matrix_reference_on_random_setups(data):
     assert uw._hull == [sum(1 << b for b, x in enumerate(row) if x) for row in hull]
 
 
+def test_a_generating_row_at_or_above_its_node_is_an_invariant_error(a3, monkeypatch):
+    # the hull is one ascending pass, so it needs every generated node
+    # numbered below its generator: a reach holding every node breaks that
+    monkeypatch.setattr(lsfan.dcp, "bonded_below", lambda *a: -1)
+    with pytest.raises(InvariantError, match="generates a later node"):
+        UnderlineW(mixed_chain_setup(a3))
+
+
 # -- defining chain posets ------------------------------------------------------------
 
 
@@ -854,7 +862,7 @@ def test_rho_inverse_closed_form_matches_search(a3):
     assert len(dcp.nodes) == 14  # 4 + 6 + 4 across the three slices
     for node in dcp.nodes:
         image = rho(setup, node)
-        assert dcp.nodes[dcp.rho_lookup[image[0].key, image[1]]] == node
+        assert dcp.nodes[dcp.rho_lookup[image[0].rep.index, image[1]]] == node
         assert rho_inverse_w0(setup, *image) == node
 
 

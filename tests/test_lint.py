@@ -14,7 +14,10 @@ int cover pairs.  The DCP set-up reads maximal representatives as ints, so
 Setup.__init__, UnderlineW.__init__ and direct_nodes call no max_rep.
 The tableau walk steps on rep indices, so tableaux.next_columns and
 walk_standard call no greedy_lifts or deodhar_max_lift and construct no
-Coset.
+Coset.  tau-standardness reads rep indices and parabolic masks, so the
+report, the criteria, DCP.rho_images and Setup.is_w0_instance project,
+lift and list no coset or subgroup (no coset, pi, min_lift, max_lift or
+parabolic_elements), and direct_nodes scans rep indices, not all_cosets.
 Projection to minimal representatives preserves Bruhat order, so
 UnderlineW.__init__ and WeylGroup.deodhar_max_lift compare
 representatives in W and project or lift no coset; the closure condition
@@ -203,6 +206,27 @@ def test_the_tableau_walk_lifts_on_ints(name):
     # and no Coset-valued lift is called
     called = _called(_function("tableaux.py", None, name))
     assert not called & {"greedy_lifts", "deodhar_max_lift", "Coset"}, sorted(called)
+
+
+STANDARDNESS = ["tau_standardness_report", "_criterion_min_max", "_criterion_subgroup",
+                "_criterion_dynkin", "DCP.rho_images", "Setup.is_w0_instance"]
+
+
+@pytest.mark.parametrize("name", STANDARDNESS)
+def test_standardness_reads_rep_indices(name):
+    # rho images, the four criteria and the w0 test compare rep indices
+    # and parabolic masks: no coset is projected or lifted, no subgroup listed
+    cls, _, fn = name.rpartition(".")
+    called = _called(_function("dcp.py", cls or None, fn))
+    assert not called & {"coset", "pi", "min_lift", "max_lift", "parabolic_elements"}, \
+        sorted(called)
+
+
+def test_the_direct_node_test_scans_rep_indices():
+    # the direct build's node test lists no coset of W/W_Q; it makes one
+    # per rep that it keeps
+    called = _called(_function("dcp.py", None, "direct_nodes"))
+    assert "all_cosets" not in called and "Coset" in called, sorted(called)
 
 
 def test_the_writers_make_no_fraction():

@@ -10,7 +10,9 @@ The moves are drawn from the Cartan matrix alone: s_i s_j has order m_ij =
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,137 @@ def test_words_joined_by_a_move_give_the_same_bytes(pair):
     same_bytes([("dcp",), ("check",), ("enumerate", "--degree", "1,1")],
                [",".join(map(str, w)) for w in (word, other)],
                "--type", dynkin, "--rank", str(rank), "--lambda", lambdas, "--iposet", "chain")
+
+
+# -- diagram automorphisms ---------------------------------------------------
+#
+# A permutation sigma of the simple indices that fixes the Cartan matrix
+# relabels each weight's coordinates and tau's letters.  w0 is fixed, so on a
+# w0 instance check prints the same bytes when the index poset is standard
+# (its JSON then names no theta), and the same report with each colliding
+# theta relabelled when it is not; dcp gives the same poset with each theta
+# relabelled.  The commands print a canonical reduced word per theta, which
+# a relabelling need not keep, so a theta is compared by theta(rho) with
+# rho = (1, ..., 1), an element's image of a regular weight, read off the
+# word and the Cartan matrix alone.
+
+D4_LEGS = list(permutations((1, 3, 4)))  # (sigma(1), sigma(3), sigma(4))
+
+
+def d4_sigma(legs) -> dict:
+    """The D4 diagram automorphism sending the legs 1, 3, 4 to `legs`."""
+    return {1: legs[0], 2: 2, 3: legs[1], 4: legs[2]}
+
+
+def a_flip(rank: int) -> dict:
+    return {i: rank + 1 - i for i in range(1, rank + 1)}
+
+
+def relabel_weights(lambdas: str, sigma: dict) -> str:
+    """Each weight with coordinate i moved to sigma(i)."""
+    out = []
+    for lam in lambdas.split(";"):
+        x = lam.split(",")
+        out.append(",".join(x[i - 1] for i in sorted(sigma, key=sigma.get)))
+    return ";".join(out)
+
+
+def image_of_rho(cartan, word) -> tuple:
+    """w(rho) for the product w of `word`, in omega-coordinates: s_i v =
+    v - v_i alpha_i, alpha_i being column i of the Cartan matrix."""
+    v = [1] * len(cartan)
+    for i in reversed(word):
+        vi = v[i - 1]
+        v = [x - vi * row[i - 1] for x, row in zip(v, cartan)]
+    return tuple(v)
+
+
+def theta_key(cartan, word, sigma: dict) -> tuple:
+    """sigma(theta)(rho), theta the product of `word`."""
+    v = image_of_rho(cartan, word)
+    return tuple(v[i - 1] for i in sorted(sigma, key=sigma.get))
+
+
+def dcp_shape(cartan, text: str, sigma: dict) -> tuple:
+    """A dcp JSON's length, sorted nodes and sorted edges, each node read as
+    (I, rank, sigma(theta)(rho))."""
+    data = json.loads(text)
+    key = {n["id"]: (tuple(n["I"]), n["rank"], theta_key(cartan, n["theta"], sigma))
+           for n in data["nodes"]}
+    edges = sorted((key[e["from"]], key[e["to"]], e["type"], e["bond"]) for e in data["edges"])
+    return data["length"], sorted(key.values()), edges
+
+
+def check_shape(cartan, text: str, sigma: dict) -> dict:
+    """A check JSON with each collision's thetas read as sigma(theta)(rho),
+    the groups sorted."""
+    data = json.loads(text)
+    data["collisions"] = sorted(
+        sorted((n["I"], theta_key(cartan, n["theta"], sigma)) for n in group)
+        for group in data["collisions"])
+    return data
+
+
+def same_up_to_relabelling(dynkin, rank, lambdas, iposet, sigma):
+    """check and dcp on the weights, thetas read through sigma, equal check
+    and dcp on the relabelled weights; check's bytes are equal when it
+    names no theta."""
+    common = ("--type", dynkin, "--rank", str(rank), "--iposet", iposet, "--tau", "w0")
+    cartan = build_root_datum(dynkin, rank).cartan
+    shapes, texts = [], []
+    for lam, s in ((lambdas, sigma), (relabel_weights(lambdas, sigma), {i: i for i in sigma})):
+        (code, check, err), (dcp_code, dcp, dcp_err) = (
+            run(command, *common, "--lambda", lam) for command in ("check", "dcp"))
+        assert code == dcp_code == 0, (lam, err, dcp_err)
+        shapes.append((err, dcp_err, check_shape(cartan, check, s), dcp_shape(cartan, dcp, s)))
+        texts.append(check)
+    assert shapes[0] == shapes[1], (lambdas, sigma)
+    if not shapes[0][2]["collisions"]:
+        assert texts[0] == texts[1], (lambdas, sigma)
+
+
+@pytest.mark.parametrize("legs", D4_LEGS, ids=["".join(map(str, l)) for l in D4_LEGS])
+def test_d4_flag_under_the_leg_permutations(legs):
+    job = json.loads((FIXTURES / "d4_flag_branched.json").read_text())
+    lambdas = ";".join(",".join(map(str, lam)) for lam in job["lambdas"])
+    iposet = ";".join(",".join(map(str, s)) for s in job["iposet"])
+    same_up_to_relabelling("D", 4, lambdas, iposet, d4_sigma(legs))
+
+
+AUTOMORPHISMS = [("A", 2, a_flip(2)), ("A", 3, a_flip(3)), ("A", 4, a_flip(4))] + [
+    ("D", 4, d4_sigma(legs)) for legs in D4_LEGS[1:]]
+
+
+@st.composite
+def w0_instances(draw):
+    """(type, rank, lambdas, iposet, sigma): two or three weights with
+    entries 0..1, none zero, on the chain or the powerset."""
+    dynkin, rank, sigma = draw(st.sampled_from(AUTOMORPHISMS))
+    weight = st.lists(st.integers(0, 1), min_size=rank, max_size=rank).filter(any)
+    lambdas = draw(st.lists(weight, min_size=2, max_size=3))
+    return (dynkin, rank, ";".join(",".join(map(str, lam)) for lam in lambdas),
+            draw(st.sampled_from(["chain", "powerset"])), sigma)
+
+
+@settings(max_examples=30, deadline=None)
+@given(w0_instances())
+def test_w0_instances_under_a_diagram_automorphism(instance):
+    same_up_to_relabelling(*instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3).filter(any),
+                min_size=2, max_size=3))
+def test_a3_flip_keeps_the_check_verdict_and_collision_count(word, lambdas):
+    # the flip relabels the colliding thetas, which check prints, so only
+    # the verdict and the number of collisions must agree
+    flip = a_flip(3)
+    lam = ";".join(",".join(map(str, l)) for l in lambdas)
+    reports = []
+    for tau, weights in ((word, lam), ([flip[i] for i in word], relabel_weights(lam, flip))):
+        code, out, err = run("check", "--type", "A", "--rank", "3", "--lambda", weights,
+                             "--tau", ",".join(map(str, tau)), "--iposet", "chain")
+        data = json.loads(out) if code == 0 else None
+        reports.append((code, err, data and (data["tau_standard"], len(data["collisions"]))))
+    assert reports[0] == reports[1], (word, lambdas)

@@ -158,7 +158,7 @@ def test_column_memos_stay_within_one_job(capsys, monkeypatch):
         assert tracer.calls["theta_d_inverse"] == 512
         assert tracer.calls["WeylGroup.deodhar_max_lift"] == 0
         assert len(built) == run + 1
-        assert sum(isinstance(key, tuple) for key in built[-1].next_columns) == B3_STATES
+        assert len(built[-1].next_columns) == B3_STATES
 
 
 def test_enumerate_builds_each_column_row_once_and_few_fractions(capsys):
