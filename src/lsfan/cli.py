@@ -203,10 +203,7 @@ def cmd_check(args, job: dict, setup: Setup) -> int:
                 "chain": [sorted(t) for t in chain],
                 **values,
             }
-            for (s, chain), values in sorted(
-                chain_criteria(dcp).items(),
-                key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
-            )
+            for (s, chain), values in chain_criteria(dcp).items()  # in member order
         ]
         data["criteria_agree"] = report.criteria_agree
     _emit(args, lsio.dumps(data))
@@ -406,16 +403,14 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an error is one stderr line, exit 2 (input) or 1 (invariant)."""
     try:
         args = _parser().parse_args(argv)
         job = _load_job(args)
         return args.func(args, job, _setup_from_job(job))
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError, KeyError, InvariantError) as exc:
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 1 if isinstance(exc, InvariantError) else 2
 
 
 if __name__ == "__main__":

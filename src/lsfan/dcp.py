@@ -15,7 +15,7 @@ covers between them, so the two builds agree iff their nodes do.  A
 node carries one int key, packing theta's key with the bit mask of I, so
 the two node sets compare key by key on (theta, I).  A built poset numbers
 its nodes 0..N-1 top down (rank, then I, then element matrix) and keeps its
-covers, rho images and reach memo (lspath.bonded_below) as tables over
+covers, rho images and reach rows (lspath.reach_rows) as tables over
 these numbers.  tau-standardness of the index poset is decided once per
 poset (DCP.standardness), by injectivity of the slice-projection map rho
 and, in the maximal case, the four criteria; rho, the criteria and the
@@ -30,7 +30,7 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
-from .lspath import ShapePoset, bonded_below, maximal_bonded_chains, set_bits, shape_covers
+from .lspath import ShapePoset, maximal_bonded_chains, reach_rows, set_bits, shape_covers
 from .rootdata import InvariantError
 from .weyl import Coset, LiftError, Parabolic, WeylElt, WeylGroup, bitmask, pair_key
 
@@ -92,32 +92,29 @@ class IndexPoset:
             raise IndexPosetError(f"the full set [{m}] must be a member")
         self.full = full
 
-        # Covers of s: the members one size below in s.  Graded: each member below
-        # s is on a chain of covers (under[k], bits by number); minimal ones are 1-sets.
+        # Covers of s: the members s - {i}; underline(s): those i, or s if none.  Graded:
+        # no member below s holds every such i (it lies in no cover); minimal ones are 1-sets.
         self.covers_down: dict[frozenset, tuple[frozenset, ...]] = {}
         self.covers_up: dict[frozenset, list] = {s: [] for s in self.sets}  # in sets order
-        masks, under = list(map(bitmask, self.sets)), []
-        for k, s in enumerate(self.sets):  # by size, so the members below s come first
-            below = [j for j in range(k) if not masks[j] & ~masks[k]]
-            covers, reach = [j for j in below if len(self.sets[j]) == len(s) - 1], 0
+        self.underline: dict[frozenset, frozenset] = {}
+        masks = list(map(bitmask, self.sets))
+        number = {mask: k for k, mask in enumerate(masks)}
+        for k, (s, mask) in enumerate(zip(self.sets, masks)):  # members below s come first
+            removable = [i for i in s if mask ^ 1 << i - 1 in number]
+            covers = sorted(number[mask ^ 1 << i - 1] for i in removable)
             for j in covers:
-                reach |= under[j] | 1 << j
                 self.covers_up[self.sets[j]].append(s)
-            under.append(reach)
             self.covers_down[s] = tuple(self.sets[j] for j in covers)
-            if skipped := [self.sets[j] for j in below if not reach >> j & 1]:
+            self.underline[s] = frozenset(removable) or s
+            under, outside = bitmask(frozenset(removable)), ~mask
+            if skipped := [t for t, mt in zip(self.sets[:k], masks)
+                           if mt & under == under and not mt & outside]:
                 raise IndexPosetError(f"not graded of length {m - 1}: covering "
                                       f"{set(skipped[-1])} < {set(s)} skips a cardinality")
             if not covers and len(s) != 1:
                 raise IndexPosetError(f"not graded of length {m - 1}: minimal member "
                                       f"{set(s)} is not a singleton")
         self._chains_to_top: dict[frozenset, list] = {}  # filled on first use
-
-        # a member with covers adds what any cover lacks; a minimal one, itself
-        self.underline: dict[frozenset, frozenset] = {
-            s: frozenset().union(*(s - t for t in self.covers_down[s])) or s
-            for s in self.sets
-        }
 
         for j, mj in zip(self.sets, masks):  # closure, on masks: i >= underline(j) holds j
             uj = bitmask(self.underline[j])
@@ -263,8 +260,8 @@ class UnderlineW:
     minimal lift of theta_b lies below the maximal lift of theta_a in W/W_Q.
     By the same proposition, as min(theta_b) is minimal in its coset of the
     slice's quotient W/W_P, it says theta_b lies below the coset of
-    max(theta_a) in W/W_P: row a is read off that coset's reach
-    (lspath.bonded_below at denominator 1) in each slice under I_a.
+    max(theta_a) in W/W_P: row a is read off that coset's reach row at
+    denominator 1 (lspath.BondedCovers.reach) in each slice under I_a.
     The partial order is the transitive hull, in general strictly larger.
     `_gen` and `_hull` hold one int row per node: bit b of row a is set iff
     node a is above node b.  Nodes come by slice, then rank, so a row's bits
@@ -278,15 +275,15 @@ class UnderlineW:
             poset = ShapePoset(group, setup.lambda_of[s], setup.tau)
             covers, first = poset.covers_down, len(self.nodes)
             bits = [(c.rep.index, 1 << b) for b, c in enumerate(poset.nodes, first)]
-            slices.append((s, covers, bitmask(covers.parabolic), bits))
+            slices.append((s, covers.reach(1), bitmask(covers.parabolic), bits))
             self.nodes.extend((c, s) for c in poset.nodes)
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self._gen = []
         for a, (c, sa) in enumerate(self.nodes):
             top, row = group._max_rep(c.rep.index, bitmask(c.parabolic)), 0
-            for s, covers, mask, bits in slices:
+            for s, rows, mask, bits in slices:
                 if s <= sa:
-                    reach = bonded_below(covers, group._min_rep(top, mask), 1, covers.reach)
+                    reach = rows[group._min_rep(top, mask)]
                     row |= sum(bit for x, bit in bits if reach >> x & 1)
             self._gen.append(row & ~(1 << a))
         self._hull = hull = []
@@ -372,13 +369,13 @@ class DCP:
     The nodes are numbered 0..N-1 in `nodes` order, top down by rank, then
     by index set and element matrix, so the top is 0; `position` maps a
     node's key to its number.  covers_down (the (lower, kind, bond) covers)
-    is a table over these numbers, and so are `reach`, the memo of
-    lspath.bonded_below, the int rho images (rep index of pi_{P_I}(theta),
-    I), inverted by rho_lookup, and the fan arithmetic.  big_l, the
-    lcm of the bonds, is the one denominator of its fan vectors.  `columns`
-    numbers the degree-one columns that tableau keys are made of (a
-    ColumnTable), and `next_columns` keeps the tableau walk's steps per (I,
-    lift index).
+    is a table over these numbers, and so are `rows`, the reach rows per
+    denominator that reach(den) fills, the int rho images (rep index of
+    pi_{P_I}(theta), I), inverted by rho_lookup, and the fan arithmetic.
+    big_l, the lcm of the bonds, is the one denominator of its fan vectors.
+    `columns` numbers the degree-one columns that tableau keys are made of
+    (a ColumnTable), and `next_columns` keeps the tableau walk's steps per
+    (I, lift index).
     """
 
     def __init__(self, setup: Setup, nodes, edges):
@@ -396,10 +393,19 @@ class DCP:
         self.top = DCPNode(setup.tau, setup.iposet.full)
         if position.get(self.top.key) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
-        self.reach, self.columns, self.next_columns = {}, ColumnTable(), {}
+        self.rows, self.columns, self.next_columns = {}, ColumnTable(), {}
 
     def length(self) -> int:
         return self.top.rank
+
+    def reach(self, den: int) -> dict:
+        """Node number -> its reach row at den (lspath.reach_rows), filled
+        once per denominator in one pass down the node numbers: every cover
+        goes to a larger number."""
+        rows = self.rows.get(den)
+        if rows is None:
+            rows = self.rows[den] = reach_rows(self.covers_down, range(len(self.nodes))[::-1], den)
+        return rows
 
     def maximal_chains(self):
         """All maximal chains from the top, as (nodes, edge bonds) pairs; a
@@ -434,9 +440,8 @@ class DCP:
         return {image: k for k, image in enumerate(self.rho_images)}
 
     def leq(self, a: DCPNode, b: DCPNode) -> bool:
-        """a <= b in the poset order: a is in the reach of b at denominator 1."""
-        reach = bonded_below(self.covers_down, self.position[b.key], 1, self.reach)
-        return reach >> self.position[a.key] & 1 == 1
+        """a <= b in the poset order: a is in the reach row of b at denominator 1."""
+        return self.reach(1)[self.position[b.key]] >> self.position[a.key] & 1 == 1
 
 
 def _lower_covers(setup: Setup, node: DCPNode):
@@ -587,9 +592,9 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
 
 def chain_criteria(dcp: DCP) -> dict:
     """The criteria of the report per member and covering chain: (I, chain)
-    -> the values of (I, Q^r of the chain), chains listed once per member.
-    ValueError, before any is listed, if there are more than CHAIN_LIMIT
-    covering chains."""
+    -> the values of (I, Q^r of the chain), chains listed once per member
+    in member order.  ValueError, before any is listed, if there are more
+    than CHAIN_LIMIT covering chains."""
     setup, report = dcp.setup, dcp.standardness
     if report.criteria is None:
         raise ValueError("the criteria are listed for tau = w0 only")

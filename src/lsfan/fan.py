@@ -5,9 +5,10 @@ support lies on one maximal chain; membership in the fan is cut out by
 bond-weighted partial-sum integrality along that chain.  The condition is
 local: between consecutive support nodes the running sum only has to make
 bond * sum integral on the covers of one saturated chain, so membership
-tests one bit of the reach of the node above (lspath.bonded_below, memoized
-per poset in DCP.reach), enumeration and counting read the step table of
-lspath.lattice_steps over the same reach, and none lists maximal chains.
+tests one bit of the reach row of the node above (DCP.reach, one
+lspath.reach_rows pass per denominator), enumeration and counting read the
+step table of lspath.lattice_steps over the same rows, and none lists
+maximal chains.
 Every function taking a DCP takes and returns a fan vector as its key: the
 sorted tuple of its (node number, numerator over DCP.big_l, the lcm of the
 bonds) pairs.
@@ -34,8 +35,8 @@ from math import comb, gcd
 
 from .dcp import DCP, Setup
 from .demazure import weyl_dimension
-from .lspath import (bonded_below, chain_lattice_points, column_of, column_steps,
-                     count_lattice_points, integral_sum, numerators, shape_covers)
+from .lspath import (chain_lattice_points, column_of, column_steps, count_lattice_points,
+                     integral_sum, numerators, shape_covers)
 from .rootdata import InvariantError
 from .weyl import Coset
 
@@ -101,17 +102,13 @@ def fan_vector(dcp: DCP, key: FanKey) -> FanVector:
 def in_ls_plus(dcp: DCP, key: FanKey | None) -> bool:
     """Membership in the fan of a key (None, vector_key's answer for a
     vector without one, is no member): non-negative, integral in total, and
-    each support node in the reach (lspath.bonded_below) of the one above it
-    (of the top, for the first) at the denominator of the running sum."""
+    each support node in the reach row (DCP.reach) of the one above it (of
+    the top, for the first) at the denominator of the running sum."""
     if key is None:
         return False
-    big_l, memo, upper, cum = dcp.big_l, dcp.reach, 0, 0
+    big_l, reach, upper, cum = dcp.big_l, dcp.reach, 0, 0
     for k, c in key:
-        den = big_l // gcd(cum, big_l)
-        reach = memo.get((upper, den))
-        if reach is None:
-            reach = bonded_below(dcp.covers_down, upper, den, memo)
-        if c < 0 or not reach >> k & 1:
+        if c < 0 or not reach(big_l // gcd(cum, big_l))[upper] >> k & 1:
             return False
         upper, cum = k, cum + c
     return cum % big_l == 0
@@ -125,7 +122,7 @@ def enumerate_fan_degree(dcp: DCP, d) -> list[FanKey]:
     support, whose node numbers increase down the support.
     """
     d, spend = _degree_spend(dcp, d)
-    return list(chain_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach))
+    return list(chain_lattice_points(dcp.reach, 0, d, spend, dcp.big_l))
 
 
 def _degree_spend(dcp: DCP, d):
@@ -141,7 +138,7 @@ def count_fan_degree(dcp: DCP, d) -> int:
     """len(enumerate_fan_degree(dcp, d)) without listing: the
     lspath.count_lattice_points of the same walk."""
     d, spend = _degree_spend(dcp, d)
-    return count_lattice_points(dcp.covers_down, 0, d, spend, dcp.big_l, dcp.reach)
+    return count_lattice_points(dcp.reach, 0, d, spend, dcp.big_l)
 
 
 def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
@@ -317,7 +314,7 @@ def multidegree_conjecture_check(dcp: DCP, max_total_degree: int):
     """
     setup = dcp.setup
     iposet = setup.iposet
-    chain_sets = sorted(iposet.sets, key=len)
+    chain_sets = iposet.sets  # by size
     for a, b in zip(chain_sets, chain_sets[1:]):
         if not a < b:
             raise FanError("the conjecture checker needs a totally ordered index poset")

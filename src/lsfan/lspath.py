@@ -3,16 +3,17 @@
 A path of shape nu is a strictly decreasing chain of cosets in W/W_nu with
 rational cut points, subject to the chain-integrality condition: consecutive
 cosets must be joined by a saturated chain of covering relations whose pairing
-with the cut point is integral at every step.  bonded_below, the reach of a
-node at a denominator memoized per poset, is the one home of this local
-condition: validation reads certificates off the reach, and the walk over
-it has one transition table, lattice_steps, on int-keyed covers (rep
-indices here, node numbers on a DCP), which chain_lattice_points lists
-(paths, fan vectors) and count_lattice_points counts.  Sums are integer
-numerators over one denominator; Fractions are built only for returned
-values.  An LSPath compares by one key made at construction and hashes by
-that key's hash, computed once with it, so paths key the per-job memos of
-end points and the column numbers of the DCP's ColumnTable cheaply.
+with the cut point is integral at every step.  reach_rows, one pass per
+(poset, denominator) in cover order, is the one home of this local
+condition; a poset keeps its rows per denominator behind reach(den)
+(BondedCovers here on rep indices, the DCP on node numbers).  Validation
+reads certificates off the rows, and the walk over them has one transition
+table, lattice_steps, which chain_lattice_points lists (paths, fan vectors)
+and count_lattice_points counts.  Sums are integer numerators over one
+denominator; Fractions are built only for returned values.  An LSPath
+compares by one key made at construction and hashes by that key's hash,
+computed once with it, so paths key the per-job memos of end points and
+the column numbers of the DCP's ColumnTable cheaply.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "chain_lattice_points",
     "count_lattice_points",
     "bonded_chain",
-    "bonded_below",
+    "reach_rows",
     "maximal_bonded_chains",
 ]
 
@@ -91,8 +92,8 @@ class BondedCovers(dict):
     coset -> its (lower rep index, root index, bond) covers, each entry
     filled on first use from WeylGroup._cover_pairs, making no element or
     coset.  It also keeps the stabilizer parabolic of nu and its mask, the
-    image w(nu) per element index w, each computed once, and the memo
-    `reach` of bonded_below.
+    image w(nu) per element index w, each computed once, and `rows`, the
+    reach rows per denominator that reach(den) fills.
 
     The bond of a covering relation theta > phi is <phi(nu), beta^vee> for
     the positive root beta with s_beta min(phi) = min(theta).  As beta =
@@ -112,7 +113,18 @@ class BondedCovers(dict):
         self.mask = bitmask(self.parabolic)
         datum = group.datum
         self.pairs = tuple(datum.pairing(self.nu, c) for c in datum.positive_coroots)
-        self.images, self.reach = {group.identity.index: self.nu}, {}
+        self.images, self.rows = {group.identity.index: self.nu}, {}
+
+    def reach(self, den: int) -> dict:
+        """Rep index -> its reach row at den (reach_rows), filled once per
+        denominator in one pass over the reps of W/W_nu in ascending index:
+        elements are numbered breadth first, so every cover goes to a
+        smaller index."""
+        rows = self.rows.get(den)
+        if rows is None:
+            reps = (x for x, low in enumerate(self.group._right_desc) if not low & self.mask)
+            rows = self.rows[den] = reach_rows(self, reps, den)
+        return rows
 
     def image(self, x: int):
         """w(nu) for the element w of index x, computed once per element
@@ -153,7 +165,7 @@ class ShapePoset:
     def __init__(self, group: WeylGroup, nu, tau: Coset):
         self.covers_down = covers = shape_covers(group, nu)
         self.top = group.pi(tau, covers.parabolic)
-        reach = bonded_below(covers, self.top.rep.index, 1, covers.reach)
+        reach = covers.reach(1)[self.top.rep.index]
         reps = sorted(map(group.element, set_bits(reach)), key=lambda w: (w.length, w.packed))
         self.nodes = [Coset(w, covers.parabolic) for w in reps]
         self.big_l = lcm(1, *(bond for w in reps for *_, bond in covers[w.index]))
@@ -164,48 +176,35 @@ def set_bits(mask: int):
     return (k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def bonded_below(covers_down, node, den, memo):
-    """The reach of `node` at `den`, a cut point's denominator: the bit mask
-    of the node ids that a walk down the covers whose bond is divisible by
-    den reaches from it, `node` included.  covers_down maps a node id to its
-    (lower, label, bond) covers; memo keeps each reach of one poset.  A reach
-    not in memo is filled depth first on an explicit stack, a node's after
-    those of its bonded covers, so a deep poset needs no frame per rank."""
-    reach = memo.get((node, den))
-    if reach is not None:
-        return reach
-    # one entry per node whose reach is open: [node, its covers still to
-    # read, the reach so far]; a cover whose reach is not in memo opens above it
-    stack = [[node, iter(covers_down[node]), 1 << node]]
-    while stack:
-        top = stack[-1]
-        for lower, _, bond in top[1]:
+def reach_rows(covers_down, order, den) -> dict:
+    """The reach rows of a poset at `den`, a cut point's denominator: node
+    -> the bit mask of the nodes that a walk down the covers whose bond den
+    divides reaches from it, the node included.  covers_down maps a node id
+    to its (lower, label, bond) covers, and `order` lists the node ids with
+    every node after its covers, so one pass ORs each node's bit with the
+    rows of its bonded covers; a cover out of order is a KeyError."""
+    rows = {}
+    for node in order:
+        row = 1 << node
+        for lower, _, bond in covers_down[node]:
             if bond % den == 0:
-                reach = memo.get((lower, den))
-                if reach is None:
-                    stack.append([lower, iter(covers_down[lower]), 1 << lower])
-                    break
-                top[2] |= reach
-        else:
-            stack.pop()
-            memo[top[0], den] = reach = top[2]
-            if stack:
-                stack[-1][2] |= reach
-    return reach
+                row |= rows[lower]
+        rows[node] = row
+    return rows
 
 
-def bonded_chain(covers_down, upper, lower, den, memo):
+def bonded_chain(covers_down, rows, upper, lower, den):
     """A saturated chain from `upper` down to `lower`, listed from the top,
-    whose bonds are all divisible by `den`; None if none.  Each step takes
-    the first cover, in cover order, whose reach (bonded_below) holds
-    `lower`."""
-    if not bonded_below(covers_down, upper, den, memo) >> lower & 1:
+    whose bonds are all divisible by `den`; None if none.  `rows` are the
+    poset's reach rows at den; each step takes the first cover, in cover
+    order, whose row holds `lower`."""
+    if not rows[upper] >> lower & 1:
         return None
     chain = [upper]
     while chain[-1] != lower:
         chain.append(next(
             nxt for nxt, _, bond in covers_down[chain[-1]]
-            if bond % den == 0 and bonded_below(covers_down, nxt, den, memo) >> lower & 1
+            if bond % den == 0 and rows[nxt] >> lower & 1
         ))
     return chain
 
@@ -256,9 +255,8 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     _structure_check(group, covers.parabolic, path)
     certificate = {}
     for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
-        witness = bonded_chain(
-            covers, upper.rep.index, lower.rep.index, cut.denominator, covers.reach
-        )
+        den = cut.denominator
+        witness = bonded_chain(covers, covers.reach(den), upper.rep.index, lower.rep.index, den)
         if witness is None:
             return False, None
         certificate[(upper, lower)] = [Coset(group.element(x), covers.parabolic)
@@ -266,31 +264,31 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     return True, certificate
 
 
-def lattice_steps(covers_down, top, degree, spend, big_l, memo):
+def lattice_steps(reach, top, degree, spend, big_l):
     """The one home of the step rule of the lattice-point walk below `top`:
     (start, steps), steps mapping each state reached from start to its
     ((node, numerator), next state) steps in walk order.  A state is (the
     reach below the last support node, which fixes all later steps, or of
     `top` at the start; the sum mod big_l; the remaining degree), sums being
-    over big_l, a multiple of the bonds of covers_down, the (lower, label,
-    bond) covers per node id.  The next node is one in the reach, in
-    ascending id, whose coefficient counts against the coordinates
-    spend[node]; the reach below it is read at the new sum (bonded_below,
-    with the memo).  A step spending the whole degree ends at None if its
-    sum is integral, any other must leave a non-empty reach, and the start
-    of degree 0 is None."""
+    over big_l, a multiple of the bonds of the poset whose reach rows per
+    denominator `reach` gives (BondedCovers.reach or DCP.reach).  The next
+    node is one in the reach, in ascending id, whose coefficient counts
+    against the coordinates spend[node]; the reach below it is its row at
+    the new sum's denominator.  A step spending the whole degree ends at
+    None if its sum is integral, any other must leave a non-empty reach,
+    and the start of degree 0 is None."""
     rest = tuple(x * big_l for x in degree)
-    start = (bonded_below(covers_down, top, 1, memo), 0, rest) if any(rest) else None
+    start = (reach(1)[top], 0, rest) if any(rest) else None
     steps, todo = {}, [start] if start else []
     while todo:
-        reach, cum, rest = state = todo.pop()
+        nodes, cum, rest = state = todo.pop()
         if state in steps:
             continue
         steps[state] = out = []
-        for node in set_bits(reach):
+        for node in set_bits(nodes):
             for c in range(1, min(rest[j] for j in spend[node]) + 1):
                 s = (cum + c) % big_l
-                below = bonded_below(covers_down, node, big_l // gcd(s, big_l), memo) ^ 1 << node
+                below = reach(big_l // gcd(s, big_l))[node] ^ 1 << node
                 if s and not below:
                     continue
                 left = list(rest)
@@ -306,11 +304,11 @@ def lattice_steps(covers_down, top, degree, spend, big_l, memo):
     return start, steps
 
 
-def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
+def chain_lattice_points(reach, top, degree, spend, big_l):
     """Every lattice point of degree `degree` below `top`, once each, by a
     depth-first walk over the lattice_steps table: the tuple of its (node,
     numerator over big_l) pairs in top-down support order."""
-    start, steps = lattice_steps(covers_down, top, degree, spend, big_l, memo)
+    start, steps = lattice_steps(reach, top, degree, spend, big_l)
     stack = [(start, ())]
     while stack:
         state, point = stack.pop()
@@ -320,11 +318,11 @@ def chain_lattice_points(covers_down, top, degree, spend, big_l, memo):
             stack.extend((nxt, point + (pair,)) for pair, nxt in reversed(steps[state]))
 
 
-def count_lattice_points(covers_down, top, degree, spend, big_l, memo) -> int:
+def count_lattice_points(reach, top, degree, spend, big_l) -> int:
     """len(list(chain_lattice_points(...))) without listing: the completions
     of each lattice_steps state, in order of the remaining degree, which
     every step lowers (transfer-matrix counting, Stanley, EC I, 4.7)."""
-    start, steps = lattice_steps(covers_down, top, degree, spend, big_l, memo)
+    start, steps = lattice_steps(reach, top, degree, spend, big_l)
     counts = {None: 1}
     for state in sorted(steps, key=lambda state: sum(state[2])):
         counts[state] = sum(counts[nxt] for _, nxt in steps[state])
@@ -346,7 +344,7 @@ def enumerate_ls_paths(group: WeylGroup, nu, tau: Coset, d: int) -> set[LSPath]:
     cosets = {c.rep.index: c for c in poset.nodes}  # the walk's ids
     covers, spend, paths = poset.covers_down, dict.fromkeys(cosets, (0,)), set()
     top, big_l = poset.top.rep.index, poset.big_l
-    for point in chain_lattice_points(covers, top, (d,), spend, big_l, covers.reach):
+    for point in chain_lattice_points(covers.reach, top, (d,), spend, big_l):
         cuts = tuple(Fraction(cum, d * big_l) for cum in accumulate(c for _, c in point))
         paths.add(LSPath(shape, tuple(cosets[x] for x, _ in point), cuts))
     return paths

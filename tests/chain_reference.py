@@ -9,7 +9,7 @@
   reference_ls_paths, lattice points chain by chain ->
   test_lspath::test_enumeration_matches_the_chain_reference.
 - A bonded walk between two cosets (lspath.bonded_chain, validate_ls_path)
-  -> bonded_chain -> test_lspath::test_bonded_below_matches_bonded_chain.
+  -> bonded_chain -> test_lspath::test_reach_rows_match_bonded_chain.
 - The theta round trip (fan.in_ls_plus, decompose, theta_d, theta_d_inverse;
   lspath.theta_single, theta_single_inverse, endpoint) -> the same names
   here, summing Fractions -> test_theta_reference, test_theta_sweep.

@@ -1,7 +1,13 @@
+import io
 import json
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsfan.fan
 import lsfan.weyl
@@ -606,10 +612,10 @@ def test_check_lists_the_chains_of_a_deep_index_poset_without_recursion(capsys):
 
 
 def test_verify_walks_the_reach_of_a_deep_chain_without_recursion(capsys):
-    # theta_d^-1 checks fan membership on the reach of the top node
-    # (lspath.bonded_below), filled on an explicit stack with no frame per
-    # rank, so under a limit 150 frames above the caller a DCP of 160 ranks
-    # verifies as at the normal limit
+    # theta_d^-1 checks fan membership on the reach row of the top node
+    # (DCP.reach), filled by one pass down the node numbers with no frame
+    # per rank, so under a limit 150 frames above the caller a DCP of 160
+    # ranks verifies as at the normal limit
     m = 160
     argv = ("verify", "--type", "A", "--rank", "1", "--lambda", ";".join(["1"] * m),
             "--tau", "w0", "--iposet", "chain", "--degree", ",".join(["1"] + ["0"] * (m - 1)))
@@ -700,3 +706,51 @@ def test_etype_poset_fixture_is_valid_index_poset():
     data = json.loads((FIXTURES / "branched_index_poset_m4.json").read_text())
     ip = build_index_poset([frozenset(s) for s in data["sets"]], data["m"])
     assert ip.underline[frozenset({1, 2, 3})] == frozenset({1, 3})
+
+
+# -- malformed jobs ------------------------------------------------------------
+#
+# Every field of a job may hold a wrong type, an empty or ragged list, a tau
+# letter out of range or a degree of the wrong length.  Each command then
+# answers (exit 0) or rejects the job in one line of stderr (exit 2); no
+# exception leaves main.  Ranks, entries and degrees stay small, so a job
+# that happens to be valid is quick.
+
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+                 st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.integers(0, 2),
+                                                      max_size=1))
+ENTRY = st.one_of(st.integers(-1, 2), JUNK)
+VECTOR = st.one_of(st.lists(ENTRY, max_size=4), st.text(",-0123w;", max_size=6), JUNK)
+VECTORS = st.one_of(st.lists(VECTOR, max_size=3), VECTOR, JUNK)
+MALFORMED_JOBS = st.fixed_dictionaries({}, optional={
+    "type": st.one_of(st.sampled_from(["A", "B", "C", "D", "G", "E", "a", ""]), JUNK),
+    "rank": st.one_of(st.integers(-1, 3), JUNK),
+    "lambdas": VECTORS,
+    "tau": st.one_of(st.just("w0"), VECTOR),
+    "iposet": st.one_of(st.sampled_from(["chain", "powerset"]), VECTORS),
+    "degree": VECTORS,
+    "max_total_degree": st.one_of(st.integers(-1, 2), JUNK),
+    "size_guard": st.one_of(st.integers(-1, 50), JUNK),
+})
+COMMANDS = ["dcp", "underline-w", "check", "enumerate", "verify", "conjecture"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(MALFORMED_JOBS, st.sampled_from(COMMANDS))
+def test_malformed_jobs_exit_zero_or_two_with_one_line(job, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(job))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, "--job", str(path)])
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_an_error_message_with_a_line_break_is_one_line(capsys):
+    # the type name is echoed in the message, line break and all
+    code, _, err = run(capsys, "dcp", "--type", "A\nB", "--rank", "1", "--lambda", "1",
+                       "--tau", "w0", "--iposet", "chain")
+    assert (code, err) == (2, "error: no simple root system of type A B_1\n")

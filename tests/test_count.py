@@ -121,7 +121,7 @@ def test_count_is_the_listing_length_on_shape_posets(dynkin, rank, nu):
     covers, top = poset.covers_down, poset.top.rep.index
     spend = dict.fromkeys((c.rep.index for c in poset.nodes), (0,))
     for d in range(4):
-        walk = (covers, top, (d,), spend, poset.big_l, covers.reach)
+        walk = (covers.reach, top, (d,), spend, poset.big_l)
         points = list(chain_lattice_points(*walk))
         assert count_lattice_points(*walk) == len(points) == len(set(points)), d
         mu = tuple(d * x for x in nu)

@@ -43,6 +43,7 @@ from lsfan import (
 )
 
 import lsfan.dcp
+import lsfan.lspath
 from lsfan import cli
 
 from chain_reference import (
@@ -173,6 +174,8 @@ def test_iposet_covers_and_verdict_match_the_all_pairs_rule(collection):
         assert expected == ("closure" if "closure" in str(err) else "graded"), (sets, err)
         return
     assert {s: set(ip.covers_down[s]) for s in ip.sets} == expected
+    assert ip.underline == {s: frozenset().union(*(s - t for t in expected[s])) or s
+                            for s in ip.sets}
 
 
 def chains_by_rescan(iposet, s):
@@ -394,8 +397,15 @@ def test_underline_w_matches_the_bool_matrix_reference_on_random_setups(data):
 
 def test_a_generating_row_at_or_above_its_node_is_an_invariant_error(a3, monkeypatch):
     # the hull is one ascending pass, so it needs every generated node
-    # numbered below its generator: a reach holding every node breaks that
-    monkeypatch.setattr(lsfan.dcp, "bonded_below", lambda *a: -1)
+    # numbered below its generator: reach rows that each hold every rep of
+    # the quotient break that (tau is w0, so the slices keep their nodes)
+    reach = lsfan.lspath.BondedCovers.reach
+
+    def every_rep(covers, den):
+        rows = reach(covers, den)
+        return dict.fromkeys(rows, sum(1 << x for x in rows))
+
+    monkeypatch.setattr(lsfan.lspath.BondedCovers, "reach", every_rep)
     with pytest.raises(InvariantError, match="generates a later node"):
         UnderlineW(mixed_chain_setup(a3))
 

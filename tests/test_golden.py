@@ -18,7 +18,9 @@ while theta_d, its inverse and fan membership still summed Fraction
 coefficients.  Every hash was kept when one memoized reach table
 (lspath.bonded_below) replaced the depth-first bonded walk, the per-call
 reach sets and the walk memo of the DCP in path validation, fan
-membership, DCP.leq and lattice-point enumeration.  The underline-w DOT
+membership, DCP.leq and lattice-point enumeration, and when one pass per
+(poset, denominator), lspath.reach_rows, replaced that memoized search.
+The underline-w DOT
 case was recorded while the underline-w writers still numbered the nodes
 and sorted the cover edges themselves.  The F4 chain and B4 powerset `dcp`
 and `check` cases, the two largest DCPs of the benchmark, were recorded

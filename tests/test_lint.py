@@ -25,7 +25,10 @@ fixes the shape sequence of a degree, so tableaux.shape_for_degree reads it
 off without a nested search.  Elements are numbered breadth first, not in
 the order of their matrices, so no sort key in the library (sorted, .sort,
 min, max) reads an element's .index.  The JSON writers read numerators, so
-lsfan.io constructs no Fraction.  Every hypothesis sweep in tests/ names
+lsfan.io constructs no Fraction.  A poset keeps its reach rows per
+denominator and lspath.reach_rows is the one pass that fills them, so no
+function in lspath or fan takes a memo parameter, and no function but that
+pass ORs reach rows.  Every hypothesis sweep in tests/ names
 max_examples <= 300 and deadline=None, so tier-1 keeps a known size."""
 
 import ast
@@ -239,6 +242,46 @@ def test_the_writers_make_no_fraction():
         and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
     assert not offenders, f"io.py: Fraction( at lines {offenders}"
+
+
+@pytest.mark.parametrize("module", ["lspath.py", "fan.py"])
+def test_no_function_takes_a_memo(module):
+    # a poset's reach rows live on the poset, behind its reach(den)
+    offenders = sorted(
+        f"{fn.name}:{fn.lineno}"
+        for fn in ast.walk(ast.parse((SRC / module).read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for arg in ast.walk(fn.args) if isinstance(arg, ast.arg) and "memo" in arg.arg
+    )
+    assert not offenders, f"{module}: memo parameters in {offenders}"
+
+
+def _reads_rows(node) -> bool:
+    """Whether an operand is a reach row or table: a name `rows` or
+    `reach`, one subscripted, or a subscripted call of reach(den)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+        if isinstance(node, ast.Call):
+            node = node.func
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in {"rows", "reach"}
+
+
+def test_only_the_one_pass_ors_reach_rows():
+    # every reach row is filled by lspath.reach_rows: no other function (no
+    # depth-first fill, no per-node memo) ORs one row into another
+    oring = set()
+    for module in ("lspath.py", "fan.py", "dcp.py"):
+        tree = ast.parse((SRC / module).read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(op, ast.BinOp) and isinstance(op.op, ast.BitOr)
+                and (_reads_rows(op.left) or _reads_rows(op.right))
+                or isinstance(op, ast.AugAssign) and isinstance(op.op, ast.BitOr)
+                and (_reads_rows(op.target) or _reads_rows(op.value))
+                for op in ast.walk(fn)
+            ):
+                oring.add(f"{module}:{fn.name}")
+    assert oring == {"lspath.py:reach_rows"}, sorted(oring)
 
 
 def test_hypothesis_sweeps_bound_their_examples():

@@ -23,7 +23,7 @@ from lsfan import (
     validate_ls_path,
     weyl_dimension,
 )
-from lsfan.lspath import bonded_below, bonded_chain, maximal_bonded_chains
+from lsfan.lspath import bonded_chain, maximal_bonded_chains
 from lsfan.weyl import Coset
 
 from chain_reference import (
@@ -354,25 +354,27 @@ def reference_reach(covers, upper, den):
     return reach
 
 
-def test_bonded_below_matches_bonded_chain(b2):
+def test_reach_rows_match_bonded_chain(b2):
     nu = (1, 1)
     poset = ShapePoset(b2, nu, top_coset(b2, nu))
     setup = Setup(b2, [(1, 0), (0, 1)], b2.longest, powerset_iposet(2))
     dcp = build_dcp_inductive(setup)
-    # both posets walk int ids: rep indices and node numbers
-    for covers, memo, nodes in [
+    # both posets walk int ids: rep indices and node numbers; each fills
+    # one table of rows per denominator, which a second read returns
+    for covers, reach, nodes in [
         (poset.covers_down, poset.covers_down.reach, [c.rep.index for c in poset.nodes]),
         (dcp.covers_down, dcp.reach, range(len(dcp.nodes))),
     ]:
         bonds = {bond for n in nodes for _, _, bond in covers[n]}
         assert bonds != {1}
-        for upper in nodes:
-            for den in (1, 2, 3):
-                reach = bonded_below(covers, upper, den, memo)
-                assert reach == reference_reach(covers, upper, den), (upper, den)
+        for den in (1, 2, 3):
+            rows = reach(den)
+            assert reach(den) is rows and sorted(rows) == sorted(nodes)
+            for upper in nodes:
+                assert rows[upper] == reference_reach(covers, upper, den), (upper, den)
                 for lower in nodes:
-                    chain = bonded_chain(covers, upper, lower, den, memo)
-                    assert (chain is None) == (not reach >> lower & 1)
+                    chain = bonded_chain(covers, rows, upper, lower, den)
+                    assert (chain is None) == (not rows[upper] >> lower & 1)
 
 
 def test_validation_certificates_are_the_reference_chains(b2):

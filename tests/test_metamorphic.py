@@ -12,7 +12,7 @@ The moves are drawn from the Cartan matrix alone: s_i s_j has order m_ij =
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -231,3 +231,83 @@ def test_a3_flip_keeps_the_check_verdict_and_collision_count(word, lambdas):
         data = json.loads(out) if code == 0 else None
         reports.append((code, err, data and (data["tau_standard"], len(data["collisions"]))))
     assert reports[0] == reports[1], (word, lambdas)
+
+
+# -- index relabelling -------------------------------------------------------
+#
+# A permutation pi of [m] moves weight i to place pi(i) and maps each member I
+# of the index poset to pi(I).  The node (theta, I) goes to (theta, pi(I)),
+# which has the same weight lambda_I, so the poset keeps its nodes, edges and
+# bonds, and the count at degree d is the count at d permuted by pi.  verify
+# prints counts and verdicts by degree, dcp its poset and check its verdict,
+# so these are compared; an instance that is not standard for tau exits 2
+# alike.
+
+RELABEL_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4)]
+
+
+def permuted(items, pi) -> list:
+    """items[i] moved to place pi[i] (0-based)."""
+    out = [None] * len(items)
+    for i, item in enumerate(items):
+        out[pi[i]] = item
+    return out
+
+
+@st.composite
+def relabellings(draw):
+    """(common flags, lambdas, iposet sets, pi): two or three fundamental
+    weights on the chain or the powerset, tau w0 or a short word, and a
+    permutation pi of the weight places."""
+    dynkin, rank = draw(st.sampled_from(RELABEL_TYPES))
+    fundamental = st.integers(0, rank - 1).map(lambda j: [int(k == j) for k in range(rank)])
+    lambdas = draw(st.lists(fundamental, min_size=2, max_size=3))
+    m = len(lambdas)
+    if draw(st.booleans()):
+        sets = [list(range(1, k + 1)) for k in range(1, m + 1)]
+    else:
+        sets = [list(c) for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
+    word = draw(st.one_of(st.just("w0"), st.lists(st.integers(1, rank), min_size=1, max_size=5)
+                          .map(lambda w: ",".join(map(str, w)))))
+    pi = draw(st.permutations(range(m)))
+    return ("--type", dynkin, "--rank", str(rank), "--tau", word), lambdas, sets, pi
+
+
+def flags(lambdas, sets) -> tuple:
+    return ("--lambda", ";".join(",".join(map(str, lam)) for lam in lambdas),
+            "--iposet", ";".join(",".join(map(str, s)) for s in sets))
+
+
+def verify_by_degree(text: str, pi=None) -> dict:
+    """verify's checks keyed by (check, degree), each degree permuted by pi."""
+    data = json.loads(text)
+    return {(c["check"], tuple(permuted(c["degree"], pi) if pi else c["degree"])):
+            (c["pass"], c["detail"]) for c in data["checks"]} | {"ok": data["ok"]}
+
+
+def dcp_counts(text: str) -> tuple:
+    data = json.loads(text)
+    return (data["length"], len(data["nodes"]),
+            sorted((e["type"], e["bond"]) for e in data["edges"]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(relabellings())
+def test_index_relabelling_keeps_counts_and_verdicts(instance):
+    common, lambdas, sets, pi = instance
+    moved = flags(permuted(lambdas, pi), [sorted(pi[i - 1] + 1 for i in s) for s in sets])
+    commands = {"verify": ("verify", "--max-total-degree", "2"), "dcp": ("dcp",),
+                "check": ("check",)}
+    original, relabelled = ({name: run(*command, *common, *args)
+                             for name, command in commands.items()}
+                            for args in (flags(lambdas, sets), moved))
+    for command in ("verify", "dcp", "check"):
+        assert original[command][0] == relabelled[command][0] in (0, 2), command
+    if original["verify"][0] == 0:
+        assert (verify_by_degree(original["verify"][1], pi)
+                == verify_by_degree(relabelled["verify"][1])), instance
+    if original["dcp"][0] == 0:
+        assert dcp_counts(original["dcp"][1]) == dcp_counts(relabelled["dcp"][1]), instance
+    if original["check"][0] == 0:
+        assert (json.loads(original["check"][1])["tau_standard"]
+                == json.loads(relabelled["check"][1])["tau_standard"]), instance

@@ -6,7 +6,8 @@ command recomputes a covering root that the cover walk already gave, and
 that verify validates each distinct degree-one part once, in memos that
 one job builds and no later job sees, computes no image w(nu) by a matrix,
 reads a shape's stabilizer from its table and fills each (slice, lift
-index) state of tableau enumeration once, with no Coset lift; a count of
+index) state of tableau enumeration once, with no Coset lift, and each
+(poset, denominator) table of reach rows once; a count of
 Fraction constructions pins the integer arithmetic of the theta round trip.
 enumerate builds each distinct column's row once, and the Fractions it
 makes do not grow with the number of tableaux."""
@@ -18,7 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import lsfan.cli
+import lsfan.dcp
 import lsfan.fan
+import lsfan.lspath
 import lsfan.weyl
 
 TRACING = Path(__file__).parent.parent / "benchmark" / "tracing.py"
@@ -159,6 +162,34 @@ def test_column_memos_stay_within_one_job(capsys, monkeypatch):
         assert tracer.calls["WeylGroup.deodhar_max_lift"] == 0
         assert len(built) == run + 1
         assert len(built[-1].next_columns) == B3_STATES
+
+
+def test_each_reach_table_is_filled_once_per_job(capsys, monkeypatch):
+    # a DCP and each shape's BondedCovers fill their reach rows once per
+    # denominator, in one lspath.reach_rows pass; both live on the job's
+    # poset and group, so a second run fills as many tables again, on posets
+    # of its own
+    job = str(Path(__file__).parent / "fixtures" / "b3_chain.json")
+    fills, reach_rows = [], lsfan.lspath.reach_rows
+
+    def counted(covers_down, order, den):
+        fills.append((covers_down, den))
+        return reach_rows(covers_down, order, den)
+
+    for module in (lsfan.lspath, lsfan.dcp):
+        monkeypatch.setattr(module, "reach_rows", counted)
+    runs = []
+    for _ in range(2):
+        fills.clear()
+        assert lsfan.cli.main(["verify", "--job", job, "--degree", "1,1,1"]) == 0
+        capsys.readouterr()
+        tables = {(id(covers), den) for covers, den in fills}
+        assert len(tables) == len(fills), "a reach table was filled twice"
+        kinds = {type(covers).__name__ for covers, _ in fills}
+        assert kinds == {"BondedCovers", "list"}, kinds  # shapes and the DCP
+        runs.append((len(fills), {id(covers): covers for covers, _ in fills}))
+    (filled, first), (again, second) = runs
+    assert filled == again and not first.keys() & second.keys(), (filled, again)
 
 
 def test_enumerate_builds_each_column_row_once_and_few_fractions(capsys):
