@@ -167,7 +167,8 @@ def cmd_dcp(args, job: dict, setup: Setup) -> int:
     else:
         _emit(args, lsio.dumps(lsio.dcp_to_json(dcp)))
     bonds = "all bonds 1" if dcp.big_l == 1 else "bonds > 1 present"
-    print(f"dcp: {len(dcp.nodes)} nodes, {len(dcp.edges)} edges, {bonds}", file=sys.stderr)
+    edges = sum(map(len, dcp.covers_down))
+    print(f"dcp: {len(dcp.reps)} nodes, {edges} edges, {bonds}", file=sys.stderr)
     return 0
 
 

@@ -2,24 +2,27 @@
 
 An instance is fixed by a sequence of dominant weights, a bounding coset tau
 in W/W_Q (Q the stabilizer of the total weight) and an index poset on subsets
-of [m].  One cover rule gives the lower covers of a node (theta, I) of the
-defining chain poset, each with its type and bond: shrink I through a cover
-of the index poset, or step theta down one cover of W/W_Q with non-zero bond
-for lambda_I; it reads indices, bit masks, the group's int cover pairs and
-bonds per root, and returns each cover's node key, element index and
-fields.  The inductive build (any tau) walks this rule down from (tau, [m])
-and records nodes, one object and one coset per key, and edges in one
-pass; the direct build (tau maximal) finds its nodes by minimality and
-maximality conditions of its own (direct_nodes) and keeps the rule's
-covers between them, so the two builds agree iff their nodes do.  A
-node carries one int key, packing theta's key with the bit mask of I, so
-the two node sets compare key by key on (theta, I).  A built poset numbers
-its nodes 0..N-1 top down (rank, then I, then element matrix) and keeps its
-covers, rho images and reach rows (lspath.reach_rows) as tables over
-these numbers.  tau-standardness of the index poset is decided once per
-poset (DCP.standardness), by injectivity of the slice-projection map rho
-and, in the maximal case, the four criteria; rho, the criteria and the
-direct node test read rep indices and parabolic masks, and make no coset.
+of [m].  A node (theta, I) of the defining chain poset has one int key,
+packing theta's key (its rep index with the mask of Q) with the bit mask of
+I.  One cover rule gives the lower covers of a node, each with its type and
+bond: shrink I through a cover of the index poset, or step theta down one
+cover of W/W_Q with non-zero bond for lambda_I; it reads the node's rep
+index and member, bit masks, the group's int cover pairs and bonds per
+root, and returns each cover's node key, rep index and fields.  The
+inductive build (any tau) walks this rule down from (tau, [m]) on node
+keys, recording each key's (rep index, member) and the edges in one pass,
+and makes no node object or coset; the direct build (tau maximal) finds
+its nodes by minimality and maximality conditions of its own
+(direct_nodes) and keeps the rule's covers between them, so the two
+builds agree iff their node keys do.  A built poset numbers its nodes
+0..N-1 top down (rank, then I, then element matrix) and keeps their rep
+indices and members, covers, rho images and reach rows
+(lspath.reach_rows) as tables over these numbers; its DCPNode objects are
+made on first use, for the boundary forms of the fan and the tests.
+tau-standardness of the index poset is decided once per poset
+(DCP.standardness), by injectivity of the slice-projection map rho and, in
+the maximal case, the four criteria; rho, the criteria and the direct node
+test read rep indices and parabolic masks, and make no coset.
 """
 
 from __future__ import annotations
@@ -179,8 +182,9 @@ class Setup:
     Precomputes the parabolic subgroups attached to the index poset: P_I and
     Q_I per member, the bit masks of the Q_I, the maximal parabolic over which
     tau stays maximal, and the upper parabolics Q^r of each member's covering
-    chains (upper_parabolics, without listing a chain).  Bonds
-    for lambda_I come from lspath.shape_covers, one table per weight.
+    chains (upper_parabolics, without listing a chain).  `bonds` holds the
+    bond of lambda_I per positive root for each member, read off its
+    lspath.shape_covers table, one per weight.
     """
 
     def __init__(self, group: WeylGroup, lambdas, tau, iposet: IndexPoset):
@@ -212,6 +216,7 @@ class Setup:
             indicator = [int(i in s) for i in range(1, self.m + 1)]
             self.q_of[s] = group.stabilizer_parabolic(self.weight(indicator))
         self.q_mask = {s: bitmask(q) for s, q in self.q_of.items()}
+        self.bonds = {s: shape_covers(group, lam).pairs for s, lam in self.lambda_of.items()}
 
         # largest parabolic over Q for which tau is maximal: the right descent
         # set of the maximal-length representative of tau
@@ -269,9 +274,17 @@ class UnderlineW:
 
     def __init__(self, setup: Setup):
         self.setup = setup
-        group = setup.group
+        group, sets = setup.group, setup.iposet.sets
+        masks = {s: bitmask(setup.p_of[s]) for s in sets}
+        lifts = {t: group._max_rep(setup.tau.rep.index, masks[t]) for t in sets}
         self.nodes, slices = [], []
-        for s in setup.iposet.sets:
+        for s in sets:
+            # the maximal lift of a node of slice t lies below tau's maximal
+            # lift over P_t, and row a reads its coset in each slice s <= t:
+            # the rows up to the longest of those cosets are read
+            covers = shape_covers(group, setup.lambda_of[s])
+            reads = [group._min_rep(lifts[t], masks[s]) for t in sets if s <= t]
+            covers.upto = max(covers.upto, *reads)
             poset = ShapePoset(group, setup.lambda_of[s], setup.tau)
             covers, first = poset.covers_down, len(self.nodes)
             bits = [(c.rep.index, 1 << b) for b, c in enumerate(poset.nodes, first)]
@@ -366,37 +379,65 @@ class ColumnTable(list):
 class DCP:
     """The defining chain poset: graded, with typed, bond-labelled covers.
 
-    The nodes are numbered 0..N-1 in `nodes` order, top down by rank, then
-    by index set and element matrix, so the top is 0; `position` maps a
-    node's key to its number.  covers_down (the (lower, kind, bond) covers)
-    is a table over these numbers, and so are `rows`, the reach rows per
-    denominator that reach(den) fills, the int rho images (rep index of
-    pi_{P_I}(theta), I), inverted by rho_lookup, and the fan arithmetic.
-    big_l, the lcm of the bonds, is the one denominator of its fan vectors.
+    The nodes are numbered 0..N-1 top down by rank, then by index set and
+    element matrix, so the top is 0; `position` maps a node's key to its
+    number.  `reps` (theta's rep index in W/W_Q), `members` (I) and
+    covers_down (the (lower, kind, bond) covers) are tables over these
+    numbers, and so are `rows`, the reach rows per denominator that
+    reach(den) fills, the int rho images (rep index of pi_{P_I}(theta), I),
+    inverted by rho_lookup, and the fan arithmetic.  `nodes`, `top` and
+    `edges` are the same poset on DCPNode objects, made on first use for
+    the boundary forms (fan.fan_vector, vector_key, leq) and the tests; no
+    command reads them.  big_l, the lcm of the bonds, is the one
+    denominator of its fan vectors.
     `columns` numbers the degree-one columns that tableau keys are made of
     (a ColumnTable), and `next_columns` keeps the tableau walk's steps per
     (I, lift index).
     """
 
-    def __init__(self, setup: Setup, nodes, edges):
+    def __init__(self, setup: Setup, nodes: dict, edges):
+        """`nodes` maps a node key to its (rep index, member) and `edges`
+        lists the (upper key, lower key, kind, bond) covers."""
         self.setup = setup
         order = {s: k for k, s in enumerate(setup.iposet.sets)}  # the _set_key order
-        self.nodes = sorted(nodes, key=lambda n: (-n.theta.rep.length - len(n.iset),
-                                                  order[n.iset], n.theta.rep.packed))
-        self.position = position = {n.key: k for k, n in enumerate(self.nodes)}
-        size = len(self.nodes)
-        self.edges = sorted(edges, key=lambda e: position[e[0].key] * size + position[e[1].key])
-        self.covers_down = [[] for _ in self.nodes]
-        for upper, lower, kind, bond in self.edges:
-            self.covers_down[position[upper.key]].append((position[lower.key], kind, bond))
-        self.big_l = lcm(*{bond for _, _, _, bond in self.edges})
-        self.top = DCPNode(setup.tau, setup.iposet.full)
-        if position.get(self.top.key) != 0:
+        length, element = setup.group.lengths, setup.group.element
+        ranked = sorted((-length[x] - len(s), order[s], element(x).packed, key, x, s)
+                        for key, (x, s) in nodes.items())
+        self.position = position = {r[3]: k for k, r in enumerate(ranked)}
+        self.reps, self.members = [r[4] for r in ranked], [r[5] for r in ranked]
+        self.covers_down = covers = [[] for _ in ranked]
+        for upper, lower, kind, bond in edges:
+            covers[position[upper]].append((position[lower], kind, bond))
+        for row in covers:
+            row.sort()
+        self.big_l = lcm(*{bond for *_, bond in edges})
+        if position.get(pair_key(setup.tau.key, bitmask(setup.iposet.full))) != 0:
             raise InvariantError("the top (tau, [m]) is not the largest node")
         self.rows, self.columns, self.next_columns = {}, ColumnTable(), {}
 
+    def node(self, k: int) -> DCPNode:
+        """Node number k as a DCPNode, made anew."""
+        setup = self.setup
+        return DCPNode(Coset(setup.group.element(self.reps[k]), setup.q), self.members[k])
+
+    @cached_property
+    def nodes(self) -> list:
+        """Every node as a DCPNode, by node number, made on first use."""
+        return list(map(self.node, range(len(self.reps))))
+
+    @cached_property
+    def top(self) -> DCPNode:
+        return self.nodes[0]
+
+    @cached_property
+    def edges(self) -> list:
+        """The (upper, lower, kind, bond) covers on DCPNodes, by node numbers."""
+        nodes = self.nodes
+        return [(nodes[u], nodes[l], kind, bond)
+                for u, covers in enumerate(self.covers_down) for l, kind, bond in covers]
+
     def length(self) -> int:
-        return self.top.rank
+        return self.setup.tau.rank + self.setup.m - 1
 
     def reach(self, den: int) -> dict:
         """Node number -> its reach row at den (lspath.reach_rows), filled
@@ -404,7 +445,7 @@ class DCP:
         goes to a larger number."""
         rows = self.rows.get(den)
         if rows is None:
-            rows = self.rows[den] = reach_rows(self.covers_down, range(len(self.nodes))[::-1], den)
+            rows = self.rows[den] = reach_rows(self.covers_down, range(len(self.reps))[::-1], den)
         return rows
 
     def maximal_chains(self):
@@ -419,8 +460,8 @@ class DCP:
     def rho_images(self) -> list:
         """node number -> its rho image (rep index of pi_{P_I}(theta), I)."""
         setup = self.setup
-        return [(setup.group._min_rep(n.theta.rep.index, bitmask(setup.p_of[n.iset])), n.iset)
-                for n in self.nodes]
+        min_rep, masks = setup.group._min_rep, {s: bitmask(p) for s, p in setup.p_of.items()}
+        return [(min_rep(x, masks[s]), s) for x, s in zip(self.reps, self.members)]
 
     @cached_property
     def standardness(self) -> StandardnessReport:
@@ -444,10 +485,10 @@ class DCP:
         return self.reach(1)[self.position[b.key]] >> self.position[a.key] & 1 == 1
 
 
-def _lower_covers(setup: Setup, node: DCPNode):
-    """The cover rule: the lower covers of a node (theta, I), as (key, y, I',
-    kind, bond) tuples with the key of the node (theta', I') and the index y
-    of min(theta'), so that a build makes one DCPNode and coset per key.
+def _lower_covers(setup: Setup, x: int, iset: frozenset):
+    """The cover rule: the lower covers of the node (theta, I), theta the
+    coset of W/W_Q of rep index x, as (key, y, I', kind, bond) tuples with
+    the key of the node (theta', I') and the rep index y of theta'.
 
     shrinkI covers (theta, J) for J covered by I, theta Q_J-minimal, bond 1;
     sameI covers (phi, I) for phi covered by theta in W/W_Q, phi Q_I-minimal,
@@ -457,44 +498,46 @@ def _lower_covers(setup: Setup, node: DCPNode):
     lambda_I, iff it fixes lambda_I.  Both tests read right-descent masks,
     parabolic masks, the int cover pairs of W/W_Q and the bond per root.
     """
-    group, theta, iset = setup.group, node.theta, node.iset
-    desc, x, mask = group._right_desc, theta.rep.index, bitmask(setup.q)
+    group, mask = setup.group, bitmask(setup.q)
+    desc, theta = group._right_desc, pair_key(x, mask)
     covers = [
-        (pair_key(theta.key, bitmask(j)), x, j, "shrinkI", 1)
+        (pair_key(theta, bitmask(j)), x, j, "shrinkI", 1)
         for j in setup.iposet.covers_down[iset]
         if not desc[x] & setup.q_mask[j]
     ]
-    q_i, pairs = setup.q_mask[iset], shape_covers(group, setup.lambda_of[iset]).pairs
+    q_i, pairs = setup.q_mask[iset], setup.bonds[iset]
     i_mask = bitmask(iset)
-    covers.extend(
-        (pair_key(pair_key(y, mask), i_mask), y, iset, "sameI", pairs[root])
-        for y, root in group._cover_pairs(x, mask)
-        if pairs[root] and not desc[y] & q_i
-    )
+    for y, root in group._cover_pairs(x, mask):
+        if pairs[root] and not desc[y] & q_i:
+            a = y + mask  # the key pair_key(pair_key(y, mask), i_mask), inlined
+            a = a * (a + 1) // 2 + mask + i_mask
+            covers.append((a * (a + 1) // 2 + i_mask, y, iset, "sameI", pairs[root]))
     return covers
 
 
 def build_dcp_inductive(setup: Setup) -> DCP:
     """Rank-by-rank construction, valid for every bounding coset tau.
 
-    Walks the cover rule down from (tau, [m]), one rank at a time: every
-    lower cover of a node is a node, made once per key on the rank below,
-    with its coset and element, and its edge is recorded as it is met.
+    Walks the cover rule down from (tau, [m]), one rank at a time, on node
+    keys: every lower cover of a node is a node, recorded once per key with
+    its (rep index, member) on the rank below, and its edge is recorded as
+    it is met.  No node object and no coset is made.
     """
-    level = [DCPNode(setup.tau, setup.iposet.full)]
-    nodes, edges = list(level), []
+    length, full = setup.group.lengths, setup.iposet.full
+    level = {pair_key(setup.tau.key, bitmask(full)): (setup.tau.rep.index, full)}
+    nodes, edges, rank = dict(level), [], setup.tau.rank + setup.m - 1
     while level:
-        below = {}  # by node key
-        for node in level:
-            for key, y, iset, kind, bond in _lower_covers(setup, node):
-                lower = below.get(key)
-                if lower is None:
-                    lower = below[key] = DCPNode(Coset(setup.group.element(y), setup.q), iset)
-                    if lower.rank != node.rank - 1:  # so that a level shares one rank
-                        raise InvariantError(f"cover {lower} of {node} does not drop the rank")
-                edges.append((node, lower, kind, bond))
-        level = list(below.values())
-        nodes.extend(level)
+        below, rank = {}, rank - 1  # by node key, on the rank below
+        for key, (x, iset) in level.items():
+            for lower, y, j, kind, bond in _lower_covers(setup, x, iset):
+                if lower not in below:
+                    if length[y] + len(j) - 1 != rank:  # so that a level shares one rank
+                        raise InvariantError(f"cover (rep {y}, {set(j)}) of (rep {x}, "
+                                             f"{set(iset)}) does not drop the rank")
+                    below[lower] = y, j
+                edges.append((key, lower, kind, bond))
+        nodes.update(below)
+        level = below
     return DCP(setup, nodes, edges)
 
 
@@ -503,10 +546,9 @@ def build_dcp_direct_w0(setup: Setup) -> DCP:
     the cover rule's covers between them."""
     if not setup.is_w0_instance():
         raise ValueError("direct construction requires tau = w0 W_Q")
-    nodes = direct_nodes(setup)
-    by_key = {n.key: n for n in nodes}
-    edges = [(node, by_key[key], kind, bond) for node in nodes
-             for key, _, _, kind, bond in _lower_covers(setup, node) if key in by_key]
+    nodes = {n.key: (n.theta.rep.index, n.iset) for n in direct_nodes(setup)}
+    edges = [(key, lower, kind, bond) for key, (x, s) in nodes.items()
+             for lower, _, _, kind, bond in _lower_covers(setup, x, s) if lower in nodes]
     return DCP(setup, nodes, edges)
 
 
@@ -537,10 +579,10 @@ def rho(setup: Setup, node: DCPNode):
 
 
 def rho_map(dcp: DCP):
-    """rho image (rep index, I) -> the nodes that have it."""
+    """rho image (rep index, I) -> the numbers of the nodes that have it."""
     images: dict = {}
-    for node, image in zip(dcp.nodes, dcp.rho_images):
-        images.setdefault(image, []).append(node)
+    for k, image in enumerate(dcp.rho_images):
+        images.setdefault(image, []).append(k)
     return images
 
 
@@ -567,7 +609,7 @@ def tau_standardness_report(dcp: DCP) -> StandardnessReport:
     chain_criteria lists them per covering chain."""
     setup, group = dcp.setup, dcp.setup.group
     images = rho_map(dcp)
-    collisions = [nodes for nodes in images.values() if len(nodes) > 1]
+    collisions = [list(map(dcp.node, ks)) for ks in images.values() if len(ks) > 1]
     standard = not collisions
     criteria = agree = None
     if setup.is_w0_instance():

@@ -131,7 +131,8 @@ def _degree_spend(dcp: DCP, d):
     d = tuple(d)
     if len(d) != setup.m or any(x < 0 for x in d):
         raise FanError(f"{d} is not a degree vector of length {setup.m}")
-    return d, [[j - 1 for j in setup.iposet.underline[n.iset]] for n in dcp.nodes]
+    spend = {s: [j - 1 for j in under] for s, under in setup.iposet.underline.items()}
+    return d, [spend[s] for s in dcp.members]
 
 
 def count_fan_degree(dcp: DCP, d) -> int:
@@ -147,16 +148,16 @@ def _parts(dcp: DCP, key: FanKey | None) -> list[FanKey]:
     still takes, and opens a part when a coefficient does not fit."""
     if not in_ls_plus(dcp, key):
         raise FanError("vector is not a member of the fan")
-    big_l, nodes = dcp.big_l, dcp.nodes
+    big_l, members = dcp.big_l, dcp.members
     parts, part, room, iset = [], None, 0, None
     for k, c in key:
-        if nodes[k].iset != iset:
+        if members[k] != iset:
             if room:
                 at = Fraction(len(parts) * big_l - room, big_l)
                 raise InvariantError(f"slice {set(iset)} of a fan member ends at {at}")
-            if iset is not None and not nodes[k].iset < iset:
+            if iset is not None and not members[k] < iset:
                 raise InvariantError("slice index sets of a fan member are not a chain")
-            iset = nodes[k].iset
+            iset = members[k]
         while c > room:
             if room:
                 part.append((k, room))
@@ -329,7 +330,7 @@ def multidegree_conjecture_check(dcp: DCP, max_total_degree: int):
 
     # paths[n]: k-tuple of the nodes on a path from the top down to node
     # number n -> sum of the bond products of those paths; nodes run top-down
-    paths = [{} for _ in dcp.nodes]
+    paths = [{} for _ in dcp.members]
     paths[0] = {bump((-1,) * setup.m, iposet.full): 1}
     left: dict[tuple, int] = {}
     for n, covers in enumerate(dcp.covers_down):
@@ -338,7 +339,7 @@ def multidegree_conjecture_check(dcp: DCP, max_total_degree: int):
             for k, v in here.items():
                 left[k] = left.get(k, 0) + v
         for lower, _, bond in covers:
-            acc, iset = paths[lower], dcp.nodes[lower].iset
+            acc, iset = paths[lower], dcp.members[lower]
             for k, v in here.items():
                 k = bump(k, iset)
                 acc[k] = acc.get(k, 0) + v * bond

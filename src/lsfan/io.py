@@ -7,7 +7,9 @@ ordering is canonical (rank, then index set, then the element's matrix,
 never its breadth-first index) so identical inputs produce byte-identical
 output.
 
-The rows read the int tables of the DCP.  A tableau row is read off its
+The rows read the int tables of the DCP: the node numbering, the JSON
+nodes and the DOT labels read each node's rep index and member, and no
+writer makes a node object.  A tableau row is read off its
 key (tableaux.tableau_key) and a fan-vector row off the key that
 fan.theta_d returns; each column number's row, each member's sorted list
 and each (node number, numerator) term is built once per job, and each
@@ -170,21 +172,22 @@ def tableau_to_json(dcp: DCP, key: tuple[int, ...], rows: dict) -> dict:
 def dcp_node_ids(dcp: DCP) -> list[int]:
     """The canonical node numbering of a poset as a table over its node
     numbers; compute it once per poset and pass it to fan_vector_to_json."""
-    members = {s: tuple(sorted(s)) for s in dcp.setup.iposet.sets}
-    nodes = dcp.nodes
-    order = sorted(range(len(nodes)), key=lambda k: (
-        nodes[k].rank, members[nodes[k].iset], nodes[k].theta.rep.packed))
+    group, members = dcp.setup.group, {s: tuple(sorted(s)) for s in dcp.setup.iposet.sets}
+    length, element = group.lengths, group.element
+    keys = [(length[x] + len(s), members[s], element(x).packed)  # rank + 1, I, matrix
+            for x, s in zip(dcp.reps, dcp.members)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     return sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
 
 
 def _words_and_members(group: WeylGroup, nodes):
-    """For (coset, member) pairs: the reduced word of each distinct
+    """For (rep index, member) pairs: the reduced word of each distinct
     representative, keyed by its element index, and each member's sorted
     list, each made once."""
     words, members = {}, {}
-    for c, s in nodes:
-        if c.rep.index not in words:
-            words[c.rep.index] = word_of(group, c.rep)
+    for x, s in nodes:
+        if x not in words:
+            words[x] = word_of(group, group.element(x))
         if s not in members:
             members[s] = sorted(s)
     return words, members
@@ -192,11 +195,12 @@ def _words_and_members(group: WeylGroup, nodes):
 
 def dcp_to_json(dcp: DCP) -> dict:
     ids = dcp_node_ids(dcp)
-    words, members = _words_and_members(dcp.setup.group, ((n.theta, n.iset) for n in dcp.nodes))
+    pairs, length = list(zip(dcp.reps, dcp.members)), dcp.setup.group.lengths
+    words, members = _words_and_members(dcp.setup.group, pairs)
     nodes = [None] * len(ids)
-    for k, n in enumerate(dcp.nodes):
-        nodes[ids[k]] = {"id": ids[k], "theta": words[n.theta.rep.index],
-                         "I": members[n.iset], "rank": n.rank}
+    for k, (x, s) in enumerate(pairs):
+        nodes[ids[k]] = {"id": ids[k], "theta": words[x], "I": members[s],
+                         "rank": length[x] + len(s) - 1}
     edges = sorted((ids[u], ids[l], kind, bond)
                    for u, covers in enumerate(dcp.covers_down) for l, kind, bond in covers)
     return {
@@ -223,7 +227,7 @@ def fan_vector_to_json(dcp: DCP, ids: list[int], key, rows: dict) -> list[dict]:
 
 
 def underline_w_to_json(uw: UnderlineW) -> dict:
-    words, members = _words_and_members(uw.setup.group, uw.nodes)
+    words, members = _words_and_members(uw.setup.group, [(c.rep.index, s) for c, s in uw.nodes])
     index = uw._index
     return {
         "nodes": [{"id": k, "theta": words[c.rep.index], "I": members[s]}
@@ -238,16 +242,16 @@ def _dot_escape(s: str) -> str:
 
 
 def _dot_labels(group: WeylGroup, nodes) -> list[str]:
-    """The DOT label of each (coset, member) pair: word|{members}."""
+    """The DOT label of each (rep index, member) pair: word|{members}."""
     words, members = _words_and_members(group, nodes)
     text = {x: "".join(map(str, w)) or "e" for x, w in words.items()}
     sets = {s: ",".join(map(str, m)) for s, m in members.items()}
-    return [_dot_escape(f"{text[c.rep.index]}|{{{sets[s]}}}") for c, s in nodes]
+    return [_dot_escape(f"{text[x]}|{{{sets[s]}}}") for x, s in nodes]
 
 
 def dcp_to_dot(dcp: DCP) -> str:
     ids = dcp_node_ids(dcp)
-    labels = _dot_labels(dcp.setup.group, [(n.theta, n.iset) for n in dcp.nodes])
+    labels = _dot_labels(dcp.setup.group, list(zip(dcp.reps, dcp.members)))
     lines = ["digraph dcp {"]
     lines += [f'  n{ids[k]} [label="{labels[k]}"];'
               for k in sorted(range(len(ids)), key=ids.__getitem__)]
@@ -263,9 +267,9 @@ def dcp_to_dot(dcp: DCP) -> str:
 
 def underline_w_to_dot(uw: UnderlineW) -> str:
     index = uw._index
+    labels = _dot_labels(uw.setup.group, [(c.rep.index, s) for c, s in uw.nodes])
     lines = ["digraph underline_w {"]
-    lines += [f'  n{k} [label="{label}"];'
-              for k, label in enumerate(_dot_labels(uw.setup.group, uw.nodes))]
+    lines += [f'  n{k} [label="{label}"];' for k, label in enumerate(labels)]
     lines += [f"  n{index[u]} -> n{index[l]};" for u, l in uw.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"

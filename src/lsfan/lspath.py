@@ -93,7 +93,8 @@ class BondedCovers(dict):
     filled on first use from WeylGroup._cover_pairs, making no element or
     coset.  It also keeps the stabilizer parabolic of nu and its mask, the
     image w(nu) per element index w, each computed once, and `rows`, the
-    reach rows per denominator that reach(den) fills.
+    reach rows per denominator that reach(den) fills for the reps up to
+    index `upto`, the longest node that a caller reads.
 
     The bond of a covering relation theta > phi is <phi(nu), beta^vee> for
     the positive root beta with s_beta min(phi) = min(theta).  As beta =
@@ -113,17 +114,23 @@ class BondedCovers(dict):
         self.mask = bitmask(self.parabolic)
         datum = group.datum
         self.pairs = tuple(datum.pairing(self.nu, c) for c in datum.positive_coroots)
-        self.images, self.rows = {group.identity.index: self.nu}, {}
+        self.images, self.rows, self.upto = {group.identity.index: self.nu}, {}, 0
 
     def reach(self, den: int) -> dict:
-        """Rep index -> its reach row at den (reach_rows), filled once per
-        denominator in one pass over the reps of W/W_nu in ascending index:
-        elements are numbered breadth first, so every cover goes to a
-        smaller index."""
-        rows = self.rows.get(den)
-        if rows is None:
-            reps = (x for x, low in enumerate(self.group._right_desc) if not low & self.mask)
-            rows = self.rows[den] = reach_rows(self, reps, den)
+        """Rep index -> its reach row at den (reach_rows), for the reps up to
+        index `upto`, filled in one pass over them in ascending index.
+        Elements are numbered breadth first, so these reps are those of a
+        prefix of the indices, none longer than `upto`, and every cover goes
+        to a smaller index.  A caller that reads a longer rep raises `upto`
+        first (ShapePoset, for its top), and the next read extends each
+        table in place."""
+        rows, upto = self.rows.get(den), self.upto
+        if rows is None or upto not in rows:
+            desc, mask = self.group._right_desc, self.mask
+            start = next(reversed(rows)) + 1 if rows else 0
+            reps = (x for x in range(start, upto + 1) if not desc[x] & mask)
+            rows = self.rows[den] = (reach_rows(self, reps, den) if rows is None
+                                     else reach_rows(self, reps, den, rows))
         return rows
 
     def image(self, x: int):
@@ -159,12 +166,14 @@ class ShapePoset:
     `nodes` and `top` are cosets; `covers_down`, the shape's BondedCovers,
     is keyed by their rep indices.  The nodes, by length and matrix, are
     the reach of the top at denominator 1 (Bruhat order on W/W_nu is the
-    closure of its covers).  big_l, the lcm of the bonds below the top, is
+    closure of its covers), read after raising the BondedCovers' `upto`
+    to the top.  big_l, the lcm of the bonds below the top, is
     the one denominator of its lattice points."""
 
     def __init__(self, group: WeylGroup, nu, tau: Coset):
         self.covers_down = covers = shape_covers(group, nu)
         self.top = group.pi(tau, covers.parabolic)
+        covers.upto = max(covers.upto, self.top.rep.index)
         reach = covers.reach(1)[self.top.rep.index]
         reps = sorted(map(group.element, set_bits(reach)), key=lambda w: (w.length, w.packed))
         self.nodes = [Coset(w, covers.parabolic) for w in reps]
@@ -176,14 +185,16 @@ def set_bits(mask: int):
     return (k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def reach_rows(covers_down, order, den) -> dict:
+def reach_rows(covers_down, order, den, rows=None) -> dict:
     """The reach rows of a poset at `den`, a cut point's denominator: node
     -> the bit mask of the nodes that a walk down the covers whose bond den
     divides reaches from it, the node included.  covers_down maps a node id
     to its (lower, label, bond) covers, and `order` lists the node ids with
     every node after its covers, so one pass ORs each node's bit with the
-    rows of its bonded covers; a cover out of order is a KeyError."""
-    rows = {}
+    rows of its bonded covers; a cover out of order is a KeyError.  The
+    rows go into a new table, or extend `rows`, which must hold every cover
+    that `order` does not list."""
+    rows = {} if rows is None else rows
     for node in order:
         row = 1 << node
         for lower, _, bond in covers_down[node]:
@@ -253,6 +264,7 @@ def validate_ls_path(group: WeylGroup, path: LSPath):
     """
     covers = shape_covers(group, path.shape)
     _structure_check(group, covers.parabolic, path)
+    covers.upto = max(covers.upto, path.cosets[0].rep.index)  # the longest coset read
     certificate = {}
     for upper, lower, cut in zip(path.cosets, path.cosets[1:], path.cuts):
         den = cut.denominator

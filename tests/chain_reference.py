@@ -46,6 +46,9 @@
   the two compared as sorted lists ->
   test_dcp::test_cover_rule_matches_the_object_reference*,
   test_dcp::test_inductive_build_makes_one_node_object_per_key.
+- The inductive DCP build (dcp.build_dcp_inductive, a walk on node keys
+  into int tables) -> object_dcp, the walk of lower_covers with one
+  DCPNode per key -> test_dcp::test_the_key_walk_is_the_object_build*.
 """
 
 from fractions import Fraction
@@ -612,3 +615,31 @@ def lower_covers(setup, node):
         if group.is_q_minimal(phi.rep, q_i) and group.pi(phi, p_i) != theta_p
     )
     return covers
+
+
+def object_dcp(setup):
+    """The inductive build on objects: the object cover rule (lower_covers)
+    walked down from (tau, [m]) one rank at a time, one DCPNode per key, the
+    nodes sorted top down by rank, then member, then element matrix, and the
+    edges by the numbers of their ends.  Returns the nodes, edges,
+    covers_down, big_l and position that a DCP keeps."""
+    top = DCPNode(setup.tau, setup.iposet.full)
+    level, nodes, edges = [top], [top], []
+    while level:
+        below = {}
+        for node in level:
+            for lower, kind, bond in lower_covers(setup, node):
+                lower = below.setdefault(lower.key, lower)
+                assert lower.rank == node.rank - 1, (node, lower)
+                edges.append((node, lower, kind, bond))
+        level = list(below.values())
+        nodes.extend(level)
+    order = {s: k for k, s in enumerate(setup.iposet.sets)}
+    nodes.sort(key=lambda n: (-n.rank, order[n.iset], n.theta.rep.packed))
+    position = {n.key: k for k, n in enumerate(nodes)}
+    edges.sort(key=lambda e: (position[e[0].key], position[e[1].key]))
+    covers_down = [[] for _ in nodes]
+    for upper, lower, kind, bond in edges:
+        covers_down[position[upper.key]].append((position[lower.key], kind, bond))
+    return {"nodes": nodes, "edges": edges, "covers_down": covers_down,
+            "big_l": lcm(*{bond for *_, bond in edges}), "position": position}

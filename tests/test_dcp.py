@@ -45,9 +45,11 @@ from lsfan import (
 import lsfan.dcp
 import lsfan.lspath
 from lsfan import cli
+from lsfan.weyl import bitmask, pair_key
 
 from chain_reference import (
     lower_covers,
+    object_dcp,
     rho_inverse_w0,
     underline_w_matrices,
 )
@@ -666,7 +668,8 @@ def rule_covers(setup, node):
     """The cover rule's (key, y, I, kind, bond) covers as (lower, kind, bond)
     triples, each key checked against the node (coset of the element y, I)."""
     covers = []
-    for key, y, iset, kind, bond in lsfan.dcp._lower_covers(setup, node):
+    for key, y, iset, kind, bond in lsfan.dcp._lower_covers(setup, node.theta.rep.index,
+                                                            node.iset):
         lower = DCPNode(Coset(setup.group.element(y), setup.q), iset)
         assert lower.key == key, (node, lower)
         covers.append((lower, kind, bond))
@@ -701,6 +704,43 @@ def test_inductive_build_makes_one_node_object_per_key(name):
                    for u in nodes for v, kind, bond in lower_covers(setup, u))
     assert {lower for (_, lower), _, _ in edges} == set(range(1, len(nodes)))
     assert [((at(u.key), at(v.key)), kind, bond) for u, v, kind, bond in dcp.edges] == edges
+
+
+def assert_object_build(setup):
+    """The key walk's tables, and the objects made from them, are those of
+    the object build."""
+    dcp, expected = build_dcp_inductive(setup), object_dcp(setup)
+    assert dcp.position == expected["position"]
+    assert dcp.covers_down == expected["covers_down"]
+    assert dcp.big_l == expected["big_l"]
+    assert dcp.nodes == expected["nodes"] and dcp.edges == expected["edges"]
+    assert dcp.reps == [n.theta.rep.index for n in dcp.nodes]
+    assert dcp.members == [n.iset for n in dcp.nodes]
+    assert dcp.top == dcp.nodes[0] and dcp.length() == dcp.top.rank
+
+
+@pytest.mark.parametrize("name", RULE_JOBS)
+def test_the_key_walk_is_the_object_build(name):
+    assert_object_build(cli._setup_from_job(RULE_JOBS[name]))
+
+
+OBJECT_GROUPS = [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_key_walk_is_the_object_build_on_random_setups(data):
+    # tau = w0 or a word of length <= 4, 1-3 weights with entries in {0, 1}
+    # (zero entries give covers of bond 0 that the rule drops), on a chain
+    # or a powerset poset
+    kind, rank = data.draw(st.sampled_from(OBJECT_GROUPS))
+    group = sweep_group(kind, rank)
+    lambdas = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * rank), min_size=1,
+                                 max_size=3))
+    word = data.draw(st.none() | st.lists(st.integers(1, rank), max_size=4))
+    tau = group.longest if word is None else group.from_word(word)
+    iposet = data.draw(st.sampled_from([chain_iposet, powerset_iposet]))(len(lambdas))
+    assert_object_build(Setup(group, lambdas, tau, iposet))
 
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -772,10 +812,13 @@ def test_a_cover_that_keeps_the_rank_exits_one_at_once(capsys, monkeypatch):
     # shrinkI covers that keep I: each is the node itself, which the walk
     # used to meet on every level, growing without end
     rule = lsfan.dcp._lower_covers
-    monkeypatch.setattr(lsfan.dcp, "_lower_covers", lambda setup, node: [
-        (node.key, node.theta.rep.index, node.iset, "shrinkI", 1) if cover[3] == "shrinkI"
-        else cover
-        for cover in rule(setup, node)])
+
+    def keep_i(setup, x, iset):
+        key = pair_key(pair_key(x, bitmask(setup.q)), bitmask(iset))
+        return [(key, x, iset, "shrinkI", 1) if cover[3] == "shrinkI" else cover
+                for cover in rule(setup, x, iset)]
+
+    monkeypatch.setattr(lsfan.dcp, "_lower_covers", keep_i)
     assert cli.main(["dcp", "--job", str(FIXTURES / "a2_tau312_chain.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

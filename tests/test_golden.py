@@ -31,7 +31,11 @@ which every test that loops over the fixtures would pick up.  The G2
 chain enumerate case at degree (2,1), whose tableaux hold one column twice
 and whose cut points and fan coefficients reach thirds and sixths, was
 recorded while enumerate built a row per column of every tableau and wrote
-its cut points through Fraction.  A refactor must keep every hash.
+its cut points through Fraction.  The two F4 cases with a short tau in a
+quotient of 1,152 cosets, underline-w and enumerate, were recorded while
+each shape's reach rows were filled for every coset of its quotient and
+the DCP build made one node object and one coset per node.  A refactor
+must keep every hash.
 """
 
 import hashlib
@@ -47,6 +51,10 @@ INLINE = {
                  "--tau", "w0", "--iposet", "chain"),
     "b4_powerset": ("--type", "B", "--rank", "4", "--lambda", "1,0,0,0;0,1,0,0;0,0,0,1",
                     "--tau", "w0", "--iposet", "powerset"),
+    "f4_tau12_chain": ("--type", "F", "--rank", "4", "--lambda", "1,1,1,1;1,1,1,1",
+                       "--tau", "1,2", "--iposet", "chain"),
+    "f4_tau123_chain": ("--type", "F", "--rank", "4", "--lambda", "1,1,1,1",
+                        "--tau", "1,2,3", "--iposet", "chain"),
 }
 
 
@@ -121,6 +129,10 @@ GOLDEN = [
      "0bf081bb34f2791c3efcb959954fbb5b7dd804508b971fabb21a902e4190c859"),
     ("check", "b4_powerset", (),
      "613bc8a5784af014e14615b7bc8520399e58429c7fe09d1639e6b81ca320c34c"),
+    ("underline-w", "f4_tau12_chain", (),
+     "d881e06a66bf9809c69c33094375e78d30f96c58d477b0838b8e7e7ea0a9a11e"),
+    ("enumerate", "f4_tau123_chain", ("--degree", "1"),
+     "dab19f0aebe0d19ad7b061f3d83ef26e4c3719f4bd393ad321a855602f4c9edf"),
 ]
 
 

@@ -10,8 +10,10 @@ and deodhar_max_lift compares no cosets; the minimal lift is the w0 mirror
 of the maximal one.  The cover rule reads bonds off inversion roots, so
 dcp._lower_covers and lspath.BondedCovers.__missing__ project no coset,
 pair no weight image and make no element or coset: they read the group's
-int cover pairs.  The DCP set-up reads maximal representatives as ints, so
-Setup.__init__, UnderlineW.__init__ and direct_nodes call no max_rep.
+int cover pairs; and build_dcp_inductive walks node keys, so it and the
+rule construct no DCPNode and no Coset.  The DCP set-up reads maximal
+representatives as ints, so Setup.__init__, UnderlineW.__init__ and
+direct_nodes call no max_rep.
 The tableau walk steps on rep indices, so tableaux.next_columns and
 walk_standard call no greedy_lifts or deodhar_max_lift and construct no
 Coset.  tau-standardness reads rep indices and parabolic masks, so the
@@ -148,6 +150,14 @@ def test_the_cover_rule_reads_int_tables_only(module, cls, name):
                   and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
                   & {"covers_down", "element", "Coset"})
     assert not made, f"{module}: {name} makes an element or coset at lines {made}"
+
+
+@pytest.mark.parametrize("name", ["build_dcp_inductive", "_lower_covers"])
+def test_the_dcp_build_walks_node_keys(name):
+    # the build walks node keys, each with its (rep index, member), into the
+    # DCP's int tables: it makes no node object and no coset
+    called = _called(_function("dcp.py", None, name))
+    assert not called & {"DCPNode", "Coset"}, sorted(called)
 
 
 def _function(module, cls, name):

@@ -23,7 +23,7 @@ from lsfan import (
     validate_ls_path,
     weyl_dimension,
 )
-from lsfan.lspath import bonded_chain, maximal_bonded_chains
+from lsfan.lspath import bonded_chain, maximal_bonded_chains, reach_rows, shape_covers
 from lsfan.weyl import Coset
 
 from chain_reference import (
@@ -375,6 +375,26 @@ def test_reach_rows_match_bonded_chain(b2):
                 for lower in nodes:
                     chain = bonded_chain(covers, rows, upper, lower, den)
                     assert (chain is None) == (not rows[upper] >> lower & 1)
+
+
+def test_a_short_top_fills_the_rows_of_a_prefix_of_the_reps():
+    # elements are numbered by length, so a shape's reach rows hold the reps
+    # up to the longest node read, here a short top; a longer top, then a
+    # path whose first coset is longer still, extend the same tables in
+    # place, to the rows that one pass over every rep gives
+    group, nu = make_group("B", 3), (1, 0, 1)
+    covers = shape_covers(group, nu)
+    reps = [x for x, low in enumerate(group._right_desc) if not low & covers.mask]
+    short = ShapePoset(group, nu, group.coset(group.from_word([1, 2]), covers.parabolic))
+    rows = covers.reach(1)
+    assert list(rows) == [x for x in reps if x <= short.top.rep.index] != reps
+    middle = ShapePoset(group, nu, group.coset(group.from_word([1, 2, 3, 2]), covers.parabolic))
+    assert covers.reach(1) is rows and max(rows) == middle.top.rep.index
+    top = top_coset(group, nu)
+    validate_ls_path(group, LSPath(nu, (top, group.covers_down(top)[0][0]), (ONE / 2, ONE)))
+    assert covers.reach(1) is rows and list(rows) == reps and 2 in covers.rows
+    for den, table in covers.rows.items():
+        assert table == reach_rows(covers, reps, den), den
 
 
 def test_validation_certificates_are_the_reference_chains(b2):

@@ -8,7 +8,9 @@ one job builds and no later job sees, computes no image w(nu) by a matrix,
 reads a shape's stabilizer from its table and fills each (slice, lift
 index) state of tableau enumeration once, with no Coset lift, and each
 (poset, denominator) table of reach rows once; a count of
-Fraction constructions pins the integer arithmetic of the theta round trip.
+Fraction constructions pins the integer arithmetic of the theta round trip,
+and a count of DCPNode constructions that no command but dcp's direct node
+test makes a node object.
 enumerate builds each distinct column's row once, and the Fractions it
 makes do not grow with the number of tableaux."""
 
@@ -190,6 +192,43 @@ def test_each_reach_table_is_filled_once_per_job(capsys, monkeypatch):
         runs.append((len(fills), {id(covers): covers for covers, _ in fills}))
     (filled, first), (again, second) = runs
     assert filled == again and not first.keys() & second.keys(), (filled, again)
+
+
+def test_command_paths_make_no_node_objects(capsys, monkeypatch):
+    # the DCP keeps int tables over its node numbers and makes its DCPNodes
+    # on first use, which no command path asks for: verify, enumerate,
+    # conjecture and check on a standard poset make none, and dcp makes only
+    # the direct node test's own list, which runs on tau = w0 jobs alone
+    made, listed = [], []
+    post_init, direct = lsfan.dcp.DCPNode.__post_init__, lsfan.cli.direct_nodes
+
+    def counted(node):
+        made.append(1)
+        post_init(node)
+
+    def listing(setup):
+        nodes = direct(setup)
+        listed.append(len(nodes))
+        return nodes
+
+    monkeypatch.setattr(lsfan.dcp.DCPNode, "__post_init__", counted)
+    monkeypatch.setattr(lsfan.cli, "direct_nodes", listing)
+    fixtures = Path(__file__).parent / "fixtures"
+    b3 = ["--job", str(fixtures / "b3_chain.json")]
+    for argv in (["verify", *b3, "--degree", "1,1,1"], ["enumerate", *b3, "--degree", "1,1,1"],
+                 ["conjecture", *b3], ["check", *b3]):
+        made.clear()
+        assert lsfan.cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert not made, (argv, len(made))
+    assert json.loads(out)["tau_standard"]  # check ran last, on a standard poset
+    for job, w0 in (("b3_chain", True), ("a2_tau312_chain", False)):
+        for extra in ([], ["--format", "dot"]):
+            made.clear()
+            listed.clear()
+            assert lsfan.cli.main(["dcp", "--job", str(fixtures / f"{job}.json"), *extra]) == 0
+            assert len(listed) == w0 and len(made) == sum(listed), (job, len(made), listed)
+    capsys.readouterr()
 
 
 def test_enumerate_builds_each_column_row_once_and_few_fractions(capsys):
